@@ -7,6 +7,7 @@ key=value lines; command-line flags override it.
 from __future__ import annotations
 
 import argparse
+import contextlib
 import json
 import os
 import sys
@@ -76,16 +77,22 @@ def _effective_config(args) -> dict:
     return cfg
 
 
-def _load_model(spec_text: str):
-    """Model spec: 'markov:<path>', 'uniform:<k>', or a bridge target."""
+@contextlib.contextmanager
+def _opened_model(spec_text: str):
+    """Model spec: 'markov:<path>', 'uniform:<k>', or a bridge target.
+    A bridge model is closed, and its peer shut down, on exit."""
     kind, _, rest = spec_text.partition(":")
     if kind == "markov":
-        return MarkovLm.load(rest)
-    if kind == "uniform":
-        return UniformLm(KmerTokenizer(int(rest)).vocab)
-    if kind == "bridge":
-        return bridge_model(rest)
-    return bridge_model(spec_text)
+        model = MarkovLm.load(rest)
+    elif kind == "uniform":
+        model = UniformLm(KmerTokenizer(int(rest)).vocab)
+    else:
+        model = bridge_model(rest if kind == "bridge" else spec_text)
+    try:
+        yield model
+    finally:
+        if hasattr(model, "close"):
+            model.close()
 
 
 def _read_sequences(args):
@@ -198,34 +205,34 @@ def cmd_train_markov(args):
 
 
 def cmd_generate(args):
-    model = _load_model(args.model)
-    k = len(model.vocabulary().tokens[0])
-    tokenizer = KmerTokenizer(k)
-    cfg = SamplerConfig(
-        temperature=args.temperature,
-        nucleus_p=args.top_p,
-        max_new_tokens=args.max_new,
-        seed=args.seed,
-        mode="greedy" if args.greedy else "sample",
-    )
-    dedup = None
-    if args.dedup_against:
-        dedup = {s.bases for s in read_fasta(args.dedup_against)}
-    if args.prefix:
-        batch = conditioned_generate(
-            model, tokenizer, args.prefix, cfg, n_sequences=args.n, dedup_against=dedup
+    with _opened_model(args.model) as model:
+        k = len(model.vocabulary().tokens[0])
+        tokenizer = KmerTokenizer(k)
+        cfg = SamplerConfig(
+            temperature=args.temperature,
+            nucleus_p=args.top_p,
+            max_new_tokens=args.max_new,
+            seed=args.seed,
+            mode="greedy" if args.greedy else "sample",
         )
-        sequences = batch.sequences
-        if batch.exhausted:
-            print("warning: candidate pool exhausted before n sequences", file=sys.stderr)
-    else:
-        prompt_ids = tokenizer.encode(args.prompt.upper()) if args.prompt else []
-        sequences = []
-        for i in range(args.n):
-            ids = generate(model, prompt_ids, cfg, job_index=i)
-            sequences.append(tokenizer.decode(ids))
-        if dedup is not None:
-            sequences = [s for s in sequences if s not in dedup]
+        dedup = None
+        if args.dedup_against:
+            dedup = {s.bases for s in read_fasta(args.dedup_against)}
+        if args.prefix:
+            batch = conditioned_generate(
+                model, tokenizer, args.prefix, cfg, n_sequences=args.n, dedup_against=dedup
+            )
+            sequences = batch.sequences
+            if batch.exhausted:
+                print("warning: candidate pool exhausted before n sequences", file=sys.stderr)
+        else:
+            prompt_ids = tokenizer.encode(args.prompt.upper()) if args.prompt else []
+            sequences = []
+            for i in range(args.n):
+                ids = generate(model, prompt_ids, cfg, job_index=i)
+                sequences.append(tokenizer.decode(ids))
+            if dedup is not None:
+                sequences = [s for s in sequences if s not in dedup]
     _emit(args, "\n".join(sequences) + "\n")
     return 0
 
@@ -242,20 +249,20 @@ def cmd_recover_build(args):
 
 
 def cmd_recover_run(args):
-    model = _load_model(args.model)
-    k = len(model.vocabulary().tokens[0])
-    tokenizer = KmerTokenizer(k)
-    dataset = recover.read_dataset_tsv(args.dataset)
-    cfg = SamplerConfig(
-        mode="sample" if args.sample else "greedy",
-        temperature=args.temperature,
-        nucleus_p=args.top_p,
-        seed=args.seed,
-    )
-    predict_lens = [int(x) for x in args.predict_len.split(",")]
-    report = recover.run_recovery(
-        model, tokenizer, dataset, predict_lens, cfg, threads=args.threads
-    )
+    with _opened_model(args.model) as model:
+        k = len(model.vocabulary().tokens[0])
+        tokenizer = KmerTokenizer(k)
+        dataset = recover.read_dataset_tsv(args.dataset)
+        cfg = SamplerConfig(
+            mode="sample" if args.sample else "greedy",
+            temperature=args.temperature,
+            nucleus_p=args.top_p,
+            seed=args.seed,
+        )
+        predict_lens = [int(x) for x in args.predict_len.split(",")]
+        report = recover.run_recovery(
+            model, tokenizer, dataset, predict_lens, cfg, threads=args.threads
+        )
     if args.json:
         _emit(args, report.to_json() + "\n")
     else:
@@ -264,32 +271,32 @@ def cmd_recover_run(args):
 
 
 def cmd_vep_score(args):
-    model = _load_model(args.model)
-    k = len(model.vocabulary().tokens[0])
-    tokenizer = KmerTokenizer(k)
-    genome = {s.id: s for s in read_fasta(args.genome)}
-    variants = vep.read_variants_tsv(args.variants)
-    lines = ["#seq_id\tpos\tref\talt\tlabel\tscore"]
-    for variant in variants:
-        if args.mode == "mlm":
-            from .sampling import CausalAsMaskedLm
+    with _opened_model(args.model) as model:
+        k = len(model.vocabulary().tokens[0])
+        tokenizer = KmerTokenizer(k)
+        genome = {s.id: s for s in read_fasta(args.genome)}
+        variants = vep.read_variants_tsv(args.variants)
+        lines = ["#seq_id\tpos\tref\talt\tlabel\tscore"]
+        for variant in variants:
+            if args.mode == "mlm":
+                from .sampling import CausalAsMaskedLm
 
-            score = vep.mlm_vep_score(
-                CausalAsMaskedLm(model), tokenizer, genome, variant, window=args.context_len
+                score = vep.mlm_vep_score(
+                    CausalAsMaskedLm(model), tokenizer, genome, variant, window=args.context_len
+                )
+            else:
+                score = vep.vep_score(
+                    model,
+                    tokenizer,
+                    genome,
+                    variant,
+                    context_len=args.context_len,
+                    average_phases=args.average_phases,
+                )
+            lines.append(
+                f"{variant.seq_id}\t{variant.pos}\t{variant.ref_allele}\t"
+                f"{variant.alt_allele}\t{variant.label or ''}\t{score:.6f}"
             )
-        else:
-            score = vep.vep_score(
-                model,
-                tokenizer,
-                genome,
-                variant,
-                context_len=args.context_len,
-                average_phases=args.average_phases,
-            )
-        lines.append(
-            f"{variant.seq_id}\t{variant.pos}\t{variant.ref_allele}\t"
-            f"{variant.alt_allele}\t{variant.label or ''}\t{score:.6f}"
-        )
     _emit(args, "\n".join(lines) + "\n")
     return 0
 

@@ -184,9 +184,14 @@ def contribution_scores(
 ) -> list[Optional[float]]:
     """Per-position score: predicted activity of the sequence minus the
     mean over the three single-base substitutions at that position.
-    Positions holding N are emitted as None."""
+    Positions holding N are emitted as None.
+
+    A k-mer ridge predictor is scored in closed form; any other predictor
+    is called on all 3*L substituted sequences."""
     if not sequence:
         raise ValueError("sequence must be non-empty")
+    if isinstance(predictor, KmerRidgePredictor) and not set(sequence) - set("ACGTN"):
+        return _ridge_contributions(predictor, sequence)
     base_score = predictor.predict(sequence)
     out: list[Optional[float]] = []
     for i, original in enumerate(sequence):
@@ -200,6 +205,29 @@ def contribution_scores(
         ) / len(alternatives)
         out.append(base_score - mutated_mean)
     return out
+
+
+def _ridge_contributions(
+    predictor: KmerRidgePredictor, sequence: str
+) -> list[Optional[float]]:
+    """A substitution at position i changes only the (at most k) windows
+    that cover i, so the score is -mean over the 3 other bases of the sum
+    over those windows of w[new k-mer] - w[old k-mer]. Windows holding an N
+    are skipped, as kmer_counts skips them."""
+    k, w = predictor.k, predictor.weights
+    digits = _DIGIT_LUT[np.frombuffer(sequence.encode("ascii"), dtype=np.uint8)]
+    delta = np.zeros(len(sequence))
+    if len(sequence) >= k:
+        windows = np.lib.stride_tricks.sliding_window_view(digits, k).astype(np.int64)
+        starts = np.nonzero((windows != 255).all(axis=1))[0]
+        powers = 4 ** np.arange(k - 1, -1, -1, dtype=np.int64)
+        ranks = windows[starts] @ powers
+        for j in range(k):  # the substituted base is the j-th of each window
+            old = windows[starts, j]
+            for shift in (1, 2, 3):
+                new = (old + shift) % 4
+                delta[starts + j] += w[ranks + (new - old) * powers[j]] - w[ranks]
+    return [None if b == "N" else float(-d / 3) for b, d in zip(sequence, delta)]
 
 
 def save_predictor(predictor: KmerRidgePredictor, path) -> None:

@@ -22,6 +22,7 @@ from .errors import (
     PeerUnavailable,
     ProtocolViolation,
     UnknownTokenId,
+    VocabularyMismatch,
 )
 from .tokenizer import Vocabulary
 
@@ -73,6 +74,11 @@ class MarkovLm:
     Per order o in 0..n the estimate for token t given the last o context
     ids c is (count(c,t) + alpha) / (count(c,*) + alpha*|V|); the emitted
     distribution is sum_o lambda_o * estimate_o, strictly positive.
+
+    Each (order, context) count table is compiled on first use into a cached
+    row of numpy arrays. Only contexts present in `counts` are cached, and
+    `observe` clears the cache; `counts` must not be edited by hand once the
+    model has been queried.
     """
 
     FORMAT_VERSION = 1
@@ -95,15 +101,17 @@ class MarkovLm:
         self.counts: list[dict[tuple, dict[int, int]]] = [
             {} for _ in range(order + 1)
         ]
+        # (order, context) -> (token ids, their estimates, estimate of the rest)
+        self._rows: dict[tuple[int, tuple], tuple[np.ndarray, np.ndarray, float]] = {}
+        # the estimate after a context never observed, at any order
+        self._unseen = (np.empty(0, dtype=np.int64), np.empty(0), alpha / (alpha * len(vocab)))
 
     def vocabulary(self) -> Vocabulary:
         return self._vocab
 
     def observe(self, ids: Sequence[int]) -> None:
-        V = len(self._vocab)
-        for t in ids:
-            if not 0 <= t < V:
-                raise UnknownTokenId(f"token id {t} outside vocabulary of size {V}")
+        _check_ids(ids, len(self._vocab))
+        self._rows.clear()
         for pos, token in enumerate(ids):
             for o in range(self.order + 1):
                 if pos < o:
@@ -114,22 +122,30 @@ class MarkovLm:
 
     def next_distribution(self, context: Sequence[int]) -> TokenDistribution:
         V = len(self._vocab)
-        for t in context:
-            if not 0 <= t < V:
-                raise UnknownTokenId(f"token id {t} outside vocabulary of size {V}")
+        _check_ids(context, V)
         probs = np.zeros(V)
         for o, lam in enumerate(self.lambdas):
             if lam == 0.0:
                 continue
-            ctx = tuple(context[-o:]) if o else ()
-            table = self.counts[o].get(ctx, {})
-            total = sum(table.values())
-            denom = total + self.alpha * V
-            est = np.full(V, self.alpha / denom)
-            for token, c in table.items():
-                est[token] = (c + self.alpha) / denom
+            ids, values, rest = self._row(o, tuple(context[-o:]) if o else ())
+            est = np.full(V, rest)
+            est[ids] = values
             probs += lam * est
         return TokenDistribution(probs / probs.sum())
+
+    def _row(self, o: int, ctx: tuple) -> tuple[np.ndarray, np.ndarray, float]:
+        """The add-alpha estimate of order o after ctx, as the observed token
+        ids, their estimates and the estimate shared by every other token."""
+        row = self._rows.get((o, ctx))
+        if row is None:
+            table = self.counts[o].get(ctx)
+            if table is None:
+                return self._unseen
+            denom = sum(table.values()) + self.alpha * len(self._vocab)
+            ids = np.fromiter(table.keys(), dtype=np.int64, count=len(table))
+            counts = np.fromiter(table.values(), dtype=float, count=len(table))
+            row = self._rows[(o, ctx)] = (ids, (counts + self.alpha) / denom, self.alpha / denom)
+        return row
 
     # --- persistence: JSON header line, then one JSON line per context -------
 
@@ -163,6 +179,11 @@ class MarkovLm:
             vocab = Vocabulary(
                 tokens=tuple(header["vocab"]["tokens"]), n_base=header["vocab"]["n_base"]
             )
+            if header.get("vocab_hash") != vocab.content_hash():
+                raise VocabularyMismatch(
+                    f"{path}: vocab_hash {header.get('vocab_hash')!r} does not match "
+                    f"the stored tokens ({vocab.content_hash()!r})"
+                )
             model = cls(vocab, header["order"], header["alpha"], header["lambdas"])
             for line in fh:
                 row = json.loads(line)
@@ -170,6 +191,12 @@ class MarkovLm:
                     int(t): c for t, c in row["counts"].items()
                 }
         return model
+
+
+def _check_ids(ids: Sequence[int], V: int) -> None:
+    if len(ids) and not (0 <= min(ids) and max(ids) < V):
+        bad = next(t for t in ids if not 0 <= t < V)
+        raise UnknownTokenId(f"token id {bad} outside vocabulary of size {V}")
 
 
 def train_markov(
@@ -219,10 +246,13 @@ class BridgeModel:
     def __init__(self, peer: "_Peer", timeout: float = 30.0):
         self._peer = peer
         self.timeout = timeout
-        reply = self._call({"op": "vocab"})
-        tokens = reply.get("tokens")
-        if not isinstance(tokens, list) or not tokens:
-            raise ProtocolViolation("vocab reply missing token list")
+        try:
+            tokens = self._call({"op": "vocab"}).get("tokens")
+            if not isinstance(tokens, list) or not tokens:
+                raise ProtocolViolation("vocab reply missing token list")
+        except BaseException:
+            peer.close()
+            raise
         n_special = sum(1 for t in tokens if t.startswith("<"))
         self._vocab = Vocabulary(tokens=tuple(tokens), n_base=len(tokens) - n_special)
 
@@ -278,6 +308,9 @@ class BridgeModel:
         self._peer.close()
 
 
+_EXIT_GRACE_S = 5.0  # how long a closed subprocess peer may take to exit
+
+
 class _SubprocessPeer:
     def __init__(self, argv: list[str]):
         try:
@@ -290,6 +323,7 @@ class _SubprocessPeer:
             )
         except OSError as exc:
             raise PeerUnavailable(str(exc))
+        self._stalled = False  # a request went unanswered within its timeout
 
     def roundtrip(self, line: str, timeout: float) -> str:
         if self.proc.poll() is not None:
@@ -298,6 +332,7 @@ class _SubprocessPeer:
         self.proc.stdin.flush()
         ready, _, _ = select.select([self.proc.stdout], [], [], timeout)
         if not ready:
+            self._stalled = True
             raise BridgeTimeout(f"no reply within {timeout}s")
         reply = self.proc.stdout.readline()
         if not reply:
@@ -305,8 +340,23 @@ class _SubprocessPeer:
         return reply
 
     def close(self) -> None:
-        if self.proc.poll() is None:
+        """Close the peer's stdin so it can exit at end of input. A peer
+        still running after _EXIT_GRACE_S, or one stalled on a request, is
+        terminated, then killed. Closing twice is a no-op."""
+        try:
+            self.proc.stdin.close()
+        except OSError:  # the peer already closed its end of the pipe
+            pass
+        try:
+            self.proc.wait(timeout=0 if self._stalled else _EXIT_GRACE_S)
+        except subprocess.TimeoutExpired:
             self.proc.terminate()
+            try:
+                self.proc.wait(timeout=_EXIT_GRACE_S)
+            except subprocess.TimeoutExpired:
+                self.proc.kill()
+                self.proc.wait()
+        self.proc.stdout.close()
 
 
 class _TcpPeer:

@@ -12,6 +12,7 @@ import itertools
 import json
 import random
 from dataclasses import dataclass, field
+from functools import cached_property, lru_cache
 from typing import Optional, Sequence
 
 import numpy as np
@@ -47,9 +48,15 @@ class Vocabulary:
     tokens: tuple[str, ...]
     n_base: int  # number of non-special tokens; specials are ids n_base..|V|-1
 
+    @cached_property
+    def _index(self) -> dict[str, int]:
+        return {t: i for i, t in enumerate(self.tokens)}
+
     @property
     def index(self) -> dict[str, int]:
-        return {t: i for i, t in enumerate(self.tokens)}
+        # A plain property over the cached dict: perfbench's tracer wraps
+        # `Vocabulary.index` as a property.
+        return self._index
 
     def __len__(self) -> int:
         return len(self.tokens)
@@ -100,7 +107,9 @@ class Vocabulary:
         return cls(tokens=tuple(obj["tokens"]), n_base=obj["n_base"])
 
 
+@lru_cache(maxsize=None)
 def kmer_vocabulary(k: int) -> Vocabulary:
+    """The k-mer vocabulary; built once per k and shared, as it is immutable."""
     if not 1 <= k <= 8:
         raise ValueError(f"k must be in [1,8], got {k}")
     kmers = ["".join(p) for p in itertools.product(BASES, repeat=k)]
@@ -176,13 +185,13 @@ def kmer_encode(
 
 
 def kmer_decode(ids: Sequence[int], spec: KmerSpec) -> NucleotideSequence:
-    vocab = kmer_vocabulary(spec.k)
-    parts = []
-    for token_id in ids:
-        if vocab.is_special(token_id):
-            raise SpecialTokenInStream(token_id)
-        parts.append(vocab.tokens[token_id])
-    return NucleotideSequence("".join(parts))
+    return _decode(ids, kmer_vocabulary(spec.k))
+
+
+def _decode(ids: Sequence[int], vocab: Vocabulary) -> NucleotideSequence:
+    if len(ids) and max(ids) >= vocab.n_base:
+        raise SpecialTokenInStream(next(t for t in ids if vocab.is_special(t)))
+    return NucleotideSequence("".join([vocab.tokens[t] for t in ids]))
 
 
 # --- BPE ---------------------------------------------------------------------
@@ -305,12 +314,7 @@ def bpe_encode(seq: NucleotideSequence | str, model: BpeModel) -> list[int]:
 
 
 def bpe_decode(ids: Sequence[int], model: BpeModel) -> NucleotideSequence:
-    parts = []
-    for token_id in ids:
-        if model.vocab.is_special(token_id):
-            raise SpecialTokenInStream(token_id)
-        parts.append(model.vocab.tokens[token_id])
-    return NucleotideSequence("".join(parts))
+    return _decode(ids, model.vocab)
 
 
 # --- facade used by the benchmark and scoring code ---------------------------

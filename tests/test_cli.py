@@ -277,3 +277,62 @@ class TestIngestCommands:
             "--annotations", str(annotations), "--out", str(out),
         ]) == 0
         assert out.read_text().startswith(">")
+
+
+UNIFORM_K1_PEER = '''
+import json
+import sys
+
+TOKENS = ["A", "C", "G", "T", "<bos>", "<eos>", "<mask>", "<unk>", "<pad>",
+          "<high>", "<mid>", "<low>"] + [f"<reserved{i}>" for i in range(8, 32)]
+for line in sys.stdin:
+    request = json.loads(line)
+    if request["op"] == "vocab":
+        print(json.dumps({"tokens": TOKENS}), flush=True)
+    else:
+        print(json.dumps({"probs": [1 / len(TOKENS)] * len(TOKENS)}), flush=True)
+'''
+
+
+class TestModelLifecycle:
+    def test_vep_score_shuts_down_its_bridge_peer(self, tmp_path, monkeypatch):
+        import sys
+
+        from genomelm import lm
+
+        peers = []
+        peer_init = lm._SubprocessPeer.__init__
+
+        def recording_init(peer, *args, **kwargs):
+            peer_init(peer, *args, **kwargs)
+            peers.append(peer)
+
+        monkeypatch.setattr(lm._SubprocessPeer, "__init__", recording_init)
+        script = tmp_path / "peer.py"
+        script.write_text(UNIFORM_K1_PEER)
+        genome = tmp_path / "genome.fa"
+        bases = write_corpus(genome, n=1, length=60, seed=2)[0].bases
+        variants = tmp_path / "variants.tsv"
+        variants.write_text(f"s0\t30\t{bases[29]}\t{'A' if bases[29] != 'A' else 'C'}\tbenign\n")
+        assert main([
+            "vep", "score", "--genome", str(genome), "--variants", str(variants),
+            "--model", f"bridge:{sys.executable} {script}", "--out", str(tmp_path / "s.tsv"),
+        ]) == 0
+        assert len(peers) == 1
+        # the peer saw end of input and exited by itself, and was reaped
+        assert peers[0].proc.returncode == 0
+        peers[0].close()  # closing again is a no-op
+
+    def test_tampered_model_is_data_error(self, tmp_path, capsys):
+        corpus = tmp_path / "corpus.fa"
+        write_corpus(corpus)
+        model = tmp_path / "markov.jsonl"
+        assert main([
+            "train-markov", str(corpus), "--k", "1", "--order", "1", "--model-out", str(model),
+        ]) == 0
+        header, rest = model.read_text().split("\n", 1)
+        model.write_text(header.replace('"vocab_hash": "', '"vocab_hash": "f00d') + "\n" + rest)
+        capsys.readouterr()
+        assert main(["generate", "--model", f"markov:{model}", "--max-new", "4"]) == DATA_ERROR
+        err = capsys.readouterr().err
+        assert "VocabularyMismatch" in err and str(model) in err

@@ -2,6 +2,8 @@ import math
 
 import numpy as np
 import pytest
+from hypothesis import given, settings
+from hypothesis import strategies as st
 
 from genomelm.errors import (
     PoolTooSmall,
@@ -267,6 +269,44 @@ class TestContributionScores:
     def test_tsv_rendering(self):
         text = contributions_to_tsv("AN", [1.0, None])
         assert text == "#pos\tbase\tcontribution\n1\tA\t1\n2\tN\tNA\n"
+
+
+class _Opaque:
+    """Hides a predictor's type, so contribution_scores takes the generic
+    3*L-predict path: the oracle of the ridge predictor's closed form."""
+
+    def __init__(self, predictor):
+        self.predict = predictor.predict
+
+
+class TestRidgeContributionsClosedForm:
+    @settings(max_examples=200, deadline=None)
+    @given(
+        k=st.sampled_from([1, 3, 5]),
+        sequence=st.text(alphabet="ACGTN", min_size=1, max_size=60),
+        seed=st.integers(0, 2**32 - 1),
+    )
+    def test_matches_the_generic_path(self, k, sequence, seed):
+        np_rng = np.random.default_rng(seed)
+        predictor = KmerRidgePredictor(
+            k=k, weights=np_rng.normal(size=4**k), intercept=float(np_rng.normal()), l2=1.0
+        )
+        got = contribution_scores(predictor, sequence)
+        want = contribution_scores(_Opaque(predictor), sequence)
+        assert [g is None for g in got] == [b == "N" for b in sequence]
+        assert [w is None for w in want] == [b == "N" for b in sequence]
+        for g, w in zip(got, want):
+            if w is not None:
+                assert abs(g - w) <= 1e-9
+
+    def test_calls_predict_no_more_than_once(self, monkeypatch):
+        predictor = KmerRidgePredictor(k=3, weights=np.arange(64.0), intercept=0.0, l2=1.0)
+        calls = []
+        monkeypatch.setattr(
+            KmerRidgePredictor, "predict", lambda self, s: calls.append(s) or 0.0
+        )
+        contribution_scores(predictor, "ACGTNACGTACGGT" * 10)
+        assert len(calls) <= 1
 
 
 class TestActivityIo:

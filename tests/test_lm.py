@@ -1,9 +1,12 @@
+import json
 import math
 
 import numpy as np
 import pytest
+from hypothesis import given, settings
+from hypothesis import strategies as st
 
-from genomelm.errors import BadSmoothing, EmptyCorpus, UnknownTokenId
+from genomelm.errors import BadSmoothing, EmptyCorpus, UnknownTokenId, VocabularyMismatch
 from genomelm.lm import (
     MarkovLm,
     TokenDistribution,
@@ -161,3 +164,116 @@ class TestSequenceLogprob:
     def test_empty_sequence_rejected(self):
         with pytest.raises(ValueError):
             sequence_logprob(UniformLm(VOCAB1), [])
+
+
+# --- the reference dict loop, kept as the oracle of MarkovLm's cached rows ---
+
+def reference_distribution(lm, context):
+    V = len(lm.vocabulary())
+    probs = np.zeros(V)
+    for o, lam in enumerate(lm.lambdas):
+        if lam == 0.0:
+            continue
+        ctx = tuple(context[-o:]) if o else ()
+        table = lm.counts[o].get(ctx, {})
+        total = sum(table.values())
+        denom = total + lm.alpha * V
+        est = np.full(V, lm.alpha / denom)
+        for token, c in table.items():
+            est[token] = (c + lm.alpha) / denom
+        probs += lam * est
+    return probs / probs.sum()
+
+
+@st.composite
+def markov_cases(draw):
+    vocab = kmer_vocabulary(draw(st.sampled_from([1, 2])))
+    order = draw(st.integers(0, 3))
+    weights = draw(st.lists(st.integers(0, 3), min_size=order + 1, max_size=order + 1))
+    if not any(weights):
+        weights[-1] = 1
+    lambdas = [w / sum(weights) for w in weights]
+    alpha = draw(st.sampled_from([0.05, 0.1, 0.5, 1, 2.5]))
+    # mostly a few base ids, so contexts repeat; sometimes any id, specials included
+    token = st.one_of(st.integers(0, 3), st.integers(0, len(vocab) - 1))
+    streams = draw(st.lists(st.lists(token, max_size=40), min_size=1, max_size=3))
+    contexts = draw(st.lists(st.lists(token, max_size=6), max_size=6))
+    # prefixes of the training streams give observed contexts
+    for stream in streams:
+        cut = draw(st.integers(0, len(stream)))
+        contexts.append(stream[:cut])
+    second = draw(st.lists(token, max_size=30))
+    return vocab, order, alpha, lambdas, streams, contexts, second
+
+
+class TestMarkovLmMatchesReference:
+    @settings(max_examples=150, deadline=None)
+    @given(markov_cases())
+    def test_distributions_are_bit_identical(self, case):
+        vocab, order, alpha, lambdas, streams, contexts, second = case
+        lm = MarkovLm(vocab, order, alpha, lambdas)
+        for stream in streams:
+            lm.observe(stream)
+        for ctx in [[]] + contexts:
+            assert np.array_equal(lm.next_distribution(ctx).probs, reference_distribution(lm, ctx))
+        lm.observe(second)  # counts change after the model has been queried
+        for ctx in [[]] + contexts + [second]:
+            assert np.array_equal(lm.next_distribution(ctx).probs, reference_distribution(lm, ctx))
+
+    @pytest.mark.parametrize("where", [0, 1000, 1999])
+    def test_unknown_id_anywhere_in_a_long_context_is_named(self, where):
+        lm = train_markov([[0, 1, 2, 3] * 10], VOCAB1, order=2)
+        context = [i % 4 for i in range(2000)]
+        context[where] = V + 7
+        with pytest.raises(UnknownTokenId, match=f"token id {V + 7} "):
+            lm.next_distribution(context)
+        context[where] = -3
+        with pytest.raises(UnknownTokenId, match="token id -3 "):
+            lm.next_distribution(context)
+
+    def test_cached_rows_are_bounded_by_the_observed_contexts(self, rng):
+        vocab = kmer_vocabulary(2)
+        lm = train_markov([[rng.randrange(8) for _ in range(300)]], vocab, order=3)
+        for _ in range(1000):
+            # ids 8..15 never occur in training, so every such context is unseen
+            lm.next_distribution([rng.randrange(8, 16) for _ in range(rng.randrange(5))])
+        assert len(lm._rows) <= sum(len(table) for table in lm.counts)
+
+    def test_concurrent_queries_build_the_same_rows(self, rng):
+        import sys
+        import threading
+
+        lm = train_markov([[rng.randrange(8) for _ in range(400)]], kmer_vocabulary(2), order=2)
+        contexts = [[rng.randrange(10) for _ in range(rng.randrange(4))] for _ in range(300)]
+        want = [reference_distribution(lm, ctx) for ctx in contexts]
+        mismatches = []
+
+        def query():
+            for ctx, expect in zip(contexts, want):
+                if not np.array_equal(lm.next_distribution(ctx).probs, expect):
+                    mismatches.append(ctx)
+
+        interval = sys.getswitchinterval()
+        sys.setswitchinterval(1e-6)
+        try:
+            workers = [threading.Thread(target=query) for _ in range(6)]
+            for w in workers:
+                w.start()
+            for w in workers:
+                w.join(timeout=60)
+        finally:
+            sys.setswitchinterval(interval)
+        assert not any(w.is_alive() for w in workers)
+        assert mismatches == []
+
+
+def test_load_rejects_a_tampered_vocab_hash(tmp_path):
+    lm = train_markov([[0, 1, 2, 3, 0, 1]], VOCAB1, order=1)
+    path = tmp_path / "model.jsonl"
+    lm.save(path)
+    header, rest = path.read_text().split("\n", 1)
+    obj = json.loads(header)
+    obj["vocab_hash"] = "0" * 16
+    path.write_text(json.dumps(obj) + "\n" + rest)
+    with pytest.raises(VocabularyMismatch, match="model.jsonl"):
+        MarkovLm.load(path)

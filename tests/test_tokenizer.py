@@ -81,6 +81,25 @@ class TestVocabulary:
                 kmer_vocabulary(bad)
 
 
+class TestVocabularyCaching:
+    def test_kmer_vocabulary_is_built_once_per_k(self):
+        assert kmer_vocabulary(6) is kmer_vocabulary(6)
+        assert kmer_vocabulary(3) is not kmer_vocabulary(4)
+
+    def test_index_is_built_once_per_instance(self):
+        vocab = Vocabulary(tokens=("A", "C", "<bos>"), n_base=2)
+        assert vocab.index is vocab.index
+        assert vocab.id_of("<bos>") == 2
+
+    def test_cached_index_leaves_equality_and_hashing_alone(self):
+        used = Vocabulary(tokens=("A", "C", "<bos>"), n_base=2)
+        used.id_of("C")
+        fresh = Vocabulary(tokens=("A", "C", "<bos>"), n_base=2)
+        assert used == fresh and hash(used) == hash(fresh)
+        assert repr(used) == repr(fresh)
+        assert used != Vocabulary(tokens=("A", "C", "<bos>"), n_base=3)
+
+
 class TestTokenChar:
     def test_reads_positions(self):
         vocab = kmer_vocabulary(3)
