@@ -87,7 +87,7 @@ def main():
     corpus = [tok.encode(text) for text in train_text.values()]
     for order in (0, 1, 3, 5):
         model = train_markov(corpus, tok.vocab, order=order, alpha=0.1)
-        report = run_recovery(model, tok, dataset, predict_lens, threads=4)
+        report = run_recovery(model, tok, dataset, predict_lens)
         summary = ", ".join(
             f"L={l}: {report.overall[l]:.3f}" for l in predict_lens
         )

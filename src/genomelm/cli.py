@@ -9,7 +9,6 @@ from __future__ import annotations
 import argparse
 import contextlib
 import json
-import os
 import sys
 
 import numpy as np
@@ -18,7 +17,7 @@ from . import analytics, design, ingest, recover, vep
 from .errors import GenomeLmError
 from .lm import MarkovLm, UniformLm, bridge_model, train_markov
 from .sampling import SamplerConfig, conditioned_generate, generate
-from .seqcore import read_fasta, translate, validate, write_fasta
+from .seqcore import parse_fasta, read_fasta, translate, validate, write_fasta
 from .tokenizer import (
     BpeModel,
     KmerSpec,
@@ -40,10 +39,9 @@ class _Parser(argparse.ArgumentParser):
 
 
 def _default_threads() -> int:
-    env = os.environ.get("GENOLM_THREADS")
-    if env and env.isdigit():
-        return int(env)
-    return os.cpu_count() or 1
+    # Only perfbench/run.py still calls this, for its "# meta" line, outside
+    # any try; it goes when the benchmark stops reading it.
+    return 1
 
 
 def _load_config(path) -> dict[str, str]:
@@ -71,12 +69,6 @@ def _emit(args, text: str) -> None:
         stream.close()
 
 
-def _effective_config(args) -> dict:
-    cfg = {k: v for k, v in vars(args).items() if k != "func" and v is not None}
-    cfg.pop("config", None)
-    return cfg
-
-
 @contextlib.contextmanager
 def _opened_model(spec_text: str):
     """Model spec: 'markov:<path>', 'uniform:<k>', or a bridge target.
@@ -102,15 +94,7 @@ def _read_sequences(args):
         return read_fasta(args.infile)
     data = sys.stdin.read()
     if data.lstrip().startswith(">"):
-        import tempfile
-
-        with tempfile.NamedTemporaryFile("w", suffix=".fa", delete=False) as tmp:
-            tmp.write(data)
-            path = tmp.name
-        try:
-            return read_fasta(path)
-        finally:
-            os.unlink(path)
+        return list(parse_fasta(data.splitlines()))
     return [validate(data)]
 
 
@@ -119,12 +103,13 @@ def _read_sequences(args):
 def cmd_tokenize(args):
     seqs = _read_sequences(args)
     lines = []
-    for seq in seqs:
-        if args.bpe_model:
-            model = BpeModel.from_json(open(args.bpe_model).read())
-            ids = bpe_encode(seq, model)
-            lines.append(" ".join(map(str, ids)))
-        else:
+    if args.bpe_model:
+        with open(args.bpe_model) as fh:
+            model = BpeModel.from_json(fh.read())
+        for seq in seqs:
+            lines.append(" ".join(map(str, bpe_encode(seq, model))))
+    else:
+        for seq in seqs:
             spec = KmerSpec(args.k, offset=None if args.random_offset else args.offset,
                             seed=args.seed)
             offset, ids, tail = kmer_encode(seq, spec)
@@ -137,7 +122,7 @@ def cmd_tokenize(args):
 
 def cmd_bpe_train(args):
     corpus = read_fasta(args.corpus)
-    model = bpe_train(corpus, args.target_vocab, seed=args.seed)
+    model = bpe_train(corpus, args.target_vocab)
     _emit(args, model.to_json() + "\n")
     return 0
 
@@ -260,9 +245,7 @@ def cmd_recover_run(args):
             seed=args.seed,
         )
         predict_lens = [int(x) for x in args.predict_len.split(",")]
-        report = recover.run_recovery(
-            model, tokenizer, dataset, predict_lens, cfg, threads=args.threads
-        )
+        report = recover.run_recovery(model, tokenizer, dataset, predict_lens, cfg)
     if args.json:
         _emit(args, report.to_json() + "\n")
     else:
@@ -403,11 +386,13 @@ def cmd_translate(args):
 
 # --- parser ------------------------------------------------------------------
 
-def _add_common(p):
-    p.add_argument("--seed", type=int, default=0)
-    p.add_argument("--threads", type=int, default=None)
+def _add_common(p, seed=False, out=True):
+    """--config on every leaf; --seed and --out only where the handler reads them."""
+    if seed:
+        p.add_argument("--seed", type=int, default=0)
     p.add_argument("--config", default=None)
-    p.add_argument("--out", default=None, help="write results here instead of stdout")
+    if out:
+        p.add_argument("--out", default=None, help="write results here instead of stdout")
 
 
 def build_parser() -> _Parser:
@@ -421,7 +406,7 @@ def build_parser() -> _Parser:
     p.add_argument("--offset", type=int, default=0)
     p.add_argument("--random-offset", action="store_true")
     p.add_argument("--bpe-model", help="path to a trained BPE model JSON")
-    _add_common(p)
+    _add_common(p, seed=True)
     p.set_defaults(func=cmd_tokenize)
 
     p = sub.add_parser("bpe-train", help="train a BPE tokenizer on a FASTA corpus")
@@ -453,7 +438,7 @@ def build_parser() -> _Parser:
     p.add_argument("--per-group-windows", type=int, default=10)
     p.add_argument("--gene-out", required=True)
     p.add_argument("--taxon-out", required=True)
-    _add_common(p)
+    _add_common(p, seed=True, out=False)
     p.set_defaults(func=cmd_ingest_gener_tasks)
 
     p = sub.add_parser("train-markov", help="train the built-in Markov model")
@@ -465,7 +450,7 @@ def build_parser() -> _Parser:
     p.add_argument("--random-offset", action="store_true",
                    help="randomize the tokenization phase per sequence")
     p.add_argument("--model-out", required=True)
-    _add_common(p)
+    _add_common(p, seed=True, out=False)
     p.set_defaults(func=cmd_train_markov)
 
     p = sub.add_parser("generate", help="autoregressive generation")
@@ -478,7 +463,7 @@ def build_parser() -> _Parser:
     p.add_argument("--greedy", action="store_true")
     p.add_argument("-n", type=int, default=1, help="number of sequences")
     p.add_argument("--dedup-against", help="FASTA of sequences to exclude")
-    _add_common(p)
+    _add_common(p, seed=True)
     p.set_defaults(func=cmd_generate)
 
     p_rec = sub.add_parser("recover", help="sequence-recovery benchmark")
@@ -489,7 +474,7 @@ def build_parser() -> _Parser:
     p.add_argument("--prompt-len", type=int, default=6144)
     p.add_argument("--predict-len", type=int, default=30)
     p.add_argument("--per-group-n", type=int, default=100)
-    _add_common(p)
+    _add_common(p, seed=True)
     p.set_defaults(func=cmd_recover_build)
     p = rec_sub.add_parser("run", help="run the benchmark")
     p.add_argument("--model", required=True)
@@ -499,7 +484,7 @@ def build_parser() -> _Parser:
     p.add_argument("--temperature", type=float, default=1.0)
     p.add_argument("--top-p", type=float, default=1.0)
     p.add_argument("--json", action="store_true")
-    _add_common(p)
+    _add_common(p, seed=True)
     p.set_defaults(func=cmd_recover_run)
 
     p_vep = sub.add_parser("vep", help="variant effect prediction")
@@ -531,7 +516,7 @@ def build_parser() -> _Parser:
     p.add_argument("--k", type=int, default=5)
     p.add_argument("--l2", type=float, default=1.0)
     p.add_argument("--model-out", required=True)
-    _add_common(p)
+    _add_common(p, out=False)
     p.set_defaults(func=cmd_design_fit)
     p = des_sub.add_parser("rank", help="predictor-guided selection")
     p.add_argument("--predictor", required=True)
@@ -539,7 +524,7 @@ def build_parser() -> _Parser:
     p.add_argument("--top", type=int, default=0)
     p.add_argument("--bottom", type=int, default=0)
     p.add_argument("--random", type=int, default=0)
-    _add_common(p)
+    _add_common(p, seed=True)
     p.set_defaults(func=cmd_design_rank)
     p = des_sub.add_parser("contrib", help="per-base contribution scores")
     p.add_argument("seq", nargs="?")
@@ -600,11 +585,10 @@ def main(argv=None) -> int:
             caster = type(current) if current is not None else str
             try:
                 setattr(args, key, caster(value))
-            except (TypeError, ValueError):
-                setattr(args, key, value)
-
-    if args.threads is None:
-        args.threads = _default_threads()
+            except ValueError:
+                print(f"error: {args.config}: {key} = {value!r} is not a valid "
+                      f"{caster.__name__}", file=sys.stderr)
+                return USAGE_ERROR
 
     try:
         return args.func(args)

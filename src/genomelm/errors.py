@@ -127,6 +127,10 @@ class RefMismatch(GenomeLmError):
         )
 
 
+class PositionOutOfRange(GenomeLmError):
+    pass
+
+
 class DegenerateLabels(GenomeLmError):
     pass
 
@@ -156,10 +160,6 @@ class ConstantInput(GenomeLmError):
 
 
 class SequenceTooShort(GenomeLmError):
-    pass
-
-
-class DegenerateCovariance(GenomeLmError):
     pass
 
 

@@ -157,10 +157,6 @@ def parse_genbank(path) -> tuple[dict[str, NucleotideSequence], list[AnnotationR
     return sequences, records
 
 
-def parse_genbank_genes(path) -> list[AnnotationRecord]:
-    return parse_genbank(path)[1]
-
-
 # --- BED-like TSV ------------------------------------------------------------
 
 def parse_bed_like(path) -> list[AnnotationRecord]:

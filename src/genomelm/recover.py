@@ -8,8 +8,7 @@ from __future__ import annotations
 import json
 import math
 import random
-from concurrent.futures import ThreadPoolExecutor
-from dataclasses import dataclass, field
+from dataclasses import dataclass, field, replace
 from typing import Optional, Sequence
 
 from .errors import InsufficientData, ReferenceTooShort, VocabularyMismatch
@@ -127,7 +126,6 @@ def run_recovery(
     dataset: Sequence[RecoveryItem],
     predict_lens: Sequence[int],
     cfg: Optional[SamplerConfig] = None,
-    threads: int = 1,
 ) -> RecoveryReport:
     """Score every item at every requested prediction length.
 
@@ -143,37 +141,18 @@ def run_recovery(
         )
     if cfg is None:
         cfg = SamplerConfig(mode="greedy")
-    l_max = max(predict_lens)
     k = tokenizer.k
-    n_tokens = math.ceil(l_max / k)
-
-    def score(indexed_item) -> tuple[str, int, list[float]]:
-        idx, item = indexed_item
-        trim = len(item.prompt) % k
-        prompt_ids = tokenizer.encode(item.prompt[trim:])
-        job_cfg = SamplerConfig(
-            temperature=cfg.temperature,
-            nucleus_p=cfg.nucleus_p,
-            max_new_tokens=n_tokens,
-            seed=cfg.seed,
-            mode=cfg.mode,
-            context_budget=cfg.context_budget,
-        )
-        ids = generate(model, prompt_ids, job_cfg, job_index=idx)
-        decoded = tokenizer.decode(ids)
-        accs = [recovery_accuracy(item.reference, decoded, l) for l in predict_lens]
-        return item.taxon_group, len(item.prompt), accs
-
-    if threads > 1:
-        with ThreadPoolExecutor(max_workers=threads) as pool:
-            results = list(pool.map(score, enumerate(dataset)))
-    else:
-        results = [score(pair) for pair in enumerate(dataset)]
+    job_cfg = replace(cfg, max_new_tokens=math.ceil(max(predict_lens) / k))
 
     sums: dict[tuple[str, int, int], list[float]] = {}
-    for group, plen, accs in results:
-        for llen, acc in zip(predict_lens, accs):
-            sums.setdefault((group, plen, llen), []).append(acc)
+    for idx, item in enumerate(dataset):
+        trim = len(item.prompt) % k
+        prompt_ids = tokenizer.encode(item.prompt[trim:])
+        ids = generate(model, prompt_ids, job_cfg, job_index=idx)
+        decoded = tokenizer.decode(ids)
+        for llen in predict_lens:
+            acc = recovery_accuracy(item.reference, decoded, llen)
+            sums.setdefault((item.taxon_group, len(item.prompt), llen), []).append(acc)
 
     report = RecoveryReport()
     for key in sorted(sums):

@@ -5,6 +5,7 @@ but untranslatable; downstream corpus construction splits on N runs.
 """
 from __future__ import annotations
 
+import re
 import textwrap
 from dataclasses import dataclass, field
 from typing import Iterable, Iterator, Optional
@@ -31,6 +32,10 @@ CODON_TABLE = {
 
 AMINO_ALPHABET = frozenset("ACDEFGHIKLMNPQRSTVWY*")
 
+# The first character outside each alphabet, found in one C-level scan.
+_NOT_DNA = re.compile("[^%s]" % re.escape("".join(sorted(DNA_ALPHABET))))
+_NOT_AMINO = re.compile("[^%s]" % re.escape("".join(sorted(AMINO_ALPHABET))))
+
 
 @dataclass(frozen=True)
 class NucleotideSequence:
@@ -41,9 +46,9 @@ class NucleotideSequence:
     meta: dict = field(default_factory=dict)
 
     def __post_init__(self):
-        for pos, ch in enumerate(self.bases):
-            if ch not in DNA_ALPHABET:
-                raise InvalidSymbol(pos, ch)
+        bad = _NOT_DNA.search(self.bases)
+        if bad:
+            raise InvalidSymbol(bad.start(), bad.group())
 
     def __len__(self) -> int:
         return len(self.bases)
@@ -60,9 +65,9 @@ class ProteinSequence:
     residues: str
 
     def __post_init__(self):
-        for pos, ch in enumerate(self.residues):
-            if ch not in AMINO_ALPHABET:
-                raise InvalidSymbol(pos, ch)
+        bad = _NOT_AMINO.search(self.residues)
+        if bad:
+            raise InvalidSymbol(bad.start(), bad.group())
 
     def __len__(self) -> int:
         return len(self.residues)
@@ -86,9 +91,6 @@ def validate(raw_text: str, id: Optional[str] = None, meta: Optional[dict] = Non
     measured in the whitespace-stripped string.
     """
     cleaned = "".join(raw_text.split()).upper()
-    for pos, ch in enumerate(cleaned):
-        if ch not in DNA_ALPHABET:
-            raise InvalidSymbol(pos, ch)
     return NucleotideSequence(cleaned, id=id, meta=dict(meta or {}))
 
 
@@ -143,20 +145,25 @@ def read_fasta(path) -> list[NucleotideSequence]:
 
 
 def iter_fasta(path) -> Iterator[NucleotideSequence]:
+    with open(path) as fh:
+        yield from parse_fasta(fh)
+
+
+def parse_fasta(lines: Iterable[str]) -> Iterator[NucleotideSequence]:
+    """FASTA records from lines of text, such as an open file."""
     header = None
     chunks: list[str] = []
-    with open(path) as fh:
-        for line in fh:
-            line = line.rstrip("\n")
-            if line.startswith(">"):
-                if header is not None:
-                    yield _fasta_record(header, chunks)
-                header = line[1:].strip()
-                chunks = []
-            elif line:
-                chunks.append(line)
-        if header is not None:
-            yield _fasta_record(header, chunks)
+    for line in lines:
+        line = line.rstrip("\n")
+        if line.startswith(">"):
+            if header is not None:
+                yield _fasta_record(header, chunks)
+            header = line[1:].strip()
+            chunks = []
+        elif line:
+            chunks.append(line)
+    if header is not None:
+        yield _fasta_record(header, chunks)
 
 
 def _fasta_record(header: str, chunks: list[str]) -> NucleotideSequence:

@@ -68,10 +68,6 @@ class Vocabulary:
         return token_id >= self.n_base
 
     @property
-    def special_ids(self) -> dict[str, int]:
-        return {t: self.n_base + i for i, t in enumerate(_SPECIAL_TOKENS)}
-
-    @property
     def bos(self) -> int:
         return self.n_base
 
@@ -141,14 +137,16 @@ class KmerSpec:
     k: int
     offset: Optional[int] = 0
     seed: Optional[int] = None
-    _rng: random.Random = field(init=False, repr=False, compare=False)
+    _rng: Optional[random.Random] = field(init=False, repr=False, compare=False)
 
     def __post_init__(self):
         if not 1 <= self.k <= 8:
             raise ValueError(f"k must be in [1,8], got {self.k}")
         if self.offset is not None and not 0 <= self.offset < self.k:
             raise ValueError(f"fixed offset must be in [0,{self.k - 1}]")
-        self._rng = random.Random(self.seed)
+        # Only a drawn offset needs a generator, and an unseeded one is seeded
+        # from the OS: a cost every fixed-offset encode and decode would pay.
+        self._rng = random.Random(self.seed) if self.offset is None else None
 
     def draw_offset(self) -> int:
         if self.offset is not None:
@@ -219,9 +217,7 @@ class BpeModel:
         )
 
 
-def bpe_train(
-    corpus: Sequence[NucleotideSequence | str], target_vocab: int, seed: int = 0
-) -> BpeModel:
+def bpe_train(corpus: Sequence[NucleotideSequence | str], target_vocab: int) -> BpeModel:
     """Greedy pair-merge training.
 
     target_vocab counts base symbols, merged tokens and the 32 special

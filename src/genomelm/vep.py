@@ -14,7 +14,9 @@ import numpy as np
 
 from .errors import (
     DegenerateLabels,
+    PositionOutOfRange,
     RefMismatch,
+    UnknownSequenceId,
     VocabularyMismatch,
 )
 from .lm import CausalLm, TokenDistribution
@@ -112,7 +114,13 @@ def _llr(p_ref: float, p_alt: float) -> float:
 
 
 def check_variant(genome: dict[str, NucleotideSequence], variant: Variant) -> None:
-    contig = genome[variant.seq_id]
+    contig = genome.get(variant.seq_id)
+    if contig is None:
+        raise UnknownSequenceId(variant.seq_id)
+    if not 1 <= variant.pos <= len(contig):
+        raise PositionOutOfRange(
+            f"position {variant.pos} outside {variant.seq_id!r} (1..{len(contig)})"
+        )
     found = contig.bases[variant.pos - 1]
     if found != variant.ref_allele:
         raise RefMismatch(variant.pos, variant.ref_allele, found)

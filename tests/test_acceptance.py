@@ -484,7 +484,7 @@ def test_13_cli_determinism(tmp_path):
         assert cli_main([
             "recover", "run", "--model", f"markov:{model}",
             "--dataset", str(dataset), "--predict-len", "15,30",
-            "--sample", "--seed", "7", "--threads", "2", "--out", str(out),
+            "--sample", "--seed", "7", "--out", str(out),
         ]) == 0
         rec_outputs.append(out.read_bytes())
 

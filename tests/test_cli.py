@@ -2,7 +2,7 @@ import json
 
 import pytest
 
-from genomelm.cli import DATA_ERROR, USAGE_ERROR, _default_threads, main
+from genomelm.cli import DATA_ERROR, USAGE_ERROR, main
 from genomelm.seqcore import NucleotideSequence, write_fasta
 
 
@@ -37,6 +37,16 @@ class TestExitCodes:
     def test_missing_file_is_data_error(self):
         assert main(["bpe-train", "/nonexistent.fa", "--target-vocab", "40"]) == DATA_ERROR
 
+    @pytest.mark.parametrize("argv", [
+        ["recover", "run", "--model", "uniform:1", "--dataset", "d.tsv", "--threads", "2"],
+        ["vep", "score", "--genome", "g.fa", "--variants", "v.tsv", "--model", "uniform:1",
+         "--seed", "1"],
+        ["train-markov", "c.fa", "--model-out", "m.jsonl", "--out", "x"],
+    ])
+    def test_flag_the_subcommand_does_not_read_is_usage_error(self, argv, capsys):
+        assert main(argv) == USAGE_ERROR
+        assert "unrecognized arguments" in capsys.readouterr().err
+
     def test_success_is_zero(self, capsys):
         assert main(["translate", "ATGTAA"]) == 0
         out = capsys.readouterr().out
@@ -66,6 +76,32 @@ class TestTokenizeCommand:
         ids = capsys.readouterr().out.strip().split()
         assert len(ids) >= 2
 
+    def test_bpe_model_is_read_once(self, tmp_path, monkeypatch, capsys):
+        corpus = tmp_path / "corpus.fa"
+        write_fasta(corpus, [NucleotideSequence("ACACACAC", id=f"s{i}") for i in range(3)])
+        model = tmp_path / "bpe.json"
+        assert main([
+            "bpe-train", str(corpus), "--target-vocab", "38", "--out", str(model),
+        ]) == 0
+        opened = []
+        real_open = open
+
+        def recording_open(file, *args, **kwargs):
+            opened.append(str(file))
+            return real_open(file, *args, **kwargs)
+
+        monkeypatch.setattr("builtins.open", recording_open)
+        assert main(["tokenize", "--in", str(corpus), "--bpe-model", str(model)]) == 0
+        assert opened.count(str(model)) == 1
+        assert len(capsys.readouterr().out.splitlines()) == 3
+
+    def test_fasta_on_stdin(self, monkeypatch, capsys):
+        import io
+
+        monkeypatch.setattr("sys.stdin", io.StringIO(">a|fungi\nACG\nTAC\n\n>b\nGGG\n"))
+        assert main(["tokenize", "--k", "3"]) == 0
+        assert capsys.readouterr().out.splitlines() == ["0\t6 49\t", "0\t42\t"]
+
     def test_out_flag_writes_file_not_stdout(self, tmp_path, capsys):
         out = tmp_path / "tokens.txt"
         assert main(["tokenize", "ACGT", "--k", "2", "--out", str(out)]) == 0
@@ -91,11 +127,19 @@ class TestConfigPrecedence:
     def test_unreadable_config_is_data_error(self, tmp_path):
         assert main(["tokenize", "ACGT", "--config", str(tmp_path / "no.conf")]) == DATA_ERROR
 
-    def test_threads_env_fallback(self, monkeypatch):
-        monkeypatch.setenv("GENOLM_THREADS", "3")
-        assert _default_threads() == 3
-        monkeypatch.setenv("GENOLM_THREADS", "zebra")
-        assert _default_threads() >= 1
+    def test_uncastable_config_value_is_usage_error(self, tmp_path, capsys):
+        config = tmp_path / "genomelm.conf"
+        config.write_text("k = two\n")
+        assert main(["tokenize", "ACGT", "--config", str(config)]) == USAGE_ERROR
+        err = capsys.readouterr().err
+        assert "k = 'two'" in err and str(config) in err
+        assert "Traceback" not in err
+
+    def test_keys_for_absent_flags_are_ignored(self, tmp_path, capsys):
+        config = tmp_path / "genomelm.conf"
+        config.write_text("threads = 2\nseed = x\n")
+        assert main(["translate", "ATG", "--config", str(config)]) == 0
+        assert "M" in capsys.readouterr().out
 
 
 class TestModelWorkflows:
@@ -145,7 +189,7 @@ class TestModelWorkflows:
         ]) == 0
         assert main([
             "recover", "run", "--model", "uniform:1", "--dataset", str(dataset),
-            "--predict-len", "6,12", "--json", "--threads", "1",
+            "--predict-len", "6,12", "--json",
         ]) == 0
         report = json.loads(capsys.readouterr().out)
         assert set(report["overall"]) == {"6", "12"}
@@ -181,6 +225,24 @@ class TestModelWorkflows:
             "vep", "score", "--genome", str(genome), "--variants", str(variants),
             "--model", "uniform:1",
         ]) == DATA_ERROR
+
+
+    @pytest.mark.parametrize("row, error", [
+        ("chrX\t2\tC\tT", "UnknownSequenceId"),
+        ("s0\t5\tA\tT", "PositionOutOfRange"),
+        ("s0\t0\tG\tT", "PositionOutOfRange"),  # would read the last base
+    ])
+    def test_variant_outside_the_genome_is_data_error(self, tmp_path, capsys, row, error):
+        genome = tmp_path / "genome.fa"
+        write_fasta(genome, [NucleotideSequence("ACAG", id="s0")])
+        variants = tmp_path / "variants.tsv"
+        variants.write_text(row + "\n")
+        assert main([
+            "vep", "score", "--genome", str(genome), "--variants", str(variants),
+            "--model", "uniform:1",
+        ]) == DATA_ERROR
+        err = capsys.readouterr().err
+        assert error in err and "Traceback" not in err
 
 
 class TestDesignWorkflow:

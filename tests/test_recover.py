@@ -112,13 +112,6 @@ class TestRunRecovery:
         # big group scores 1.0, small group 0.5; unweighted mean is 0.75
         assert report.overall[8] == pytest.approx(0.75)
 
-    def test_threaded_run_matches_serial(self):
-        items = self._items() * 3
-        serial = run_recovery(CycleLm(2), KmerTokenizer(2), items, [6, 12], threads=1)
-        threaded = run_recovery(CycleLm(2), KmerTokenizer(2), items, [6, 12], threads=4)
-        assert serial.cells == threaded.cells
-        assert serial.overall == threaded.overall
-
     def test_sampled_mode_is_deterministic_per_item(self):
         items = self._items()
         cfg = SamplerConfig(mode="sample", seed=9)

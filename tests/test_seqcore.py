@@ -4,8 +4,11 @@ from hypothesis import strategies as st
 
 from genomelm.errors import AmbiguousBase, InvalidSymbol
 from genomelm.seqcore import (
+    AMINO_ALPHABET,
     CODON_TABLE,
+    DNA_ALPHABET,
     NucleotideSequence,
+    ProteinSequence,
     read_fasta,
     reverse_complement,
     split_on_n,
@@ -46,6 +49,30 @@ class TestValidate:
     def test_constructor_rejects_lowercase(self):
         with pytest.raises(InvalidSymbol):
             NucleotideSequence("acgt")
+
+
+def first_bad_symbol(text, alphabet):
+    """Per-character reference for the constructors' alphabet check."""
+    for pos, ch in enumerate(text):
+        if ch not in alphabet:
+            return pos, ch
+    return None
+
+
+class TestAlphabetCheck:
+    @pytest.mark.parametrize("cls, alphabet", [
+        (NucleotideSequence, DNA_ALPHABET),
+        (ProteinSequence, AMINO_ALPHABET),
+    ])
+    @given(text=st.text(st.sampled_from(sorted(AMINO_ALPHABET)) | st.characters(), max_size=40))
+    def test_first_bad_symbol_matches_oracle(self, cls, alphabet, text):
+        expected = first_bad_symbol(text, alphabet)
+        if expected is None:
+            cls(text)
+            return
+        with pytest.raises(InvalidSymbol) as exc:
+            cls(text)
+        assert (exc.value.position, exc.value.symbol) == expected
 
 
 class TestReverseComplement:

@@ -172,6 +172,18 @@ class TestKmerCodec:
         assert tok.vocab.n_base == 16
 
 
+class TestFixedOffsetCodec:
+    def test_encode_and_decode_need_no_generator(self, monkeypatch):
+        def refuse(*args, **kwargs):
+            raise AssertionError("random.Random constructed for a fixed offset")
+
+        monkeypatch.setattr("genomelm.tokenizer.random.Random", refuse)
+        tok = KmerTokenizer(6)
+        ids = tok.encode("ACGTACGTACGTA")
+        assert len(ids) == 2
+        assert tok.decode(ids) == "ACGTACGTACGT"
+
+
 class TestBpe:
     def test_training_fixture(self):
         model = bpe_train(["ACACAC", "ACAC"], 4 + N_SPECIAL_SLOTS + 2)
