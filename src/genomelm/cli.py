@@ -56,6 +56,36 @@ def _load_config(path) -> dict[str, str]:
     return values
 
 
+_BOOLEANS = {"1": True, "true": True, "yes": True, "on": True,
+             "0": False, "false": False, "no": False, "off": False}
+
+
+def _leaf_parser(parser, args):
+    """The subcommand parser that parsed `args`."""
+    for action in parser._actions:
+        if isinstance(action, argparse._SubParsersAction):
+            return _leaf_parser(action.choices[getattr(args, action.dest)], args)
+    return parser
+
+
+def _apply_config_value(args, action, value: str):
+    """Set one --config value by the rules of its flag; a problem, or None."""
+    if isinstance(getattr(args, action.dest), bool):
+        if value.lower() not in _BOOLEANS:
+            return "is not a boolean (" + "/".join(_BOOLEANS) + ")"
+        setattr(args, action.dest, _BOOLEANS[value.lower()])
+        return None
+    caster = action.type or str
+    try:
+        cast = caster(value)
+    except ValueError:
+        return f"is not a valid {caster.__name__}"
+    if action.choices is not None and cast not in action.choices:
+        return "is not one of " + ", ".join(map(str, action.choices))
+    setattr(args, action.dest, cast)
+    return None
+
+
 def _out_stream(args):
     if getattr(args, "out", None):
         return open(args.out, "w")
@@ -570,24 +600,20 @@ def main(argv=None) -> int:
         except OSError as exc:
             print(f"error: cannot read config: {exc}", file=sys.stderr)
             return DATA_ERROR
+        actions = {a.dest: a for a in _leaf_parser(parser, args)._actions}
         # flags passed on the command line override file values
-        explicit = set()
-        for token in (argv if argv is not None else sys.argv[1:]):
-            if token.startswith("--"):
-                explicit.add(token[2:].split("=", 1)[0].replace("-", "_"))
+        dest_of = {opt: a.dest for a in actions.values() for opt in a.option_strings}
+        explicit = {
+            dest_of.get(token.split("=", 1)[0])
+            for token in (argv if argv is not None else sys.argv[1:])
+        }
         for key, value in file_values.items():
-            if key == "config" or key in explicit or not hasattr(args, key):
+            action = actions.get(key)
+            if key == "config" or key in explicit or action is None or not hasattr(args, key):
                 continue
-            current = getattr(args, key)
-            if isinstance(current, bool):
-                setattr(args, key, value.lower() in ("1", "true", "yes", "on"))
-                continue
-            caster = type(current) if current is not None else str
-            try:
-                setattr(args, key, caster(value))
-            except ValueError:
-                print(f"error: {args.config}: {key} = {value!r} is not a valid "
-                      f"{caster.__name__}", file=sys.stderr)
+            problem = _apply_config_value(args, action, value)
+            if problem:
+                print(f"error: {args.config}: {key} = {value!r} {problem}", file=sys.stderr)
                 return USAGE_ERROR
 
     try:

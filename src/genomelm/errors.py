@@ -53,10 +53,12 @@ class MissingOrigin(GenomeLmError):
 
 
 class BadRow(GenomeLmError):
-    def __init__(self, line_no, reason):
+    def __init__(self, line_no, reason, path=None):
         self.line_no = line_no
         self.reason = reason
-        super().__init__(f"bad row at line {line_no}: {reason}")
+        self.path = path
+        where = f"{path}: " if path is not None else ""
+        super().__init__(f"{where}bad row at line {line_no}: {reason}")
 
 
 class UnknownSequenceId(GenomeLmError):

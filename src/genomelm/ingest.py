@@ -6,6 +6,7 @@ inclusive internally.
 """
 from __future__ import annotations
 
+import bisect
 import random
 import re
 from dataclasses import dataclass, field
@@ -169,21 +170,21 @@ def parse_bed_like(path) -> list[AnnotationRecord]:
                 continue
             cols = line.split("\t")
             if len(cols) < 5:
-                raise BadRow(line_no, f"expected >=5 columns, got {len(cols)}")
+                raise BadRow(line_no, f"expected >=5 columns, got {len(cols)}", path)
             seq_id, start_s, end_s, strand, feature = cols[:5]
             taxon = cols[5] if len(cols) > 5 and cols[5] else None
             try:
                 start0, end0 = int(start_s), int(end_s)
             except ValueError:
-                raise BadRow(line_no, "non-integer coordinates")
+                raise BadRow(line_no, "non-integer coordinates", path)
             if end0 <= start0 or start0 < 0:
-                raise BadRow(line_no, f"bad interval {start0}..{end0}")
+                raise BadRow(line_no, f"bad interval {start0}..{end0}", path)
             if strand not in ("+", "-"):
-                raise BadRow(line_no, f"bad strand {strand!r}")
+                raise BadRow(line_no, f"bad strand {strand!r}", path)
             if feature not in FEATURE_TYPES:
-                raise BadRow(line_no, f"unknown feature type {feature!r}")
+                raise BadRow(line_no, f"unknown feature type {feature!r}", path)
             if taxon is not None and taxon not in TAXON_GROUPS:
-                raise BadRow(line_no, f"unknown taxon group {taxon!r}")
+                raise BadRow(line_no, f"unknown taxon group {taxon!r}", path)
             records.append(
                 AnnotationRecord(
                     seq_id=seq_id,
@@ -297,6 +298,19 @@ class GenerTaskDatasets:
     skipped_contigs: int  # contigs shorter than the window length
 
 
+def _free_runs(blocked: list[tuple[int, int]], last_start: int):
+    """Maximal runs [first, last] of 1..last_start outside every blocked interval."""
+    free_from = 1
+    for lo, hi in sorted(blocked):
+        if lo > hi:  # empty: a negative margin can invert a span
+            continue
+        if min(lo - 1, last_start) >= free_from:
+            yield free_from, min(lo - 1, last_start)
+        free_from = max(free_from, hi + 1)
+    if last_start >= free_from:
+        yield free_from, last_start
+
+
 def _sample_intergenic(
     genome: dict[str, NucleotideSequence],
     annotations: list[AnnotationRecord],
@@ -305,27 +319,38 @@ def _sample_intergenic(
     margin: int,
     rng: random.Random,
 ) -> list[str]:
-    """Uniform positions at least `margin` away from any gene span."""
-    spans: dict[str, list[tuple[int, int]]] = {}
+    """Uniform positions at least `margin` away from any gene span.
+
+    The free start positions of each contig are kept as runs between its
+    sorted blocked intervals, so memory is O(genes), not O(genome). Start
+    positions are numbered in (seq_id, start) order, and
+    `rng.sample(range(n), count)` over the n free starts draws the same
+    indices, and leaves `rng` in the same state, as sampling a list of all
+    n candidates would.
+    """
+    blocked: dict[str, list[tuple[int, int]]] = {}
     for rec in annotations:
-        spans.setdefault(rec.seq_id, []).append(
-            (rec.start - margin, rec.end + margin)
+        # start s is blocked when [s, s+length-1] meets [start-margin, end+margin]
+        blocked.setdefault(rec.seq_id, []).append(
+            (rec.start - margin - length + 1, rec.end + margin)
         )
-    candidates = []
+    runs: list[tuple[str, int]] = []  # (seq_id, first free start) of each run
+    offsets: list[int] = []  # number of free starts before each run
+    n = 0
     for seq_id, contig in sorted(genome.items()):
-        blocked = spans.get(seq_id, [])
-        for start in range(1, len(contig) - length + 2):
-            end = start + length - 1
-            if any(s <= end and start <= e for s, e in blocked):
-                continue
-            candidates.append((seq_id, start))
-    if len(candidates) < count:
-        raise InsufficientData("control", count, len(candidates))
-    picks = rng.sample(candidates, count)
-    return [
-        genome[seq_id].bases[start - 1 : start - 1 + length]
-        for seq_id, start in sorted(picks)
-    ]
+        for first, last in _free_runs(blocked.get(seq_id, []), len(contig) - length + 1):
+            runs.append((seq_id, first))
+            offsets.append(n)
+            n += last - first + 1
+    if n < count:
+        raise InsufficientData("control", count, n)
+    out = []
+    for i in sorted(rng.sample(range(n), count)):
+        r = bisect.bisect_right(offsets, i) - 1
+        seq_id, first = runs[r]
+        start = first + i - offsets[r]
+        out.append(genome[seq_id].bases[start - 1 : start - 1 + length])
+    return out
 
 
 def build_gener_task_datasets(

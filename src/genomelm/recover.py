@@ -11,7 +11,7 @@ import random
 from dataclasses import dataclass, field, replace
 from typing import Optional, Sequence
 
-from .errors import InsufficientData, ReferenceTooShort, VocabularyMismatch
+from .errors import BadRow, InsufficientData, ReferenceTooShort, VocabularyMismatch
 from .ingest import FunctionalRegion
 from .lm import CausalLm
 from .sampling import SamplerConfig, generate
@@ -185,10 +185,13 @@ def write_dataset_tsv(path, items: Sequence[RecoveryItem]) -> None:
 def read_dataset_tsv(path) -> list[RecoveryItem]:
     items = []
     with open(path) as fh:
-        for line in fh:
+        for line_no, line in enumerate(fh, start=1):
             line = line.rstrip("\n")
             if not line or line.startswith("#"):
                 continue
-            prompt, reference, taxon = line.split("\t")
+            cols = line.split("\t")
+            if len(cols) != 3:
+                raise BadRow(line_no, f"expected 3 columns, got {len(cols)}", path)
+            prompt, reference, taxon = cols
             items.append(RecoveryItem(prompt=prompt, reference=reference, taxon_group=taxon))
     return items

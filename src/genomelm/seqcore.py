@@ -6,7 +6,6 @@ but untranslatable; downstream corpus construction splits on N runs.
 from __future__ import annotations
 
 import re
-import textwrap
 from dataclasses import dataclass, field
 from typing import Iterable, Iterator, Optional
 
@@ -178,6 +177,8 @@ def _fasta_record(header: str, chunks: list[str]) -> NucleotideSequence:
 
 
 def write_fasta(path, seqs: Iterable[NucleotideSequence], width: int = 60) -> None:
+    if width < 1:
+        raise ValueError(f"line width must be positive, got {width}")
     with open(path, "w") as fh:
         for seq in seqs:
             header = seq.id or "seq"
@@ -186,5 +187,6 @@ def write_fasta(path, seqs: Iterable[NucleotideSequence], width: int = 60) -> No
             if taxon or feature:
                 header = f"{header}|{taxon or ''}|{feature or ''}"
             fh.write(f">{header}\n")
-            for line in textwrap.wrap(seq.bases, width) or [""]:
-                fh.write(line + "\n")
+            # an empty sequence still gets one (empty) line
+            for i in range(0, max(len(seq.bases), 1), width):
+                fh.write(seq.bases[i : i + width] + "\n")

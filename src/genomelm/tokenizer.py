@@ -11,6 +11,7 @@ import hashlib
 import itertools
 import json
 import random
+import re
 from dataclasses import dataclass, field
 from functools import cached_property, lru_cache
 from typing import Optional, Sequence
@@ -33,6 +34,7 @@ _BASE_INDEX = {b: i for i, b in enumerate(BASES)}
 _DIGIT_LUT = np.full(256, 255, dtype=np.uint8)
 for _b, _i in _BASE_INDEX.items():
     _DIGIT_LUT[ord(_b)] = _i
+_NOT_ACGT = re.compile("[^ACGT]")
 
 N_SPECIAL_SLOTS = 32
 SPECIAL_NAMES = ["<bos>", "<eos>", "<mask>", "<unk>", "<pad>", "<high>", "<mid>", "<low>"]
@@ -222,54 +224,94 @@ def bpe_train(corpus: Sequence[NucleotideSequence | str], target_vocab: int) -> 
 
     target_vocab counts base symbols, merged tokens and the 32 special
     slots. Ties between equally frequent pairs break by lexicographic
-    order of the concatenated pair, so training is deterministic.
+    order of the concatenated pair, then by first occurrence in the
+    corpus, so training is deterministic.
     """
     if target_vocab < 4 + N_SPECIAL_SLOTS:
         raise ValueError(
             f"target_vocab must be at least {4 + N_SPECIAL_SLOTS}, got {target_vocab}"
         )
-    seqs = []
+    words = []
     for s in corpus:
         bases = s.bases if isinstance(s, NucleotideSequence) else s
         if "N" in bases:
             raise ContainsAmbiguousBase("BPE corpus must be N-free")
+        bad = _NOT_ACGT.search(bases)
+        if bad:
+            raise InvalidSymbol(bad.start(), bad.group())
         if bases:
-            seqs.append(list(bases))
-    if not seqs:
+            words.append(bases)
+    if not words:
         raise EmptyCorpus("BPE training corpus is empty")
 
+    # The whole corpus as one stream of symbol ids, -1 between words so no
+    # pair spans two words. A symbol id indexes `tokens`; a merge whose
+    # concatenation is already a token reuses that token's id, as equal
+    # strings are one symbol.
+    stream = _DIGIT_LUT[np.frombuffer(" ".join(words).encode("ascii"), dtype=np.uint8)]
+    stream = np.where(stream == 255, -1, stream.astype(np.int64))
     merges: list[tuple[str, str]] = []
     tokens = list(BASES)
+    symbol_ids = {b: i for i, b in enumerate(BASES)}
     while len(tokens) + N_SPECIAL_SLOTS < target_vocab:
-        counts: dict[tuple[str, str], int] = {}
-        for word in seqs:
-            for pair in zip(word, word[1:]):
-                counts[pair] = counts.get(pair, 0) + 1
-        if not counts:
+        pair = _most_frequent_pair(stream, tokens)
+        if pair is None:
             break
-        best = min(counts.items(), key=lambda kv: (-kv[1], kv[0][0] + kv[0][1]))
-        if best[1] < 2:
-            break
-        pair = best[0]
-        merged = pair[0] + pair[1]
-        merges.append(pair)
+        left, right = pair
+        merged = tokens[left] + tokens[right]
+        merges.append((tokens[left], tokens[right]))
         tokens.append(merged)
-        seqs = [_apply_merge(word, pair, merged) for word in seqs]
+        stream = _merge_pair(
+            stream, left, right, symbol_ids.setdefault(merged, len(tokens) - 1)
+        )
 
     vocab = Vocabulary(tokens=tuple(tokens + _SPECIAL_TOKENS), n_base=len(tokens))
     return BpeModel(merges=tuple(merges), vocab=vocab)
 
 
-def _apply_merge(word: list[str], pair: tuple[str, str], merged: str) -> list[str]:
-    out = []
-    i = 0
-    while i < len(word):
-        if i + 1 < len(word) and word[i] == pair[0] and word[i + 1] == pair[1]:
-            out.append(merged)
-            i += 2
-        else:
-            out.append(word[i])
-            i += 1
+def _most_frequent_pair(
+    stream: np.ndarray, tokens: list[str]
+) -> Optional[tuple[int, int]]:
+    """The adjacent symbol pair to merge next, or None if none repeats.
+
+    The highest count wins; among equal counts the smallest concatenation,
+    and among pairs with equal concatenations (("A","CG") and ("AC","G"))
+    the one that occurs first in the stream.
+    """
+    left, right = stream[:-1], stream[1:]
+    both = (left >= 0) & (right >= 0)
+    width = len(tokens)
+    codes = left[both] * width + right[both]
+    if codes.size == 0:
+        return None
+    uniq, counts = np.unique(codes, return_counts=True)
+    top = counts.max()
+    if top < 2:
+        return None
+    tied = [divmod(int(c), width) for c in uniq[counts == top]]
+    concat = min(tokens[a] + tokens[b] for a, b in tied)
+    tied = [(a, b) for a, b in tied if tokens[a] + tokens[b] == concat]
+    return min(tied, key=lambda p: np.argmax(codes == p[0] * width + p[1]))
+
+
+def _merge_pair(word: np.ndarray, left: int, right: int, merged: int) -> np.ndarray:
+    """`word` with each (left, right) occurrence replaced by `merged`.
+
+    Occurrences merge left to right: two can overlap only when left ==
+    right, and in a run of overlapping occurrences every other one merges,
+    starting with the first.
+    """
+    cand = np.flatnonzero((word[:-1] == left) & (word[1:] == right))
+    if cand.size == 0:
+        return word
+    idx = np.arange(cand.size)
+    run_start = np.maximum.accumulate(
+        np.where(np.diff(cand, prepend=-2) != 1, idx, 0)
+    )
+    keep = cand[(idx - run_start) % 2 == 0]
+    out = np.delete(word, keep + 1)
+    # each merge before a kept occurrence shifted it left by one
+    out[keep - np.arange(keep.size)] = merged
     return out
 
 
@@ -286,26 +328,9 @@ def bpe_encode(seq: NucleotideSequence | str, model: BpeModel) -> list[int]:
     if (word == 255).any():
         bad = int(np.argmax(word == 255))
         raise InvalidSymbol(bad, bases[bad])
-    # Merges are applied in training order; within one merge, occurrences
-    # merge left to right so overlapping candidates (only possible when the
-    # pair is a doubled token) resolve the same way training did.
+    # Merges are applied in training order, each the way training applied it.
     for left, right in model.merges:
-        lid, rid, mid = index[left], index[right], index[left + right]
-        cand = np.nonzero((word[:-1] == lid) & (word[1:] == rid))[0]
-        if cand.size == 0:
-            continue
-        keep = []
-        prev = -2
-        for i in cand.tolist():
-            if i == prev + 1:
-                continue
-            keep.append(i)
-            prev = i
-        keep_arr = np.asarray(keep)
-        word[keep_arr] = mid
-        drop = np.zeros(len(word), dtype=bool)
-        drop[keep_arr + 1] = True
-        word = word[~drop]
+        word = _merge_pair(word, index[left], index[right], index[left + right])
     return word.tolist()
 
 

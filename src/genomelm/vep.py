@@ -13,6 +13,7 @@ from typing import Optional, Sequence
 import numpy as np
 
 from .errors import (
+    BadRow,
     DegenerateLabels,
     PositionOutOfRange,
     RefMismatch,
@@ -268,18 +269,27 @@ def read_variants_tsv(path) -> list[Variant]:
     """TSV columns: seq_id, pos, ref, alt[, label]."""
     variants = []
     with open(path) as fh:
-        for line in fh:
+        for line_no, line in enumerate(fh, start=1):
             line = line.rstrip("\n")
             if not line or line.startswith("#"):
                 continue
             cols = line.split("\t")
-            variants.append(
-                Variant(
-                    seq_id=cols[0],
-                    pos=int(cols[1]),
-                    ref_allele=cols[2],
-                    alt_allele=cols[3],
-                    label=cols[4] if len(cols) > 4 and cols[4] else None,
+            if len(cols) < 4:
+                raise BadRow(line_no, f"expected >=4 columns, got {len(cols)}", path)
+            try:
+                pos = int(cols[1])
+            except ValueError:
+                raise BadRow(line_no, f"non-integer position {cols[1]!r}", path)
+            try:
+                variants.append(
+                    Variant(
+                        seq_id=cols[0],
+                        pos=pos,
+                        ref_allele=cols[2],
+                        alt_allele=cols[3],
+                        label=cols[4] if len(cols) > 4 and cols[4] else None,
+                    )
                 )
-            )
+            except ValueError as exc:
+                raise BadRow(line_no, str(exc), path)
     return variants

@@ -124,6 +124,15 @@ class TestConfigPrecedence:
         _, ids, _ = capsys.readouterr().out.rstrip("\n").split("\t")
         assert len(ids.split()) == 2  # k=3 wins
 
+    def test_explicit_flag_beats_config_under_another_dest(self, tmp_path, capsys):
+        fasta = tmp_path / "a.fa"
+        fasta.write_text(">a\nACGTAC\n")
+        config = tmp_path / "genomelm.conf"
+        config.write_text(f"infile = {tmp_path / 'missing.fa'}\n")
+        argv = ["tokenize", "--in", str(fasta), "--k", "2", "--config", str(config)]
+        assert main(argv) == 0
+        assert capsys.readouterr().out == "0\t1 11 1\t\n"
+
     def test_unreadable_config_is_data_error(self, tmp_path):
         assert main(["tokenize", "ACGT", "--config", str(tmp_path / "no.conf")]) == DATA_ERROR
 
@@ -134,6 +143,27 @@ class TestConfigPrecedence:
         err = capsys.readouterr().err
         assert "k = 'two'" in err and str(config) in err
         assert "Traceback" not in err
+
+    @pytest.mark.parametrize("argv, line, problem", [
+        (["translate", "ATG"], "frame = 5", "'5' is not one of 0, 1, 2"),
+        (["tokenize", "ACGTAC", "--k", "2"], "random_offset = maybe",
+         "'maybe' is not a boolean (1/true/yes/on/0/false/no/off)"),
+    ])
+    def test_config_value_obeys_the_flag_rules(self, tmp_path, capsys, argv, line, problem):
+        config = tmp_path / "genomelm.conf"
+        config.write_text(line + "\n")
+        assert main(argv + ["--config", str(config)]) == USAGE_ERROR
+        key = line.split(" ")[0]
+        assert f"error: {config}: {key} = {problem}" in capsys.readouterr().err
+
+    def test_config_boolean_reads_like_the_flag(self, tmp_path, capsys):
+        config = tmp_path / "genomelm.conf"
+        config.write_text("random_offset = ON\nseed = 3\n")
+        argv = ["tokenize", "ACGTACGTAC", "--k", "3"]
+        assert main(argv + ["--config", str(config)]) == 0
+        from_config = capsys.readouterr().out
+        assert main(argv + ["--random-offset", "--seed", "3"]) == 0
+        assert from_config == capsys.readouterr().out
 
     def test_keys_for_absent_flags_are_ignored(self, tmp_path, capsys):
         config = tmp_path / "genomelm.conf"
@@ -243,6 +273,31 @@ class TestModelWorkflows:
         ]) == DATA_ERROR
         err = capsys.readouterr().err
         assert error in err and "Traceback" not in err
+
+    @pytest.mark.parametrize("rows, line_no, reason", [
+        ("s0\t2\tC\n", 1, "expected >=4 columns, got 3"),
+        ("# header\ns0\ttwo\tC\tT\n", 2, "non-integer position 'two'"),
+    ])
+    def test_malformed_variant_row_names_file_and_line(self, tmp_path, capsys,
+                                                        rows, line_no, reason):
+        genome = tmp_path / "genome.fa"
+        write_fasta(genome, [NucleotideSequence("ACAG", id="s0")])
+        variants = tmp_path / "variants.tsv"
+        variants.write_text(rows)
+        assert main([
+            "vep", "score", "--genome", str(genome), "--variants", str(variants),
+            "--model", "uniform:1",
+        ]) == DATA_ERROR
+        err = capsys.readouterr().err
+        assert f"BadRow: {variants}: bad row at line {line_no}: {reason}" in err
+
+    def test_malformed_recovery_row_names_file_and_line(self, tmp_path, capsys):
+        dataset = tmp_path / "dataset.tsv"
+        dataset.write_text("#prompt\treference\ttaxon_group\nACGT\tACGT\n")
+        assert main(["recover", "run", "--model", "uniform:1", "--dataset", str(dataset)]) \
+            == DATA_ERROR
+        err = capsys.readouterr().err
+        assert f"BadRow: {dataset}: bad row at line 2: expected 3 columns, got 2" in err
 
 
 class TestDesignWorkflow:

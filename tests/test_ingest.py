@@ -1,6 +1,10 @@
 import random
+import sys
+import tracemalloc
 
 import pytest
+from hypothesis import example, given, settings
+from hypothesis import strategies as st
 
 from genomelm.errors import (
     BadRow,
@@ -12,6 +16,7 @@ from genomelm.errors import (
 from genomelm.ingest import (
     AnnotationRecord,
     GenerTaskConfig,
+    _sample_intergenic,
     build_gener_task_datasets,
     corpus_stats,
     extract_functional_regions,
@@ -160,6 +165,7 @@ class TestBedLike:
         with pytest.raises(BadRow) as exc:
             parse_bed_like(path)
         assert exc.value.line_no == 2
+        assert str(path) in str(exc.value)
 
 
 class TestExtraction:
@@ -300,3 +306,87 @@ class TestGenerTasks:
         )
         with pytest.raises(InsufficientData):
             build_gener_task_datasets(regions, contigs, annotations, config)
+
+
+def sample_intergenic_oracle(genome, annotations, length, count, margin, rng):
+    """The sampler `_sample_intergenic` replaced: every start tested against
+    every gene span, every candidate kept in a list."""
+    spans = {}
+    for rec in annotations:
+        spans.setdefault(rec.seq_id, []).append((rec.start - margin, rec.end + margin))
+    candidates = []
+    for seq_id, contig in sorted(genome.items()):
+        blocked = spans.get(seq_id, [])
+        for start in range(1, len(contig) - length + 2):
+            end = start + length - 1
+            if any(s <= end and start <= e for s, e in blocked):
+                continue
+            candidates.append((seq_id, start))
+    if len(candidates) < count:
+        raise InsufficientData("control", count, len(candidates))
+    picks = rng.sample(candidates, count)
+    return [
+        genome[seq_id].bases[start - 1 : start - 1 + length]
+        for seq_id, start in sorted(picks)
+    ]
+
+
+@st.composite
+def sampler_cases(draw):
+    """Contigs (some shorter than the window, some unannotated) and gene
+    spans that overlap each other, run past their contig's end or name a
+    contig absent from the genome."""
+    contig_ids = draw(st.lists(st.sampled_from("abcd"), min_size=1, max_size=3, unique=True))
+    genome = {
+        cid: NucleotideSequence(
+            "".join(draw(st.lists(st.sampled_from("ACGT"), max_size=120))), id=cid
+        )
+        for cid in contig_ids
+    }
+    annotations = []
+    for _ in range(draw(st.integers(0, 5))):
+        start = draw(st.integers(1, 130))
+        annotations.append(AnnotationRecord(
+            draw(st.sampled_from("abcde")), start, start + draw(st.integers(0, 20)), "+"
+        ))
+    return (genome, annotations, draw(st.integers(1, 16)), draw(st.integers(-1, 12)),
+            draw(st.integers(-6, 10)), draw(st.integers(0, 2**16)))
+
+
+def _outcome(sampler, genome, annotations, length, count, margin, seed):
+    rng = random.Random(seed)
+    try:
+        result = sampler(genome, annotations, length, count, margin, rng)
+    except InsufficientData as exc:
+        result = ("InsufficientData", exc.group, exc.needed, exc.available)
+    except ValueError as exc:  # a negative count, from random.sample
+        result = ("ValueError", str(exc))
+    return result, rng.random()
+
+
+class TestSampleIntergenic:
+    @settings(max_examples=300)
+    @given(sampler_cases())
+    @example((  # a window may end right before the margin, not on it
+        {"a": NucleotideSequence("ACGTTGCAAC" * 3)}, [AnnotationRecord("a", 15, 16, "+")],
+        3, 5, 2, 1,
+    ))
+    def test_matches_the_candidate_list_sampler(self, case):
+        assert _outcome(_sample_intergenic, *case) == _outcome(sample_intergenic_oracle, *case)
+
+    def test_memory_does_not_grow_with_the_genome(self):
+        contig = NucleotideSequence("ACGGT" * 400_000, id="chr1")
+        genes = [
+            AnnotationRecord("chr1", start, start + 4_999, "+")
+            for start in range(100_000, 2_000_000, 200_000)
+        ]
+        tracemalloc.start()
+        try:
+            windows = _sample_intergenic(
+                {"chr1": contig}, genes, 2_000, 10, 1_000, random.Random(1)
+            )
+            _, peak = tracemalloc.get_traced_memory()
+        finally:
+            tracemalloc.stop()
+        assert len(windows) == 10 and all(len(w) == 2_000 for w in windows)
+        assert peak - sum(sys.getsizeof(w) for w in windows) < 1_000_000

@@ -1,3 +1,7 @@
+import tempfile
+import textwrap
+from pathlib import Path
+
 import pytest
 from hypothesis import given
 from hypothesis import strategies as st
@@ -180,6 +184,15 @@ class TestFasta:
         body = path.read_text().splitlines()
         assert body[0] == ">long"
         assert [len(l) for l in body[1:]] == [60, 60, 10]
+
+    @given(dna, st.integers(1, 80))
+    def test_wrapping_matches_textwrap(self, bases, width):
+        with tempfile.TemporaryDirectory() as d:
+            path = Path(d) / "seqs.fa"
+            write_fasta(path, [NucleotideSequence(bases, id="s")], width=width)
+            text = path.read_text()
+        lines = textwrap.wrap(bases, width) or [""]
+        assert text == ">s\n" + "".join(line + "\n" for line in lines)
 
     def test_reads_multiline_records(self, tmp_path):
         path = tmp_path / "in.fa"

@@ -1,5 +1,6 @@
 import json
 
+import numpy as np
 import pytest
 from hypothesis import given, settings
 from hypothesis import strategies as st
@@ -17,8 +18,10 @@ from genomelm.tokenizer import (
     KmerTokenizer,
     N_SPECIAL_SLOTS,
     Vocabulary,
+    _SPECIAL_TOKENS,
     bpe_decode,
     bpe_encode,
+    _most_frequent_pair,
     bpe_train,
     kmer_decode,
     kmer_encode,
@@ -28,6 +31,40 @@ from genomelm.tokenizer import (
 )
 
 dna = st.text(alphabet="ACGT", max_size=300)
+
+
+def bpe_train_oracle(corpus, target_vocab):
+    """The list-of-words trainer `bpe_train` replaced: every pair recounted
+    after each merge, ties broken by (count, concatenation, insertion order)."""
+    seqs = [list(s) for s in corpus if s]
+    merges, tokens = [], list("ACGT")
+    while len(tokens) + N_SPECIAL_SLOTS < target_vocab:
+        counts = {}
+        for word in seqs:
+            for pair in zip(word, word[1:]):
+                counts[pair] = counts.get(pair, 0) + 1
+        if not counts:
+            break
+        best = min(counts.items(), key=lambda kv: (-kv[1], kv[0][0] + kv[0][1]))
+        if best[1] < 2:
+            break
+        pair = best[0]
+        merged = pair[0] + pair[1]
+        merges.append(pair)
+        tokens.append(merged)
+        new_seqs = []
+        for word in seqs:
+            out, i = [], 0
+            while i < len(word):
+                if i + 1 < len(word) and (word[i], word[i + 1]) == pair:
+                    out.append(merged)
+                    i += 2
+                else:
+                    out.append(word[i])
+                    i += 1
+            new_seqs.append(out)
+        seqs = new_seqs
+    return tuple(merges), tuple(tokens + _SPECIAL_TOKENS)
 
 
 class TestVocabulary:
@@ -255,3 +292,42 @@ class TestBpe:
         model = bpe_train(["ACAC"], 4 + N_SPECIAL_SLOTS)
         with pytest.raises(SpecialTokenInStream):
             bpe_decode([model.vocab.bos], model)
+
+    def test_rejects_symbols_outside_acgt(self):
+        with pytest.raises(InvalidSymbol) as exc:
+            bpe_train(["ACGT", "ACxG"], 40)
+        assert (exc.value.position, exc.value.symbol) == (2, "x")
+
+
+class TestBpeAgainstOracle:
+    @settings(max_examples=300)
+    @given(
+        st.sampled_from(["AC", "ACGT"]).flatmap(
+            lambda alphabet: st.lists(st.text(alphabet=alphabet, max_size=40), max_size=6)
+        ),
+        st.integers(4 + N_SPECIAL_SLOTS, 4 + N_SPECIAL_SLOTS + 16),
+    )
+    def test_matches_the_list_trainer(self, corpus, target_vocab):
+        if not any(corpus):
+            with pytest.raises(EmptyCorpus):
+                bpe_train(corpus, target_vocab)
+            return
+        model = bpe_train(corpus, target_vocab)
+        merges, tokens = bpe_train_oracle(corpus, target_vocab)
+        assert model.merges == merges
+        assert model.vocab.tokens == tokens
+
+    def test_doubled_pairs(self):
+        corpus, target_vocab = ["AAAA", "AAAAA", "CAAAC", "AAAAAAA"], 4 + N_SPECIAL_SLOTS + 4
+        model = bpe_train(corpus, target_vocab)
+        assert (model.merges, model.vocab.tokens) == bpe_train_oracle(corpus, target_vocab)
+
+    def test_equal_concatenations_break_by_first_occurrence(self):
+        # ("AC","G") and ("A","CG") both spell ACG and occur twice each;
+        # the pair seen first in the stream wins, whichever it is.
+        tokens = ["A", "C", "G", "T", "AC", "CG"]
+        ac_g, a_cg = [4, 2], [0, 5]
+        stream = np.array(ac_g + [-1] + a_cg + [-1] + a_cg + [-1] + ac_g)
+        assert _most_frequent_pair(stream, tokens) == (4, 2)
+        stream = np.array(a_cg + [-1] + ac_g + [-1] + ac_g + [-1] + a_cg)
+        assert _most_frequent_pair(stream, tokens) == (0, 5)
