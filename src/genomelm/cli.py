@@ -17,7 +17,7 @@ from . import analytics, design, ingest, recover, vep
 from .errors import GenomeLmError
 from .lm import MarkovLm, UniformLm, bridge_model, train_markov
 from .sampling import SamplerConfig, conditioned_generate, generate
-from .seqcore import parse_fasta, read_fasta, translate, validate, write_fasta
+from .seqcore import parse_fasta, read_fasta, translate, validate, write_fasta, write_tsv
 from .tokenizer import (
     BpeModel,
     KmerSpec,
@@ -68,12 +68,13 @@ def _leaf_parser(parser, args):
     return parser
 
 
-def _apply_config_value(args, action, value: str):
-    """Set one --config value by the rules of its flag; a problem, or None."""
-    if isinstance(getattr(args, action.dest), bool):
+def _apply_config_value(action, value: str):
+    """Make one --config value its flag's default, cast by the flag's rules;
+    a problem, or None."""
+    if isinstance(action.default, bool):
         if value.lower() not in _BOOLEANS:
             return "is not a boolean (" + "/".join(_BOOLEANS) + ")"
-        setattr(args, action.dest, _BOOLEANS[value.lower()])
+        action.default = _BOOLEANS[value.lower()]
         return None
     caster = action.type or str
     try:
@@ -82,7 +83,7 @@ def _apply_config_value(args, action, value: str):
         return f"is not a valid {caster.__name__}"
     if action.choices is not None and cast not in action.choices:
         return "is not one of " + ", ".join(map(str, action.choices))
-    setattr(args, action.dest, cast)
+    action.default = cast
     return None
 
 
@@ -139,9 +140,10 @@ def cmd_tokenize(args):
         for seq in seqs:
             lines.append(" ".join(map(str, bpe_encode(seq, model))))
     else:
+        # one spec, and so one generator, draws every sequence's offset
+        spec = KmerSpec(args.k, offset=None if args.random_offset else args.offset,
+                        seed=args.seed)
         for seq in seqs:
-            spec = KmerSpec(args.k, offset=None if args.random_offset else args.offset,
-                            seed=args.seed)
             offset, ids, tail = kmer_encode(seq, spec)
             lines.append(
                 f"{offset}\t{' '.join(map(str, ids))}\t{tail}"
@@ -192,8 +194,8 @@ def cmd_ingest_gener_tasks(args):
         seed=args.seed,
     )
     datasets = ingest.build_gener_task_datasets(regions, genome, annotations, config)
-    ingest.write_dataset_tsv(args.gene_out, datasets.gene_items)
-    ingest.write_dataset_tsv(args.taxon_out, datasets.taxon_items)
+    write_tsv(args.gene_out, ("sequence", "label"), datasets.gene_items)
+    write_tsv(args.taxon_out, ("sequence", "label"), datasets.taxon_items)
     print(
         f"gene items: {len(datasets.gene_items)}, taxon items: "
         f"{len(datasets.taxon_items)}, skipped contigs: {datasets.skipped_contigs}",
@@ -205,8 +207,8 @@ def cmd_ingest_gener_tasks(args):
 def cmd_train_markov(args):
     tokenizer = KmerTokenizer(args.k)
     corpus = []
+    spec = KmerSpec(args.k, offset=None if args.random_offset else 0, seed=args.seed)
     for seq in read_fasta(args.corpus):
-        spec = KmerSpec(args.k, offset=None if args.random_offset else 0, seed=args.seed)
         _, ids, _ = kmer_encode(seq, spec)
         if ids:
             corpus.append(ids)
@@ -221,8 +223,7 @@ def cmd_train_markov(args):
 
 def cmd_generate(args):
     with _opened_model(args.model) as model:
-        k = len(model.vocabulary().tokens[0])
-        tokenizer = KmerTokenizer(k)
+        tokenizer = KmerTokenizer.for_vocabulary(model.vocabulary())
         cfg = SamplerConfig(
             temperature=args.temperature,
             nucleus_p=args.top_p,
@@ -265,8 +266,7 @@ def cmd_recover_build(args):
 
 def cmd_recover_run(args):
     with _opened_model(args.model) as model:
-        k = len(model.vocabulary().tokens[0])
-        tokenizer = KmerTokenizer(k)
+        tokenizer = KmerTokenizer.for_vocabulary(model.vocabulary())
         dataset = recover.read_dataset_tsv(args.dataset)
         cfg = SamplerConfig(
             mode="sample" if args.sample else "greedy",
@@ -285,8 +285,7 @@ def cmd_recover_run(args):
 
 def cmd_vep_score(args):
     with _opened_model(args.model) as model:
-        k = len(model.vocabulary().tokens[0])
-        tokenizer = KmerTokenizer(k)
+        tokenizer = KmerTokenizer.for_vocabulary(model.vocabulary())
         genome = {s.id: s for s in read_fasta(args.genome)}
         variants = vep.read_variants_tsv(args.variants)
         lines = ["#seq_id\tpos\tref\talt\tlabel\tscore"]
@@ -315,17 +314,8 @@ def cmd_vep_score(args):
 
 
 def cmd_vep_eval(args):
-    scores, labels = [], []
-    with open(args.scores) as fh:
-        for line in fh:
-            line = line.rstrip("\n")
-            if not line or line.startswith("#"):
-                continue
-            cols = line.split("\t")
-            if cols[4]:
-                labels.append(cols[4])
-                scores.append(float(cols[5]))
-    metrics = vep.evaluate_vep(scores, labels)
+    labelled = [(v.label, score) for v, score in vep.read_scores_tsv(args.scores) if v.label]
+    metrics = vep.evaluate_vep([s for _, s in labelled], [label for label, _ in labelled])
     _emit(args, json.dumps(metrics, sort_keys=True) + "\n")
     return 0
 
@@ -601,20 +591,16 @@ def main(argv=None) -> int:
             print(f"error: cannot read config: {exc}", file=sys.stderr)
             return DATA_ERROR
         actions = {a.dest: a for a in _leaf_parser(parser, args)._actions}
-        # flags passed on the command line override file values
-        dest_of = {opt: a.dest for a in actions.values() for opt in a.option_strings}
-        explicit = {
-            dest_of.get(token.split("=", 1)[0])
-            for token in (argv if argv is not None else sys.argv[1:])
-        }
         for key, value in file_values.items():
             action = actions.get(key)
-            if key == "config" or key in explicit or action is None or not hasattr(args, key):
+            if key == "config" or action is None or not hasattr(args, key):
                 continue
-            problem = _apply_config_value(args, action, value)
+            problem = _apply_config_value(action, value)
             if problem:
                 print(f"error: {args.config}: {key} = {value!r} {problem}", file=sys.stderr)
                 return USAGE_ERROR
+        # As defaults, file values lose to every flag argparse saw, abbreviated or not.
+        args = parser.parse_args(argv)
 
     try:
         return args.func(args)

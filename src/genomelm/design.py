@@ -16,8 +16,8 @@ from .errors import (
     TooFewSamples,
     UnknownPrefixToken,
 )
-from .seqcore import NucleotideSequence
-from .tokenizer import _DIGIT_LUT, BASES, KmerTokenizer
+from .seqcore import NucleotideSequence, read_tsv
+from .tokenizer import BASES, KmerTokenizer, _digits
 
 PREFIX_BY_LABEL = {"high": "<high>", "mid": "<mid>", "low": "<low>"}
 
@@ -87,7 +87,7 @@ def kmer_counts(bases: str, k: int) -> np.ndarray:
     n_windows = len(bases) - k + 1
     if n_windows <= 0:
         return np.zeros(4**k)
-    digits = _DIGIT_LUT[np.frombuffer(bases.encode("ascii"), dtype=np.uint8)]
+    digits = _digits(bases)
     windows = np.lib.stride_tricks.sliding_window_view(digits, k).astype(np.int64)
     ok = (windows != 255).all(axis=1)
     powers = 4 ** np.arange(k - 1, -1, -1, dtype=np.int64)
@@ -215,7 +215,7 @@ def _ridge_contributions(
     over those windows of w[new k-mer] - w[old k-mer]. Windows holding an N
     are skipped, as kmer_counts skips them."""
     k, w = predictor.k, predictor.weights
-    digits = _DIGIT_LUT[np.frombuffer(sequence.encode("ascii"), dtype=np.uint8)]
+    digits = _digits(sequence)
     delta = np.zeros(len(sequence))
     if len(sequence) >= k:
         windows = np.lib.stride_tricks.sliding_window_view(digits, k).astype(np.int64)
@@ -265,21 +265,13 @@ def read_activity_tsv(path, head: str = "dev") -> list[ActivityRecord]:
     if head not in ("dev", "hk"):
         raise ValueError(f"head must be 'dev' or 'hk', got {head!r}")
     col = 1 if head == "dev" else 2
-    records = []
-    with open(path) as fh:
-        for line in fh:
-            line = line.rstrip("\n")
-            if not line or line.startswith("#"):
-                continue
-            cols = line.split("\t")
-            records.append(
-                ActivityRecord(
-                    sequence=NucleotideSequence(cols[0].upper()),
-                    activity=float(cols[col]),
-                    promoter_class="Dev" if head == "dev" else "Hk",
-                )
-            )
-    return records
+    promoter_class = "Dev" if head == "dev" else "Hk"
+
+    def record(cols: list[str]) -> ActivityRecord:
+        sequence = NucleotideSequence(cols[0].upper())
+        return ActivityRecord(sequence, float(cols[col]), promoter_class)
+
+    return read_tsv(path, record, min_cols=3)
 
 
 def contributions_to_tsv(sequence: str, scores: Sequence[Optional[float]]) -> str:

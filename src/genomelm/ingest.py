@@ -13,13 +13,12 @@ from dataclasses import dataclass, field
 from typing import Iterable, Optional
 
 from .errors import (
-    BadRow,
     InsufficientData,
     MalformedLocation,
     MissingOrigin,
     UnknownSequenceId,
 )
-from .seqcore import NucleotideSequence, reverse_complement, split_on_n, validate
+from .seqcore import NucleotideSequence, read_tsv, reverse_complement, split_on_n, validate
 
 FEATURE_TYPES = ("CDS", "pseudo", "tRNA", "rRNA", "ncRNA", "miscRNA", "gene")
 TAXON_GROUPS = (
@@ -162,40 +161,20 @@ def parse_genbank(path) -> tuple[dict[str, NucleotideSequence], list[AnnotationR
 
 def parse_bed_like(path) -> list[AnnotationRecord]:
     """seq_id, start, end, strand, feature_type[, taxon_group]; BED 0-based half-open."""
-    records = []
-    with open(path) as fh:
-        for line_no, line in enumerate(fh, start=1):
-            line = line.rstrip("\n")
-            if not line or line.startswith("#"):
-                continue
-            cols = line.split("\t")
-            if len(cols) < 5:
-                raise BadRow(line_no, f"expected >=5 columns, got {len(cols)}", path)
-            seq_id, start_s, end_s, strand, feature = cols[:5]
-            taxon = cols[5] if len(cols) > 5 and cols[5] else None
-            try:
-                start0, end0 = int(start_s), int(end_s)
-            except ValueError:
-                raise BadRow(line_no, "non-integer coordinates", path)
-            if end0 <= start0 or start0 < 0:
-                raise BadRow(line_no, f"bad interval {start0}..{end0}", path)
-            if strand not in ("+", "-"):
-                raise BadRow(line_no, f"bad strand {strand!r}", path)
-            if feature not in FEATURE_TYPES:
-                raise BadRow(line_no, f"unknown feature type {feature!r}", path)
-            if taxon is not None and taxon not in TAXON_GROUPS:
-                raise BadRow(line_no, f"unknown taxon group {taxon!r}", path)
-            records.append(
-                AnnotationRecord(
-                    seq_id=seq_id,
-                    start=start0 + 1,
-                    end=end0,
-                    strand=strand,
-                    feature_type=feature,
-                    taxon_group=taxon,
-                )
-            )
-    return records
+    return read_tsv(path, _bed_record, min_cols=5)
+
+
+def _bed_record(cols: list[str]) -> AnnotationRecord:
+    # AnnotationRecord checks the interval, strand and feature type.
+    seq_id, start_s, end_s, strand, feature = cols[:5]
+    taxon = cols[5] if len(cols) > 5 and cols[5] else None
+    try:
+        start0, end0 = int(start_s), int(end_s)
+    except ValueError:
+        raise ValueError("non-integer coordinates") from None
+    if taxon is not None and taxon not in TAXON_GROUPS:
+        raise ValueError(f"unknown taxon group {taxon!r}")
+    return AnnotationRecord(seq_id, start0 + 1, end0, strand, feature, taxon)
 
 
 # --- extraction --------------------------------------------------------------
@@ -427,9 +406,3 @@ def build_gener_task_datasets(
         gene_items=gene_items, taxon_items=taxon_items, skipped_contigs=skipped
     )
 
-
-def write_dataset_tsv(path, items: list[tuple[str, str]]) -> None:
-    with open(path, "w") as fh:
-        fh.write("#sequence\tlabel\n")
-        for seq, label in items:
-            fh.write(f"{seq}\t{label}\n")

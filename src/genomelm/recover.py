@@ -11,11 +11,11 @@ import random
 from dataclasses import dataclass, field, replace
 from typing import Optional, Sequence
 
-from .errors import BadRow, InsufficientData, ReferenceTooShort, VocabularyMismatch
+from .errors import InsufficientData, ReferenceTooShort, VocabularyMismatch
 from .ingest import FunctionalRegion
 from .lm import CausalLm
 from .sampling import SamplerConfig, generate
-from .seqcore import NucleotideSequence
+from .seqcore import NucleotideSequence, read_tsv, write_tsv
 from .tokenizer import KmerTokenizer
 
 
@@ -176,22 +176,15 @@ def run_recovery(
 
 
 def write_dataset_tsv(path, items: Sequence[RecoveryItem]) -> None:
-    with open(path, "w") as fh:
-        fh.write("#prompt\treference\ttaxon_group\n")
-        for item in items:
-            fh.write(f"{item.prompt}\t{item.reference}\t{item.taxon_group}\n")
+    write_tsv(path, ("prompt", "reference", "taxon_group"),
+              ((i.prompt, i.reference, i.taxon_group) for i in items))
 
 
 def read_dataset_tsv(path) -> list[RecoveryItem]:
-    items = []
-    with open(path) as fh:
-        for line_no, line in enumerate(fh, start=1):
-            line = line.rstrip("\n")
-            if not line or line.startswith("#"):
-                continue
-            cols = line.split("\t")
-            if len(cols) != 3:
-                raise BadRow(line_no, f"expected 3 columns, got {len(cols)}", path)
-            prompt, reference, taxon = cols
-            items.append(RecoveryItem(prompt=prompt, reference=reference, taxon_group=taxon))
-    return items
+    """TSV columns: prompt, reference, taxon_group."""
+    return read_tsv(path, _recovery_item, min_cols=3, max_cols=3)
+
+
+def _recovery_item(cols: list[str]) -> RecoveryItem:
+    prompt, reference = (NucleotideSequence(bases).bases for bases in cols[:2])
+    return RecoveryItem(prompt=prompt, reference=reference, taxon_group=cols[2])

@@ -7,9 +7,9 @@ from __future__ import annotations
 
 import re
 from dataclasses import dataclass, field
-from typing import Iterable, Iterator, Optional
+from typing import Callable, Iterable, Iterator, Optional, Sequence, TypeVar
 
-from .errors import AmbiguousBase, InvalidSymbol
+from .errors import AmbiguousBase, BadRow, InvalidSymbol
 
 DNA_ALPHABET = frozenset("ACGTN")
 _COMPLEMENT = str.maketrans("ACGTN", "TGCAN")
@@ -190,3 +190,42 @@ def write_fasta(path, seqs: Iterable[NucleotideSequence], width: int = 60) -> No
             # an empty sequence still gets one (empty) line
             for i in range(0, max(len(seq.bases), 1), width):
                 fh.write(seq.bases[i : i + width] + "\n")
+
+
+# --- TSV i/o -----------------------------------------------------------------
+
+Row = TypeVar("Row")
+
+
+def read_tsv(
+    path, parse_row: Callable[[list[str]], Row], min_cols: int, max_cols: Optional[int] = None
+) -> list[Row]:
+    """`parse_row` of each tab-split line but blank and '#' ones. A line with
+    fewer than `min_cols` or more than `max_cols` fields, or one `parse_row`
+    rejects with ValueError or InvalidSymbol, raises BadRow naming the path and line."""
+    if max_cols is None:
+        width = f">={min_cols}"
+    else:
+        width = str(min_cols) if max_cols == min_cols else f"{min_cols}..{max_cols}"
+    rows = []
+    with open(path) as fh:
+        for line_no, line in enumerate(fh, start=1):
+            line = line.rstrip("\n")
+            if not line or line.startswith("#"):
+                continue
+            cols = line.split("\t")
+            if len(cols) < min_cols or (max_cols is not None and len(cols) > max_cols):
+                raise BadRow(line_no, f"expected {width} columns, got {len(cols)}", path)
+            try:
+                rows.append(parse_row(cols))
+            except (ValueError, InvalidSymbol) as exc:
+                raise BadRow(line_no, str(exc), path) from exc
+    return rows
+
+
+def write_tsv(path, header: Sequence[str], rows: Iterable[Sequence]) -> None:
+    """A '#'-prefixed header line, then one tab-joined line per row."""
+    with open(path, "w") as fh:
+        fh.write("#" + "\t".join(header) + "\n")
+        for row in rows:
+            fh.write("\t".join(map(str, row)) + "\n")

@@ -24,6 +24,7 @@ from .errors import (
     InvalidSymbol,
     OffsetOutOfRange,
     SpecialTokenInStream,
+    VocabularyMismatch,
 )
 from .seqcore import NucleotideSequence
 
@@ -34,6 +35,14 @@ _BASE_INDEX = {b: i for i, b in enumerate(BASES)}
 _DIGIT_LUT = np.full(256, 255, dtype=np.uint8)
 for _b, _i in _BASE_INDEX.items():
     _DIGIT_LUT[ord(_b)] = _i
+
+
+def _digits(bases: str) -> np.ndarray:
+    """Each character's base rank (A,C,G,T -> 0..3), 255 for any other character."""
+    # a non-ASCII character encodes to one '?', so index i stays character i
+    return _DIGIT_LUT[np.frombuffer(bases.encode("ascii", errors="replace"), dtype=np.uint8)]
+
+
 _NOT_ACGT = re.compile("[^ACGT]")
 
 N_SPECIAL_SLOTS = 32
@@ -172,9 +181,7 @@ def kmer_encode(
     k = spec.k
     body = bases[offset:]
     n_tokens = len(body) // k
-    digits = _DIGIT_LUT[
-        np.frombuffer(body[: n_tokens * k].encode("ascii"), dtype=np.uint8)
-    ]
+    digits = _digits(body[: n_tokens * k])
     if (digits == 255).any():
         bad = int(np.argmax(digits == 255))
         raise InvalidSymbol(offset + bad, body[bad])
@@ -248,7 +255,7 @@ def bpe_train(corpus: Sequence[NucleotideSequence | str], target_vocab: int) -> 
     # pair spans two words. A symbol id indexes `tokens`; a merge whose
     # concatenation is already a token reuses that token's id, as equal
     # strings are one symbol.
-    stream = _DIGIT_LUT[np.frombuffer(" ".join(words).encode("ascii"), dtype=np.uint8)]
+    stream = _digits(" ".join(words))
     stream = np.where(stream == 255, -1, stream.astype(np.int64))
     merges: list[tuple[str, str]] = []
     tokens = list(BASES)
@@ -322,9 +329,7 @@ def bpe_encode(seq: NucleotideSequence | str, model: BpeModel) -> list[int]:
     if not bases:
         return []
     index = model.vocab.index
-    word = _DIGIT_LUT[np.frombuffer(bases.encode("ascii"), dtype=np.uint8)].astype(
-        np.int64
-    )
+    word = _digits(bases).astype(np.int64)
     if (word == 255).any():
         bad = int(np.argmax(word == 255))
         raise InvalidSymbol(bad, bases[bad])
@@ -346,6 +351,16 @@ class KmerTokenizer:
     def __init__(self, k: int):
         self.k = k
         self.vocab = kmer_vocabulary(k)
+
+    @classmethod
+    def for_vocabulary(cls, vocab: Vocabulary) -> "KmerTokenizer":
+        """The tokenizer of the k-mer vocabulary `vocab`; any other
+        vocabulary, a BPE one for instance, raises VocabularyMismatch."""
+        k = len(vocab.tokens[0])
+        tokenizer = cls(k) if 1 <= k <= 8 else None
+        if tokenizer is None or tokenizer.vocab != vocab:
+            raise VocabularyMismatch(f"not a k-mer vocabulary: {len(vocab)} tokens")
+        return tokenizer
 
     def encode(self, bases: str, offset: int = 0) -> list[int]:
         _, ids, _ = kmer_encode(bases, KmerSpec(self.k, offset=offset))

@@ -13,7 +13,6 @@ from typing import Optional, Sequence
 import numpy as np
 
 from .errors import (
-    BadRow,
     DegenerateLabels,
     PositionOutOfRange,
     RefMismatch,
@@ -22,7 +21,7 @@ from .errors import (
 )
 from .lm import CausalLm, TokenDistribution
 from .sampling import MaskedLm
-from .seqcore import NucleotideSequence
+from .seqcore import NucleotideSequence, read_tsv
 from .tokenizer import BASES, KmerTokenizer
 
 PROB_FLOOR = 1e-18
@@ -267,29 +266,26 @@ def evaluate_vep(scores: Sequence[float], labels: Sequence[str]) -> dict:
 
 def read_variants_tsv(path) -> list[Variant]:
     """TSV columns: seq_id, pos, ref, alt[, label]."""
-    variants = []
-    with open(path) as fh:
-        for line_no, line in enumerate(fh, start=1):
-            line = line.rstrip("\n")
-            if not line or line.startswith("#"):
-                continue
-            cols = line.split("\t")
-            if len(cols) < 4:
-                raise BadRow(line_no, f"expected >=4 columns, got {len(cols)}", path)
-            try:
-                pos = int(cols[1])
-            except ValueError:
-                raise BadRow(line_no, f"non-integer position {cols[1]!r}", path)
-            try:
-                variants.append(
-                    Variant(
-                        seq_id=cols[0],
-                        pos=pos,
-                        ref_allele=cols[2],
-                        alt_allele=cols[3],
-                        label=cols[4] if len(cols) > 4 and cols[4] else None,
-                    )
-                )
-            except ValueError as exc:
-                raise BadRow(line_no, str(exc), path)
-    return variants
+    return read_tsv(path, _variant, min_cols=4)
+
+
+def read_scores_tsv(path) -> list[tuple[Variant, float]]:
+    """The table `vep score` writes: seq_id, pos, ref, alt, label, score."""
+    return read_tsv(path, _scored_variant, min_cols=6)
+
+
+def _variant(cols: list[str]) -> Variant:
+    # Variant checks the alleles and the label.
+    try:
+        pos = int(cols[1])
+    except ValueError:
+        raise ValueError(f"non-integer position {cols[1]!r}") from None
+    label = cols[4] if len(cols) > 4 and cols[4] else None
+    return Variant(seq_id=cols[0], pos=pos, ref_allele=cols[2], alt_allele=cols[3], label=label)
+
+
+def _scored_variant(cols: list[str]) -> tuple[Variant, float]:
+    score = float(cols[5])
+    if not math.isfinite(score):
+        raise ValueError(f"score must be finite, got {cols[5]!r}")
+    return _variant(cols), score

@@ -1,6 +1,12 @@
+import contextlib
+import io
 import json
+import tempfile
+from pathlib import Path
 
 import pytest
+from hypothesis import given, settings
+from hypothesis import strategies as st
 
 from genomelm.cli import DATA_ERROR, USAGE_ERROR, main
 from genomelm.seqcore import NucleotideSequence, write_fasta
@@ -102,6 +108,17 @@ class TestTokenizeCommand:
         assert main(["tokenize", "--k", "3"]) == 0
         assert capsys.readouterr().out.splitlines() == ["0\t6 49\t", "0\t42\t"]
 
+    def test_random_offset_is_drawn_per_sequence_from_one_seed(self, tmp_path, capsys):
+        import random
+
+        fasta = tmp_path / "r.fa"
+        write_corpus(fasta, n=3, length=20)
+        argv = ["tokenize", "--in", str(fasta), "--k", "3", "--random-offset", "--seed", "0"]
+        assert main(argv) == 0
+        offsets = [int(line.split("\t")[0]) for line in capsys.readouterr().out.splitlines()]
+        rng = random.Random(0)
+        assert offsets == [rng.randrange(3) for _ in range(3)]
+
     def test_out_flag_writes_file_not_stdout(self, tmp_path, capsys):
         out = tmp_path / "tokens.txt"
         assert main(["tokenize", "ACGT", "--k", "2", "--out", str(out)]) == 0
@@ -132,6 +149,14 @@ class TestConfigPrecedence:
         argv = ["tokenize", "--in", str(fasta), "--k", "2", "--config", str(config)]
         assert main(argv) == 0
         assert capsys.readouterr().out == "0\t1 11 1\t\n"
+
+    def test_abbreviated_flag_beats_config(self, tmp_path, capsys):
+        corpus = tmp_path / "corp.fa"
+        write_corpus(corpus)
+        config = tmp_path / "t.conf"
+        config.write_text("target_vocab = 37\n")
+        assert main(["bpe-train", str(corpus), "--target-v", "40", "--config", str(config)]) == 0
+        assert len(json.loads(capsys.readouterr().out)["tokens"]) == 40
 
     def test_unreadable_config_is_data_error(self, tmp_path):
         assert main(["tokenize", "ACGT", "--config", str(tmp_path / "no.conf")]) == DATA_ERROR
@@ -300,6 +325,83 @@ class TestModelWorkflows:
         assert f"BadRow: {dataset}: bad row at line 2: expected 3 columns, got 2" in err
 
 
+GENOME_S0 = "ACGTACGTAC" * 6
+
+
+def table_argv(table, path, genome):
+    """The subcommand that reads a table of this kind from `path`."""
+    return {
+        "annotations": ["ingest", "stats", "--genome", genome, "--annotations", path],
+        "variants": ["vep", "score", "--genome", genome, "--variants", path,
+                     "--model", "uniform:1"],
+        "scores": ["vep", "eval", "--scores", path],
+        "dataset": ["recover", "run", "--model", "uniform:1", "--dataset", path],
+        "activities": ["design", "label", "--activities", path],
+    }[table]
+
+
+class TestTableErrors:
+    @pytest.mark.parametrize("table, row, reason", [
+        ("annotations", "s0\t1\t5\t+", "expected >=5 columns, got 4"),
+        ("annotations", "s0\tone\t5\t+\tgene", "non-integer coordinates"),
+        ("annotations", "s0\t5\t5\t+\tgene", "bad interval 6..5"),
+        ("variants", "s0\t2\tC\tU", "alleles must be single bases in ACGT, got 'C'>'U'"),
+        ("scores", "s0\t2\tC\tA\tbenign", "expected >=6 columns, got 5"),
+        ("scores", "s0\t2\tC\tA\tbenign\tabc", "could not convert string to float: 'abc'"),
+        ("scores", "s0\t2\tC\tU\tbenign\t0.5", "alleles must be single bases"),
+        ("dataset", "ACGU\tACGT\tfungi", "invalid symbol 'U' at position 3"),
+        ("activities", "ACGT\t1.0", "expected >=3 columns, got 2"),
+        ("activities", "ACGT\tx\t1.0", "could not convert string to float: 'x'"),
+        ("activities", "ACGU\t1.0\t1.0", "invalid symbol 'U' at position 3"),
+    ])
+    def test_bad_row_names_file_and_line(self, tmp_path, capsys, table, row, reason):
+        genome = tmp_path / "genome.fa"
+        write_fasta(genome, [NucleotideSequence(GENOME_S0, id="s0")])
+        path = tmp_path / f"{table}.tsv"
+        path.write_text("#header\n" + row + "\n")
+        assert main(table_argv(table, str(path), str(genome))) == DATA_ERROR
+        err = capsys.readouterr().err
+        assert f"BadRow: {path}: bad row at line 2: {reason}" in err
+        assert "Traceback" not in err
+
+
+# Well-formed rows of every table, so that a fuzzed table can mix good rows,
+# rows of another table and rows of fields that reach past the row checks.
+GOOD_ROWS = [
+    ["s0", "5", "35", "+", "gene", "fungi"], ["s0", "10", "40", "-", "CDS"],
+    ["s0", "2", "C", "A", "benign"], ["s0", "7", "G", "T", "pathogenic"],
+    ["s0", "2", "C", "A", "benign", "0.5"], ["s0", "7", "G", "T", "pathogenic", "-1.25"],
+    [GENOME_S0[:40], GENOME_S0[40:], "fungi"],
+    [GENOME_S0[:30], "1.5", "-0.5"], [GENOME_S0[5:35], "2", "0"],
+]
+FIELD = st.one_of(
+    st.sampled_from(["s0", "s1", "0", "1", "2", "5", "30", "-1", "1e3", "nan", "inf", "0.5",
+                     "A", "C", "T", "N", "+", "-", "gene", "CDS", "fungi", "benign",
+                     "pathogenic", "", GENOME_S0[:40], GENOME_S0[:12], "acgt", "ACGTÉ"]),
+    st.text(max_size=8),
+)
+
+
+class TestTableFuzz:
+    @settings(max_examples=150, deadline=None)
+    @given(
+        table=st.sampled_from(["annotations", "variants", "scores", "dataset", "activities"]),
+        rows=st.lists(st.one_of(st.sampled_from(GOOD_ROWS), st.lists(FIELD, max_size=7)),
+                      max_size=6),
+    )
+    def test_malformed_tables_exit_cleanly(self, table, rows):
+        with tempfile.TemporaryDirectory() as d:
+            genome = Path(d) / "genome.fa"
+            write_fasta(genome, [NucleotideSequence(GENOME_S0, id="s0")])
+            path = Path(d) / "table.tsv"
+            path.write_text("".join("\t".join(row) + "\n" for row in rows))
+            out, err = io.StringIO(), io.StringIO()
+            with contextlib.redirect_stdout(out), contextlib.redirect_stderr(err):
+                code = main(table_argv(table, str(path), str(genome)))
+        assert code in (0, USAGE_ERROR, DATA_ERROR), err.getvalue()
+        assert "Traceback" not in err.getvalue()
+
+
 class TestDesignWorkflow:
     def test_label_fit_rank_contrib(self, tmp_path, capsys):
         import random
@@ -439,6 +541,17 @@ class TestModelLifecycle:
         # the peer saw end of input and exited by itself, and was reaped
         assert peers[0].proc.returncode == 0
         peers[0].close()  # closing again is a no-op
+
+    def test_generate_rejects_a_bridge_vocabulary_that_is_not_k_mers(self, tmp_path, capsys):
+        import sys
+
+        script = tmp_path / "bpe_peer.py"
+        # the k=1 vocabulary plus two merged tokens: a BPE vocabulary
+        script.write_text(UNIFORM_K1_PEER.replace('"T", ', '"T", "AC", "ACG", ', 1))
+        argv = ["generate", "--model", f"bridge:{sys.executable} {script}", "--max-new", "4"]
+        assert main(argv) == DATA_ERROR
+        err = capsys.readouterr().err
+        assert "VocabularyMismatch" in err and "Traceback" not in err
 
     def test_tampered_model_is_data_error(self, tmp_path, capsys):
         corpus = tmp_path / "corpus.fa"

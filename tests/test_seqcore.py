@@ -6,7 +6,7 @@ import pytest
 from hypothesis import given
 from hypothesis import strategies as st
 
-from genomelm.errors import AmbiguousBase, InvalidSymbol
+from genomelm.errors import AmbiguousBase, BadRow, InvalidSymbol
 from genomelm.seqcore import (
     AMINO_ALPHABET,
     CODON_TABLE,
@@ -14,11 +14,13 @@ from genomelm.seqcore import (
     NucleotideSequence,
     ProteinSequence,
     read_fasta,
+    read_tsv,
     reverse_complement,
     split_on_n,
     translate,
     validate,
     write_fasta,
+    write_tsv,
 )
 
 dna = st.text(alphabet="ACGT", max_size=200)
@@ -201,3 +203,36 @@ class TestFasta:
         assert seqs[0].bases == "ACGTACGT"
         assert seqs[0].meta == {"taxon_group": "plant", "feature_type": "gene"}
         assert seqs[1].id == "two"
+
+
+class TestTsv:
+    def test_round_trip_skips_blank_and_comment_lines(self, tmp_path):
+        path = tmp_path / "t.tsv"
+        write_tsv(path, ("name", "n"), [("a", 1), ("b", 22)])
+        assert path.read_text() == "#name\tn\na\t1\nb\t22\n"
+        path.write_text(path.read_text() + "\n# note\nc\t3\n")
+        assert read_tsv(path, lambda cols: (cols[0], int(cols[1])), min_cols=2) == [
+            ("a", 1), ("b", 22), ("c", 3)
+        ]
+
+    @pytest.mark.parametrize("max_cols, row, reason", [
+        (None, "a", "expected >=2 columns, got 1"),
+        (2, "a\t1\tx", "expected 2 columns, got 3"),
+        (3, "a", "expected 2..3 columns, got 1"),
+        (None, "a\tone", "invalid literal for int() with base 10: 'one'"),
+        (None, "a\t1\tACGU", "invalid symbol 'U' at position 3"),
+    ])
+    def test_bad_row_names_path_and_line(self, tmp_path, max_cols, row, reason):
+        def parse(cols):
+            if len(cols) > 2:
+                NucleotideSequence(cols[2])
+            return int(cols[1])
+
+        path = tmp_path / "t.tsv"
+        path.write_text("#h\n\nb\t2\n" + row + "\n")
+        with pytest.raises(BadRow) as exc:
+            read_tsv(path, parse, min_cols=2, max_cols=max_cols)
+        assert str(exc.value) == f"{path}: bad row at line 4: {reason}"
+        assert exc.value.line_no == 4
+        if "columns" not in reason:
+            assert isinstance(exc.value.__cause__, (ValueError, InvalidSymbol))

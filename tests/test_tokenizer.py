@@ -11,6 +11,7 @@ from genomelm.errors import (
     InvalidSymbol,
     OffsetOutOfRange,
     SpecialTokenInStream,
+    VocabularyMismatch,
 )
 from genomelm.tokenizer import (
     BpeModel,
@@ -137,6 +138,22 @@ class TestVocabularyCaching:
         assert used != Vocabulary(tokens=("A", "C", "<bos>"), n_base=3)
 
 
+class TestTokenizerForVocabulary:
+    @pytest.mark.parametrize("k", [1, 3, 6])
+    def test_kmer_vocabulary_gives_its_k(self, k):
+        vocab = Vocabulary.from_json(kmer_vocabulary(k).to_json())
+        assert KmerTokenizer.for_vocabulary(vocab).k == k
+
+    def test_other_vocabularies_are_a_mismatch(self):
+        bpe = bpe_train(["ACACAC"], 4 + N_SPECIAL_SLOTS + 1).vocab
+        wide = Vocabulary(tokens=("ACGTACGTA", "<bos>"), n_base=1)
+        shuffled = kmer_vocabulary(1).tokens
+        shuffled = Vocabulary(tokens=shuffled[1::-1] + shuffled[2:], n_base=4)
+        for vocab in (bpe, wide, shuffled):
+            with pytest.raises(VocabularyMismatch):
+                KmerTokenizer.for_vocabulary(vocab)
+
+
 class TestTokenChar:
     def test_reads_positions(self):
         vocab = kmer_vocabulary(3)
@@ -176,6 +193,11 @@ class TestKmerCodec:
         with pytest.raises(InvalidSymbol) as exc:
             kmer_encode("ACGU", KmerSpec(2))
         assert exc.value.symbol == "U"
+
+    def test_rejects_non_ascii_as_a_symbol(self):
+        with pytest.raises(InvalidSymbol) as exc:
+            kmer_encode("AÉ", KmerSpec(2))
+        assert (exc.value.position, exc.value.symbol) == (1, "É")
 
     def test_random_offset_is_seeded_and_in_range(self):
         draws_a = [KmerSpec(6, offset=None, seed=7).draw_offset() for _ in range(1)]
@@ -297,6 +319,12 @@ class TestBpe:
         with pytest.raises(InvalidSymbol) as exc:
             bpe_train(["ACGT", "ACxG"], 40)
         assert (exc.value.position, exc.value.symbol) == (2, "x")
+
+    def test_encode_rejects_non_ascii_as_a_symbol(self):
+        model = bpe_train(["ACAC"], 4 + N_SPECIAL_SLOTS + 1)
+        with pytest.raises(InvalidSymbol) as exc:
+            bpe_encode("AÉ", model)
+        assert (exc.value.position, exc.value.symbol) == (1, "É")
 
 
 class TestBpeAgainstOracle:
