@@ -17,7 +17,8 @@ from . import analytics, design, ingest, recover, vep
 from .errors import GenomeLmError
 from .lm import MarkovLm, UniformLm, bridge_model, train_markov
 from .sampling import SamplerConfig, conditioned_generate, generate
-from .seqcore import parse_fasta, read_fasta, translate, validate, write_fasta, write_tsv
+from .seqcore import (parse_fasta, read_fasta, reading_model, translate, validate,
+                      write_fasta, write_tsv)
 from .tokenizer import (
     BpeModel,
     KmerSpec,
@@ -32,6 +33,10 @@ DATA_ERROR = 2
 
 
 class _Parser(argparse.ArgumentParser):
+    def __init__(self, **kwargs):
+        # no abbreviations, so a removed flag (`--mode`) cannot read as another (`--model`)
+        super().__init__(allow_abbrev=False, **kwargs)
+
     def error(self, message):
         self.print_usage(sys.stderr)
         print(f"error: {message}", file=sys.stderr)
@@ -56,16 +61,28 @@ def _load_config(path) -> dict[str, str]:
     return values
 
 
+def length(text: str) -> int:
+    # ValueError, not ArgumentTypeError, so a bad --config value is a usage error too
+    if int(text) < 1:
+        raise ValueError(f"length must be >= 1, got {text}")
+    return int(text)
+
+
+def lengths(text: str) -> list[int]:
+    return [length(x) for x in text.split(",")]
+
+
 _BOOLEANS = {"1": True, "true": True, "yes": True, "on": True,
              "0": False, "false": False, "no": False, "off": False}
 
 
-def _leaf_parser(parser, args):
-    """The subcommand parser that parsed `args`."""
+def _parsers(parser):
+    """`parser` and every subcommand parser below it."""
+    yield parser
     for action in parser._actions:
         if isinstance(action, argparse._SubParsersAction):
-            return _leaf_parser(action.choices[getattr(args, action.dest)], args)
-    return parser
+            for sub in action.choices.values():
+                yield from _parsers(sub)
 
 
 def _apply_config_value(action, value: str):
@@ -87,17 +104,12 @@ def _apply_config_value(action, value: str):
     return None
 
 
-def _out_stream(args):
-    if getattr(args, "out", None):
-        return open(args.out, "w")
-    return sys.stdout
-
-
 def _emit(args, text: str) -> None:
-    stream = _out_stream(args)
-    stream.write(text)
-    if stream is not sys.stdout:
-        stream.close()
+    if getattr(args, "out", None):
+        with open(args.out, "w") as fh:
+            fh.write(text)
+    else:
+        sys.stdout.write(text)
 
 
 @contextlib.contextmanager
@@ -135,7 +147,7 @@ def cmd_tokenize(args):
     seqs = _read_sequences(args)
     lines = []
     if args.bpe_model:
-        with open(args.bpe_model) as fh:
+        with open(args.bpe_model) as fh, reading_model(args.bpe_model):
             model = BpeModel.from_json(fh.read())
         for seq in seqs:
             lines.append(" ".join(map(str, bpe_encode(seq, model))))
@@ -274,8 +286,7 @@ def cmd_recover_run(args):
             nucleus_p=args.top_p,
             seed=args.seed,
         )
-        predict_lens = [int(x) for x in args.predict_len.split(",")]
-        report = recover.run_recovery(model, tokenizer, dataset, predict_lens, cfg)
+        report = recover.run_recovery(model, tokenizer, dataset, args.predict_len, cfg)
     if args.json:
         _emit(args, report.to_json() + "\n")
     else:
@@ -290,21 +301,8 @@ def cmd_vep_score(args):
         variants = vep.read_variants_tsv(args.variants)
         lines = ["#seq_id\tpos\tref\talt\tlabel\tscore"]
         for variant in variants:
-            if args.mode == "mlm":
-                from .sampling import CausalAsMaskedLm
-
-                score = vep.mlm_vep_score(
-                    CausalAsMaskedLm(model), tokenizer, genome, variant, window=args.context_len
-                )
-            else:
-                score = vep.vep_score(
-                    model,
-                    tokenizer,
-                    genome,
-                    variant,
-                    context_len=args.context_len,
-                    average_phases=args.average_phases,
-                )
+            score = vep.vep_score(model, tokenizer, genome, variant, context_len=args.context_len,
+                                  average_phases=args.average_phases)
             lines.append(
                 f"{variant.seq_id}\t{variant.pos}\t{variant.ref_allele}\t"
                 f"{variant.alt_allele}\t{variant.label or ''}\t{score:.6f}"
@@ -479,7 +477,7 @@ def build_parser() -> _Parser:
     p.add_argument("--prefix", help="conditioning prefix token, e.g. <high>")
     p.add_argument("--temperature", type=float, default=1.0)
     p.add_argument("--top-p", type=float, default=1.0)
-    p.add_argument("--max-new", type=int, default=32)
+    p.add_argument("--max-new", type=length, default=32)
     p.add_argument("--greedy", action="store_true")
     p.add_argument("-n", type=int, default=1, help="number of sequences")
     p.add_argument("--dedup-against", help="FASTA of sequences to exclude")
@@ -491,15 +489,15 @@ def build_parser() -> _Parser:
     p = rec_sub.add_parser("build", help="build a recovery dataset")
     p.add_argument("--genome", required=True)
     p.add_argument("--annotations", required=True)
-    p.add_argument("--prompt-len", type=int, default=6144)
-    p.add_argument("--predict-len", type=int, default=30)
+    p.add_argument("--prompt-len", type=length, default=6144)
+    p.add_argument("--predict-len", type=length, default=30)
     p.add_argument("--per-group-n", type=int, default=100)
     _add_common(p, seed=True)
     p.set_defaults(func=cmd_recover_build)
     p = rec_sub.add_parser("run", help="run the benchmark")
     p.add_argument("--model", required=True)
     p.add_argument("--dataset", required=True)
-    p.add_argument("--predict-len", default="30", help="comma-separated lengths")
+    p.add_argument("--predict-len", type=lengths, default="30", help="comma-separated lengths")
     p.add_argument("--sample", action="store_true", help="sampled instead of greedy decoding")
     p.add_argument("--temperature", type=float, default=1.0)
     p.add_argument("--top-p", type=float, default=1.0)
@@ -513,8 +511,7 @@ def build_parser() -> _Parser:
     p.add_argument("--genome", required=True)
     p.add_argument("--variants", required=True)
     p.add_argument("--model", required=True)
-    p.add_argument("--mode", choices=["causal", "mlm"], default="causal")
-    p.add_argument("--context-len", type=int, default=6144)
+    p.add_argument("--context-len", type=length, default=6144)
     p.add_argument("--average-phases", action="store_true")
     _add_common(p)
     p.set_defaults(func=cmd_vep_score)
@@ -579,18 +576,15 @@ def build_parser() -> _Parser:
 
 def main(argv=None) -> int:
     parser = build_parser()
+    # The first parse lets required flags be absent, as --config may set them.
+    required = [a for p in _parsers(parser) for a in p._actions if a.required and a.option_strings]
+    for action in required:
+        action.required = False
     try:
         args = parser.parse_args(argv)
-    except SystemExit as exc:
-        return exc.code if isinstance(exc.code, int) else USAGE_ERROR
-
-    if args.config:
-        try:
-            file_values = _load_config(args.config)
-        except OSError as exc:
-            print(f"error: cannot read config: {exc}", file=sys.stderr)
-            return DATA_ERROR
-        actions = {a.dest: a for a in _leaf_parser(parser, args)._actions}
+        file_values = _load_config(args.config) if args.config else {}
+        leaf = next(p for p in _parsers(parser) if p.get_default("func") is args.func)
+        actions = {a.dest: a for a in leaf._actions}
         for key, value in file_values.items():
             action = actions.get(key)
             if key == "config" or action is None or not hasattr(args, key):
@@ -599,8 +593,15 @@ def main(argv=None) -> int:
             if problem:
                 print(f"error: {args.config}: {key} = {value!r} {problem}", file=sys.stderr)
                 return USAGE_ERROR
+        for action in required:
+            action.required = action.dest not in file_values
         # As defaults, file values lose to every flag argparse saw, abbreviated or not.
         args = parser.parse_args(argv)
+    except SystemExit as exc:
+        return exc.code if isinstance(exc.code, int) else USAGE_ERROR
+    except OSError as exc:
+        print(f"error: cannot read config: {exc}", file=sys.stderr)
+        return DATA_ERROR
 
     try:
         return args.func(args)

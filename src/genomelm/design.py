@@ -3,6 +3,7 @@ dataset construction, a k-mer ridge activity predictor, predictor-guided
 selection, and per-base contribution scores."""
 from __future__ import annotations
 
+import json
 import math
 import random
 from dataclasses import dataclass
@@ -16,7 +17,7 @@ from .errors import (
     TooFewSamples,
     UnknownPrefixToken,
 )
-from .seqcore import NucleotideSequence, read_tsv
+from .seqcore import NucleotideSequence, read_tsv, reading_model
 from .tokenizer import BASES, KmerTokenizer, _digits
 
 PREFIX_BY_LABEL = {"high": "<high>", "mid": "<mid>", "low": "<low>"}
@@ -231,8 +232,6 @@ def _ridge_contributions(
 
 
 def save_predictor(predictor: KmerRidgePredictor, path) -> None:
-    import json
-
     with open(path, "w") as fh:
         json.dump(
             {
@@ -246,16 +245,12 @@ def save_predictor(predictor: KmerRidgePredictor, path) -> None:
 
 
 def load_predictor(path) -> KmerRidgePredictor:
-    import json
-
-    with open(path) as fh:
+    with open(path) as fh, reading_model(path):
         obj = json.load(fh)
-    return KmerRidgePredictor(
-        k=obj["k"],
-        weights=np.asarray(obj["weights"], dtype=float),
-        intercept=obj["intercept"],
-        l2=obj["l2"],
-    )
+        weights = np.asarray(obj["weights"], dtype=float)
+        if weights.shape != (4 ** obj["k"],):
+            raise ValueError(f"{weights.size} weights for k={obj['k']}, expected 4^k")
+        return KmerRidgePredictor(obj["k"], weights, obj["intercept"], obj["l2"])
 
 
 # --- DeepSTARR-style file i/o -------------------------------------------------

@@ -32,10 +32,6 @@ class SpecialTokenInStream(GenomeLmError):
         super().__init__(f"special token id {token_id} in nucleotide token stream")
 
 
-class OffsetOutOfRange(GenomeLmError):
-    pass
-
-
 class EmptyCorpus(GenomeLmError):
     pass
 
@@ -99,11 +95,11 @@ class BridgeTimeout(GenomeLmError):
     pass
 
 
+class BadModelFile(GenomeLmError, ValueError):
+    pass  # a ValueError too, as the reading errors it replaces were
+
+
 # --- sampling / recovery -----------------------------------------------------
-
-class ContextOverflow(GenomeLmError):
-    pass
-
 
 class UnknownPrefixToken(GenomeLmError):
     pass

@@ -24,6 +24,7 @@ from .errors import (
     UnknownTokenId,
     VocabularyMismatch,
 )
+from .seqcore import reading_model
 from .tokenizer import Vocabulary
 
 _SUM_TOL = 1e-9
@@ -172,7 +173,7 @@ class MarkovLm:
 
     @classmethod
     def load(cls, path) -> "MarkovLm":
-        with open(path) as fh:
+        with open(path) as fh, reading_model(path):
             header = json.loads(fh.readline())
             if header.get("format_version") != cls.FORMAT_VERSION:
                 raise ValueError(f"unsupported model format: {header.get('format_version')}")
@@ -191,6 +192,12 @@ class MarkovLm:
                     int(t): c for t, c in row["counts"].items()
                 }
         return model
+
+
+def check_vocabulary(model: CausalLm, vocab: Vocabulary) -> None:
+    """Raise VocabularyMismatch unless `model` reads and emits `vocab`'s tokens."""
+    if model.vocabulary().tokens != vocab.tokens:
+        raise VocabularyMismatch("tokenizer vocabulary does not match the model vocabulary")
 
 
 def _check_ids(ids: Sequence[int], V: int) -> None:

@@ -11,9 +11,9 @@ import random
 from dataclasses import dataclass, field, replace
 from typing import Optional, Sequence
 
-from .errors import InsufficientData, ReferenceTooShort, VocabularyMismatch
+from .errors import InsufficientData, ReferenceTooShort
 from .ingest import FunctionalRegion
-from .lm import CausalLm
+from .lm import CausalLm, check_vocabulary
 from .sampling import SamplerConfig, generate
 from .seqcore import NucleotideSequence, read_tsv, write_tsv
 from .tokenizer import KmerTokenizer
@@ -29,6 +29,8 @@ class RecoveryItem:
 def recovery_accuracy(reference: str, generated: str, length: int) -> float:
     """Fraction of the first `length` positions where generated matches
     the reference; positions the generation never reached count as misses."""
+    if length < 1:
+        raise ValueError(f"length must be >= 1, got {length}")
     if len(reference) < length:
         raise ReferenceTooShort(
             f"reference of {len(reference)} nt cannot score length {length}"
@@ -133,12 +135,7 @@ def run_recovery(
     the first generated token start exactly at the reference start for any
     k. Decoding is greedy unless cfg says otherwise.
     """
-    if len(tokenizer.vocab) != len(model.vocabulary()) or (
-        tokenizer.vocab.tokens != model.vocabulary().tokens
-    ):
-        raise VocabularyMismatch(
-            "tokenizer vocabulary does not match the model vocabulary"
-        )
+    check_vocabulary(model, tokenizer.vocab)
     if cfg is None:
         cfg = SamplerConfig(mode="greedy")
     k = tokenizer.k

@@ -1,18 +1,17 @@
-"""Autoregressive decoding: temperature + nucleus sampling, greedy mode,
-conditioning prefixes, and a sequential-decoding adapter for masked models.
+"""Autoregressive decoding: temperature + nucleus sampling, greedy mode
+and conditioning prefixes.
 
 Randomness comes from a self-contained xoshiro256** stream seeded through
 SplitMix64, so draws are identical across platforms and processes.
 """
 from __future__ import annotations
 
-import math
-from dataclasses import dataclass, field
-from typing import Optional, Protocol, Sequence
+from dataclasses import dataclass
+from typing import Optional, Sequence
 
 import numpy as np
 
-from .errors import ContextOverflow, UnknownPrefixToken
+from .errors import UnknownPrefixToken
 from .lm import CausalLm, TokenDistribution
 from .tokenizer import KmerTokenizer
 
@@ -65,7 +64,6 @@ class SamplerConfig:
     max_new_tokens: int = 32
     seed: int = 0
     mode: str = "sample"  # or "greedy"
-    context_budget: Optional[int] = None  # max prompt+generated ids fed to the model
 
     def __post_init__(self):
         if self.temperature <= 0:
@@ -122,27 +120,20 @@ def generate(
     prompt_ids: Sequence[int],
     cfg: SamplerConfig,
     job_index: int = 0,
-    stop_at_eos: bool = True,
 ) -> list[int]:
-    """Decode up to max_new_tokens ids after the prompt.
+    """Decode up to max_new_tokens ids after the prompt, stopping before EOS.
 
     Special tokens other than EOS are masked out of the candidate set.
     Deterministic given (lm, prompt, cfg, job_index).
     """
     vocab = lm.vocabulary()
-    if cfg.context_budget is not None and len(prompt_ids) > cfg.context_budget:
-        raise ContextOverflow(
-            f"prompt of {len(prompt_ids)} ids exceeds budget {cfg.context_budget}"
-        )
     banned = [i for i in range(vocab.n_base, len(vocab)) if i != vocab.eos]
     rng = job_rng(cfg.seed, job_index)
     context = list(prompt_ids)
     out: list[int] = []
     for _ in range(cfg.max_new_tokens):
-        if cfg.context_budget is not None and len(context) > cfg.context_budget:
-            context = context[-cfg.context_budget :]
         token = _select(lm.next_distribution(context), cfg, rng, banned)
-        if stop_at_eos and token == vocab.eos:
+        if token == vocab.eos:
             break
         out.append(token)
         context.append(token)
@@ -199,57 +190,3 @@ def conditioned_generate(
         duplicates_filtered=filtered,
         exhausted=len(sequences) < n_sequences,
     )
-
-
-class MaskedLm(Protocol):
-    """Masked model: distribution at the single masked position."""
-
-    def distribution_at_mask(self, ids_with_single_mask: Sequence[int]) -> TokenDistribution: ...
-
-    def vocabulary(self): ...
-
-
-class CausalAsMaskedLm:
-    """Mask-at-end adapter: a causal LM viewed as a masked model."""
-
-    def __init__(self, lm: CausalLm):
-        self._lm = lm
-
-    def vocabulary(self):
-        return self._lm.vocabulary()
-
-    def distribution_at_mask(self, ids_with_single_mask: Sequence[int]) -> TokenDistribution:
-        mask_id = self._lm.vocabulary().mask
-        positions = [i for i, t in enumerate(ids_with_single_mask) if t == mask_id]
-        if len(positions) != 1:
-            raise ValueError(f"expected exactly one mask token, found {len(positions)}")
-        return self._lm.next_distribution(ids_with_single_mask[: positions[0]])
-
-
-def mlm_sequential_decode(
-    mlm: MaskedLm,
-    prompt_ids: Sequence[int],
-    n_steps: int,
-    cfg: SamplerConfig,
-    job_index: int = 0,
-) -> list[int]:
-    """Append a mask, query it, commit the selection; repeat n_steps times."""
-    if n_steps < 1:
-        raise ValueError(f"n_steps must be >= 1, got {n_steps}")
-    vocab = mlm.vocabulary()
-    if cfg.context_budget is not None and len(prompt_ids) > cfg.context_budget:
-        raise ContextOverflow(
-            f"prompt of {len(prompt_ids)} ids exceeds budget {cfg.context_budget}"
-        )
-    banned = [i for i in range(vocab.n_base, len(vocab)) if i != vocab.eos]
-    rng = job_rng(cfg.seed, job_index)
-    context = list(prompt_ids)
-    out: list[int] = []
-    for _ in range(n_steps):
-        dist = mlm.distribution_at_mask(context + [vocab.mask])
-        token = _select(dist, cfg, rng, banned)
-        if token == vocab.eos:
-            break
-        out.append(token)
-        context.append(token)
-    return out

@@ -6,10 +6,11 @@ but untranslatable; downstream corpus construction splits on N runs.
 from __future__ import annotations
 
 import re
+from contextlib import contextmanager
 from dataclasses import dataclass, field
 from typing import Callable, Iterable, Iterator, Optional, Sequence, TypeVar
 
-from .errors import AmbiguousBase, BadRow, InvalidSymbol
+from .errors import AmbiguousBase, BadModelFile, BadRow, InvalidSymbol
 
 DNA_ALPHABET = frozenset("ACGTN")
 _COMPLEMENT = str.maketrans("ACGTN", "TGCAN")
@@ -229,3 +230,14 @@ def write_tsv(path, header: Sequence[str], rows: Iterable[Sequence]) -> None:
         fh.write("#" + "\t".join(header) + "\n")
         for row in rows:
             fh.write("\t".join(map(str, row)) + "\n")
+
+
+@contextmanager
+def reading_model(path):
+    """Report a missing key, bad JSON or bad value in model file `path` as BadModelFile."""
+    try:
+        yield
+    except KeyError as exc:
+        raise BadModelFile(f"{path}: missing key {exc.args[0]!r}") from exc
+    except (AttributeError, IndexError, TypeError, ValueError) as exc:
+        raise BadModelFile(f"{path}: {exc}") from exc

@@ -22,7 +22,6 @@ from .errors import (
     ContainsAmbiguousBase,
     EmptyCorpus,
     InvalidSymbol,
-    OffsetOutOfRange,
     SpecialTokenInStream,
     VocabularyMismatch,
 )
@@ -129,16 +128,6 @@ def kmer_id(kmer: str) -> int:
     for ch in kmer:
         rank = rank * 4 + _BASE_INDEX[ch]
     return rank
-
-
-def token_char(vocab: Vocabulary, token_id: int, j: int) -> str:
-    """The j-th nucleotide of a non-special token."""
-    if vocab.is_special(token_id):
-        raise SpecialTokenInStream(token_id)
-    token = vocab.tokens[token_id]
-    if not 0 <= j < len(token):
-        raise OffsetOutOfRange(f"offset {j} outside token of length {len(token)}")
-    return token[j]
 
 
 @dataclass

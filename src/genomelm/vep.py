@@ -19,8 +19,7 @@ from .errors import (
     UnknownSequenceId,
     VocabularyMismatch,
 )
-from .lm import CausalLm, TokenDistribution
-from .sampling import MaskedLm
+from .lm import CausalLm, TokenDistribution, check_vocabulary
 from .seqcore import NucleotideSequence, read_tsv
 from .tokenizer import BASES, KmerTokenizer
 
@@ -95,17 +94,11 @@ def marginalize_distribution(
 def marginal_nucleotide_prob(
     lm: CausalLm, tokenizer: KmerTokenizer, context_before: str, j: int
 ) -> NucleotideMarginal:
-    """Marginal over the nucleotide at offset j of the next token, given a
-    context that is left-trimmed to end on a token boundary."""
-    _check_vocab(lm, tokenizer)
+    """Marginal over the nucleotide at offset j of the next token after a context
+    left-trimmed to a token boundary; lm and tokenizer must share a vocabulary."""
     trim = len(context_before) % tokenizer.k
     ids = tokenizer.encode(context_before[trim:])
     return marginalize_distribution(lm.next_distribution(ids), tokenizer, j)
-
-
-def _check_vocab(lm: CausalLm, tokenizer: KmerTokenizer) -> None:
-    if tokenizer.vocab.tokens != lm.vocabulary().tokens:
-        raise VocabularyMismatch("tokenizer vocabulary does not match model vocabulary")
 
 
 def _llr(p_ref: float, p_alt: float) -> float:
@@ -135,13 +128,14 @@ def vep_score(
     phase: Optional[int] = None,
     average_phases: bool = False,
 ) -> float:
-    """Causal-mode score with the variant at the sequence end.
+    """Score with the variant at the end of the context.
 
     phase j places the variant at offset j inside the next predicted token
     (default k-1, maximizing preceding context). With average_phases the
     score is averaged over all k alignments.
     """
     check_variant(genome, variant)
+    check_vocabulary(lm, tokenizer.vocab)
     k = tokenizer.k
     contig = genome[variant.seq_id]
     phases = range(k) if average_phases else [k - 1 if phase is None else phase]
@@ -157,36 +151,6 @@ def vep_score(
     if not scores:
         raise ValueError(f"no valid phase for variant at position {variant.pos}")
     return sum(scores) / len(scores)
-
-
-def mlm_vep_score(
-    mlm: MaskedLm,
-    tokenizer: KmerTokenizer,
-    genome: dict[str, NucleotideSequence],
-    variant: Variant,
-    window: int = 6144,
-    phase: Optional[int] = None,
-) -> float:
-    """Masked-mode score: variant-containing token masked, window centered
-    on the variant; the left window is truncated at the contig start."""
-    check_variant(genome, variant)
-    k = tokenizer.k
-    j = k - 1 if phase is None else phase
-    contig = genome[variant.seq_id]
-    context_end = variant.pos - 1 - j
-    if context_end < 0:
-        raise ValueError(f"phase {j} impossible at position {variant.pos}")
-    start = max(0, context_end - window // 2)
-    trim = (context_end - start) % k
-    left_ids = tokenizer.encode(contig.bases[start + trim : context_end])
-    right_start = context_end + k
-    right_end = min(len(contig), right_start + window // 2)
-    right_span = (right_end - right_start) // k * k
-    right_ids = tokenizer.encode(contig.bases[right_start : right_start + right_span])
-    vocab = tokenizer.vocab
-    dist = mlm.distribution_at_mask(left_ids + [vocab.mask] + right_ids)
-    marg = marginalize_distribution(dist, tokenizer, j)
-    return _llr(marg.prob(variant.ref_allele), marg.prob(variant.alt_allele))
 
 
 # --- classification metrics --------------------------------------------------

@@ -48,6 +48,8 @@ class TestExitCodes:
         ["vep", "score", "--genome", "g.fa", "--variants", "v.tsv", "--model", "uniform:1",
          "--seed", "1"],
         ["train-markov", "c.fa", "--model-out", "m.jsonl", "--out", "x"],
+        ["vep", "score", "--genome", "g.fa", "--variants", "v.tsv", "--model", "uniform:1",
+         "--mode", "mlm"],
     ])
     def test_flag_the_subcommand_does_not_read_is_usage_error(self, argv, capsys):
         assert main(argv) == USAGE_ERROR
@@ -155,8 +157,29 @@ class TestConfigPrecedence:
         write_corpus(corpus)
         config = tmp_path / "t.conf"
         config.write_text("target_vocab = 37\n")
-        assert main(["bpe-train", str(corpus), "--target-v", "40", "--config", str(config)]) == 0
+        # abbreviations are off, so the file value cannot silently win: a usage error
+        assert main(["bpe-train", str(corpus), "--target-v", "40", "--config", str(config)]) \
+            == USAGE_ERROR
+        captured = capsys.readouterr()
+        assert captured.out == ""
+        assert "unrecognized arguments: --target-v 40" in captured.err
+
+    def test_config_supplies_a_required_flag(self, tmp_path, capsys):
+        corpus = tmp_path / "corp.fa"
+        write_corpus(corpus)
+        config = tmp_path / "t.conf"
+        config.write_text("target_vocab = 37\n")
+        assert main(["bpe-train", str(corpus), "--config", str(config)]) == 0
+        assert len(json.loads(capsys.readouterr().out)["tokens"]) == 37
+        assert main(["bpe-train", str(corpus), "--target-vocab", "40", "--config", str(config)]) \
+            == 0
         assert len(json.loads(capsys.readouterr().out)["tokens"]) == 40
+
+    def test_required_flag_in_neither_argv_nor_config_is_usage_error(self, tmp_path, capsys):
+        config = tmp_path / "t.conf"
+        config.write_text("k = 3\n")
+        assert main(["bpe-train", "corp.fa", "--config", str(config)]) == USAGE_ERROR
+        assert "required: --target-vocab" in capsys.readouterr().err
 
     def test_unreadable_config_is_data_error(self, tmp_path):
         assert main(["tokenize", "ACGT", "--config", str(tmp_path / "no.conf")]) == DATA_ERROR
@@ -195,6 +218,92 @@ class TestConfigPrecedence:
         config.write_text("threads = 2\nseed = x\n")
         assert main(["translate", "ATG", "--config", str(config)]) == 0
         assert "M" in capsys.readouterr().out
+
+
+class TestLengthFlags:
+    @pytest.mark.parametrize("argv, value", [
+        (["recover", "run", "--model", "uniform:1", "--dataset", "d.tsv", "--predict-len"], "0"),
+        (["recover", "run", "--model", "uniform:1", "--dataset", "d.tsv", "--predict-len"],
+         "30,-3"),
+        (["recover", "build", "--genome", "g.fa", "--annotations", "a.tsv", "--prompt-len"],
+         "-1"),
+        (["generate", "--model", "uniform:1", "-n", "2", "--max-new"], "-3"),
+        (["vep", "score", "--genome", "g.fa", "--variants", "v.tsv", "--model", "uniform:1",
+          "--context-len"], "-5"),
+    ])
+    def test_non_positive_length_is_usage_error(self, tmp_path, capsys, argv, value):
+        assert main(argv + [value]) == USAGE_ERROR
+        assert "invalid length" in capsys.readouterr().err
+        # the same value from a config file
+        config = tmp_path / "t.conf"
+        config.write_text(f"{argv[-1][2:].replace('-', '_')} = {value}\n")
+        assert main(argv[:-1] + ["--config", str(config)]) == USAGE_ERROR
+        assert f"= '{value}' is not a valid length" in capsys.readouterr().err
+
+
+class TestModelFileErrors:
+    def _markov(self, tmp_path):
+        corpus = tmp_path / "corpus.fa"
+        write_corpus(corpus)
+        model = tmp_path / "markov.jsonl"
+        assert main([
+            "train-markov", str(corpus), "--k", "1", "--order", "1", "--model-out", str(model),
+        ]) == 0
+        return model
+
+    def _predictor(self, tmp_path, capsys):
+        activities = tmp_path / "activities.tsv"
+        activities.write_text("".join(f"{s}\t{i}\t0\n" for i, s in
+                                      enumerate(["ACGTAC", "AAGTTC", "GGCTAC", "ACGTTT"])))
+        predictor = tmp_path / "ridge.json"
+        assert main(["design", "fit", "--activities", str(activities), "--k", "2",
+                     "--model-out", str(predictor)]) == 0
+        capsys.readouterr()
+        return predictor
+
+    def _fails_naming(self, capsys, argv, path, reason):
+        assert main(argv) == DATA_ERROR
+        err = capsys.readouterr().err
+        assert f"BadModelFile: {path}: {reason}" in err and "Traceback" not in err
+
+    def test_markov_header_without_vocab(self, tmp_path, capsys):
+        model = self._markov(tmp_path)
+        header, rest = model.read_text().split("\n", 1)
+        obj = json.loads(header)
+        del obj["vocab"]
+        model.write_text(json.dumps(obj) + "\n" + rest)
+        self._fails_naming(capsys, ["generate", "--model", f"markov:{model}"], model,
+                           "missing key 'vocab'")
+
+    def test_markov_header_that_is_not_an_object(self, tmp_path, capsys):
+        model = tmp_path / "m.jsonl"
+        model.write_text("[]\n")
+        self._fails_naming(capsys, ["generate", "--model", f"markov:{model}"], model,
+                           "'list' object has no attribute 'get'")
+
+    def test_truncated_bpe_model(self, tmp_path, capsys):
+        corpus = tmp_path / "corpus.fa"
+        write_fasta(corpus, [NucleotideSequence("ACACACAC", id="a")])
+        model = tmp_path / "bpe.json"
+        assert main(["bpe-train", str(corpus), "--target-vocab", "38", "--out", str(model)]) == 0
+        model.write_text(model.read_text()[:40])
+        self._fails_naming(capsys, ["tokenize", "ACGT", "--bpe-model", str(model)], model, "")
+
+    def test_predictor_without_intercept(self, tmp_path, capsys):
+        predictor = self._predictor(tmp_path, capsys)
+        obj = json.loads(predictor.read_text())
+        del obj["intercept"]
+        predictor.write_text(json.dumps(obj))
+        self._fails_naming(capsys, ["design", "contrib", "ACGT", "--predictor", str(predictor)],
+                           predictor, "missing key 'intercept'")
+
+    def test_predictor_with_too_few_weights(self, tmp_path, capsys):
+        predictor = self._predictor(tmp_path, capsys)
+        obj = json.loads(predictor.read_text())
+        obj["weights"] = obj["weights"][:5]
+        predictor.write_text(json.dumps(obj))
+        self._fails_naming(capsys, ["design", "contrib", "ACGT", "--predictor", str(predictor)],
+                           predictor, "5 weights for k=2, expected 4^k")
 
 
 class TestModelWorkflows:

@@ -71,6 +71,11 @@ class TestRecoveryAccuracy:
         with pytest.raises(ReferenceTooShort):
             recovery_accuracy("ACG", "ACG", 4)
 
+    @pytest.mark.parametrize("length", [0, -3])
+    def test_rejects_non_positive_length(self, length):
+        with pytest.raises(ValueError, match="length must be >= 1"):
+            recovery_accuracy("ACG", "ACG", length)
+
 
 class TestRunRecovery:
     def _items(self):

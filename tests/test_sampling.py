@@ -1,16 +1,14 @@
 import numpy as np
 import pytest
 
-from genomelm.errors import ContextOverflow, UnknownPrefixToken
-from genomelm.lm import TokenDistribution, UniformLm, train_markov
+from genomelm.errors import UnknownPrefixToken
+from genomelm.lm import TokenDistribution, UniformLm
 from genomelm.sampling import (
-    CausalAsMaskedLm,
     SamplerConfig,
     Xoshiro256,
     conditioned_generate,
     generate,
     job_rng,
-    mlm_sequential_decode,
 )
 from genomelm.tokenizer import KmerTokenizer, kmer_vocabulary
 
@@ -118,8 +116,6 @@ class TestGenerate:
         lm = FnLm(lambda ctx: dist((VOCAB1.eos, 0.9), (0, 0.1)))
         cfg = SamplerConfig(mode="greedy", max_new_tokens=10)
         assert generate(lm, [], cfg) == []
-        kept = generate(lm, [], cfg, stop_at_eos=False)
-        assert kept == [VOCAB1.eos] * 10
 
     def test_non_eos_specials_are_banned(self):
         lm = FnLm(lambda ctx: dist((VOCAB1.mask, 0.7), (1, 0.3)))
@@ -134,21 +130,6 @@ class TestGenerate:
         c = generate(lm, [0], cfg, job_index=5)
         assert a == b
         assert a != c
-
-    def test_context_budget_rejects_long_prompt_and_trims_context(self):
-        seen = []
-
-        def fn(ctx):
-            seen.append(len(ctx))
-            return dist((0, 1.0))
-
-        lm = FnLm(fn)
-        cfg = SamplerConfig(max_new_tokens=10, context_budget=3)
-        with pytest.raises(ContextOverflow):
-            generate(lm, [0, 1, 2, 3], cfg)
-        seen.clear()
-        generate(lm, [1, 2], cfg)
-        assert max(seen) <= 3
 
 
 class TestConditionedGenerate:
@@ -198,32 +179,3 @@ class TestConditionedGenerate:
             conditioned_generate(lm, tok, "<nope>", cfg)
         with pytest.raises(UnknownPrefixToken):
             conditioned_generate(lm, tok, "A", cfg)
-
-
-class TestMaskedAdapter:
-    def test_mask_at_end_equals_next_token(self):
-        lm = train_markov([[0, 1, 2, 3, 0, 1]], VOCAB1, order=1)
-        mlm = CausalAsMaskedLm(lm)
-        got = mlm.distribution_at_mask([0, 1, VOCAB1.mask]).probs
-        want = lm.next_distribution([0, 1]).probs
-        assert np.allclose(got, want)
-
-    def test_requires_exactly_one_mask(self):
-        mlm = CausalAsMaskedLm(UniformLm(VOCAB1))
-        with pytest.raises(ValueError):
-            mlm.distribution_at_mask([0, 1])
-        with pytest.raises(ValueError):
-            mlm.distribution_at_mask([VOCAB1.mask, VOCAB1.mask])
-
-    def test_sequential_decode_matches_causal_generation(self):
-        lm = train_markov([[0, 1, 2, 3] * 10], VOCAB1, order=2)
-        cfg = SamplerConfig(mode="greedy", max_new_tokens=8)
-        causal = generate(lm, [0], cfg)
-        masked = mlm_sequential_decode(CausalAsMaskedLm(lm), [0], 8, cfg)
-        assert masked == causal
-
-    def test_sequential_decode_validates_steps(self):
-        with pytest.raises(ValueError):
-            mlm_sequential_decode(
-                CausalAsMaskedLm(UniformLm(VOCAB1)), [0], 0, SamplerConfig()
-            )

@@ -9,7 +9,6 @@ from genomelm.errors import (
     ContainsAmbiguousBase,
     EmptyCorpus,
     InvalidSymbol,
-    OffsetOutOfRange,
     SpecialTokenInStream,
     VocabularyMismatch,
 )
@@ -28,7 +27,6 @@ from genomelm.tokenizer import (
     kmer_encode,
     kmer_id,
     kmer_vocabulary,
-    token_char,
 )
 
 dna = st.text(alphabet="ACGT", max_size=300)
@@ -152,20 +150,6 @@ class TestTokenizerForVocabulary:
         for vocab in (bpe, wide, shuffled):
             with pytest.raises(VocabularyMismatch):
                 KmerTokenizer.for_vocabulary(vocab)
-
-
-class TestTokenChar:
-    def test_reads_positions(self):
-        vocab = kmer_vocabulary(3)
-        token_id = kmer_id("ACG")
-        assert [token_char(vocab, token_id, j) for j in range(3)] == ["A", "C", "G"]
-
-    def test_rejects_special_and_bad_offset(self):
-        vocab = kmer_vocabulary(3)
-        with pytest.raises(SpecialTokenInStream):
-            token_char(vocab, vocab.bos, 0)
-        with pytest.raises(OffsetOutOfRange):
-            token_char(vocab, 0, 3)
 
 
 class TestKmerCodec:

@@ -5,7 +5,6 @@ import pytest
 
 from genomelm.errors import DegenerateLabels, RefMismatch, VocabularyMismatch
 from genomelm.lm import TokenDistribution, UniformLm, train_markov
-from genomelm.sampling import CausalAsMaskedLm
 from genomelm.tokenizer import KmerSpec, KmerTokenizer, kmer_encode
 from genomelm.vep import (
     SCORE_CAP,
@@ -15,7 +14,6 @@ from genomelm.vep import (
     check_variant,
     evaluate_vep,
     marginalize_distribution,
-    mlm_vep_score,
     read_variants_tsv,
     vep_score,
 )
@@ -182,14 +180,30 @@ class TestVepScore:
         with pytest.raises(RefMismatch):
             vep_score(lm, KmerTokenizer(1), genome, Variant("c", 2, "G", "T"))
 
-    def test_mlm_adapter_matches_causal_at_default_phase(self):
+    def test_vocabulary_is_checked_once_per_variant(self):
         genome = _toy_genome()
-        lm, tok = _markov_on(genome, 2, order=2)
-        variant = Variant("c", 150, genome["c"].bases[149],
-                          "A" if genome["c"].bases[149] != "A" else "C")
-        causal = vep_score(lm, tok, genome, variant, context_len=32)
-        masked = mlm_vep_score(CausalAsMaskedLm(lm), tok, genome, variant, window=64)
-        assert masked == pytest.approx(causal, abs=1e-12)
+        lm, tok = _markov_on(genome, 3, order=1)
+        calls = []
+
+        class CountingLm:
+            def vocabulary(self):
+                calls.append(1)
+                return lm.vocabulary()
+
+            def next_distribution(self, context):
+                return lm.next_distribution(context)
+
+        variant = Variant("c", 100, genome["c"].bases[99],
+                          "A" if genome["c"].bases[99] != "A" else "C")
+        vep_score(CountingLm(), tok, genome, variant, average_phases=True)
+        assert len(calls) == 1
+
+    def test_vocabulary_mismatch(self):
+        genome = _toy_genome()
+        lm, _ = _markov_on(genome, 2, order=1)
+        with pytest.raises(VocabularyMismatch):
+            vep_score(lm, KmerTokenizer(3), genome, Variant("c", 100, genome["c"].bases[99],
+                      "A" if genome["c"].bases[99] != "A" else "C"))
 
 
 class TestRankingMetrics:
