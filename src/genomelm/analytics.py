@@ -1,8 +1,9 @@
 """Classification metrics and embedding analysis.
 
-The embedding side uses L1-normalized k-mer composition profiles as the
-model-free default; embeddings from an external model arrive through the
-bridge's embed op and are treated identically.
+The embedding side works on any EmbeddingSet, but its only producer is
+`profile_embedding`, an L1-normalized k-mer composition profile: the
+`embed` subcommands use it, and no path calls `BridgeModel.embed`, so
+vectors from an external model are not analysed yet.
 """
 from __future__ import annotations
 
@@ -56,22 +57,14 @@ def weighted_f1(confusion_matrix: Sequence[Sequence[int]]) -> float:
     total = m.sum()
     if total == 0:
         raise EmptyInput("empty confusion matrix")
-    score = 0.0
-    for i in range(m.shape[0]):
-        support = m[i].sum()
-        if support == 0:
-            continue
-        tp = m[i, i]
-        col = m[:, i].sum()
-        precision = tp / col if col else 0.0
-        recall = tp / support
-        f1 = (
-            2 * precision * recall / (precision + recall)
-            if precision + recall > 0
-            else 0.0
-        )
-        score += (support / total) * f1
-    return score
+    tp = np.diag(m)
+    support = m.sum(axis=1)
+    predicted = m.sum(axis=0)
+    precision = np.divide(tp, predicted, out=np.zeros_like(tp), where=predicted > 0)
+    recall = np.divide(tp, support, out=np.zeros_like(tp), where=support > 0)
+    both = precision + recall
+    f1 = np.divide(2 * precision * recall, both, out=np.zeros_like(tp), where=both > 0)
+    return float((support / total) @ f1)
 
 
 def pearson_r(x: Sequence[float], y: Sequence[float]) -> float:
@@ -122,69 +115,34 @@ class PcaResult:
 
 
 def pca_project(embeddings: EmbeddingSet, dims: int = 2) -> PcaResult:
-    """Principal-component projection by power iteration with deflation.
+    """Principal-component projection from the SVD of the centered vectors.
 
-    Components converge when successive estimates have cosine similarity
-    above 1 - 1e-10 (or after 10,000 iterations). Each component's sign is
-    fixed so its largest-magnitude entry is positive. Rank-deficient data
-    yields zero-filled trailing dimensions, reported rather than fatal.
+    Component i has variance s_i^2 / (n - 1). Each component's sign is
+    fixed so its largest-magnitude entry is positive. Components with
+    variance <= 1e-12, and those beyond min(n, d), are zero-filled and
+    counted in degenerate_dims rather than fatal.
     """
     X = embeddings.vectors
-    n = X.shape[0]
+    n, d = X.shape
     if n < dims:
         raise ValueError(f"need at least {dims} points, got {n}")
     Xc = X - X.mean(axis=0)
-    cov = (Xc.T @ Xc) / (n - 1) if n > 1 else np.zeros((X.shape[1],) * 2)
-
-    components = []
-    variances = []
-    degenerate = 0
-    rng = np.random.default_rng(0)
-    work = cov.copy()
-    for _ in range(dims):
-        eigval, vec = _power_iteration(work, rng)
-        if eigval <= 1e-12:
-            degenerate += 1
-            components.append(np.zeros(X.shape[1]))
-            variances.append(0.0)
-            continue
-        # deterministic sign: largest-magnitude entry positive
-        pivot = int(np.argmax(np.abs(vec)))
-        if vec[pivot] < 0:
-            vec = -vec
-        components.append(vec)
-        variances.append(float(eigval))
-        work = work - eigval * np.outer(vec, vec)
-
-    coords = Xc @ np.stack(components, axis=1)
-    return PcaResult(coords=coords, explained_variance=variances, degenerate_dims=degenerate)
-
-
-def _power_iteration(matrix: np.ndarray, rng, tol: float = 1e-10, max_iter: int = 10_000):
-    d = matrix.shape[0]
-    v = rng.normal(size=d)
-    v /= np.linalg.norm(v)
-    eigval = 0.0
-    for _ in range(max_iter):
-        w = matrix @ v
-        norm = np.linalg.norm(w)
-        if norm <= 1e-300:
-            return 0.0, v
-        w /= norm
-        if abs(w @ v) > 1 - tol:
-            v = w
-            eigval = float(v @ matrix @ v)
-            break
-        v = w
-    else:
-        eigval = float(v @ matrix @ v)
-    return eigval, v
+    _, s, vt = np.linalg.svd(Xc, full_matrices=False)  # s descending
+    var = s[:dims] ** 2 / max(n - 1, 1)
+    r = int(np.count_nonzero(var > 1e-12))  # the leading components that carry variance
+    components = np.zeros((dims, d))
+    components[:r] = vt[:r]
+    # deterministic sign: largest-magnitude loading positive
+    pivots = components[np.arange(r), np.abs(vt[:r]).argmax(axis=1)]
+    components[:r] *= np.sign(pivots)[:, None]
+    variances = [float(v) for v in var[:r]] + [0.0] * (dims - r)
+    return PcaResult(coords=Xc @ components.T, explained_variance=variances,
+                     degenerate_dims=dims - r)
 
 
 def silhouette(embeddings: EmbeddingSet, metric: str = "euclidean") -> float:
     """Mean silhouette (b - a) / max(a, b); singleton clusters score 0."""
-    labels = embeddings.labels
-    unique = sorted(set(labels))
+    unique, cluster = np.unique(np.asarray(embeddings.labels), return_inverse=True)
     if len(unique) < 2:
         raise SingleCluster("silhouette needs at least two labels")
     X = embeddings.vectors
@@ -199,22 +157,20 @@ def silhouette(embeddings: EmbeddingSet, metric: str = "euclidean") -> float:
     else:
         raise ValueError(f"unknown metric {metric!r}")
 
-    label_arr = np.asarray(labels)
-    scores = []
-    for i in range(len(labels)):
-        same = label_arr == label_arr[i]
-        n_same = int(same.sum())
-        if n_same == 1:
-            scores.append(0.0)
-            continue
-        a = dist[i][same].sum() / (n_same - 1)
-        b = min(
-            dist[i][label_arr == other].mean()
-            for other in unique
-            if other != label_arr[i]
-        )
-        scores.append((b - a) / max(a, b) if max(a, b) > 0 else 0.0)
-    return float(np.mean(scores))
+    members = np.eye(len(unique))[cluster]  # n x clusters indicator
+    sizes = members.sum(axis=0)
+    totals = dist @ members  # each point's summed distance to each cluster
+    own = sizes[cluster]
+    rows = np.arange(len(cluster))
+    # a: mean distance to the other members of the own cluster
+    a = np.divide(totals[rows, cluster], own - 1, out=np.zeros(len(rows)), where=own > 1)
+    # b: mean distance to the nearest other cluster
+    means = totals / sizes
+    means[rows, cluster] = np.inf
+    b = means.min(axis=1)
+    top = np.maximum(a, b)
+    scores = np.divide(b - a, top, out=np.zeros(len(rows)), where=(own > 1) & (top > 0))
+    return float(scores.mean())
 
 
 # --- export ------------------------------------------------------------------

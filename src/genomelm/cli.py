@@ -17,8 +17,8 @@ from . import analytics, design, ingest, recover, vep
 from .errors import GenomeLmError
 from .lm import MarkovLm, UniformLm, bridge_model, train_markov
 from .sampling import SamplerConfig, conditioned_generate, generate
-from .seqcore import (parse_fasta, read_fasta, reading_model, translate, validate,
-                      write_fasta, write_tsv)
+from .seqcore import (fasta_text, parse_fasta, read_fasta, reading_model, translate,
+                      validate, write_tsv)
 from .tokenizer import (
     BpeModel,
     KmerSpec,
@@ -179,11 +179,9 @@ def cmd_ingest_extract(args):
     else:
         annotations = ingest.parse_bed_like(args.annotations)
     regions = ingest.extract_functional_regions(genome, annotations, args.min_subregion)
+    _emit(args, fasta_text(r.sequence for r in regions))
     if args.out:
-        write_fasta(args.out, [r.sequence for r in regions])
         print(f"wrote {len(regions)} regions to {args.out}", file=sys.stderr)
-    else:
-        write_fasta("/dev/stdout", [r.sequence for r in regions])
     return 0
 
 
@@ -272,7 +270,7 @@ def cmd_recover_build(args):
     items = recover.build_recovery_dataset(
         regions, genome, args.prompt_len, args.predict_len, args.per_group_n, seed=args.seed
     )
-    recover.write_dataset_tsv(args.out or "/dev/stdout", items)
+    _emit(args, recover.dataset_to_tsv(items))
     return 0
 
 
@@ -479,7 +477,7 @@ def build_parser() -> _Parser:
     p.add_argument("--top-p", type=float, default=1.0)
     p.add_argument("--max-new", type=length, default=32)
     p.add_argument("--greedy", action="store_true")
-    p.add_argument("-n", type=int, default=1, help="number of sequences")
+    p.add_argument("-n", type=length, default=1, help="number of sequences")
     p.add_argument("--dedup-against", help="FASTA of sequences to exclude")
     _add_common(p, seed=True)
     p.set_defaults(func=cmd_generate)

@@ -48,15 +48,7 @@ def quantile_labels(activities: Sequence[float]) -> list[str]:
         raise TooFewSamples(f"need at least 4 activities, got {len(activities)}")
     a = np.asarray(activities, dtype=float)
     q25, q75 = np.percentile(a, [25, 75])
-    labels = []
-    for x in a:
-        if x < q25:
-            labels.append("low")
-        elif x > q75:
-            labels.append("high")
-        else:
-            labels.append("mid")
-    return labels
+    return np.where(a < q25, "low", np.where(a > q75, "high", "mid")).tolist()
 
 
 def build_prefix_dataset(

@@ -173,24 +173,34 @@ class MarkovLm:
 
     @classmethod
     def load(cls, path) -> "MarkovLm":
-        with open(path) as fh, reading_model(path):
-            header = json.loads(fh.readline())
-            if header.get("format_version") != cls.FORMAT_VERSION:
-                raise ValueError(f"unsupported model format: {header.get('format_version')}")
-            vocab = Vocabulary(
-                tokens=tuple(header["vocab"]["tokens"]), n_base=header["vocab"]["n_base"]
-            )
-            if header.get("vocab_hash") != vocab.content_hash():
-                raise VocabularyMismatch(
-                    f"{path}: vocab_hash {header.get('vocab_hash')!r} does not match "
-                    f"the stored tokens ({vocab.content_hash()!r})"
+        with open(path) as fh:
+            with reading_model(path):
+                header = json.loads(fh.readline())
+                if header.get("format_version") != cls.FORMAT_VERSION:
+                    raise ValueError(f"unsupported model format: {header.get('format_version')}")
+                vocab = Vocabulary(
+                    tokens=tuple(header["vocab"]["tokens"]), n_base=header["vocab"]["n_base"]
                 )
-            model = cls(vocab, header["order"], header["alpha"], header["lambdas"])
-            for line in fh:
-                row = json.loads(line)
-                model.counts[row["o"]][tuple(row["ctx"])] = {
-                    int(t): c for t, c in row["counts"].items()
-                }
+                if header.get("vocab_hash") != vocab.content_hash():
+                    raise VocabularyMismatch(
+                        f"{path}: vocab_hash {header.get('vocab_hash')!r} does not match "
+                        f"the stored tokens ({vocab.content_hash()!r})"
+                    )
+                model = cls(vocab, header["order"], header["alpha"], header["lambdas"])
+            for line_no, line in enumerate(fh, start=2):
+                try:
+                    row = json.loads(line)
+                    o = row["o"]
+                    if not 0 <= o <= model.order:
+                        raise ValueError(f"order {o} outside 0..{model.order}")
+                    model.counts[o][tuple(row["ctx"])] = {
+                        int(t): c for t, c in row["counts"].items()
+                    }
+                except Exception:
+                    # entered only on failure: a context manager per row would
+                    # add a few microseconds to each of thousands of rows
+                    with reading_model(f"{path}: line {line_no}"):
+                        raise
         return model
 
 

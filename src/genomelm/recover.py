@@ -15,7 +15,7 @@ from .errors import InsufficientData, ReferenceTooShort
 from .ingest import FunctionalRegion
 from .lm import CausalLm, check_vocabulary
 from .sampling import SamplerConfig, generate
-from .seqcore import NucleotideSequence, read_tsv, write_tsv
+from .seqcore import NucleotideSequence, read_tsv, tsv_text
 from .tokenizer import KmerTokenizer
 
 
@@ -76,9 +76,9 @@ def build_recovery_dataset(
         by_group.setdefault(group, []).append(
             RecoveryItem(prompt=prompt, reference=reference, taxon_group=group)
         )
+    if per_group_n and not by_group:
+        raise InsufficientData("any taxon group", per_group_n, 0)
     items: list[RecoveryItem] = []
-    if per_group_n == 0:
-        return items
     for group in sorted(by_group):
         pool = by_group[group]
         if len(pool) < per_group_n:
@@ -172,9 +172,10 @@ def run_recovery(
     return report
 
 
-def write_dataset_tsv(path, items: Sequence[RecoveryItem]) -> None:
-    write_tsv(path, ("prompt", "reference", "taxon_group"),
-              ((i.prompt, i.reference, i.taxon_group) for i in items))
+def dataset_to_tsv(items: Sequence[RecoveryItem]) -> str:
+    """The table `read_dataset_tsv` reads."""
+    return tsv_text(("prompt", "reference", "taxon_group"),
+                    ((i.prompt, i.reference, i.taxon_group) for i in items))
 
 
 def read_dataset_tsv(path) -> list[RecoveryItem]:

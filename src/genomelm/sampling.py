@@ -75,10 +75,9 @@ class SamplerConfig:
 
 
 def _select(dist: TokenDistribution, cfg: SamplerConfig, rng: Xoshiro256,
-            banned: Sequence[int]) -> int:
+            banned: np.ndarray) -> int:
     probs = dist.probs.copy()
-    for b in banned:
-        probs[b] = 0.0
+    probs[banned] = 0.0
     total = probs.sum()
     if total <= 0:
         raise ValueError("all candidate tokens are masked out")
@@ -88,13 +87,11 @@ def _select(dist: TokenDistribution, cfg: SamplerConfig, rng: Xoshiro256,
         return int(np.argmax(probs))  # argmax ties resolve to the lowest id
 
     if cfg.temperature != 1.0:
+        # zero-probability ids stay at exp(-inf) = 0
         with np.errstate(divide="ignore"):
             logits = np.where(probs > 0, np.log(probs), -np.inf) / cfg.temperature
         logits -= logits.max()
         probs = np.exp(logits)
-        probs[dist.probs <= 0] = 0.0
-        for b in banned:
-            probs[b] = 0.0
         probs /= probs.sum()
 
     # nucleus: probability-sorted prefix with cumulative mass >= P,
@@ -106,13 +103,10 @@ def _select(dist: TokenDistribution, cfg: SamplerConfig, rng: Xoshiro256,
     kept_probs = probs[kept]
     kept_probs /= kept_probs.sum()
 
-    u = rng.uniform()
-    acc = 0.0
-    for token_id, p in zip(kept, kept_probs):
-        acc += p
-        if u < acc:
-            return int(token_id)
-    return int(kept[-1])
+    # the first kept id whose cumulative mass exceeds u; the last one if rounding
+    # leaves the total at or below u
+    pick = np.searchsorted(np.cumsum(kept_probs), rng.uniform(), side="right")
+    return int(kept[min(pick, len(kept) - 1)])
 
 
 def generate(
@@ -127,7 +121,8 @@ def generate(
     Deterministic given (lm, prompt, cfg, job_index).
     """
     vocab = lm.vocabulary()
-    banned = [i for i in range(vocab.n_base, len(vocab)) if i != vocab.eos]
+    specials = np.arange(vocab.n_base, len(vocab), dtype=np.int64)
+    banned = specials[specials != vocab.eos]
     rng = job_rng(cfg.seed, job_index)
     context = list(prompt_ids)
     out: list[int] = []

@@ -8,6 +8,7 @@ from __future__ import annotations
 import re
 from contextlib import contextmanager
 from dataclasses import dataclass, field
+from pathlib import Path
 from typing import Callable, Iterable, Iterator, Optional, Sequence, TypeVar
 
 from .errors import AmbiguousBase, BadModelFile, BadRow, InvalidSymbol
@@ -177,20 +178,26 @@ def _fasta_record(header: str, chunks: list[str]) -> NucleotideSequence:
     return validate("".join(chunks), id=fields[0], meta=meta)
 
 
-def write_fasta(path, seqs: Iterable[NucleotideSequence], width: int = 60) -> None:
+def fasta_text(seqs: Iterable[NucleotideSequence], width: int = 60) -> str:
+    """FASTA records, `width` bases a line, with `id|taxon|feature` headers
+    when a sequence carries that metadata."""
     if width < 1:
         raise ValueError(f"line width must be positive, got {width}")
-    with open(path, "w") as fh:
-        for seq in seqs:
-            header = seq.id or "seq"
-            taxon = seq.meta.get("taxon_group")
-            feature = seq.meta.get("feature_type")
-            if taxon or feature:
-                header = f"{header}|{taxon or ''}|{feature or ''}"
-            fh.write(f">{header}\n")
-            # an empty sequence still gets one (empty) line
-            for i in range(0, max(len(seq.bases), 1), width):
-                fh.write(seq.bases[i : i + width] + "\n")
+    lines = []
+    for seq in seqs:
+        header = seq.id or "seq"
+        taxon = seq.meta.get("taxon_group")
+        feature = seq.meta.get("feature_type")
+        if taxon or feature:
+            header = f"{header}|{taxon or ''}|{feature or ''}"
+        lines.append(f">{header}")
+        # an empty sequence still gets one (empty) line
+        lines.extend(seq.bases[i : i + width] for i in range(0, max(len(seq.bases), 1), width))
+    return "".join(line + "\n" for line in lines)
+
+
+def write_fasta(path, seqs: Iterable[NucleotideSequence], width: int = 60) -> None:
+    Path(path).write_text(fasta_text(seqs, width))
 
 
 # --- TSV i/o -----------------------------------------------------------------
@@ -224,20 +231,24 @@ def read_tsv(
     return rows
 
 
-def write_tsv(path, header: Sequence[str], rows: Iterable[Sequence]) -> None:
+def tsv_text(header: Sequence[str], rows: Iterable[Sequence]) -> str:
     """A '#'-prefixed header line, then one tab-joined line per row."""
-    with open(path, "w") as fh:
-        fh.write("#" + "\t".join(header) + "\n")
-        for row in rows:
-            fh.write("\t".join(map(str, row)) + "\n")
+    lines = ["#" + "\t".join(header)]
+    lines.extend("\t".join(map(str, row)) for row in rows)
+    return "\n".join(lines) + "\n"
+
+
+def write_tsv(path, header: Sequence[str], rows: Iterable[Sequence]) -> None:
+    Path(path).write_text(tsv_text(header, rows))
 
 
 @contextmanager
-def reading_model(path):
-    """Report a missing key, bad JSON or bad value in model file `path` as BadModelFile."""
+def reading_model(where):
+    """Report a missing key, bad JSON or bad value in a model file as
+    BadModelFile; `where` names the file, or the file and line."""
     try:
         yield
     except KeyError as exc:
-        raise BadModelFile(f"{path}: missing key {exc.args[0]!r}") from exc
+        raise BadModelFile(f"{where}: missing key {exc.args[0]!r}") from exc
     except (AttributeError, IndexError, TypeError, ValueError) as exc:
-        raise BadModelFile(f"{path}: {exc}") from exc
+        raise BadModelFile(f"{where}: {exc}") from exc

@@ -155,54 +155,40 @@ def vep_score(
 
 # --- classification metrics --------------------------------------------------
 
+def _tie_groups(statistic: Sequence[float], labels: Sequence[int]):
+    """Per distinct statistic value, ascending: how many items hold it and how
+    many of them are positive; plus the total positives. Raises
+    DegenerateLabels unless both classes occur."""
+    y = np.asarray(labels, dtype=int)
+    _, inverse, counts = np.unique(
+        np.asarray(statistic, dtype=float), return_inverse=True, return_counts=True
+    )
+    positives = np.bincount(inverse, weights=y, minlength=len(counts))
+    n_pos = int(y.sum())
+    if n_pos == 0 or n_pos == len(y):
+        raise DegenerateLabels("need at least one positive and one negative label")
+    return counts, positives, n_pos
+
+
 def auroc(statistic: Sequence[float], labels: Sequence[int]) -> float:
     """Rank-based AUROC; higher statistic means positive class. Ties get
     the average rank."""
-    y = np.asarray(labels, dtype=int)
-    s = np.asarray(statistic, dtype=float)
-    n_pos = int(y.sum())
-    n_neg = len(y) - n_pos
-    if n_pos == 0 or n_neg == 0:
-        raise DegenerateLabels("need at least one positive and one negative label")
-    order = np.argsort(s, kind="stable")
-    ranks = np.empty(len(s), dtype=float)
-    sorted_s = s[order]
-    i = 0
-    while i < len(s):
-        jx = i
-        while jx + 1 < len(s) and sorted_s[jx + 1] == sorted_s[i]:
-            jx += 1
-        ranks[order[i : jx + 1]] = (i + jx) / 2 + 1  # average 1-based rank
-        i = jx + 1
-    rank_sum = ranks[y == 1].sum()
+    counts, positives, n_pos = _tie_groups(statistic, labels)
+    n_neg = int(counts.sum()) - n_pos
+    last = np.cumsum(counts)  # 1-based rank of each group's last item
+    mean_rank = (last - counts + 1 + last) / 2
+    rank_sum = (mean_rank * positives).sum()  # sums of half-integers: exact in any order
     return float((rank_sum - n_pos * (n_pos + 1) / 2) / (n_pos * n_neg))
 
 
 def auprc(statistic: Sequence[float], labels: Sequence[int]) -> float:
     """Step-wise precision-recall integration (higher statistic = positive)."""
-    y = np.asarray(labels, dtype=int)
-    s = np.asarray(statistic, dtype=float)
-    n_pos = int(y.sum())
-    if n_pos == 0 or n_pos == len(y):
-        raise DegenerateLabels("need at least one positive and one negative label")
-    order = np.argsort(-s, kind="stable")
-    y_sorted = y[order]
-    s_sorted = s[order]
-    tp = 0
-    area = 0.0
-    prev_recall = 0.0
-    i = 0
-    while i < len(y_sorted):
-        jx = i
-        while jx + 1 < len(y_sorted) and s_sorted[jx + 1] == s_sorted[i]:
-            jx += 1
-        tp += int(y_sorted[i : jx + 1].sum())
-        precision = tp / (jx + 1)
-        recall = tp / n_pos
-        area += precision * (recall - prev_recall)
-        prev_recall = recall
-        i = jx + 1
-    return float(area)
+    counts, positives, n_pos = _tie_groups(statistic, labels)
+    tp = np.cumsum(positives[::-1])
+    precision = tp / np.cumsum(counts[::-1])
+    recall = tp / n_pos
+    steps = precision * np.diff(recall, prepend=0.0)
+    return float(np.cumsum(steps)[-1])  # cumsum adds left to right, as a loop would
 
 
 def evaluate_vep(scores: Sequence[float], labels: Sequence[str]) -> dict:

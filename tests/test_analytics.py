@@ -2,6 +2,8 @@ import math
 
 import numpy as np
 import pytest
+from hypothesis import given, settings
+from hypothesis import strategies as st
 
 from genomelm.errors import (
     ConstantInput,
@@ -40,7 +42,33 @@ class TestMcc:
             ConfusionCounts(-1, 0, 0, 0)
 
 
+def weighted_f1_oracle(confusion_matrix):
+    """Per-class loop over precision, recall and F1."""
+    m = np.asarray(confusion_matrix, dtype=float)
+    total = m.sum()
+    score = 0.0
+    for i in range(m.shape[0]):
+        support = m[i].sum()
+        if support == 0:
+            continue
+        tp = m[i, i]
+        col = m[:, i].sum()
+        precision = tp / col if col else 0.0
+        recall = tp / support
+        f1 = 2 * precision * recall / (precision + recall) if precision + recall > 0 else 0.0
+        score += (support / total) * f1
+    return score
+
+
 class TestWeightedF1:
+    @settings(max_examples=200, deadline=None)
+    @given(st.integers(1, 6).flatmap(
+        lambda c: st.lists(st.lists(st.integers(0, 9), min_size=c, max_size=c),
+                           min_size=c, max_size=c)
+    ).filter(lambda m: sum(map(sum, m)) > 0))
+    def test_matches_the_per_class_loop(self, matrix):
+        assert weighted_f1(matrix) == pytest.approx(weighted_f1_oracle(matrix), abs=1e-12)
+
     def test_symmetric_fixture_is_two_thirds(self):
         # every class: support 3, tp 2, precision 2/3, recall 2/3, F1 2/3
         matrix = [[2, 1, 0], [0, 2, 1], [1, 0, 2]]
@@ -136,11 +164,23 @@ class TestPca:
         emb = EmbeddingSet(vectors=X, labels=["x"] * 30)
         result = pca_project(emb, dims=3)
         want_coords, want_vars = _eigh_oracle(X, 3)
-        # the power iteration stops at cosine 1 - 1e-10, so components are
-        # accurate to roughly sqrt(tol); compare at that level
-        assert np.allclose(result.explained_variance, want_vars, atol=1e-8)
-        assert np.allclose(result.coords, want_coords, atol=1e-3)
+        assert np.allclose(result.explained_variance, want_vars, rtol=0, atol=1e-9)
+        assert np.allclose(result.coords, want_coords, rtol=0, atol=1e-9)
         assert result.degenerate_dims == 0
+
+    def test_exact_when_the_top_two_variances_nearly_tie(self):
+        # lambda2 / lambda1 = 0.9999: an iterate that stops once successive
+        # estimates agree leaves PC1 and PC2 mixed
+        np_rng = np.random.default_rng(5)
+        n, variances = 40, np.array([1.0, 0.9999, 0.3, 0.1, 0.01])
+        A = np_rng.normal(size=(n, 5))
+        Z, _ = np.linalg.qr(A - A.mean(axis=0))  # centered orthonormal columns
+        rotation, _ = np.linalg.qr(np_rng.normal(size=(5, 5)))
+        X = (Z * np.sqrt((n - 1) * variances)) @ rotation.T
+        result = pca_project(EmbeddingSet(vectors=X, labels=["x"] * n), dims=3)
+        want_coords, want_vars = _eigh_oracle(X, 3)
+        assert np.allclose(result.explained_variance, want_vars, rtol=0, atol=1e-9)
+        assert np.allclose(result.coords, want_coords, rtol=0, atol=1e-9)
 
     def test_components_capture_descending_variance(self):
         np_rng = np.random.default_rng(4)
@@ -157,12 +197,59 @@ class TestPca:
         assert np.allclose(result.coords[:, 1], 0.0)
         assert result.explained_variance[1] == 0.0
 
+    def test_dims_beyond_the_vector_width_are_degenerate(self):
+        X = np.random.default_rng(2).normal(size=(6, 2))
+        result = pca_project(EmbeddingSet(vectors=X, labels=["x"] * 6), dims=4)
+        assert result.degenerate_dims == 2
+        assert result.coords.shape == (6, 4)
+        assert np.allclose(result.coords[:, 2:], 0.0)
+        assert result.explained_variance[2:] == [0.0, 0.0]
+
     def test_needs_enough_points(self):
         with pytest.raises(ValueError):
             pca_project(EmbeddingSet(vectors=np.zeros((1, 4)), labels=["a"]), dims=2)
 
 
+def silhouette_oracle(X, labels, metric):
+    """Per-point loop over own-cluster and nearest-cluster mean distances."""
+    if metric == "euclidean":
+        sq = (X**2).sum(axis=1)
+        dist = np.sqrt(np.clip(sq[:, None] + sq[None, :] - 2 * (X @ X.T), 0, None))
+    else:
+        norms = np.linalg.norm(X, axis=1)
+        dist = 1 - (X @ X.T) / np.outer(norms, norms)
+        np.fill_diagonal(dist, 0)
+    label_arr = np.asarray(labels)
+    scores = []
+    for i in range(len(labels)):
+        same = label_arr == label_arr[i]
+        n_same = int(same.sum())
+        if n_same == 1:
+            scores.append(0.0)
+            continue
+        a = dist[i][same].sum() / (n_same - 1)
+        b = min(dist[i][label_arr == other].mean()
+                for other in set(labels) if other != label_arr[i])
+        scores.append((b - a) / max(a, b) if max(a, b) > 0 else 0.0)
+    return float(np.mean(scores))
+
+
 class TestSilhouette:
+    @settings(max_examples=200, deadline=None)
+    @given(
+        rows=st.integers(2, 14).flatmap(lambda n: st.lists(
+            st.tuples(st.sampled_from("abcd"),
+                      st.lists(st.floats(0.05, 5.0), min_size=3, max_size=3)),
+            min_size=n, max_size=n,
+        )).filter(lambda rows: len({label for label, _ in rows}) >= 2),
+        metric=st.sampled_from(["euclidean", "cosine"]),
+    )
+    def test_matches_the_per_point_loop(self, rows, metric):
+        labels = [label for label, _ in rows]
+        X = np.array([vec for _, vec in rows])
+        got = silhouette(EmbeddingSet(vectors=X, labels=labels), metric=metric)
+        assert got == pytest.approx(silhouette_oracle(X, labels, metric), abs=1e-12)
+
     def test_hand_fixture(self):
         X = np.array([[0.0], [1.0], [10.0], [11.0]])
         emb = EmbeddingSet(vectors=X, labels=["a", "a", "b", "b"])

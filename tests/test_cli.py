@@ -241,6 +241,21 @@ class TestLengthFlags:
         assert f"= '{value}' is not a valid length" in capsys.readouterr().err
 
 
+    def test_sequence_count_must_be_positive(self, tmp_path, capsys):
+        for value in ("0", "-2"):
+            assert main(["generate", "--model", "uniform:1", "-n", value]) == USAGE_ERROR
+            captured = capsys.readouterr()
+            assert captured.out == "" and "invalid length" in captured.err
+        config = tmp_path / "t.conf"
+        config.write_text("n = 0\n")
+        out = tmp_path / "gen.txt"
+        argv = ["generate", "--model", "uniform:1", "--config", str(config), "--out", str(out)]
+        assert main(argv) == USAGE_ERROR
+        captured = capsys.readouterr()
+        assert captured.out == "" and "n = '0' is not a valid length" in captured.err
+        assert not out.exists()
+
+
 class TestModelFileErrors:
     def _markov(self, tmp_path):
         corpus = tmp_path / "corpus.fa"
@@ -280,6 +295,20 @@ class TestModelFileErrors:
         model.write_text("[]\n")
         self._fails_naming(capsys, ["generate", "--model", f"markov:{model}"], model,
                            "'list' object has no attribute 'get'")
+
+    @pytest.mark.parametrize("row, reason", [
+        ('{"o": 1, "ctx": [0], "cou', "Invalid control character"),
+        ('{"o": 1, "ctx": [0]}', "missing key 'counts'"),
+        ('{"o": 2, "ctx": [0, 0], "counts": {"1": 3}}', "order 2 outside 0..1"),
+        ('{"o": -1, "ctx": [], "counts": {"1": 3}}', "order -1 outside 0..1"),
+    ])
+    def test_markov_body_row_names_the_line(self, tmp_path, capsys, row, reason):
+        model = self._markov(tmp_path)
+        lines = model.read_text().splitlines()
+        lines[3] = row
+        model.write_text("\n".join(lines) + "\n")
+        self._fails_naming(capsys, ["generate", "--model", f"markov:{model}"], model,
+                           f"line 4: {reason}")
 
     def test_truncated_bpe_model(self, tmp_path, capsys):
         corpus = tmp_path / "corpus.fa"
@@ -328,6 +357,31 @@ class TestModelWorkflows:
         assert len(lines) == 3
         assert all(set(line) <= set("ACGT") and len(line) == 40 for line in lines)
 
+    @pytest.mark.parametrize("argv, want", [
+        (["--temperature", "0.7", "--top-p", "0.9", "--seed", "5", "-n", "3", "--max-new", "40"],
+         "GCAGTAACATTTTATCAACAGCATTTCAGGTTCTGAAACA\n"
+         "CGACTGAGGGTTGGCCCAACTAGAGAAGAGGTTGCAGCGG\n"
+         "TGCACAGCTTGTGGACATATTAACCGTTTATTAATGACGA\n"),
+        (["--greedy", "--prompt", "acgtac", "--max-new", "20"], "CATTAATTAATTAATTAATT\n"),
+        (["--prefix", "<high>", "--temperature", "1.3", "--top-p", "0.5", "--seed", "3",
+          "-n", "2", "--max-new", "30"],
+         "GCATGCAAAATGAAATGCCAAAAATGACCT\nGAATTGCCTGCCAAATTGACCTGAAAATTA\n"),
+        (["--seed", "9", "-n", "2", "--max-new", "30"],
+         "CTATGCTTAGCCCTGCGTATTTGAGCGAGG\nTTCCTTGAGCTATGGGGATTTCTTCCACCT\n"),
+    ])
+    def test_generate_output_is_pinned(self, tmp_path, capsys, argv, want):
+        # bytes recorded from the per-token Python sampler loop; a change to
+        # the sampler step or the random stream shows up here
+        corpus = tmp_path / "corpus.fa"
+        write_corpus(corpus, seed=0)
+        model = tmp_path / "markov.jsonl"
+        assert main([
+            "train-markov", str(corpus), "--k", "1", "--order", "2", "--model-out", str(model),
+        ]) == 0
+        capsys.readouterr()
+        assert main(["generate", "--model", f"markov:{model}", *argv]) == 0
+        assert capsys.readouterr().out == want
+
     def test_generate_with_uniform_model_and_prompt(self, tmp_path, capsys):
         assert main([
             "generate", "--model", "uniform:1", "--prompt", "ACGT",
@@ -357,6 +411,19 @@ class TestModelWorkflows:
         ]) == 0
         report = json.loads(capsys.readouterr().out)
         assert set(report["overall"]) == {"6", "12"}
+
+    def test_build_with_no_eligible_region_is_data_error(self, tmp_path, capsys):
+        genome = tmp_path / "genome.fa"
+        write_corpus(genome, n=1, length=100, seed=3)
+        annotations = tmp_path / "ann.tsv"
+        annotations.write_text("s0\t1\t40\t+\tgene\tfungi\n")  # no room for a prompt
+        out = tmp_path / "items.tsv"
+        assert main([
+            "recover", "build", "--genome", str(genome), "--annotations", str(annotations),
+            "--prompt-len", "4", "--predict-len", "12", "--per-group-n", "1", "--out", str(out),
+        ]) == DATA_ERROR
+        assert "InsufficientData" in capsys.readouterr().err
+        assert not out.exists()
 
     def test_vep_pipeline(self, tmp_path, capsys):
         genome = tmp_path / "genome.fa"
@@ -580,6 +647,26 @@ class TestEmbedWorkflow:
         assert main(["embed", "silhouette", "--in", str(path), "--k", "2"]) == 0
         value = float(capsys.readouterr().out)
         assert value > 0.3
+
+
+class TestStdoutSink:
+    @pytest.mark.parametrize("argv", [
+        ["ingest", "extract"],
+        ["recover", "build", "--prompt-len", "20", "--predict-len", "12", "--per-group-n", "2"],
+    ])
+    def test_stdout_equals_the_out_file(self, tmp_path, argv):
+        genome = tmp_path / "genome.fa"
+        write_corpus(genome, n=1, length=400, seed=3)
+        annotations = tmp_path / "ann.tsv"
+        annotations.write_text("s0\t100\t200\t+\tgene\tfungi\ns0\t250\t350\t+\tgene\tfungi\n")
+        argv = argv + ["--genome", str(genome), "--annotations", str(annotations)]
+        out = tmp_path / "out"
+        assert main(argv + ["--out", str(out)]) == 0
+        captured = io.StringIO()
+        with contextlib.redirect_stdout(captured):
+            assert main(argv) == 0
+        assert captured.getvalue().startswith(("#prompt", ">s0"))
+        assert captured.getvalue() == out.read_text()
 
 
 class TestIngestCommands:

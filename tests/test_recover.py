@@ -13,9 +13,9 @@ from genomelm.recover import (
     RecoveryItem,
     build_recovery_dataset,
     read_dataset_tsv,
+    dataset_to_tsv,
     recovery_accuracy,
     run_recovery,
-    write_dataset_tsv,
 )
 from genomelm.sampling import SamplerConfig
 from genomelm.seqcore import NucleotideSequence
@@ -178,6 +178,13 @@ class TestBuildDataset:
         assert exc.value.group == "fungi"
         assert exc.value.available == 2
 
+    def test_no_eligible_region_in_any_group_raises(self):
+        regions, genome = self._fixture()
+        with pytest.raises(InsufficientData) as exc:
+            build_recovery_dataset(regions, genome, 60, 12, per_group_n=1)
+        assert exc.value.available == 0
+        assert build_recovery_dataset(regions, genome, 60, 12, per_group_n=0) == []
+
     def test_seeded_sampling_is_reproducible(self):
         regions, genome = self._fixture()
         a = build_recovery_dataset(regions, genome, 10, 12, 1, seed=4)
@@ -188,5 +195,5 @@ class TestBuildDataset:
         regions, genome = self._fixture()
         items = build_recovery_dataset(regions, genome, 10, 12, 2)
         path = tmp_path / "dataset.tsv"
-        write_dataset_tsv(path, items)
+        path.write_text(dataset_to_tsv(items))
         assert read_dataset_tsv(path) == items

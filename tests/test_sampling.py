@@ -1,11 +1,14 @@
 import numpy as np
 import pytest
+from hypothesis import given, settings
+from hypothesis import strategies as st
 
 from genomelm.errors import UnknownPrefixToken
 from genomelm.lm import TokenDistribution, UniformLm
 from genomelm.sampling import (
     SamplerConfig,
     Xoshiro256,
+    _select,
     conditioned_generate,
     generate,
     job_rng,
@@ -130,6 +133,84 @@ class TestGenerate:
         c = generate(lm, [0], cfg, job_index=5)
         assert a == b
         assert a != c
+
+
+def _select_oracle(dist, cfg, rng, banned):
+    """The per-token loop version of one sampler step."""
+    probs = dist.probs.copy()
+    for b in banned:
+        probs[b] = 0.0
+    total = probs.sum()
+    if total <= 0:
+        raise ValueError("all candidate tokens are masked out")
+    probs /= total
+    if cfg.mode == "greedy":
+        return int(np.argmax(probs))
+    if cfg.temperature != 1.0:
+        with np.errstate(divide="ignore"):
+            logits = np.where(probs > 0, np.log(probs), -np.inf) / cfg.temperature
+        logits -= logits.max()
+        probs = np.exp(logits)
+        probs[dist.probs <= 0] = 0.0
+        for b in banned:
+            probs[b] = 0.0
+        probs /= probs.sum()
+    order = np.lexsort((np.arange(len(probs)), -probs))
+    cum = np.cumsum(probs[order])
+    cut = int(np.searchsorted(cum, cfg.nucleus_p - 1e-12)) + 1
+    kept = order[:cut]
+    kept_probs = probs[kept]
+    kept_probs /= kept_probs.sum()
+    u = rng.uniform()
+    acc = 0.0
+    for token_id, p in zip(kept, kept_probs):
+        acc += p
+        if u < acc:
+            return int(token_id)
+    return int(kept[-1])
+
+
+class TestSelect:
+    @settings(max_examples=300, deadline=None)
+    @given(
+        data=st.data(),
+        # small integer weights give zeros and ties
+        weights=st.lists(st.integers(0, 4), min_size=1, max_size=40),
+        temperature=st.one_of(st.just(1.0), st.floats(0.01, 3.0)),
+        nucleus_p=st.one_of(st.just(1.0), st.floats(0.01, 1.0)),
+        mode=st.sampled_from(["sample", "greedy"]),
+        seed=st.integers(0, 2**32),
+    )
+    def test_matches_the_loop_oracle(self, data, weights, temperature, nucleus_p, mode, seed):
+        w = np.asarray(weights, dtype=float)
+        if w.sum() == 0:
+            w[0] = 1.0
+        banned = data.draw(st.lists(st.integers(0, len(w) - 1), unique=True))
+        dist = TokenDistribution(w / w.sum())
+        cfg = SamplerConfig(temperature=temperature, nucleus_p=nucleus_p, mode=mode)
+        fast_rng, slow_rng = Xoshiro256(seed), Xoshiro256(seed)
+        try:
+            want = _select_oracle(dist, cfg, slow_rng, banned)
+        except ValueError:
+            with pytest.raises(ValueError, match="masked out"):
+                _select(dist, cfg, fast_rng, np.asarray(banned, dtype=np.int64))
+            return
+        assert _select(dist, cfg, fast_rng, np.asarray(banned, dtype=np.int64)) == want
+        assert fast_rng.s == slow_rng.s
+
+    @pytest.mark.parametrize("n_equal, u, want", [
+        (2, 0.5, 1),  # u on a cumulative boundary belongs to the next id
+        (21, 1 - 2**-53, 20),  # the cumulative total rounds to below u: the last id
+    ])
+    def test_draw_at_the_edges_of_the_cumulative_mass(self, n_equal, u, want):
+        class FixedDraw:
+            def uniform(self):
+                return u
+
+        d = dist(*((i, 1 / n_equal) for i in range(n_equal)))
+        banned = np.empty(0, dtype=np.int64)
+        assert _select(d, SamplerConfig(), FixedDraw(), banned) == want
+        assert _select_oracle(d, SamplerConfig(), FixedDraw(), banned) == want
 
 
 class TestConditionedGenerate:

@@ -2,6 +2,8 @@ import math
 
 import numpy as np
 import pytest
+from hypothesis import given, settings
+from hypothesis import strategies as st
 
 from genomelm.errors import DegenerateLabels, RefMismatch, VocabularyMismatch
 from genomelm.lm import TokenDistribution, UniformLm, train_markov
@@ -206,7 +208,69 @@ class TestVepScore:
                       "A" if genome["c"].bases[99] != "A" else "C"))
 
 
+def auroc_oracle(statistic, labels):
+    """Average ranks by walking the sorted statistic tie group by tie group."""
+    y = np.asarray(labels, dtype=int)
+    s = np.asarray(statistic, dtype=float)
+    n_pos = int(y.sum())
+    n_neg = len(y) - n_pos
+    order = np.argsort(s, kind="stable")
+    ranks = np.empty(len(s), dtype=float)
+    sorted_s = s[order]
+    i = 0
+    while i < len(s):
+        jx = i
+        while jx + 1 < len(s) and sorted_s[jx + 1] == sorted_s[i]:
+            jx += 1
+        ranks[order[i : jx + 1]] = (i + jx) / 2 + 1
+        i = jx + 1
+    rank_sum = ranks[y == 1].sum()
+    return float((rank_sum - n_pos * (n_pos + 1) / 2) / (n_pos * n_neg))
+
+
+def auprc_oracle(statistic, labels):
+    """Precision-recall steps accumulated one tie group at a time, descending."""
+    y = np.asarray(labels, dtype=int)
+    s = np.asarray(statistic, dtype=float)
+    n_pos = int(y.sum())
+    order = np.argsort(-s, kind="stable")
+    y_sorted = y[order]
+    s_sorted = s[order]
+    tp = 0
+    area = 0.0
+    prev_recall = 0.0
+    i = 0
+    while i < len(y_sorted):
+        jx = i
+        while jx + 1 < len(y_sorted) and s_sorted[jx + 1] == s_sorted[i]:
+            jx += 1
+        tp += int(y_sorted[i : jx + 1].sum())
+        precision = tp / (jx + 1)
+        recall = tp / n_pos
+        area += precision * (recall - prev_recall)
+        prev_recall = recall
+        i = jx + 1
+    return float(area)
+
+
 class TestRankingMetrics:
+    @settings(max_examples=300, deadline=None)
+    @given(
+        # mostly a few distinct values, so most items share their statistic
+        pairs=st.lists(
+            st.tuples(st.one_of(st.sampled_from([-2.5, -1.0, -0.0, 0.0, 0.1, 0.3, 7.0]),
+                                st.floats(-10, 10)),
+                      st.integers(0, 1)),
+            min_size=2, max_size=60,
+        ).filter(lambda ps: 0 < sum(y for _, y in ps) < len(ps)),
+    )
+    def test_equal_to_the_loop_oracles_under_ties(self, pairs):
+        scores = [s for s, _ in pairs]
+        labels = [y for _, y in pairs]
+        assert auroc(scores, labels) == auroc_oracle(scores, labels)
+        assert auprc(scores, labels) == auprc_oracle(scores, labels)
+
+
     SCORES = [0.9, 0.8, 0.7, 0.6, 0.5, 0.4]
     LABELS = [1, 1, 0, 1, 0, 0]
 
