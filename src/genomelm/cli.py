@@ -465,7 +465,8 @@ def build_parser() -> _Parser:
     p.add_argument("--lambdas", help="comma-separated interpolation weights")
     p.add_argument("--random-offset", action="store_true",
                    help="randomize the tokenization phase per sequence")
-    p.add_argument("--model-out", required=True)
+    p.add_argument("--model-out", required=True,
+                   help="model file to write, an .npz archive whatever its name")
     _add_common(p, seed=True, out=False)
     p.set_defaults(func=cmd_train_markov)
 

@@ -10,12 +10,14 @@ import math
 import socket
 import subprocess
 import select
+import zipfile
 from dataclasses import dataclass
 from typing import Optional, Protocol, Sequence, runtime_checkable
 
 import numpy as np
 
 from .errors import (
+    BadModelFile,
     BadSmoothing,
     BridgeTimeout,
     EmptyCorpus,
@@ -48,7 +50,14 @@ class TokenDistribution:
 
 @runtime_checkable
 class CausalLm(Protocol):
-    """Anything that maps a token-id context to a next-token distribution."""
+    """Anything that maps a token-id context to a next-token distribution.
+
+    `context_window` is how many trailing context ids the model reads, or
+    None when it may read them all; callers pass no more than that, and
+    treat a model without the attribute as None.
+    """
+
+    context_window: Optional[int]
 
     def next_distribution(self, context: Sequence[int]) -> TokenDistribution: ...
 
@@ -57,6 +66,8 @@ class CausalLm(Protocol):
 
 class UniformLm:
     """Uniform next-token model; the random-guessing baseline."""
+
+    context_window = 0
 
     def __init__(self, vocab: Vocabulary):
         self._vocab = vocab
@@ -76,13 +87,23 @@ class MarkovLm:
     ids c is (count(c,t) + alpha) / (count(c,*) + alpha*|V|); the emitted
     distribution is sum_o lambda_o * estimate_o, strictly positive.
 
-    Each (order, context) count table is compiled on first use into a cached
-    row of numpy arrays. Only contexts present in `counts` are cached, and
-    `observe` clears the cache; `counts` must not be edited by hand once the
-    model has been queried.
+    The counts of each order are sorted arrays in compressed-row form: the
+    observed contexts as ascending int64 keys, each context's row start in
+    the entry arrays (`offsets`, one more than the contexts), and the
+    entries' int32 token ids (ascending within a row) and int64 counts.
+    The order-o context c_1..c_o has the key r * |V| + c_1, where r is the
+    row of its suffix c_2..c_o among the order-(o-1) contexts. A suffix of
+    an observed context is observed too, so every key is below (contexts
+    of order o-1) * |V| at any order. The empty context of order 0 has key 0.
+
+    `train_markov` counts a whole corpus in one pass and `observe` merges
+    one more sequence in. `next_distribution` compiles each (order,
+    context) row it reads into a cached row of estimates on first use;
+    `observe` clears the cache. `logprobs` scores every position of a
+    sequence at once. `save` writes one .npz file that `load` checks.
     """
 
-    FORMAT_VERSION = 1
+    FORMAT_VERSION = 2
 
     def __init__(self, vocab: Vocabulary, order: int, alpha: float, lambdas: Sequence[float]):
         if order < 0:
@@ -98,57 +119,160 @@ class MarkovLm:
         self.order = order
         self.alpha = alpha
         self.lambdas = lambdas
-        # counts[o][context tuple of length o] -> {token_id: count}
-        self.counts: list[dict[tuple, dict[int, int]]] = [
-            {} for _ in range(order + 1)
-        ]
-        # (order, context) -> (token ids, their estimates, estimate of the rest)
+        empty = np.empty(0, dtype=np.int64)
+        # per order: context keys, row offsets, entry token ids, entry counts
+        self._arrays = [(empty, np.zeros(1, dtype=np.int64), _NO_IDS, empty)] * (order + 1)
+        # (order, context) -> (token ids, lambda * their estimates, lambda * the rest's)
         self._rows: dict[tuple[int, tuple], tuple[np.ndarray, np.ndarray, float]] = {}
         # the estimate after a context never observed, at any order
-        self._unseen = (np.empty(0, dtype=np.int64), np.empty(0), alpha / (alpha * len(vocab)))
+        self._unseen_estimate = alpha / (alpha * len(vocab))
+
+    @property
+    def context_window(self) -> int:
+        return self.order
 
     def vocabulary(self) -> Vocabulary:
         return self._vocab
 
+    @property
+    def counts(self) -> list[dict[tuple, dict[int, int]]]:
+        """Per order, {context tuple: {token id: count}}: a copy, for inspection."""
+        V = len(self._vocab)
+        tables, contexts = [], [()]
+        for o, (keys, offsets, tokens, counts) in enumerate(self._arrays):
+            contexts = [(key % V,) + contexts[key // V] if o else () for key in keys.tolist()]
+            bounds = offsets.tolist()
+            tokens, counts = tokens.tolist(), counts.tolist()
+            tables.append({
+                ctx: dict(zip(tokens[lo:hi], counts[lo:hi]))
+                for ctx, lo, hi in zip(contexts, bounds, bounds[1:])
+            })
+        return tables
+
     def observe(self, ids: Sequence[int]) -> None:
-        _check_ids(ids, len(self._vocab))
+        self._add([ids])
+
+    def _add(self, seqs: Sequence[Sequence[int]]) -> None:
+        """Merge the windows of every sequence into the count arrays: per
+        order, one np.unique ranks the contexts and one counts the entries."""
+        V = len(self._vocab)
+        for ids in seqs:
+            check_ids(ids, V)
+        seqs = [ids for ids in seqs if len(ids)]
+        if not seqs:
+            return
         self._rows.clear()
-        for pos, token in enumerate(ids):
-            for o in range(self.order + 1):
-                if pos < o:
-                    continue
-                ctx = tuple(ids[pos - o : pos])
-                table = self.counts[o].setdefault(ctx, {})
-                table[token] = table.get(token, 0) + 1
+        stream = np.concatenate([np.asarray(ids, dtype=np.int64) for ids in seqs])
+        depth = np.concatenate([np.arange(len(ids)) for ids in seqs])  # index in its sequence
+        at = np.arange(len(stream))  # positions that have a context of the current order
+        rows = np.zeros(len(stream), dtype=np.int64)  # ...and that context's row
+        moved = np.zeros(1, dtype=np.int64)  # old row -> merged row, one order down
+        for o, (old_keys, old_offsets, old_tokens, old_counts) in enumerate(self._arrays):
+            if o:
+                keep = depth[at] >= o
+                at = at[keep]
+                new_keys = rows[keep] * V + stream[at - o]
+                old_keys = moved[old_keys // V] * V + old_keys % V
+            else:
+                new_keys = rows
+            keys, inverse = np.unique(np.concatenate([old_keys, new_keys]), return_inverse=True)
+            moved, rows = inverse[: len(old_keys)], inverse[len(old_keys) :]
+            entries, counts = np.unique(rows * V + stream[at], return_counts=True)
+            if len(old_tokens):
+                old_entries = np.repeat(moved, np.diff(old_offsets)) * V + old_tokens
+                added = counts
+                entries, inverse = np.unique(np.concatenate([old_entries, entries]),
+                                             return_inverse=True)
+                counts = np.zeros(len(entries), dtype=np.int64)
+                np.add.at(counts, inverse, np.concatenate([old_counts, added]))
+            offsets = np.searchsorted(entries // V, np.arange(len(keys) + 1))
+            self._arrays[o] = (keys, offsets, (entries % V).astype(np.int32), counts)
 
     def next_distribution(self, context: Sequence[int]) -> TokenDistribution:
         V = len(self._vocab)
-        _check_ids(context, V)
+        check_ids(context, V)
         probs = np.zeros(V)
         for o, lam in enumerate(self.lambdas):
             if lam == 0.0:
                 continue
             ids, values, rest = self._row(o, tuple(context[-o:]) if o else ())
-            est = np.full(V, rest)
-            est[ids] = values
-            probs += lam * est
+            # probs += lam * (the estimate: its `ids` entries, and the rest's elsewhere)
+            seen = probs[ids] + values
+            probs += rest
+            probs[ids] = seen
         return TokenDistribution(probs / probs.sum())
 
     def _row(self, o: int, ctx: tuple) -> tuple[np.ndarray, np.ndarray, float]:
-        """The add-alpha estimate of order o after ctx, as the observed token
-        ids, their estimates and the estimate shared by every other token."""
+        """The add-alpha estimate of order o after ctx, times lambda_o, as
+        the observed token ids, their terms and the term of every other token."""
         row = self._rows.get((o, ctx))
         if row is None:
-            table = self.counts[o].get(ctx)
-            if table is None:
-                return self._unseen
-            denom = sum(table.values()) + self.alpha * len(self._vocab)
-            ids = np.fromiter(table.keys(), dtype=np.int64, count=len(table))
-            counts = np.fromiter(table.values(), dtype=float, count=len(table))
-            row = self._rows[(o, ctx)] = (ids, (counts + self.alpha) / denom, self.alpha / denom)
+            lam = self.lambdas[o]
+            r = self._find(o, ctx)
+            if r < 0:
+                return (*_EMPTY_ROW, lam * self._unseen_estimate)
+            _, offsets, tokens, counts = self._arrays[o]
+            lo, hi = offsets[r], offsets[r + 1]
+            denom = int(counts[lo:hi].sum()) + self.alpha * len(self._vocab)
+            row = self._rows[(o, ctx)] = (
+                tokens[lo:hi].astype(np.intp),  # indexes faster than int32
+                lam * ((counts[lo:hi] + self.alpha) / denom),
+                lam * (self.alpha / denom),
+            )
         return row
 
-    # --- persistence: JSON header line, then one JSON line per context -------
+    def _find(self, o: int, ctx: tuple) -> int:
+        """The row of the order-o context ctx, or -1 if it was never observed."""
+        if len(ctx) != o or not len(self._arrays[0][0]):
+            return -1
+        V = len(self._vocab)
+        r = 0
+        for i in range(1, o + 1):
+            keys = self._arrays[i][0]
+            key = r * V + ctx[-i]
+            r = int(keys.searchsorted(key))
+            if r == len(keys) or keys[r] != key:
+                return -1
+        return r
+
+    def logprobs(self, ids: Sequence[int]) -> np.ndarray:
+        """log p(ids[i] | ids[:i]) for every position i.
+
+        One searchsorted per order finds the context row of every position,
+        and one more its entry. The terms are summed in next_distribution's
+        order; only its final renormalisation (about 1e-16) is left out.
+        """
+        V = len(self._vocab)
+        check_ids(ids, V)
+        ids = np.asarray(ids, dtype=np.int64)
+        probs = np.zeros(len(ids))
+        # positions whose order-o context was observed, and that context's row
+        at = np.arange(len(ids) if len(self._arrays[0][0]) else 0)
+        rows = np.zeros(len(at), dtype=np.int64)
+        for o, lam in enumerate(self.lambdas):
+            keys, offsets, tokens, counts = self._arrays[o]
+            if o:
+                keep = at >= o
+                at, key = at[keep], rows[keep] * V + ids[at[keep] - o]
+                rows = np.minimum(np.searchsorted(keys, key), len(keys) - 1)
+                found = keys[rows] == key if len(keys) else np.zeros(len(key), dtype=bool)
+                at, rows = at[found], rows[found]
+            if lam == 0.0:
+                continue
+            cum = np.concatenate([[0], np.cumsum(counts)])
+            denom = (cum[offsets[1:]] - cum[offsets[:-1]])[rows] + self.alpha * V
+            entries = np.repeat(np.arange(len(keys)), np.diff(offsets)) * V + tokens
+            query = rows * V + ids[at]
+            j = np.minimum(np.searchsorted(entries, query), len(entries) - 1)
+            hit = np.zeros(len(at), dtype=np.int64)
+            if len(entries):
+                hit = np.where(entries[j] == query, counts[j], 0)
+            est = np.full(len(ids), self._unseen_estimate)
+            est[at] = (hit + self.alpha) / denom
+            probs += lam * est
+        return np.log(probs)
+
+    # --- persistence: one .npz file, a JSON header and four arrays per order --
 
     def save(self, path) -> None:
         header = {
@@ -159,49 +283,117 @@ class MarkovLm:
             "alpha": self.alpha,
             "lambdas": self.lambdas,
         }
-        with open(path, "w") as fh:
-            fh.write(json.dumps(header, sort_keys=True) + "\n")
-            for o in range(self.order + 1):
-                for ctx in sorted(self.counts[o]):
-                    table = self.counts[o][ctx]
-                    row = {
-                        "o": o,
-                        "ctx": list(ctx),
-                        "counts": {str(t): c for t, c in sorted(table.items())},
-                    }
-                    fh.write(json.dumps(row, sort_keys=True) + "\n")
+        arrays = {"header": np.array(json.dumps(header, sort_keys=True))}
+        for o, values in enumerate(self._arrays):
+            arrays.update((f"{name}_{o}", a) for name, a in zip(_DTYPES, values))
+        with open(path, "wb") as fh:  # a file object: np.savez would append .npz to a name
+            np.savez(fh, **arrays)
 
     @classmethod
     def load(cls, path) -> "MarkovLm":
-        with open(path) as fh:
-            with reading_model(path):
-                header = json.loads(fh.readline())
-                if header.get("format_version") != cls.FORMAT_VERSION:
-                    raise ValueError(f"unsupported model format: {header.get('format_version')}")
-                vocab = Vocabulary(
-                    tokens=tuple(header["vocab"]["tokens"]), n_base=header["vocab"]["n_base"]
-                )
-                if header.get("vocab_hash") != vocab.content_hash():
-                    raise VocabularyMismatch(
-                        f"{path}: vocab_hash {header.get('vocab_hash')!r} does not match "
-                        f"the stored tokens ({vocab.content_hash()!r})"
-                    )
-                model = cls(vocab, header["order"], header["alpha"], header["lambdas"])
-            for line_no, line in enumerate(fh, start=2):
-                try:
-                    row = json.loads(line)
-                    o = row["o"]
-                    if not 0 <= o <= model.order:
-                        raise ValueError(f"order {o} outside 0..{model.order}")
-                    model.counts[o][tuple(row["ctx"])] = {
-                        int(t): c for t, c in row["counts"].items()
-                    }
-                except Exception:
-                    # entered only on failure: a context manager per row would
-                    # add a few microseconds to each of thousands of rows
-                    with reading_model(f"{path}: line {line_no}"):
-                        raise
+        with open(path, "rb") as fh:
+            magic = fh.read(len(_NPZ_MAGIC))
+            if magic != _NPZ_MAGIC:
+                hint = ("; it looks like a format-1 (JSON-lines) model: retrain it with "
+                        "`genomelm train-markov`" if magic[:1] == b"{" else "")
+                raise BadModelFile(f"{path}: not a format-{cls.FORMAT_VERSION} (.npz) model{hint}")
+            fh.seek(0)
+            arrays, name = {}, None
+            try:
+                with np.load(fh, allow_pickle=False) as npz:
+                    for name in npz.files:
+                        arrays[name] = npz[name]
+                        if not isinstance(arrays[name], np.ndarray):
+                            raise ValueError("not a .npy array")
+            except (zipfile.BadZipFile, EOFError, ValueError) as exc:
+                where = path if name is None else f"{path}: {name}"
+                raise BadModelFile(f"{where}: {exc}") from exc
+        model = cls._from_header(path, arrays.pop("header", None))
+        unexpected = sorted(set(arrays) - {
+            f"{name}_{o}" for o in range(model.order + 1) for name in _DTYPES
+        })
+        if unexpected:
+            raise BadModelFile(
+                f"{path}: {unexpected[0]}: not an array of an order-{model.order} model"
+            )
+        n_below = 1  # contexts one order down; the empty context is the one order-0 key
+        for o in range(model.order + 1):
+            model._arrays[o] = _checked_counts(path, o, arrays, n_below, len(model._vocab))
+            n_below = len(model._arrays[o][0]) * len(model._vocab)
         return model
+
+    @classmethod
+    def _from_header(cls, path, header) -> "MarkovLm":
+        if header is None or header.dtype.kind != "U" or header.ndim != 0:
+            raise BadModelFile(f"{path}: header: missing, or not a JSON string")
+        with reading_model(f"{path}: header"):
+            header = json.loads(str(header))
+            if header.get("format_version") != cls.FORMAT_VERSION:
+                raise ValueError(f"unsupported model format: {header.get('format_version')}")
+            vocab = Vocabulary(
+                tokens=tuple(header["vocab"]["tokens"]), n_base=header["vocab"]["n_base"]
+            )
+            if header.get("vocab_hash") != vocab.content_hash():
+                raise VocabularyMismatch(
+                    f"{path}: vocab_hash {header.get('vocab_hash')!r} does not match "
+                    f"the stored tokens ({vocab.content_hash()!r})"
+                )
+            order = header["order"]
+            if type(order) is not int:
+                raise ValueError(f"order {order!r} is not an integer")
+            try:
+                return cls(vocab, order, header["alpha"], header["lambdas"])
+            except BadSmoothing as exc:
+                raise ValueError(str(exc)) from None
+
+
+# the arrays of each order in a model file, and their types
+_DTYPES = {"contexts": np.int64, "offsets": np.int64, "tokens": np.int32, "counts": np.int64}
+_NO_IDS = np.empty(0, dtype=np.int32)
+_EMPTY_ROW = (np.empty(0, dtype=np.intp), np.empty(0))  # ids and terms after an unseen context
+_NPZ_MAGIC = b"PK\x03\x04"  # a zip archive, as np.savez writes
+
+
+def _checked_counts(path, o: int, arrays: dict, n_keys: int, V: int) -> tuple:
+    """The order-o arrays of a model file, checked against each other:
+    context keys below n_keys, sorted and unique; offsets rising from 0 to
+    the entry count; token ids in the vocabulary and ascending within a
+    row; counts of at least 1."""
+    names = [f"{name}_{o}" for name in _DTYPES]
+    for name, dtype in zip(names, _DTYPES.values()):
+        a = arrays.get(name)
+        if a is None:
+            raise BadModelFile(f"{path}: {name}: missing")
+        if a.dtype != dtype or a.ndim != 1:
+            raise BadModelFile(f"{path}: {name}: expected a 1-d {np.dtype(dtype)} array, "
+                               f"got a {a.ndim}-d {a.dtype} array")
+    kname, oname, tname, cname = names
+    keys, offsets, tokens, counts = (arrays[name] for name in names)
+
+    def bad(name, what):
+        raise BadModelFile(f"{path}: {name}: {what}")
+
+    if (np.diff(keys) <= 0).any():
+        bad(kname, "keys are not sorted and unique")
+    if len(keys) and (keys[0] < 0 or keys[-1] >= n_keys):
+        bad(kname, f"key outside 0..{n_keys - 1}")
+    if len(offsets) != len(keys) + 1:
+        bad(oname, f"{len(offsets)} offsets for {len(keys)} contexts")
+    if offsets[0] != 0 or (np.diff(offsets) <= 0).any():
+        bad(oname, "offsets do not rise from 0")
+    if offsets[-1] != len(tokens):
+        bad(oname, f"offsets end at {offsets[-1]}, not at the token count {len(tokens)}")
+    if len(tokens) and (tokens.min() < 0 or tokens.max() >= V):
+        bad(tname, f"token id outside vocabulary of size {V}")
+    rising = np.diff(tokens) > 0
+    rising[offsets[1:-1] - 1] = True  # a row may start below the last one's end
+    if not rising.all():
+        bad(tname, "token ids are not sorted and unique within a row")
+    if len(counts) != len(tokens):
+        bad(cname, f"{len(counts)} counts for {len(tokens)} tokens")
+    if len(counts) and counts.min() < 1:
+        bad(cname, "count below 1")
+    return keys, offsets, tokens, counts
 
 
 def check_vocabulary(model: CausalLm, vocab: Vocabulary) -> None:
@@ -210,10 +402,21 @@ def check_vocabulary(model: CausalLm, vocab: Vocabulary) -> None:
         raise VocabularyMismatch("tokenizer vocabulary does not match the model vocabulary")
 
 
-def _check_ids(ids: Sequence[int], V: int) -> None:
+def check_ids(ids: Sequence[int], V: int) -> None:
+    """Raise UnknownTokenId naming the first id outside 0..V-1."""
     if len(ids) and not (0 <= min(ids) and max(ids) < V):
         bad = next(t for t in ids if not 0 <= t < V)
         raise UnknownTokenId(f"token id {bad} outside vocabulary of size {V}")
+
+
+def context_start(model: CausalLm, n_nt: int, k: int) -> int:
+    """Where an n_nt-long nucleotide context must start to end on a k-mer
+    token boundary and hold no more tokens than `model` reads."""
+    start = n_nt % k
+    window = getattr(model, "context_window", None)
+    if window is not None:
+        start = max(start, n_nt - window * k)
+    return start
 
 
 def train_markov(
@@ -228,21 +431,25 @@ def train_markov(
     Default interpolation weights put most mass on the highest order:
     lambda_o proportional to 2^o.
     """
-    seqs = [list(s) for s in corpus if len(s)]
+    seqs = [s for s in corpus if len(s)]
     if not seqs:
         raise EmptyCorpus("Markov training corpus is empty")
     if lambdas is None:
         raw = [2.0**o for o in range(order + 1)]
         lambdas = [x / sum(raw) for x in raw]
     model = MarkovLm(vocab, order, alpha, lambdas)
-    for ids in seqs:
-        model.observe(ids)
+    model._add(seqs)
     return model
 
 
 def sequence_logprob(model: CausalLm, ids: Sequence[int]) -> float:
+    """Sum of log p(ids[i] | ids[:i]): by the model's `logprobs` when it has
+    one, else one next_distribution call per position."""
     if not len(ids):
         raise ValueError("cannot score an empty id sequence")
+    logprobs = getattr(model, "logprobs", None)
+    if logprobs is not None:
+        return float(logprobs(ids).sum())
     total = 0.0
     for pos in range(len(ids)):
         dist = model.next_distribution(ids[:pos])
@@ -257,8 +464,11 @@ class BridgeModel:
 
     Requests: {"op":"next","context":[ids]} -> {"probs":[...]} or
     {"top":[[id,logprob],...],"rest_mass":r}; {"op":"embed","context":[...]}
-    -> {"vec":[...]}; {"op":"vocab"} -> {"tokens":[...]}.
+    -> {"vec":[...]}; {"op":"vocab"} -> {"tokens":[...]}. The peer is sent
+    the whole context: the protocol does not say how much of it a peer reads.
     """
+
+    context_window = None
 
     def __init__(self, peer: "_Peer", timeout: float = 30.0):
         self._peer = peer

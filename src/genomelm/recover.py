@@ -13,7 +13,7 @@ from typing import Optional, Sequence
 
 from .errors import InsufficientData, ReferenceTooShort
 from .ingest import FunctionalRegion
-from .lm import CausalLm, check_vocabulary
+from .lm import CausalLm, check_vocabulary, context_start
 from .sampling import SamplerConfig, generate
 from .seqcore import NucleotideSequence, read_tsv, tsv_text
 from .tokenizer import KmerTokenizer
@@ -54,11 +54,14 @@ def build_recovery_dataset(
     """Balanced items whose continuation lies wholly inside a functional
     region; the prompt is the immediately preceding genome context and may
     span intergenic sequence. Plus-strand regions only (the prompt must be
-    genome-contiguous with the continuation)."""
+    genome-contiguous with the continuation). A taxon group with fewer than
+    per_group_n eligible regions, none included, raises InsufficientData."""
     rng = random.Random(seed)
     by_group: dict[str, list[RecoveryItem]] = {}
     for region in regions:
         rec = region.source
+        group = rec.taxon_group or "unlabeled"
+        pool = by_group.setdefault(group, [])  # a group with no eligible region is short too
         if rec.strand != "+" or rec.length < predict_len_nt:
             continue
         contig = genome.get(rec.seq_id)
@@ -72,10 +75,7 @@ def build_recovery_dataset(
         reference = contig.bases[cont_start - 1 : cont_start - 1 + predict_len_nt]
         if "N" in prompt or "N" in reference:
             continue
-        group = rec.taxon_group or "unlabeled"
-        by_group.setdefault(group, []).append(
-            RecoveryItem(prompt=prompt, reference=reference, taxon_group=group)
-        )
+        pool.append(RecoveryItem(prompt=prompt, reference=reference, taxon_group=group))
     if per_group_n and not by_group:
         raise InsufficientData("any taxon group", per_group_n, 0)
     items: list[RecoveryItem] = []
@@ -133,7 +133,8 @@ def run_recovery(
 
     The prompt is left-trimmed so it ends on a token boundary, which makes
     the first generated token start exactly at the reference start for any
-    k. Decoding is greedy unless cfg says otherwise.
+    k, and to the model's context window before it is tokenized. Decoding
+    is greedy unless cfg says otherwise.
     """
     check_vocabulary(model, tokenizer.vocab)
     if cfg is None:
@@ -143,8 +144,8 @@ def run_recovery(
 
     sums: dict[tuple[str, int, int], list[float]] = {}
     for idx, item in enumerate(dataset):
-        trim = len(item.prompt) % k
-        prompt_ids = tokenizer.encode(item.prompt[trim:])
+        start = context_start(model, len(item.prompt), k)
+        prompt_ids = tokenizer.encode(item.prompt[start:])
         ids = generate(model, prompt_ids, job_cfg, job_index=idx)
         decoded = tokenizer.decode(ids)
         for llen in predict_lens:

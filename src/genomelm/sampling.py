@@ -12,7 +12,7 @@ from typing import Optional, Sequence
 import numpy as np
 
 from .errors import UnknownPrefixToken
-from .lm import CausalLm, TokenDistribution
+from .lm import CausalLm, TokenDistribution, check_ids
 from .tokenizer import KmerTokenizer
 
 _MASK64 = (1 << 64) - 1
@@ -118,15 +118,21 @@ def generate(
     """Decode up to max_new_tokens ids after the prompt, stopping before EOS.
 
     Special tokens other than EOS are masked out of the candidate set.
+    The whole prompt is checked against the vocabulary once; each step then
+    passes the model only the last `lm.context_window` ids, when it says.
     Deterministic given (lm, prompt, cfg, job_index).
     """
     vocab = lm.vocabulary()
+    check_ids(prompt_ids, len(vocab))
     specials = np.arange(vocab.n_base, len(vocab), dtype=np.int64)
     banned = specials[specials != vocab.eos]
     rng = job_rng(cfg.seed, job_index)
+    window = getattr(lm, "context_window", None)
     context = list(prompt_ids)
     out: list[int] = []
     for _ in range(cfg.max_new_tokens):
+        if window is not None:
+            del context[: max(0, len(context) - window)]
         token = _select(lm.next_distribution(context), cfg, rng, banned)
         if token == vocab.eos:
             break

@@ -245,7 +245,7 @@ def write_tsv(path, header: Sequence[str], rows: Iterable[Sequence]) -> None:
 @contextmanager
 def reading_model(where):
     """Report a missing key, bad JSON or bad value in a model file as
-    BadModelFile; `where` names the file, or the file and line."""
+    BadModelFile; `where` names the file, or the file and the part at fault."""
     try:
         yield
     except KeyError as exc:

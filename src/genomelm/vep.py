@@ -19,7 +19,7 @@ from .errors import (
     UnknownSequenceId,
     VocabularyMismatch,
 )
-from .lm import CausalLm, TokenDistribution, check_vocabulary
+from .lm import CausalLm, TokenDistribution, check_vocabulary, context_start
 from .seqcore import NucleotideSequence, read_tsv
 from .tokenizer import BASES, KmerTokenizer
 
@@ -95,9 +95,10 @@ def marginal_nucleotide_prob(
     lm: CausalLm, tokenizer: KmerTokenizer, context_before: str, j: int
 ) -> NucleotideMarginal:
     """Marginal over the nucleotide at offset j of the next token after a context
-    left-trimmed to a token boundary; lm and tokenizer must share a vocabulary."""
-    trim = len(context_before) % tokenizer.k
-    ids = tokenizer.encode(context_before[trim:])
+    left-trimmed to a token boundary and to the model's context window; lm and
+    tokenizer must share a vocabulary."""
+    start = context_start(lm, len(context_before), tokenizer.k)
+    ids = tokenizer.encode(context_before[start:])
     return marginalize_distribution(lm.next_distribution(ids), tokenizer, j)
 
 

@@ -4,12 +4,46 @@ import json
 import tempfile
 from pathlib import Path
 
+import numpy as np
 import pytest
 from hypothesis import given, settings
 from hypothesis import strategies as st
 
 from genomelm.cli import DATA_ERROR, USAGE_ERROR, main
 from genomelm.seqcore import NucleotideSequence, write_fasta
+
+
+def rewrite_npz(path, edit):
+    """Rewrite the .npz model file at `path` after edit(arrays) changes its
+    dict of arrays in place."""
+    with np.load(path, allow_pickle=False) as npz:
+        arrays = dict(npz)
+    edit(arrays)
+    with open(path, "wb") as fh:
+        np.savez(fh, **arrays)
+
+
+def edit_array(name, fn):
+    """An edit that replaces array `name` by fn(array); fn=None deletes it."""
+    def edit(arrays):
+        if fn is None:
+            del arrays[name]
+        else:
+            arrays[name] = fn(arrays.get(name))
+    return edit
+
+
+def edit_header(**fields):
+    """An edit that sets header fields; None deletes one."""
+    def change(header):
+        obj = json.loads(str(header))
+        for key, value in fields.items():
+            if value is None:
+                del obj[key]
+            else:
+                obj[key] = value
+        return np.array(json.dumps(obj))
+    return edit_array("header", change)
 
 
 def write_corpus(path, n=6, length=120, seed=0):
@@ -283,32 +317,90 @@ class TestModelFileErrors:
 
     def test_markov_header_without_vocab(self, tmp_path, capsys):
         model = self._markov(tmp_path)
-        header, rest = model.read_text().split("\n", 1)
-        obj = json.loads(header)
-        del obj["vocab"]
-        model.write_text(json.dumps(obj) + "\n" + rest)
+        rewrite_npz(model, edit_header(vocab=None))
         self._fails_naming(capsys, ["generate", "--model", f"markov:{model}"], model,
-                           "missing key 'vocab'")
+                           "header: missing key 'vocab'")
 
     def test_markov_header_that_is_not_an_object(self, tmp_path, capsys):
-        model = tmp_path / "m.jsonl"
-        model.write_text("[]\n")
-        self._fails_naming(capsys, ["generate", "--model", f"markov:{model}"], model,
-                           "'list' object has no attribute 'get'")
-
-    @pytest.mark.parametrize("row, reason", [
-        ('{"o": 1, "ctx": [0], "cou', "Invalid control character"),
-        ('{"o": 1, "ctx": [0]}', "missing key 'counts'"),
-        ('{"o": 2, "ctx": [0, 0], "counts": {"1": 3}}', "order 2 outside 0..1"),
-        ('{"o": -1, "ctx": [], "counts": {"1": 3}}', "order -1 outside 0..1"),
-    ])
-    def test_markov_body_row_names_the_line(self, tmp_path, capsys, row, reason):
         model = self._markov(tmp_path)
-        lines = model.read_text().splitlines()
-        lines[3] = row
-        model.write_text("\n".join(lines) + "\n")
+        rewrite_npz(model, edit_array("header", lambda a: np.array("[]")))
         self._fails_naming(capsys, ["generate", "--model", f"markov:{model}"], model,
-                           f"line 4: {reason}")
+                           "header: 'list' object has no attribute 'get'")
+
+    @pytest.mark.parametrize("edit, reason", [
+        pytest.param(edit_header(format_version=1), "header: unsupported model format: 1",
+                     id="header-format"),
+        pytest.param(edit_header(order=-1), "header: order must be >= 0, got -1",
+                     id="header-order"),
+        pytest.param(edit_header(order=1.0), "header: order 1.0 is not an integer",
+                     id="header-order-float"),
+        pytest.param(edit_header(alpha=0), "header: alpha must be > 0, got 0",
+                     id="header-alpha"),
+        pytest.param(edit_header(lambdas=[0.2, 0.3, 0.5]),
+                     "header: need 2 interpolation weights, got 3", id="header-lambdas"),
+        pytest.param(edit_header(lambdas=[0.7, 0.7]),
+                     "header: interpolation weights must be a simplex", id="header-simplex"),
+        pytest.param(edit_array("counts_1", None), "counts_1: missing", id="array-missing"),
+        pytest.param(edit_array("counts_2", lambda a: np.ones(3, dtype=np.int64)),
+                     "counts_2: not an array of an order-1 model", id="array-unexpected"),
+        pytest.param(edit_array("counts_1", lambda a: a.astype(float)),
+                     "counts_1: expected a 1-d int64 array, got a 1-d float64 array",
+                     id="dtype"),
+        pytest.param(edit_array("tokens_0", lambda a: a.astype(np.int64)),
+                     "tokens_0: expected a 1-d int32 array, got a 1-d int64 array",
+                     id="dtype-tokens"),
+        pytest.param(edit_array("contexts_0", lambda a: a.reshape(1, -1)),
+                     "contexts_0: expected a 1-d int64 array, got a 2-d int64 array", id="shape"),
+        pytest.param(edit_array("tokens_1", lambda a: a.astype(object)),
+                     "tokens_1: Object arrays cannot be loaded when allow_pickle=False",
+                     id="pickled"),
+        pytest.param(edit_array("contexts_1", lambda a: a[::-1].copy()),
+                     "contexts_1: keys are not sorted and unique", id="keys-unsorted"),
+        pytest.param(edit_array("contexts_1", lambda a: np.append(a[:-1], a[-2])),
+                     "contexts_1: keys are not sorted and unique", id="keys-repeated"),
+        pytest.param(edit_array("contexts_1", lambda a: np.append(a[:-1], 36)),
+                     "contexts_1: key outside 0..35", id="key-unreachable"),
+        pytest.param(edit_array("contexts_0", lambda a: a + 1),
+                     "contexts_0: key outside 0..0", id="key-order-0"),
+        pytest.param(edit_array("offsets_1", lambda a: a[:-1]),
+                     "offsets_1: 4 offsets for 4 contexts", id="offsets-length"),
+        pytest.param(edit_array("offsets_1", lambda a: a[[0, 2, 1, 3, 4]]),
+                     "offsets_1: offsets do not rise from 0", id="offsets-falling"),
+        pytest.param(edit_array("offsets_1", lambda a: a + 1),
+                     "offsets_1: offsets do not rise from 0", id="offsets-start"),
+        pytest.param(edit_array("offsets_1", lambda a: np.append(a[:-1], a[-1] - 1)),
+                     "offsets_1: offsets end at 15, not at the token count 16",
+                     id="offsets-end"),
+        pytest.param(edit_array("tokens_1", lambda a: np.append(a[:-1], np.int32(36))),
+                     "tokens_1: token id outside vocabulary of size 36", id="token-range"),
+        pytest.param(edit_array("tokens_1", lambda a: np.append(a[:-1], np.int32(-1))),
+                     "tokens_1: token id outside vocabulary of size 36", id="token-negative"),
+        pytest.param(edit_array("tokens_0", lambda a: a[::-1].copy()),
+                     "tokens_0: token ids are not sorted and unique within a row",
+                     id="tokens-unsorted"),
+        pytest.param(edit_array("counts_1", lambda a: a[:-1]),
+                     "counts_1: 15 counts for 16 tokens", id="counts-length"),
+        pytest.param(edit_array("counts_1", lambda a: np.append(a[:-1], 0)),
+                     "counts_1: count below 1", id="count-zero"),
+    ])
+    def test_markov_array_corruption_is_named(self, tmp_path, capsys, edit, reason):
+        model = self._markov(tmp_path)
+        rewrite_npz(model, edit)
+        self._fails_naming(capsys, ["generate", "--model", f"markov:{model}"], model, reason)
+
+    def test_truncated_markov_model(self, tmp_path, capsys):
+        model = self._markov(tmp_path)
+        model.write_bytes(model.read_bytes()[:-100])
+        self._fails_naming(capsys, ["generate", "--model", f"markov:{model}"], model,
+                           "File is not a zip file")
+
+    def test_format_1_model_says_to_retrain(self, tmp_path, capsys):
+        model = tmp_path / "m.jsonl"
+        model.write_text('{"alpha": 0.1, "format_version": 1, "order": 1}\n'
+                         '{"counts": {"1": 3}, "ctx": [0], "o": 1}\n')
+        self._fails_naming(capsys, ["generate", "--model", f"markov:{model}"], model,
+                           "not a format-2 (.npz) model; it looks like a format-1 (JSON-lines) "
+                           "model: retrain it with `genomelm train-markov`")
 
     def test_truncated_bpe_model(self, tmp_path, capsys):
         corpus = tmp_path / "corpus.fa"
@@ -356,6 +448,26 @@ class TestModelWorkflows:
         lines = outs[0].decode().splitlines()
         assert len(lines) == 3
         assert all(set(line) <= set("ACGT") and len(line) == 40 for line in lines)
+
+    def test_train_markov_writes_the_same_bytes_under_any_hash_seed(self, tmp_path):
+        import os
+        import subprocess
+        import sys
+
+        import genomelm
+
+        corpus = tmp_path / "corpus.fa"
+        write_corpus(corpus)
+        src = str(Path(genomelm.__file__).resolve().parent.parent)
+        written = []
+        for hash_seed in ("0", "4242"):
+            model = tmp_path / f"markov-{hash_seed}.npz"
+            env = dict(os.environ, PYTHONHASHSEED=hash_seed, PYTHONPATH=src)
+            subprocess.run([sys.executable, "-m", "genomelm.cli", "train-markov", str(corpus),
+                            "--k", "2", "--order", "3", "--model-out", str(model)],
+                           env=env, check=True, capture_output=True, timeout=120)
+            written.append(model.read_bytes())
+        assert written[0] == written[1]
 
     @pytest.mark.parametrize("argv, want", [
         (["--temperature", "0.7", "--top-p", "0.9", "--seed", "5", "-n", "3", "--max-new", "40"],
@@ -756,8 +868,7 @@ class TestModelLifecycle:
         assert main([
             "train-markov", str(corpus), "--k", "1", "--order", "1", "--model-out", str(model),
         ]) == 0
-        header, rest = model.read_text().split("\n", 1)
-        model.write_text(header.replace('"vocab_hash": "', '"vocab_hash": "f00d') + "\n" + rest)
+        rewrite_npz(model, edit_header(vocab_hash="f00d" * 4))
         capsys.readouterr()
         assert main(["generate", "--model", f"markov:{model}", "--max-new", "4"]) == DATA_ERROR
         err = capsys.readouterr().err

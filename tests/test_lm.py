@@ -3,7 +3,7 @@ import math
 
 import numpy as np
 import pytest
-from hypothesis import given, settings
+from hypothesis import assume, given, settings
 from hypothesis import strategies as st
 
 from genomelm.errors import BadSmoothing, EmptyCorpus, UnknownTokenId, VocabularyMismatch
@@ -166,23 +166,35 @@ class TestSequenceLogprob:
             sequence_logprob(UniformLm(VOCAB1), [])
 
 
-# --- the reference dict loop, kept as the oracle of MarkovLm's cached rows ---
+# --- the dict-of-dicts model the array engine replaced, kept as its oracle ---
 
-def reference_distribution(lm, context):
-    V = len(lm.vocabulary())
-    probs = np.zeros(V)
-    for o, lam in enumerate(lm.lambdas):
-        if lam == 0.0:
-            continue
-        ctx = tuple(context[-o:]) if o else ()
-        table = lm.counts[o].get(ctx, {})
-        total = sum(table.values())
-        denom = total + lm.alpha * V
-        est = np.full(V, lm.alpha / denom)
-        for token, c in table.items():
-            est[token] = (c + lm.alpha) / denom
-        probs += lam * est
-    return probs / probs.sum()
+class DictMarkovLm:
+    """Counts as {context tuple: {token id: count}} per order, updated one
+    window at a time; each query rebuilds its estimates from the dicts."""
+
+    def __init__(self, vocab, order, alpha, lambdas):
+        self.V = len(vocab)
+        self.order, self.alpha, self.lambdas = order, alpha, lambdas
+        self.counts = [{} for _ in range(order + 1)]
+
+    def observe(self, ids):
+        for pos, token in enumerate(ids):
+            for o in range(min(pos, self.order) + 1):
+                table = self.counts[o].setdefault(tuple(ids[pos - o : pos]), {})
+                table[token] = table.get(token, 0) + 1
+
+    def next_distribution(self, context):
+        probs = np.zeros(self.V)
+        for o, lam in enumerate(self.lambdas):
+            if lam == 0.0:
+                continue
+            table = self.counts[o].get(tuple(context[-o:]) if o else (), {})
+            denom = sum(table.values()) + self.alpha * self.V
+            est = np.full(self.V, self.alpha / denom)
+            for token, c in table.items():
+                est[token] = (c + self.alpha) / denom
+            probs += lam * est
+        return probs / probs.sum()
 
 
 @st.composite
@@ -206,19 +218,83 @@ def markov_cases(draw):
     return vocab, order, alpha, lambdas, streams, contexts, second
 
 
+def stepwise_logprobs(lm, ids):
+    return np.array([math.log(lm.next_distribution(ids[:i]).probs[t]) for i, t in enumerate(ids)])
+
+
 class TestMarkovLmMatchesReference:
     @settings(max_examples=150, deadline=None)
     @given(markov_cases())
     def test_distributions_are_bit_identical(self, case):
         vocab, order, alpha, lambdas, streams, contexts, second = case
         lm = MarkovLm(vocab, order, alpha, lambdas)
+        oracle = DictMarkovLm(vocab, order, alpha, lambdas)
         for stream in streams:
             lm.observe(stream)
+            oracle.observe(stream)
+        assert lm.counts == oracle.counts
         for ctx in [[]] + contexts:
-            assert np.array_equal(lm.next_distribution(ctx).probs, reference_distribution(lm, ctx))
+            assert np.array_equal(lm.next_distribution(ctx).probs, oracle.next_distribution(ctx))
         lm.observe(second)  # counts change after the model has been queried
+        oracle.observe(second)
+        assert lm.counts == oracle.counts
         for ctx in [[]] + contexts + [second]:
-            assert np.array_equal(lm.next_distribution(ctx).probs, reference_distribution(lm, ctx))
+            assert np.array_equal(lm.next_distribution(ctx).probs, oracle.next_distribution(ctx))
+
+    @settings(max_examples=100, deadline=None)
+    @given(markov_cases())
+    def test_one_pass_training_counts_as_observe_does(self, case):
+        vocab, order, alpha, lambdas, streams, _contexts, second = case
+        corpus = streams + [second]
+        assume(any(corpus))
+        once = train_markov(corpus, vocab, order, alpha, lambdas)
+        stepwise = MarkovLm(vocab, order, alpha, lambdas)
+        for stream in corpus:
+            stepwise.observe(stream)
+        for o in range(order + 1):
+            for a, b in zip(once._arrays[o], stepwise._arrays[o]):
+                assert a.dtype == b.dtype and np.array_equal(a, b)
+
+    @settings(max_examples=100, deadline=None)
+    @given(markov_cases())
+    def test_logprobs_match_the_stepwise_distributions(self, case):
+        vocab, order, alpha, lambdas, streams, contexts, second = case
+        lm = MarkovLm(vocab, order, alpha, lambdas)
+        for stream in streams:
+            lm.observe(stream)
+        for ids in contexts + [second]:
+            got = lm.logprobs(ids)
+            assert got.shape == (len(ids),)
+            assert np.abs(got - stepwise_logprobs(lm, ids)).max(initial=0.0) <= 1e-12
+            if ids:
+                assert sequence_logprob(lm, ids) == pytest.approx(got.sum(), abs=1e-12)
+
+    def test_logprobs_of_an_untrained_model_are_uniform(self):
+        lm = MarkovLm(VOCAB1, 2, 0.1, [0.2, 0.3, 0.5])
+        assert np.allclose(lm.logprobs([0, 5, 3]), -math.log(V), atol=1e-15)
+
+    def test_logprobs_reject_out_of_vocab_ids(self):
+        lm = train_markov([[0, 1, 2]], VOCAB1, order=1)
+        with pytest.raises(UnknownTokenId, match=f"token id {V} "):
+            lm.logprobs([0, V, 1])
+
+    def test_k6_order5_keys_do_not_overflow(self, rng):
+        # V^6 > 2^63 at k=6, so a key built from six ids would wrap around
+        vocab = kmer_vocabulary(6)
+        big = len(vocab) - 33  # the largest base id, 4095
+        streams = [[big - rng.randrange(3) for _ in range(200)],
+                   [rng.randrange(len(vocab)) for _ in range(200)]]
+        lm = train_markov(streams, vocab, order=5)
+        oracle = DictMarkovLm(vocab, 5, lm.alpha, lm.lambdas)
+        for stream in streams:
+            oracle.observe(stream)
+        assert lm.counts == oracle.counts
+        assert all((keys >= 0).all() for keys, *_ in lm._arrays)
+        for stream in streams:
+            for ctx in (stream[:0], stream[:3], stream[:6], stream[:150]):
+                want = oracle.next_distribution(ctx)
+                assert np.array_equal(lm.next_distribution(ctx).probs, want)
+            assert np.abs(lm.logprobs(stream) - stepwise_logprobs(lm, stream)).max() <= 1e-12
 
     @pytest.mark.parametrize("where", [0, 1000, 1999])
     def test_unknown_id_anywhere_in_a_long_context_is_named(self, where):
@@ -243,9 +319,12 @@ class TestMarkovLmMatchesReference:
         import sys
         import threading
 
-        lm = train_markov([[rng.randrange(8) for _ in range(400)]], kmer_vocabulary(2), order=2)
+        streams = [[rng.randrange(8) for _ in range(400)]]
+        lm = train_markov(streams, kmer_vocabulary(2), order=2)
+        oracle = DictMarkovLm(kmer_vocabulary(2), 2, lm.alpha, lm.lambdas)
+        oracle.observe(streams[0])
         contexts = [[rng.randrange(10) for _ in range(rng.randrange(4))] for _ in range(300)]
-        want = [reference_distribution(lm, ctx) for ctx in contexts]
+        want = [oracle.next_distribution(ctx) for ctx in contexts]
         mismatches = []
 
         def query():
@@ -267,13 +346,33 @@ class TestMarkovLmMatchesReference:
         assert mismatches == []
 
 
+def test_context_windows():
+    assert MarkovLm(VOCAB1, 3, 0.1, [0.25] * 4).context_window == 3
+    assert UniformLm(VOCAB1).context_window == 0
+
+
 def test_load_rejects_a_tampered_vocab_hash(tmp_path):
     lm = train_markov([[0, 1, 2, 3, 0, 1]], VOCAB1, order=1)
     path = tmp_path / "model.jsonl"
     lm.save(path)
-    header, rest = path.read_text().split("\n", 1)
-    obj = json.loads(header)
-    obj["vocab_hash"] = "0" * 16
-    path.write_text(json.dumps(obj) + "\n" + rest)
+    with np.load(path) as npz:
+        arrays = dict(npz)
+    header = json.loads(str(arrays["header"]))
+    header["vocab_hash"] = "0" * 16
+    arrays["header"] = np.array(json.dumps(header))
+    with open(path, "wb") as fh:
+        np.savez(fh, **arrays)
     with pytest.raises(VocabularyMismatch, match="model.jsonl"):
         MarkovLm.load(path)
+
+
+def test_save_is_a_single_npz_file_under_the_given_name(tmp_path):
+    lm = train_markov([[0, 1, 2, 3, 0, 1]], VOCAB1, order=2)
+    path = tmp_path / "model.jsonl"
+    lm.save(path)
+    assert [p.name for p in tmp_path.iterdir()] == ["model.jsonl"]
+    with np.load(path, allow_pickle=False) as npz:
+        assert sorted(npz.files) == sorted(
+            ["header"] + [f"{a}_{o}" for a in ("contexts", "offsets", "tokens", "counts")
+                          for o in range(3)])
+        assert json.loads(str(npz["header"]))["format_version"] == 2

@@ -53,6 +53,21 @@ class CycleLm:
         return TokenDistribution(probs)
 
 
+class WindowSpy:
+    """Passes every query to `lm`, records the context lengths it is sent,
+    and reports `window` as its context window."""
+
+    def __init__(self, lm, window):
+        self.lm, self.context_window, self.lengths = lm, window, []
+
+    def vocabulary(self):
+        return self.lm.vocabulary()
+
+    def next_distribution(self, context):
+        self.lengths.append(len(context))
+        return self.lm.next_distribution(context)
+
+
 class TestRecoveryAccuracy:
     def test_exact_match(self):
         assert recovery_accuracy("ACGTACGT", "ACGTACGT", 8) == 1.0
@@ -130,6 +145,22 @@ class TestRunRecovery:
         with pytest.raises(VocabularyMismatch):
             run_recovery(CycleLm(1), KmerTokenizer(2), self._items(), [6])
 
+    @pytest.mark.parametrize("k", [1, 2, 3])
+    def test_prompt_is_cut_to_the_model_window_before_encoding(self, k, random_dna):
+        from genomelm.lm import train_markov
+
+        tok = KmerTokenizer(k)
+        seq = random_dna(700)
+        lm = train_markov([tok.encode(seq)], tok.vocab, order=2)
+        # prompts of 1..40 nt: shorter and longer than the window, and of every phase
+        items = [RecoveryItem(seq[i - n : i], seq[i : i + 12], f"g{n % 2}")
+                 for n, i in zip(range(1, 41), range(50, 700, 16))]
+        windowed, whole = WindowSpy(lm, lm.context_window), WindowSpy(lm, None)
+        for cfg in (None, SamplerConfig(mode="sample", seed=3, temperature=0.9)):
+            got = run_recovery(windowed, tok, items, [5, 12], cfg)
+            assert got.cells == run_recovery(whole, tok, items, [5, 12], cfg).cells
+        assert max(windowed.lengths) == 2 < max(whole.lengths)
+
     def test_report_serialization(self):
         report = run_recovery(CycleLm(1), KmerTokenizer(1), self._items(), [6])
         tsv = report.to_tsv()
@@ -146,7 +177,7 @@ def _swap_prefix(reference, n):
 
 
 class TestBuildDataset:
-    def _fixture(self):
+    def _fixture(self, groups=("fungi", "plant")):
         bases = (cycle_from("T", 50) + "N" + cycle_from("G", 49))
         genome = {"c": NucleotideSequence(bases, id="c")}
         annotations = [
@@ -156,11 +187,21 @@ class TestBuildDataset:
             AnnotationRecord("c", 3, 30, "+", "gene", "plant"),    # prompt underflows
             AnnotationRecord("c", 55, 80, "+", "gene", "plant"),   # N in prompt
         ]
+        annotations = [a for a in annotations if a.taxon_group in groups]
         regions = extract_functional_regions(genome, annotations)
         return regions, genome
 
-    def test_items_are_genome_contiguous(self):
+    def test_a_group_with_no_eligible_region_is_insufficient(self):
         regions, genome = self._fixture()
+        with pytest.raises(InsufficientData) as exc:
+            build_recovery_dataset(regions, genome, prompt_len_nt=10,
+                                   predict_len_nt=12, per_group_n=2)
+        assert (exc.value.group, exc.value.needed, exc.value.available) == ("plant", 2, 0)
+        items = build_recovery_dataset(regions, genome, 10, 12, per_group_n=0)
+        assert items == []
+
+    def test_items_are_genome_contiguous(self):
+        regions, genome = self._fixture(groups=("fungi",))
         items = build_recovery_dataset(regions, genome, prompt_len_nt=10,
                                        predict_len_nt=12, per_group_n=2)
         assert len(items) == 2
@@ -186,13 +227,13 @@ class TestBuildDataset:
         assert build_recovery_dataset(regions, genome, 60, 12, per_group_n=0) == []
 
     def test_seeded_sampling_is_reproducible(self):
-        regions, genome = self._fixture()
+        regions, genome = self._fixture(groups=("fungi",))
         a = build_recovery_dataset(regions, genome, 10, 12, 1, seed=4)
         b = build_recovery_dataset(regions, genome, 10, 12, 1, seed=4)
         assert a == b
 
     def test_tsv_round_trip(self, tmp_path):
-        regions, genome = self._fixture()
+        regions, genome = self._fixture(groups=("fungi",))
         items = build_recovery_dataset(regions, genome, 10, 12, 2)
         path = tmp_path / "dataset.tsv"
         path.write_text(dataset_to_tsv(items))

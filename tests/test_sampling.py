@@ -3,7 +3,7 @@ import pytest
 from hypothesis import given, settings
 from hypothesis import strategies as st
 
-from genomelm.errors import UnknownPrefixToken
+from genomelm.errors import UnknownPrefixToken, UnknownTokenId
 from genomelm.lm import TokenDistribution, UniformLm
 from genomelm.sampling import (
     SamplerConfig,
@@ -133,6 +133,42 @@ class TestGenerate:
         c = generate(lm, [0], cfg, job_index=5)
         assert a == b
         assert a != c
+
+    @pytest.mark.parametrize("window", [None, 0, 1, 3, 50])
+    def test_each_step_sees_only_the_context_window(self, window):
+        seen = []
+
+        def record(ctx):
+            seen.append(ctx)
+            return dist((len(ctx) % 4, 1.0))
+
+        lm = FnLm(record)
+        lm.context_window = window
+        prompt = [i % 4 for i in range(7)]
+        out = generate(lm, prompt, SamplerConfig(max_new_tokens=6))
+        full = prompt + out
+        for step, ctx in enumerate(seen):
+            whole = full[: len(prompt) + step]
+            assert ctx == (whole if window is None else whole[max(0, len(whole) - window):])
+
+    def test_markov_output_is_unchanged_by_the_window(self, rng):
+        from genomelm.lm import train_markov
+
+        lm = train_markov([[rng.randrange(4) for _ in range(300)]], VOCAB1, order=3)
+        reading_all = FnLm(lm.next_distribution)  # no context_window: passes the whole context
+        cfg = SamplerConfig(max_new_tokens=40, seed=4, temperature=0.8)
+        prompt = [rng.randrange(4) for _ in range(25)]
+        assert generate(lm, prompt, cfg) == generate(reading_all, prompt, cfg)
+
+    @pytest.mark.parametrize("where", [0, 1000, 1999])
+    def test_unknown_id_anywhere_in_a_long_prompt_is_named(self, where):
+        from genomelm.lm import train_markov
+
+        lm = train_markov([[0, 1, 2, 3] * 10], VOCAB1, order=2)
+        prompt = [i % 4 for i in range(2000)]
+        prompt[where] = V + 7
+        with pytest.raises(UnknownTokenId, match=f"token id {V + 7} "):
+            generate(lm, prompt, SamplerConfig(max_new_tokens=3))
 
 
 def _select_oracle(dist, cfg, rng, banned):

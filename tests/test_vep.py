@@ -106,7 +106,40 @@ def _markov_on(genome, k, order, **kwargs):
     return train_markov([ids], tok.vocab, order, **kwargs), tok
 
 
+class WindowSpy:
+    """Passes every query to `lm`, records the context lengths it is sent,
+    and reports `window` as its context window."""
+
+    def __init__(self, lm, window):
+        self.lm, self.context_window, self.lengths = lm, window, []
+
+    def vocabulary(self):
+        return self.lm.vocabulary()
+
+    def next_distribution(self, context):
+        self.lengths.append(len(context))
+        return self.lm.next_distribution(context)
+
+
 class TestVepScore:
+    @pytest.mark.parametrize("k", [1, 2, 3])
+    def test_context_is_cut_to_the_model_window_before_encoding(self, k):
+        genome = _toy_genome()
+        lm, tok = _markov_on(genome, k, order=2)
+        windowed, whole = WindowSpy(lm, lm.context_window), WindowSpy(lm, None)
+        for pos in (2, 4, 40, 151, 300):
+            ref = genome["c"].bases[pos - 1]
+            variant = Variant("c", pos, ref, "A" if ref != "A" else "C")
+            for kwargs in ({}, {"phase": 0}, {"average_phases": True}, {"context_len": 7}):
+                try:
+                    want = vep_score(whole, tok, genome, variant, **kwargs)
+                except ValueError:  # no phase has room for a context
+                    with pytest.raises(ValueError):
+                        vep_score(windowed, tok, genome, variant, **kwargs)
+                    continue
+                assert vep_score(windowed, tok, genome, variant, **kwargs) == want
+        assert max(windowed.lengths) == 2 < max(whole.lengths)
+
     def test_uniform_model_scores_zero_everywhere(self):
         genome = _toy_genome()
         tok = KmerTokenizer(2)
