@@ -19,7 +19,8 @@ from .errors import (
     SequenceTooShort,
     SingleCluster,
 )
-from .design import kmer_counts
+from .seqcore import tsv_text
+from .tokenizer import kmer_counts
 
 
 @dataclass(frozen=True)
@@ -177,14 +178,12 @@ def silhouette(embeddings: EmbeddingSet, metric: str = "euclidean") -> float:
 
 def embeddings_to_tsv(ids: Sequence[str], embeddings: EmbeddingSet) -> str:
     d = embeddings.vectors.shape[1]
-    lines = ["#id\tlabel\t" + "\t".join(f"v_{i + 1}" for i in range(d))]
-    for seq_id, label, row in zip(ids, embeddings.labels, embeddings.vectors):
-        lines.append(f"{seq_id}\t{label}\t" + "\t".join(f"{v:.6g}" for v in row))
-    return "\n".join(lines) + "\n"
+    return tsv_text(["id", "label", *(f"v_{i + 1}" for i in range(d))],
+                    ([seq_id, label, *(f"{v:.6g}" for v in row)]
+                     for seq_id, label, row in zip(ids, embeddings.labels, embeddings.vectors)))
 
 
 def projection_to_tsv(ids: Sequence[str], labels: Sequence[str], coords: np.ndarray) -> str:
-    lines = ["#id\tlabel\tx\ty"]
-    for seq_id, label, (x, y) in zip(ids, labels, coords):
-        lines.append(f"{seq_id}\t{label}\t{x:.6g}\t{y:.6g}")
-    return "\n".join(lines) + "\n"
+    return tsv_text(("id", "label", "x", "y"),
+                    ((seq_id, label, f"{x:.6g}", f"{y:.6g}")
+                     for seq_id, label, (x, y) in zip(ids, labels, coords)))

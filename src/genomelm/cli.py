@@ -9,24 +9,19 @@ from __future__ import annotations
 import argparse
 import contextlib
 import json
+import random
 import sys
+from typing import Iterator
 
 import numpy as np
 
 from . import analytics, design, ingest, recover, vep
 from .errors import GenomeLmError
 from .lm import MarkovLm, UniformLm, bridge_model, train_markov
-from .sampling import SamplerConfig, conditioned_generate, generate
+from .sampling import SamplerConfig, conditioned_generate
 from .seqcore import (fasta_text, parse_fasta, read_fasta, reading_model, translate,
-                      validate, write_tsv)
-from .tokenizer import (
-    BpeModel,
-    KmerSpec,
-    KmerTokenizer,
-    bpe_encode,
-    bpe_train,
-    kmer_encode,
-)
+                      tsv_text, validate, write_tsv)
+from .tokenizer import BpeModel, KmerTokenizer, bpe_encode, bpe_train, kmer_encode
 
 USAGE_ERROR = 1
 DATA_ERROR = 2
@@ -137,8 +132,17 @@ def _read_sequences(args):
         return read_fasta(args.infile)
     data = sys.stdin.read()
     if data.lstrip().startswith(">"):
-        return list(parse_fasta(data.splitlines()))
+        return list(parse_fasta(data.splitlines(), "<stdin>"))
     return [validate(data)]
+
+
+def _kmer_offsets(args, fixed: int) -> Iterator[int]:
+    """Each sequence's k-mer offset in turn: `fixed`, or with --random-offset
+    a draw from one generator seeded by --seed."""
+    rng = random.Random(args.seed)
+    while True:
+        # a k below 1 gets no draw, so kmer_encode can name it
+        yield rng.randrange(args.k) if args.random_offset and args.k > 0 else fixed
 
 
 # --- subcommand implementations ----------------------------------------------
@@ -152,14 +156,9 @@ def cmd_tokenize(args):
         for seq in seqs:
             lines.append(" ".join(map(str, bpe_encode(seq, model))))
     else:
-        # one spec, and so one generator, draws every sequence's offset
-        spec = KmerSpec(args.k, offset=None if args.random_offset else args.offset,
-                        seed=args.seed)
-        for seq in seqs:
-            offset, ids, tail = kmer_encode(seq, spec)
-            lines.append(
-                f"{offset}\t{' '.join(map(str, ids))}\t{tail}"
-            )
+        for seq, offset in zip(seqs, _kmer_offsets(args, args.offset)):
+            ids, tail = kmer_encode(seq, args.k, offset)
+            lines.append(f"{offset}\t{' '.join(map(str, ids))}\t{tail}")
     _emit(args, "\n".join(lines) + "\n")
     return 0
 
@@ -217,9 +216,8 @@ def cmd_ingest_gener_tasks(args):
 def cmd_train_markov(args):
     tokenizer = KmerTokenizer(args.k)
     corpus = []
-    spec = KmerSpec(args.k, offset=None if args.random_offset else 0, seed=args.seed)
-    for seq in read_fasta(args.corpus):
-        _, ids, _ = kmer_encode(seq, spec)
+    for seq, offset in zip(read_fasta(args.corpus), _kmer_offsets(args, 0)):
+        ids = tokenizer.encode(seq.bases, offset)
         if ids:
             corpus.append(ids)
     lambdas = None
@@ -244,22 +242,13 @@ def cmd_generate(args):
         dedup = None
         if args.dedup_against:
             dedup = {s.bases for s in read_fasta(args.dedup_against)}
-        if args.prefix:
-            batch = conditioned_generate(
-                model, tokenizer, args.prefix, cfg, n_sequences=args.n, dedup_against=dedup
-            )
-            sequences = batch.sequences
-            if batch.exhausted:
-                print("warning: candidate pool exhausted before n sequences", file=sys.stderr)
-        else:
-            prompt_ids = tokenizer.encode(args.prompt.upper()) if args.prompt else []
-            sequences = []
-            for i in range(args.n):
-                ids = generate(model, prompt_ids, cfg, job_index=i)
-                sequences.append(tokenizer.decode(ids))
-            if dedup is not None:
-                sequences = [s for s in sequences if s not in dedup]
-    _emit(args, "\n".join(sequences) + "\n")
+        # a --prefix run starts from [BOS, prefix] and ignores --prompt
+        prompt = tokenizer.encode(args.prompt.upper()) if args.prompt and not args.prefix else []
+        batch = conditioned_generate(model, tokenizer, args.prefix, cfg, n_sequences=args.n,
+                                     seed_context=prompt, dedup_against=dedup)
+    if batch.exhausted:
+        print("warning: candidate pool exhausted before n sequences", file=sys.stderr)
+    _emit(args, "\n".join(batch.sequences) + "\n")
     return 0
 
 
@@ -297,15 +286,13 @@ def cmd_vep_score(args):
         tokenizer = KmerTokenizer.for_vocabulary(model.vocabulary())
         genome = {s.id: s for s in read_fasta(args.genome)}
         variants = vep.read_variants_tsv(args.variants)
-        lines = ["#seq_id\tpos\tref\talt\tlabel\tscore"]
-        for variant in variants:
-            score = vep.vep_score(model, tokenizer, genome, variant, context_len=args.context_len,
+        rows = []
+        for v in variants:
+            score = vep.vep_score(model, tokenizer, genome, v, context_len=args.context_len,
                                   average_phases=args.average_phases)
-            lines.append(
-                f"{variant.seq_id}\t{variant.pos}\t{variant.ref_allele}\t"
-                f"{variant.alt_allele}\t{variant.label or ''}\t{score:.6f}"
-            )
-    _emit(args, "\n".join(lines) + "\n")
+            rows.append((v.seq_id, v.pos, v.ref_allele, v.alt_allele, v.label or "",
+                         f"{score:.6f}"))
+    _emit(args, tsv_text(("seq_id", "pos", "ref", "alt", "label", "score"), rows))
     return 0
 
 
@@ -319,10 +306,9 @@ def cmd_vep_eval(args):
 def cmd_design_label(args):
     records = design.read_activity_tsv(args.activities, head=args.head)
     labels = design.quantile_labels([r.activity for r in records])
-    lines = ["#sequence\tactivity\tlabel"]
-    for record, label in zip(records, labels):
-        lines.append(f"{record.sequence.bases}\t{record.activity:.6g}\t{label}")
-    _emit(args, "\n".join(lines) + "\n")
+    _emit(args, tsv_text(("sequence", "activity", "label"),
+                         ((r.sequence.bases, f"{r.activity:.6g}", label)
+                          for r, label in zip(records, labels))))
     return 0
 
 
@@ -344,11 +330,10 @@ def cmd_design_rank(args):
         top=args.top, bottom=args.bottom, random=args.random, seed=args.seed
     )
     report = design.rank_and_select(predictor, candidates, plan)
-    lines = ["#group\tsequence\tpredicted_activity"]
-    for group, seqs in (("top", report.top), ("bottom", report.bottom), ("random", report.random)):
-        for seq in seqs:
-            lines.append(f"{group}\t{seq}\t{report.scores[seq]:.6g}")
-    _emit(args, "\n".join(lines) + "\n")
+    groups = (("top", report.top), ("bottom", report.bottom), ("random", report.random))
+    _emit(args, tsv_text(("group", "sequence", "predicted_activity"),
+                         ((group, seq, f"{report.scores[seq]:.6g}")
+                          for group, seqs in groups for seq in seqs)))
     return 0
 
 
@@ -363,25 +348,26 @@ def cmd_design_contrib(args):
     return 0
 
 
-def cmd_embed_project(args):
+def _profile_embeddings(args):
     seqs = read_fasta(args.infile)
     vectors = np.stack([analytics.profile_embedding(s.bases, args.k) for s in seqs])
     labels = [s.meta.get("taxon_group", "unlabeled") for s in seqs]
-    emb = analytics.EmbeddingSet(vectors=vectors, labels=labels)
+    return seqs, analytics.EmbeddingSet(vectors=vectors, labels=labels)
+
+
+def cmd_embed_project(args):
+    seqs, emb = _profile_embeddings(args)
     result = analytics.pca_project(emb, dims=2)
     if result.degenerate_dims:
         print(f"warning: {result.degenerate_dims} degenerate dimensions zero-filled",
               file=sys.stderr)
     ids = [s.id or f"seq{i}" for i, s in enumerate(seqs)]
-    _emit(args, analytics.projection_to_tsv(ids, labels, result.coords))
+    _emit(args, analytics.projection_to_tsv(ids, emb.labels, result.coords))
     return 0
 
 
 def cmd_embed_silhouette(args):
-    seqs = read_fasta(args.infile)
-    vectors = np.stack([analytics.profile_embedding(s.bases, args.k) for s in seqs])
-    labels = [s.meta.get("taxon_group", "unlabeled") for s in seqs]
-    emb = analytics.EmbeddingSet(vectors=vectors, labels=labels)
+    _, emb = _profile_embeddings(args)
     value = analytics.silhouette(emb, metric=args.metric)
     _emit(args, f"{value:.6f}\n")
     return 0
@@ -389,14 +375,13 @@ def cmd_embed_silhouette(args):
 
 def cmd_translate(args):
     seqs = _read_sequences(args)
-    lines = ["#id\tframe\tprotein\tcomplete\tpremature_stop\tstarts_with_met"]
+    rows = []
     for seq in seqs:
         report = translate(seq, frame=args.frame)
-        lines.append(
-            f"{seq.id or '-'}\t{args.frame}\t{report.protein}\t"
-            f"{report.complete}\t{report.premature_stop}\t{report.starts_with_met}"
-        )
-    _emit(args, "\n".join(lines) + "\n")
+        rows.append((seq.id or "-", args.frame, report.protein, report.complete,
+                     report.premature_stop, report.starts_with_met))
+    _emit(args, tsv_text(("id", "frame", "protein", "complete", "premature_stop",
+                          "starts_with_met"), rows))
     return 0
 
 

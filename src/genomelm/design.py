@@ -17,8 +17,8 @@ from .errors import (
     TooFewSamples,
     UnknownPrefixToken,
 )
-from .seqcore import NucleotideSequence, read_tsv, reading_model
-from .tokenizer import BASES, KmerTokenizer, _digits
+from .seqcore import NucleotideSequence, read_tsv, reading_model, tsv_text
+from .tokenizer import BASES, KmerTokenizer, kmer_counts, kmer_substitutions, kmer_windows
 
 PREFIX_BY_LABEL = {"high": "<high>", "mid": "<mid>", "low": "<low>"}
 
@@ -73,20 +73,6 @@ def build_prefix_dataset(
 
 
 # --- k-mer ridge predictor ---------------------------------------------------
-
-def kmer_counts(bases: str, k: int) -> np.ndarray:
-    """Count vector over the 4^k k-mers in lexicographic order; windows
-    containing N are skipped."""
-    n_windows = len(bases) - k + 1
-    if n_windows <= 0:
-        return np.zeros(4**k)
-    digits = _digits(bases)
-    windows = np.lib.stride_tricks.sliding_window_view(digits, k).astype(np.int64)
-    ok = (windows != 255).all(axis=1)
-    powers = 4 ** np.arange(k - 1, -1, -1, dtype=np.int64)
-    ranks = windows[ok] @ powers
-    return np.bincount(ranks, minlength=4**k).astype(float)
-
 
 @dataclass
 class KmerRidgePredictor:
@@ -208,18 +194,11 @@ def _ridge_contributions(
     over those windows of w[new k-mer] - w[old k-mer]. Windows holding an N
     are skipped, as kmer_counts skips them."""
     k, w = predictor.k, predictor.weights
-    digits = _digits(sequence)
+    starts, ids = kmer_windows(sequence, k)
     delta = np.zeros(len(sequence))
-    if len(sequence) >= k:
-        windows = np.lib.stride_tricks.sliding_window_view(digits, k).astype(np.int64)
-        starts = np.nonzero((windows != 255).all(axis=1))[0]
-        powers = 4 ** np.arange(k - 1, -1, -1, dtype=np.int64)
-        ranks = windows[starts] @ powers
-        for j in range(k):  # the substituted base is the j-th of each window
-            old = windows[starts, j]
-            for shift in (1, 2, 3):
-                new = (old + shift) % 4
-                delta[starts + j] += w[ranks + (new - old) * powers[j]] - w[ranks]
+    for j in range(k):  # the substituted base is the j-th of each window
+        for new in kmer_substitutions(ids, k, j).T:
+            delta[starts + j] += w[new] - w[ids]
     return [None if b == "N" else float(-d / 3) for b, d in zip(sequence, delta)]
 
 
@@ -262,7 +241,6 @@ def read_activity_tsv(path, head: str = "dev") -> list[ActivityRecord]:
 
 
 def contributions_to_tsv(sequence: str, scores: Sequence[Optional[float]]) -> str:
-    lines = ["#pos\tbase\tcontribution"]
-    for i, (base, c) in enumerate(zip(sequence, scores), start=1):
-        lines.append(f"{i}\t{base}\t{'NA' if c is None else f'{c:.6g}'}")
-    return "\n".join(lines) + "\n"
+    return tsv_text(("pos", "base", "contribution"),
+                    ((i, base, "NA" if c is None else f"{c:.6g}")
+                     for i, (base, c) in enumerate(zip(sequence, scores), start=1)))

@@ -57,6 +57,12 @@ class BadRow(GenomeLmError):
         super().__init__(f"{where}bad row at line {line_no}: {reason}")
 
 
+class BadFastaRecord(GenomeLmError):
+    def __init__(self, path, line_no, record, reason):
+        self.path, self.line_no, self.record = path, line_no, record
+        super().__init__(f"{path}: line {line_no} (record {record!r}): {reason}")
+
+
 class UnknownSequenceId(GenomeLmError):
     pass
 

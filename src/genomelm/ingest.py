@@ -18,7 +18,8 @@ from .errors import (
     MissingOrigin,
     UnknownSequenceId,
 )
-from .seqcore import NucleotideSequence, read_tsv, reverse_complement, split_on_n, validate
+from .seqcore import (NucleotideSequence, read_tsv, reverse_complement, split_on_n, tsv_text,
+                      validate)
 
 FEATURE_TYPES = ("CDS", "pseudo", "tRNA", "rRNA", "ncRNA", "miscRNA", "gene")
 TAXON_GROUPS = (
@@ -239,11 +240,10 @@ class CorpusStats:
         return sum(n for _, n in self.counts.values())
 
     def to_tsv(self) -> str:
-        lines = ["#taxon_group\tfeature_type\tgenes\tnucleotides"]
-        for (taxon, feature), (genes, nt) in sorted(self.counts.items()):
-            lines.append(f"{taxon}\t{feature}\t{genes}\t{nt}")
-        lines.append(f"total\t-\t{self.total_genes}\t{self.total_nucleotides}")
-        return "\n".join(lines) + "\n"
+        rows = [(taxon, feature, genes, nt)
+                for (taxon, feature), (genes, nt) in sorted(self.counts.items())]
+        rows.append(("total", "-", self.total_genes, self.total_nucleotides))
+        return tsv_text(("taxon_group", "feature_type", "genes", "nucleotides"), rows)
 
 
 def corpus_stats(regions: Iterable[FunctionalRegion]) -> CorpusStats:

@@ -95,12 +95,12 @@ class RecoveryReport:
     overall: dict[int, float] = field(default_factory=dict)  # predict_len -> unweighted group mean
 
     def to_tsv(self) -> str:
-        lines = ["#taxon_group\tprompt_len\tpredict_len\tmean_accuracy\tn\tstd_error"]
-        for (group, plen, llen), (mean, n, se) in sorted(self.cells.items()):
-            lines.append(f"{group}\t{plen}\t{llen}\t{mean:.6f}\t{n}\t{se:.6f}")
-        for llen, mean in sorted(self.overall.items()):
-            lines.append(f"overall\t-\t{llen}\t{mean:.6f}\t-\t-")
-        return "\n".join(lines) + "\n"
+        rows = [(group, plen, llen, f"{mean:.6f}", n, f"{se:.6f}")
+                for (group, plen, llen), (mean, n, se) in sorted(self.cells.items())]
+        rows += [("overall", "-", llen, f"{mean:.6f}", "-", "-")
+                 for llen, mean in sorted(self.overall.items())]
+        return tsv_text(("taxon_group", "prompt_len", "predict_len", "mean_accuracy", "n",
+                         "std_error"), rows)
 
     def to_json(self) -> str:
         return json.dumps(

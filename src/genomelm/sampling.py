@@ -151,26 +151,30 @@ class ConditionedBatch:
 def conditioned_generate(
     lm: CausalLm,
     tokenizer: KmerTokenizer,
-    prefix_token: str,
+    prefix_token: Optional[str],
     cfg: SamplerConfig,
     n_sequences: int = 1,
     seed_context: Sequence[int] = (),
     dedup_against: Optional[set[str]] = None,
     max_attempts_factor: int = 4,
 ) -> ConditionedBatch:
-    """Generate nucleotide sequences primed with [BOS, prefix]+seed_context.
+    """Generate nucleotide sequences primed with [BOS, prefix]+seed_context,
+    or with seed_context alone when prefix_token is None; attempt i decodes
+    on job stream i.
 
-    With dedup_against, exact-string duplicates are discarded and extra
-    attempts are made up to max_attempts_factor * n_sequences.
+    With dedup_against, a string in it or generated before is discarded and
+    extra attempts are made up to max_attempts_factor * n_sequences.
     """
-    vocab = lm.vocabulary()
-    try:
-        prefix_id = vocab.prefix_id(prefix_token)
-    except KeyError:
-        raise UnknownPrefixToken(f"prefix token {prefix_token!r} not in vocabulary")
-    if not vocab.is_special(prefix_id):
-        raise UnknownPrefixToken(f"{prefix_token!r} is not a special token")
-    prompt = [vocab.bos, prefix_id, *seed_context]
+    prompt = list(seed_context)
+    if prefix_token is not None:
+        vocab = lm.vocabulary()
+        try:
+            prefix_id = vocab.id_of(prefix_token)
+        except KeyError:
+            raise UnknownPrefixToken(f"prefix token {prefix_token!r} not in vocabulary")
+        if not vocab.is_special(prefix_id):
+            raise UnknownPrefixToken(f"{prefix_token!r} is not a special token")
+        prompt = [vocab.bos, prefix_id, *prompt]
 
     seen = set(dedup_against or ())
     sequences: list[str] = []
@@ -186,8 +190,4 @@ def conditioned_generate(
             continue
         seen.add(bases)
         sequences.append(bases)
-    return ConditionedBatch(
-        sequences=sequences,
-        duplicates_filtered=filtered,
-        exhausted=len(sequences) < n_sequences,
-    )
+    return ConditionedBatch(sequences, filtered, exhausted=len(sequences) < n_sequences)

@@ -11,7 +11,7 @@ from dataclasses import dataclass, field
 from pathlib import Path
 from typing import Callable, Iterable, Iterator, Optional, Sequence, TypeVar
 
-from .errors import AmbiguousBase, BadModelFile, BadRow, InvalidSymbol
+from .errors import AmbiguousBase, BadFastaRecord, BadModelFile, BadRow, InvalidSymbol
 
 DNA_ALPHABET = frozenset("ACGTN")
 _COMPLEMENT = str.maketrans("ACGTN", "TGCAN")
@@ -142,32 +142,29 @@ def split_on_n(seq: NucleotideSequence, min_len: int = 1) -> list[NucleotideSequ
 # --- FASTA i/o ---------------------------------------------------------------
 
 def read_fasta(path) -> list[NucleotideSequence]:
-    return list(iter_fasta(path))
-
-
-def iter_fasta(path) -> Iterator[NucleotideSequence]:
     with open(path) as fh:
-        yield from parse_fasta(fh)
+        return list(parse_fasta(fh, path))
 
 
-def parse_fasta(lines: Iterable[str]) -> Iterator[NucleotideSequence]:
-    """FASTA records from lines of text, such as an open file."""
+def parse_fasta(lines: Iterable[str], path) -> Iterator[NucleotideSequence]:
+    """FASTA records from lines of text, such as an open file, read from
+    `path`. A symbol outside the alphabet raises BadFastaRecord naming the
+    path, the line and the record."""
     header = None
-    chunks: list[str] = []
-    for line in lines:
+    chunks: list[str] = []  # every body line, blank ones too: chunk i is line first + i
+    for line_no, line in enumerate(lines, start=1):
         line = line.rstrip("\n")
         if line.startswith(">"):
             if header is not None:
-                yield _fasta_record(header, chunks)
-            header = line[1:].strip()
-            chunks = []
-        elif line:
+                yield _fasta_record(header, chunks, first, path)
+            header, chunks, first = line[1:].strip(), [], line_no + 1
+        else:
             chunks.append(line)
     if header is not None:
-        yield _fasta_record(header, chunks)
+        yield _fasta_record(header, chunks, first, path)
 
 
-def _fasta_record(header: str, chunks: list[str]) -> NucleotideSequence:
+def _fasta_record(header: str, chunks: list[str], first: int, path) -> NucleotideSequence:
     # Headers of the form "id|taxon|feature" carry corpus metadata.
     fields = header.split("|")
     meta = {}
@@ -175,7 +172,16 @@ def _fasta_record(header: str, chunks: list[str]) -> NucleotideSequence:
         meta["taxon_group"] = fields[1]
     if len(fields) >= 3 and fields[2]:
         meta["feature_type"] = fields[2]
-    return validate("".join(chunks), id=fields[0], meta=meta)
+    try:
+        return validate("".join(chunks), id=fields[0], meta=meta)
+    except InvalidSymbol as exc:
+        # only now map the position in the record back to its line
+        seen = 0
+        for line_no, chunk in enumerate(chunks, start=first):
+            seen += len("".join(chunk.split()))
+            if exc.position < seen:
+                break
+        raise BadFastaRecord(path, line_no, fields[0], exc) from exc
 
 
 def fasta_text(seqs: Iterable[NucleotideSequence], width: int = 60) -> str:

@@ -3,16 +3,16 @@
 Vocabulary layout: nucleotide tokens first (dense ids from 0), then a fixed
 block of 32 special-token slots at the top of the id range. For a k-mer
 vocabulary the nucleotide block is exactly the 4^k strings over {A,C,G,T}
-in lexicographic order (A<C<G<T), so token ids are index-computable.
+in lexicographic order (A<C<G<T), so a k-mer's id is its base ranks read
+as a base-4 number. That layout is used only here: encoding, decoding,
+k-mer counts and the bases of an id.
 """
 from __future__ import annotations
 
 import hashlib
 import itertools
 import json
-import random
-import re
-from dataclasses import dataclass, field
+from dataclasses import dataclass
 from functools import cached_property, lru_cache
 from typing import Optional, Sequence
 
@@ -28,12 +28,11 @@ from .errors import (
 from .seqcore import NucleotideSequence
 
 BASES = "ACGT"
-_BASE_INDEX = {b: i for i, b in enumerate(BASES)}
+BASE_RANK = {b: i for i, b in enumerate(BASES)}
 
 # byte -> base rank lookup; 255 marks non-ACGT bytes
 _DIGIT_LUT = np.full(256, 255, dtype=np.uint8)
-for _b, _i in _BASE_INDEX.items():
-    _DIGIT_LUT[ord(_b)] = _i
+_DIGIT_LUT[np.frombuffer(BASES.encode(), dtype=np.uint8)] = np.arange(4)
 
 
 def _digits(bases: str) -> np.ndarray:
@@ -42,7 +41,24 @@ def _digits(bases: str) -> np.ndarray:
     return _DIGIT_LUT[np.frombuffer(bases.encode("ascii", errors="replace"), dtype=np.uint8)]
 
 
-_NOT_ACGT = re.compile("[^ACGT]")
+def _acgt_digits(bases: str) -> np.ndarray:
+    """The base ranks of a string that must hold only A, C, G and T. An N
+    anywhere raises ContainsAmbiguousBase; any other character raises
+    InvalidSymbol at the first one's position."""
+    digits = _digits(bases)
+    if (digits == 255).any():
+        if "N" in bases:
+            raise ContainsAmbiguousBase(f"cannot tokenize N (position {bases.index('N')})")
+        bad = int(np.argmax(digits == 255))
+        raise InvalidSymbol(bad, bases[bad])
+    return digits
+
+
+def _ranks(windows: np.ndarray) -> np.ndarray:
+    """The k-mer id of each row of an n x k array of base ranks."""
+    k = windows.shape[1]
+    return windows.astype(np.int64) @ 4 ** np.arange(k - 1, -1, -1, dtype=np.int64)
+
 
 N_SPECIAL_SLOTS = 32
 SPECIAL_NAMES = ["<bos>", "<eos>", "<mask>", "<unk>", "<pad>", "<high>", "<mid>", "<low>"]
@@ -97,10 +113,6 @@ class Vocabulary:
     def pad(self) -> int:
         return self.n_base + 4
 
-    def prefix_id(self, name: str) -> int:
-        """Id of a conditioning prefix token such as '<high>'."""
-        return self.id_of(name)
-
     def content_hash(self) -> str:
         return hashlib.sha256("\n".join(self.tokens).encode()).hexdigest()[:16]
 
@@ -122,72 +134,61 @@ def kmer_vocabulary(k: int) -> Vocabulary:
     return Vocabulary(tokens=tuple(kmers + _SPECIAL_TOKENS), n_base=4**k)
 
 
-def kmer_id(kmer: str) -> int:
-    """Lexicographic rank of a k-mer; the token id in a k-mer vocabulary."""
-    rank = 0
-    for ch in kmer:
-        rank = rank * 4 + _BASE_INDEX[ch]
-    return rank
-
-
-@dataclass
-class KmerSpec:
-    """k-mer tokenization config. offset=None draws uniform offsets per call."""
-
-    k: int
-    offset: Optional[int] = 0
-    seed: Optional[int] = None
-    _rng: Optional[random.Random] = field(init=False, repr=False, compare=False)
-
-    def __post_init__(self):
-        if not 1 <= self.k <= 8:
-            raise ValueError(f"k must be in [1,8], got {self.k}")
-        if self.offset is not None and not 0 <= self.offset < self.k:
-            raise ValueError(f"fixed offset must be in [0,{self.k - 1}]")
-        # Only a drawn offset needs a generator, and an unseeded one is seeded
-        # from the OS: a cost every fixed-offset encode and decode would pay.
-        self._rng = random.Random(self.seed) if self.offset is None else None
-
-    def draw_offset(self) -> int:
-        if self.offset is not None:
-            return self.offset
-        return self._rng.randrange(self.k)
-
-
-def kmer_encode(
-    seq: NucleotideSequence | str, spec: KmerSpec
-) -> tuple[int, list[int], str]:
+def kmer_encode(seq: NucleotideSequence | str, k: int, offset: int = 0) -> tuple[list[int], str]:
     """Encode to k-mer token ids.
 
-    Returns (offset_used, ids, tail). The leading `offset_used` nucleotides
-    are skipped and the trailing remainder shorter than k is returned as
-    `tail` rather than padded or dropped silently.
+    Returns (ids, tail). The leading `offset` nucleotides are skipped and
+    the trailing remainder shorter than k is returned as `tail` rather than
+    padded or dropped silently. Every character, skipped ones and the tail
+    included, must be A, C, G or T.
     """
+    if not 1 <= k <= 8:
+        raise ValueError(f"k must be in [1,8], got {k}")
+    if not 0 <= offset < k:
+        raise ValueError(f"offset must be in [0,{k - 1}], got {offset}")
     bases = seq.bases if isinstance(seq, NucleotideSequence) else seq
-    if "N" in bases:
-        raise ContainsAmbiguousBase("cannot k-mer encode a sequence containing N")
-    offset = spec.draw_offset()
-    k = spec.k
-    body = bases[offset:]
-    n_tokens = len(body) // k
-    digits = _digits(body[: n_tokens * k])
-    if (digits == 255).any():
-        bad = int(np.argmax(digits == 255))
-        raise InvalidSymbol(offset + bad, body[bad])
-    powers = 4 ** np.arange(k - 1, -1, -1, dtype=np.int64)
-    ids = (digits.reshape(n_tokens, k).astype(np.int64) @ powers).tolist()
-    tail = body[n_tokens * k :]
-    return offset, ids, tail
+    digits = _acgt_digits(bases)
+    end = offset + max(len(bases) - offset, 0) // k * k
+    ids = _ranks(digits[offset:end].reshape(-1, k)).tolist()
+    return ids, bases[end:]
 
 
-def kmer_decode(ids: Sequence[int], spec: KmerSpec) -> NucleotideSequence:
-    return _decode(ids, kmer_vocabulary(spec.k))
+def kmer_decode(ids: Sequence[int], k: int) -> NucleotideSequence:
+    return _decode(ids, kmer_vocabulary(k))
 
 
 def _decode(ids: Sequence[int], vocab: Vocabulary) -> NucleotideSequence:
     if len(ids) and max(ids) >= vocab.n_base:
         raise SpecialTokenInStream(next(t for t in ids if vocab.is_special(t)))
     return NucleotideSequence("".join([vocab.tokens[t] for t in ids]))
+
+
+def kmer_windows(bases: str, k: int) -> tuple[np.ndarray, np.ndarray]:
+    """(starts, ids) of every k-long window of `bases` that holds only A, C,
+    G and T; a window with an N, or any other character, is skipped."""
+    if len(bases) < k:
+        return np.zeros(0, dtype=np.int64), np.zeros(0, dtype=np.int64)
+    windows = np.lib.stride_tricks.sliding_window_view(_digits(bases), k)
+    starts = np.flatnonzero((windows != 255).all(axis=1))
+    return starts, _ranks(windows[starts])
+
+
+def kmer_counts(bases: str, k: int) -> np.ndarray:
+    """Count vector over the 4^k k-mers in id order; windows holding an N
+    are skipped."""
+    return np.bincount(kmer_windows(bases, k)[1], minlength=4**k).astype(float)
+
+
+def base_ranks_at(ids: np.ndarray, k: int, j: int) -> np.ndarray:
+    """The rank of base j (0 = first) of each k-mer id."""
+    return (ids // 4 ** (k - 1 - j)) % 4
+
+
+def kmer_substitutions(ids: np.ndarray, k: int, j: int) -> np.ndarray:
+    """For each k-mer id, the ids of the three k-mers that differ from it at
+    base j only, as columns for the base ranks old+1, old+2, old+3 mod 4."""
+    old = base_ranks_at(ids, k, j)[:, None]
+    return ids[:, None] + ((old + np.arange(1, 4)) % 4 - old) * 4 ** (k - 1 - j)
 
 
 # --- BPE ---------------------------------------------------------------------
@@ -227,16 +228,8 @@ def bpe_train(corpus: Sequence[NucleotideSequence | str], target_vocab: int) -> 
         raise ValueError(
             f"target_vocab must be at least {4 + N_SPECIAL_SLOTS}, got {target_vocab}"
         )
-    words = []
-    for s in corpus:
-        bases = s.bases if isinstance(s, NucleotideSequence) else s
-        if "N" in bases:
-            raise ContainsAmbiguousBase("BPE corpus must be N-free")
-        bad = _NOT_ACGT.search(bases)
-        if bad:
-            raise InvalidSymbol(bad.start(), bad.group())
-        if bases:
-            words.append(bases)
+    words = [_acgt_digits(s.bases if isinstance(s, NucleotideSequence) else s) for s in corpus]
+    words = [w.astype(np.int64) for w in words if w.size]
     if not words:
         raise EmptyCorpus("BPE training corpus is empty")
 
@@ -244,8 +237,7 @@ def bpe_train(corpus: Sequence[NucleotideSequence | str], target_vocab: int) -> 
     # pair spans two words. A symbol id indexes `tokens`; a merge whose
     # concatenation is already a token reuses that token's id, as equal
     # strings are one symbol.
-    stream = _digits(" ".join(words))
-    stream = np.where(stream == 255, -1, stream.astype(np.int64))
+    stream = np.concatenate([part for w in words for part in (w, [-1])][:-1])
     merges: list[tuple[str, str]] = []
     tokens = list(BASES)
     symbol_ids = {b: i for i, b in enumerate(BASES)}
@@ -312,16 +304,8 @@ def _merge_pair(word: np.ndarray, left: int, right: int, merged: int) -> np.ndar
 
 
 def bpe_encode(seq: NucleotideSequence | str, model: BpeModel) -> list[int]:
-    bases = seq.bases if isinstance(seq, NucleotideSequence) else seq
-    if "N" in bases:
-        raise ContainsAmbiguousBase("cannot BPE encode a sequence containing N")
-    if not bases:
-        return []
+    word = _acgt_digits(seq.bases if isinstance(seq, NucleotideSequence) else seq).astype(np.int64)
     index = model.vocab.index
-    word = _digits(bases).astype(np.int64)
-    if (word == 255).any():
-        bad = int(np.argmax(word == 255))
-        raise InvalidSymbol(bad, bases[bad])
     # Merges are applied in training order, each the way training applied it.
     for left, right in model.merges:
         word = _merge_pair(word, index[left], index[right], index[left + right])
@@ -335,7 +319,8 @@ def bpe_decode(ids: Sequence[int], model: BpeModel) -> NucleotideSequence:
 # --- facade used by the benchmark and scoring code ---------------------------
 
 class KmerTokenizer:
-    """Bundles a k-mer vocabulary with encode/decode at a fixed k."""
+    """A k-mer vocabulary, built once, with encode/decode at its k. Both go
+    through the pure functions `kmer_encode` and `kmer_decode`."""
 
     def __init__(self, k: int):
         self.k = k
@@ -352,8 +337,7 @@ class KmerTokenizer:
         return tokenizer
 
     def encode(self, bases: str, offset: int = 0) -> list[int]:
-        _, ids, _ = kmer_encode(bases, KmerSpec(self.k, offset=offset))
-        return ids
+        return kmer_encode(bases, self.k, offset)[0]
 
     def decode(self, ids: Sequence[int]) -> str:
-        return kmer_decode(ids, KmerSpec(self.k)).bases
+        return kmer_decode(ids, self.k).bases

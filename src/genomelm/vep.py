@@ -21,12 +21,10 @@ from .errors import (
 )
 from .lm import CausalLm, TokenDistribution, check_vocabulary, context_start
 from .seqcore import NucleotideSequence, read_tsv
-from .tokenizer import BASES, KmerTokenizer
+from .tokenizer import BASE_RANK, KmerTokenizer, base_ranks_at
 
 PROB_FLOOR = 1e-18
 SCORE_CAP = 40.0
-
-_BASE_POS = {b: i for i, b in enumerate(BASES)}
 
 
 @dataclass(frozen=True)
@@ -38,7 +36,7 @@ class Variant:
     label: Optional[str] = None  # benign | pathogenic
 
     def __post_init__(self):
-        if self.ref_allele not in _BASE_POS or self.alt_allele not in _BASE_POS:
+        if self.ref_allele not in BASE_RANK or self.alt_allele not in BASE_RANK:
             raise ValueError(
                 f"alleles must be single bases in ACGT, got {self.ref_allele!r}>{self.alt_allele!r}"
             )
@@ -61,7 +59,7 @@ class NucleotideMarginal:
             raise ValueError(f"not a nucleotide distribution: {p}")
 
     def prob(self, base: str) -> float:
-        return float(self.probs[_BASE_POS[base]])
+        return float(self.probs[BASE_RANK[base]])
 
 
 def marginalize_distribution(
@@ -69,9 +67,8 @@ def marginalize_distribution(
 ) -> NucleotideMarginal:
     """Collapse a token distribution to the nucleotide at offset j.
 
-    Special-token mass is excluded and renormalized away. With the
-    lexicographic k-mer layout the j-th character of token t is digit
-    (t // 4^(k-1-j)) mod 4, so the sum runs without string lookups.
+    Special-token mass is excluded and renormalized away. The base at
+    offset j of each token is read off its id, without string lookups.
     """
     k = tokenizer.k
     if not 0 <= j < k:
@@ -85,9 +82,7 @@ def marginalize_distribution(
     total = body.sum()
     if total <= 0:
         return NucleotideMarginal(np.full(4, 0.25))
-    stride = 4 ** (k - 1 - j)
-    digits = (np.arange(n_base) // stride) % 4
-    marg = np.bincount(digits, weights=body, minlength=4) / total
+    marg = np.bincount(base_ranks_at(np.arange(n_base), k, j), weights=body, minlength=4) / total
     return NucleotideMarginal(marg)
 
 

@@ -34,7 +34,6 @@ from genomelm.recover import RecoveryItem, run_recovery
 from genomelm.sampling import SamplerConfig, conditioned_generate
 from genomelm.seqcore import NucleotideSequence, write_fasta
 from genomelm.tokenizer import (
-    KmerSpec,
     KmerTokenizer,
     bpe_decode,
     bpe_encode,
@@ -78,8 +77,8 @@ def test_01_tokenizer_round_trip():
     for s in sequences:
         for k in range(1, 9):
             for offset in range(k):
-                _, ids, tail = kmer_encode(s, KmerSpec(k, offset=offset))
-                if kmer_decode(ids, KmerSpec(k)).bases + tail != s[offset:]:
+                ids, tail = kmer_encode(s, k, offset)
+                if kmer_decode(ids, k).bases + tail != s[offset:]:
                     failures += 1
 
     bpe = bpe_train([s[:500] for s in sequences[:200]], target_vocab=60)
@@ -373,7 +372,7 @@ def test_10_conditioned_generation_separation():
         low_body = random_dna(rng, 60, "TTTTTTTTG")
         for prefix, body in (("<high>", high_body), ("<low>", low_body)):
             streams.append(
-                [vocab.bos, vocab.prefix_id(prefix), *tok.encode(body), vocab.eos]
+                [vocab.bos, vocab.id_of(prefix), *tok.encode(body), vocab.eos]
             )
     model = MarkovLm(vocab, order=1, alpha=0.01, lambdas=[0.02, 0.98])
     for s in streams:

@@ -494,6 +494,37 @@ class TestModelWorkflows:
         assert main(["generate", "--model", f"markov:{model}", *argv]) == 0
         assert capsys.readouterr().out == want
 
+    @pytest.mark.parametrize("prefix", [[], ["--prefix", "<high>"], ["--prompt", "ACGT"]])
+    def test_generate_dedup_keeps_each_sequence_once(self, tmp_path, capsys, prefix):
+        # the prompt and the --prefix paths share one rule: a sequence in the
+        # dedup file or generated before is retried, and a short batch warns
+        dedup = tmp_path / "a.fa"
+        dedup.write_text(">a\nA\n")
+        argv = ["generate", "--model", "uniform:1", "--max-new", "1", "-n", "8", "--seed", "3",
+                "--dedup-against", str(dedup), *prefix]
+        assert main(argv) == 0
+        captured = capsys.readouterr()
+        lines = captured.out.splitlines()
+        assert len(lines) == len(set(lines)) and "A" not in lines
+        assert set(lines) <= {"", "C", "G", "T"}
+        assert "warning: candidate pool exhausted before n sequences" in captured.err
+
+    def test_train_on_a_bad_fasta_names_the_file_line_and_record(self, tmp_path, capsys):
+        corpus = tmp_path / "bad.fa"
+        corpus.write_text(">s1\nACGT\n>s2|fungi\nACGTACGT\nACXGT\n")
+        argv = ["train-markov", str(corpus), "--k", "1", "--model-out", str(tmp_path / "m.npz")]
+        assert main(argv) == DATA_ERROR
+        assert capsys.readouterr().err == (
+            f"error: BadFastaRecord: {corpus}: line 5 (record 's2'): "
+            "invalid symbol 'X' at position 10\n"
+        )
+        assert not (tmp_path / "m.npz").exists()
+
+    def test_bad_fasta_on_stdin_is_named_too(self, monkeypatch, capsys):
+        monkeypatch.setattr("sys.stdin", io.StringIO(">a\nACG\n\nTAU\n"))
+        assert main(["tokenize", "--k", "3"]) == DATA_ERROR
+        assert "BadFastaRecord: <stdin>: line 4 (record 'a')" in capsys.readouterr().err
+
     def test_generate_with_uniform_model_and_prompt(self, tmp_path, capsys):
         assert main([
             "generate", "--model", "uniform:1", "--prompt", "ACGT",

@@ -89,7 +89,7 @@ class TestPrefixDataset:
         vocab = tok.vocab
         assert streams == [[
             vocab.bos,
-            vocab.prefix_id("<high>"),
+            vocab.id_of("<high>"),
             *tok.encode("ACGT"),
             vocab.eos,
         ]]

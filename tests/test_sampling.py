@@ -262,7 +262,7 @@ class TestConditionedGenerate:
         tok = KmerTokenizer(1)
         cfg = SamplerConfig(max_new_tokens=4)
         batch = conditioned_generate(lm, tok, "<high>", cfg, seed_context=[3, 3])
-        assert seen[0] == [VOCAB1.bos, VOCAB1.prefix_id("<high>"), 3, 3]
+        assert seen[0] == [VOCAB1.bos, VOCAB1.id_of("<high>"), 3, 3]
         assert batch.sequences == ["GGGG"]
         assert not batch.exhausted
 
@@ -287,6 +287,30 @@ class TestConditionedGenerate:
         )
         assert len(batch.sequences) == 5
         assert len(set(batch.sequences)) == 5
+
+    def test_no_prefix_primes_with_the_seed_context_alone(self):
+        seen = []
+
+        def fn(ctx):
+            seen.append(list(ctx))
+            return dist((1, 1.0))
+
+        batch = conditioned_generate(FnLm(fn), KmerTokenizer(1), None,
+                                     SamplerConfig(max_new_tokens=2), seed_context=[3, 0])
+        assert seen == [[3, 0], [3, 0, 1]]
+        assert batch.sequences == ["CC"]
+
+    def test_no_prefix_dedups_by_the_same_rule(self):
+        lm = FnLm(lambda ctx: dist((0, 1.0)))  # always generates "AAAA"
+        cfg = SamplerConfig(max_new_tokens=4)
+        batch = conditioned_generate(lm, KmerTokenizer(1), None, cfg, n_sequences=3,
+                                     dedup_against=set(), max_attempts_factor=2)
+        assert batch.sequences == ["AAAA"]
+        assert batch.duplicates_filtered == 5
+        assert batch.exhausted
+        # without a dedup set every attempt is kept, repeats included
+        batch = conditioned_generate(lm, KmerTokenizer(1), None, cfg, n_sequences=3)
+        assert batch.sequences == ["AAAA"] * 3 and not batch.exhausted
 
     def test_unknown_or_non_special_prefix_rejected(self):
         lm = UniformLm(VOCAB1)

@@ -6,7 +6,7 @@ import pytest
 from hypothesis import given
 from hypothesis import strategies as st
 
-from genomelm.errors import AmbiguousBase, BadRow, InvalidSymbol
+from genomelm.errors import AmbiguousBase, BadFastaRecord, BadRow, InvalidSymbol
 from genomelm.seqcore import (
     AMINO_ALPHABET,
     CODON_TABLE,
@@ -203,6 +203,29 @@ class TestFasta:
         assert seqs[0].bases == "ACGTACGT"
         assert seqs[0].meta == {"taxon_group": "plant", "feature_type": "gene"}
         assert seqs[1].id == "two"
+
+    def test_bad_symbol_names_the_file_line_and_record(self, tmp_path):
+        path = tmp_path / "in.fa"
+        path.write_text(">one\nACGT\n>two|fungi\nACGTACGT\nACXGT\n")
+        with pytest.raises(BadFastaRecord) as exc:
+            read_fasta(path)
+        assert (exc.value.path, exc.value.line_no, exc.value.record) == (path, 5, "two")
+        assert str(exc.value) == f"{path}: line 5 (record 'two'): invalid symbol 'X' at position 10"
+        assert isinstance(exc.value.__cause__, InvalidSymbol)
+
+    @given(st.lists(st.text(alphabet="acgtACGT \t", max_size=8), min_size=1, max_size=6),
+           st.sampled_from(["\n", "\r\n"]), st.data())
+    def test_the_line_of_a_bad_symbol_survives_blank_lines_and_whitespace(self, body, eol, data):
+        line = data.draw(st.integers(0, len(body) - 1))
+        col = data.draw(st.integers(0, len(body[line])))
+        body[line] = body[line][:col] + "x" + body[line][col:]
+        lines = [">lead", "ACGT", "", ">r|t|f", *body, ">tail", "TT"]
+        with tempfile.TemporaryDirectory() as d:
+            path = Path(d) / "in.fa"
+            path.write_bytes((eol.join(lines) + eol).encode())
+            with pytest.raises(BadFastaRecord) as exc:
+                read_fasta(path)
+        assert (exc.value.line_no, exc.value.record) == (5 + line, "r")
 
 
 class TestTsv:

@@ -1,4 +1,5 @@
 import json
+import random
 
 import numpy as np
 import pytest
@@ -12,9 +13,9 @@ from genomelm.errors import (
     SpecialTokenInStream,
     VocabularyMismatch,
 )
+from genomelm.seqcore import NucleotideSequence
 from genomelm.tokenizer import (
     BpeModel,
-    KmerSpec,
     KmerTokenizer,
     N_SPECIAL_SLOTS,
     Vocabulary,
@@ -22,14 +23,26 @@ from genomelm.tokenizer import (
     bpe_decode,
     bpe_encode,
     _most_frequent_pair,
+    base_ranks_at,
     bpe_train,
+    kmer_counts,
     kmer_decode,
     kmer_encode,
-    kmer_id,
+    kmer_substitutions,
     kmer_vocabulary,
+    kmer_windows,
 )
 
 dna = st.text(alphabet="ACGT", max_size=300)
+
+
+def kmer_id(kmer):
+    """Lexicographic rank of a k-mer, one base at a time: the oracle for
+    every k-mer id the tokenizer computes in bulk."""
+    rank = 0
+    for ch in kmer:
+        rank = rank * 4 + "ACGT".index(ch)
+    return rank
 
 
 def bpe_train_oracle(corpus, target_vocab):
@@ -102,7 +115,7 @@ class TestVocabulary:
         assert vocab.pad == 20
         assert vocab.is_special(16)
         assert not vocab.is_special(15)
-        assert vocab.tokens[vocab.prefix_id("<high>")] == "<high>"
+        assert vocab.tokens[vocab.id_of("<high>")] == "<high>"
 
     def test_json_round_trip_and_hash(self):
         vocab = kmer_vocabulary(3)
@@ -154,77 +167,160 @@ class TestTokenizerForVocabulary:
 
 class TestKmerCodec:
     def test_fixture(self):
-        offset, ids, tail = kmer_encode("ACGTACG", KmerSpec(3, offset=0))
-        assert offset == 0
+        ids, tail = kmer_encode("ACGTACG", 3)
         assert ids == [kmer_id("ACG"), kmer_id("TAC")]
         assert tail == "G"
 
     def test_offset_skips_leading_bases(self):
-        offset, ids, tail = kmer_encode("ACGTACG", KmerSpec(3, offset=1))
-        assert offset == 1
+        ids, tail = kmer_encode("ACGTACG", 3, offset=1)
         assert ids == [kmer_id("CGT"), kmer_id("ACG")]
         assert tail == ""
 
     def test_short_input_goes_entirely_to_tail(self):
-        offset, ids, tail = kmer_encode("AC", KmerSpec(6))
+        ids, tail = kmer_encode("AC", 6)
         assert ids == [] and tail == "AC"
+        assert kmer_encode("AC", 3, offset=2) == ([], "")
+
+    def test_accepts_a_nucleotide_sequence(self):
+        assert kmer_encode(NucleotideSequence("ACGTA"), 2, 1) == ([kmer_id("CG"), kmer_id("TA")], "")
 
     def test_rejects_n(self):
         with pytest.raises(ContainsAmbiguousBase):
-            kmer_encode("ACGNT", KmerSpec(2))
+            kmer_encode("ACGNT", 2)
 
     def test_rejects_non_alphabet(self):
         with pytest.raises(InvalidSymbol) as exc:
-            kmer_encode("ACGU", KmerSpec(2))
+            kmer_encode("ACGU", 2)
         assert exc.value.symbol == "U"
+
+    @pytest.mark.parametrize("bases, k, offset", [("ACGU", 3, 0), ("ACGU", 3, 1), ("ACGU", 8, 0)])
+    def test_tail_is_checked_too(self, bases, k, offset):
+        with pytest.raises(InvalidSymbol) as exc:
+            kmer_encode(bases, k, offset)
+        assert (exc.value.position, exc.value.symbol) == (3, "U")
 
     def test_rejects_non_ascii_as_a_symbol(self):
         with pytest.raises(InvalidSymbol) as exc:
-            kmer_encode("AÉ", KmerSpec(2))
+            kmer_encode("AÉ", 2)
         assert (exc.value.position, exc.value.symbol) == (1, "É")
 
-    def test_random_offset_is_seeded_and_in_range(self):
-        draws_a = [KmerSpec(6, offset=None, seed=7).draw_offset() for _ in range(1)]
-        spec_b = KmerSpec(6, offset=None, seed=7)
-        assert spec_b.draw_offset() == draws_a[0]
-        spec = KmerSpec(6, offset=None, seed=1)
-        seen = {spec.draw_offset() for _ in range(200)}
-        assert seen == set(range(6))
+    def test_random_offset_is_seeded_and_in_range(self, tmp_path, capsys):
+        # tokenize --random-offset draws one offset per sequence, all from
+        # one generator seeded by --seed
+        from genomelm.cli import main
+
+        fasta = tmp_path / "many.fa"
+        fasta.write_text("".join(f">s{i}\nACGTACGTAC\n" for i in range(200)))
+        runs = []
+        for _ in range(2):
+            assert main(["tokenize", "--in", str(fasta), "--k", "6", "--random-offset",
+                         "--seed", "1"]) == 0
+            runs.append([int(line.split("\t")[0]) for line in capsys.readouterr().out.splitlines()])
+        assert runs[0] == runs[1]
+        assert set(runs[0]) == set(range(6))
 
     def test_fixed_offset_bounds(self):
-        with pytest.raises(ValueError):
-            KmerSpec(3, offset=3)
+        for offset in (3, -1):
+            with pytest.raises(ValueError, match="offset must be in"):
+                kmer_encode("ACGTACGTAC", 3, offset)
+
+    def test_k_bounds(self):
+        for k in (0, 9):
+            with pytest.raises(ValueError, match="k must be in"):
+                kmer_encode("ACGTACGTAC", k)
 
     def test_decode_rejects_specials(self):
         vocab = kmer_vocabulary(2)
         with pytest.raises(SpecialTokenInStream):
-            kmer_decode([0, vocab.eos], KmerSpec(2))
+            kmer_decode([0, vocab.eos], 2)
 
     @settings(max_examples=200)
     @given(dna, st.integers(1, 8), st.integers(0, 7))
     def test_round_trip_reproduces_trimmed_input(self, s, k, off):
         offset = off % k
-        _, ids, tail = kmer_encode(s, KmerSpec(k, offset=offset))
-        decoded = kmer_decode(ids, KmerSpec(k)).bases
+        ids, tail = kmer_encode(s, k, offset)
+        assert ids == [kmer_id(s[i : i + k]) for i in range(offset, len(s) - k + 1, k)]
+        decoded = kmer_decode(ids, k).bases
         assert decoded + tail == s[offset:]
         assert len(tail) < k
 
     def test_facade(self):
         tok = KmerTokenizer(2)
         assert tok.decode(tok.encode("ACGT")) == "ACGT"
+        assert tok.encode("ACGTA", offset=1) == [kmer_id("CG"), kmer_id("TA")]
         assert tok.vocab.n_base == 16
 
 
 class TestFixedOffsetCodec:
     def test_encode_and_decode_need_no_generator(self, monkeypatch):
         def refuse(*args, **kwargs):
-            raise AssertionError("random.Random constructed for a fixed offset")
+            raise AssertionError("random.Random constructed")
 
-        monkeypatch.setattr("genomelm.tokenizer.random.Random", refuse)
+        monkeypatch.setattr(random, "Random", refuse)
         tok = KmerTokenizer(6)
         ids = tok.encode("ACGTACGTACGTA")
         assert len(ids) == 2
         assert tok.decode(ids) == "ACGTACGTACGT"
+
+    def test_encode_is_a_pure_function_of_its_arguments(self):
+        first = kmer_encode("ACGTTGCAAC", 3, 1)
+        for k in range(1, 9):  # other calls in between change nothing
+            kmer_encode("ACGTTGCAAC", k, k - 1)
+        assert kmer_encode("ACGTTGCAAC", 3, 1) == first == ([kmer_id("CGT"), kmer_id("TGC"),
+                                                              kmer_id("AAC")], "")
+
+
+class TestOneAcgtCheck:
+    """kmer_encode, bpe_encode and bpe_train apply one rule: an N anywhere is
+    ContainsAmbiguousBase, any other character outside ACGT InvalidSymbol."""
+
+    MODEL = bpe_train(["ACAC"], 4 + N_SPECIAL_SLOTS + 1)
+    CODECS = {
+        "kmer_encode": lambda s: kmer_encode(s, 2),
+        "bpe_encode": lambda s: bpe_encode(s, TestOneAcgtCheck.MODEL),
+        "bpe_train": lambda s: bpe_train(["ACGT", s], 40),
+    }
+
+    @pytest.mark.parametrize("codec", CODECS)
+    @settings(max_examples=100)
+    @given(st.text(st.sampled_from("ACGTN") | st.characters(), max_size=12))
+    def test_same_rule_everywhere(self, codec, text):
+        bad = [i for i, ch in enumerate(text) if ch not in "ACGT"]
+        if not bad:
+            self.CODECS[codec](text)
+        elif "N" in text:
+            with pytest.raises(ContainsAmbiguousBase):
+                self.CODECS[codec](text)
+        else:
+            with pytest.raises(InvalidSymbol) as exc:
+                self.CODECS[codec](text)
+            assert (exc.value.position, exc.value.symbol) == (bad[0], text[bad[0]])
+
+
+class TestKmerLayout:
+    @settings(max_examples=100)
+    @given(st.text(alphabet="ACGTN", max_size=60), st.integers(1, 6))
+    def test_windows_and_counts_match_the_oracle(self, s, k):
+        want = [(i, kmer_id(s[i : i + k])) for i in range(len(s) - k + 1) if "N" not in s[i : i + k]]
+        starts, ids = kmer_windows(s, k)
+        assert list(zip(starts.tolist(), ids.tolist())) == want
+        counts = np.zeros(4**k)
+        for _, rank in want:
+            counts[rank] += 1
+        assert kmer_counts(s, k).tolist() == counts.tolist()
+
+    @pytest.mark.parametrize("k", [1, 2, 4])
+    def test_base_ranks_and_substitutions(self, k):
+        vocab = kmer_vocabulary(k)
+        ids = np.arange(4**k)
+        for j in range(k):
+            ranks = base_ranks_at(ids, k, j)
+            subs = kmer_substitutions(ids, k, j)
+            for t in ids.tolist():
+                kmer = vocab.tokens[t]
+                assert ranks[t] == "ACGT".index(kmer[j])
+                others = ["ACGT"[("ACGT".index(kmer[j]) + s) % 4] for s in (1, 2, 3)]
+                assert subs[t].tolist() == [kmer_id(kmer[:j] + b + kmer[j + 1 :]) for b in others]
 
 
 class TestBpe:

@@ -7,7 +7,7 @@ from hypothesis import strategies as st
 
 from genomelm.errors import DegenerateLabels, RefMismatch, VocabularyMismatch
 from genomelm.lm import TokenDistribution, UniformLm, train_markov
-from genomelm.tokenizer import KmerSpec, KmerTokenizer, kmer_encode
+from genomelm.tokenizer import KmerTokenizer
 from genomelm.vep import (
     SCORE_CAP,
     Variant,
