@@ -2,8 +2,7 @@
 
 The embedding side works on any EmbeddingSet, but its only producer is
 `profile_embedding`, an L1-normalized k-mer composition profile: the
-`embed` subcommands use it, and no path calls `BridgeModel.embed`, so
-vectors from an external model are not analysed yet.
+`embed` subcommands use it.
 """
 from __future__ import annotations
 

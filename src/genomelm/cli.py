@@ -242,8 +242,8 @@ def cmd_generate(args):
         dedup = None
         if args.dedup_against:
             dedup = {s.bases for s in read_fasta(args.dedup_against)}
-        # a --prefix run starts from [BOS, prefix] and ignores --prompt
-        prompt = tokenizer.encode(args.prompt.upper()) if args.prompt and not args.prefix else []
+        # a --prefix run starts from [BOS, prefix] and then the --prompt
+        prompt = tokenizer.encode(args.prompt.upper()) if args.prompt else []
         batch = conditioned_generate(model, tokenizer, args.prefix, cfg, n_sequences=args.n,
                                      seed_context=prompt, dedup_against=dedup)
     if batch.exhausted:

@@ -59,8 +59,10 @@ class BadRow(GenomeLmError):
 
 class BadFastaRecord(GenomeLmError):
     def __init__(self, path, line_no, record, reason):
+        # record is None for a line outside any record
         self.path, self.line_no, self.record = path, line_no, record
-        super().__init__(f"{path}: line {line_no} (record {record!r}): {reason}")
+        where = f"line {line_no}" if record is None else f"line {line_no} (record {record!r})"
+        super().__init__(f"{path}: {where}: {reason}")
 
 
 class UnknownSequenceId(GenomeLmError):

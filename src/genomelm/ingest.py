@@ -13,13 +13,15 @@ from dataclasses import dataclass, field
 from typing import Iterable, Optional
 
 from .errors import (
+    BadRow,
     InsufficientData,
+    InvalidSymbol,
     MalformedLocation,
     MissingOrigin,
     UnknownSequenceId,
 )
-from .seqcore import (NucleotideSequence, read_tsv, reverse_complement, split_on_n, tsv_text,
-                      validate)
+from .seqcore import (NucleotideSequence, line_of_position, read_tsv, reverse_complement,
+                      split_on_n, tsv_text, validate)
 
 FEATURE_TYPES = ("CDS", "pseudo", "tRNA", "rRNA", "ncRNA", "miscRNA", "gene")
 TAXON_GROUPS = (
@@ -100,7 +102,9 @@ def _parse_location(loc: str, line: str) -> tuple[int, int, str]:
 
 
 def parse_genbank(path) -> tuple[dict[str, NucleotideSequence], list[AnnotationRecord]]:
-    """Parse LOCUS/FEATURES/ORIGIN records; keep `gene` features only."""
+    """Parse LOCUS/FEATURES/ORIGIN records; keep `gene` features only. A
+    LOCUS line without a name, or a symbol outside the alphabet in an
+    ORIGIN section, raises BadRow naming the path and the line."""
     sequences: dict[str, NucleotideSequence] = {}
     records: list[AnnotationRecord] = []
     with open(path) as fh:
@@ -111,10 +115,13 @@ def parse_genbank(path) -> tuple[dict[str, NucleotideSequence], list[AnnotationR
         if not lines[i].startswith("LOCUS"):
             i += 1
             continue
-        locus_id = lines[i].split()[1]
+        fields = lines[i].split()
+        if len(fields) < 2:
+            raise BadRow(i + 1, "LOCUS line without a locus name", path)
+        locus_id = fields[1]
         i += 1
         pending: list[tuple[str, str]] = []  # (location text, source line)
-        origin_parts: list[str] = []
+        origin: list[tuple[int, str]] = []  # (line number, bases) of each ORIGIN line
         saw_origin = False
         in_features = False
         while i < len(lines) and not lines[i].startswith("LOCUS"):
@@ -126,7 +133,7 @@ def parse_genbank(path) -> tuple[dict[str, NucleotideSequence], list[AnnotationR
                 in_features = False
                 i += 1
                 while i < len(lines) and not lines[i].startswith("//") and not lines[i].startswith("LOCUS"):
-                    origin_parts.append(re.sub(r"[\d\s]", "", lines[i]))
+                    origin.append((i + 1, re.sub(r"[\d\s]", "", lines[i])))
                     i += 1
                 continue
             elif in_features:
@@ -146,7 +153,11 @@ def parse_genbank(path) -> tuple[dict[str, NucleotideSequence], list[AnnotationR
             i += 1
         if not saw_origin:
             raise MissingOrigin(f"record {locus_id} has no ORIGIN section")
-        seq = validate("".join(origin_parts), id=locus_id)
+        try:
+            seq = validate("".join(bases for _, bases in origin), id=locus_id)
+        except InvalidSymbol as exc:
+            line_no = line_of_position(exc.position, origin)
+            raise BadRow(line_no, f"record {locus_id!r}: {exc}", path) from exc
         sequences[locus_id] = seq
         for loc, src_line in pending:
             start, end, strand = _parse_location(loc, src_line)

@@ -278,7 +278,7 @@ class MarkovLm:
         header = {
             "format_version": self.FORMAT_VERSION,
             "vocab_hash": self._vocab.content_hash(),
-            "vocab": {"tokens": list(self._vocab.tokens), "n_base": self._vocab.n_base},
+            "vocab": self._vocab.to_record(),
             "order": self.order,
             "alpha": self.alpha,
             "lambdas": self.lambdas,
@@ -330,9 +330,7 @@ class MarkovLm:
             header = json.loads(str(header))
             if header.get("format_version") != cls.FORMAT_VERSION:
                 raise ValueError(f"unsupported model format: {header.get('format_version')}")
-            vocab = Vocabulary(
-                tokens=tuple(header["vocab"]["tokens"]), n_base=header["vocab"]["n_base"]
-            )
+            vocab = Vocabulary.from_record(header["vocab"])
             if header.get("vocab_hash") != vocab.content_hash():
                 raise VocabularyMismatch(
                     f"{path}: vocab_hash {header.get('vocab_hash')!r} does not match "
@@ -463,9 +461,10 @@ class BridgeModel:
     """CausalLm over a JSON-lines peer (subprocess stdio or TCP).
 
     Requests: {"op":"next","context":[ids]} -> {"probs":[...]} or
-    {"top":[[id,logprob],...],"rest_mass":r}; {"op":"embed","context":[...]}
-    -> {"vec":[...]}; {"op":"vocab"} -> {"tokens":[...]}. The peer is sent
-    the whole context: the protocol does not say how much of it a peer reads.
+    {"top":[[id,logprob],...],"rest_mass":r}; {"op":"vocab"} ->
+    {"tokens":[...]}, the `<...>` special tokens last, as Vocabulary lays
+    them out. The peer is sent the whole context: the protocol does not
+    say how much of it a peer reads.
     """
 
     context_window = None
@@ -475,13 +474,16 @@ class BridgeModel:
         self.timeout = timeout
         try:
             tokens = self._call({"op": "vocab"}).get("tokens")
-            if not isinstance(tokens, list) or not tokens:
+            if not isinstance(tokens, list):
                 raise ProtocolViolation("vocab reply missing token list")
+            n_special = sum(1 for t in tokens if isinstance(t, str) and t.startswith("<"))
+            try:
+                self._vocab = Vocabulary(tokens=tuple(tokens), n_base=len(tokens) - n_special)
+            except ValueError as exc:
+                raise ProtocolViolation(f"vocab reply: {exc}") from None
         except BaseException:
             peer.close()
             raise
-        n_special = sum(1 for t in tokens if t.startswith("<"))
-        self._vocab = Vocabulary(tokens=tuple(tokens), n_base=len(tokens) - n_special)
 
     def vocabulary(self) -> Vocabulary:
         return self._vocab
@@ -512,12 +514,6 @@ class BridgeModel:
         if (probs < 0).any() or abs(probs.sum() - 1.0) > 1e-6:
             raise ProtocolViolation(f"probabilities sum to {probs.sum()}")
         return TokenDistribution(probs / probs.sum())
-
-    def embed(self, context: Sequence[int]) -> np.ndarray:
-        reply = self._call({"op": "embed", "context": list(context)})
-        if "vec" not in reply:
-            raise ProtocolViolation("embed reply missing 'vec'")
-        return np.asarray(reply["vec"], dtype=float)
 
     def _call(self, request: dict) -> dict:
         line = self._peer.roundtrip(json.dumps(request), self.timeout)

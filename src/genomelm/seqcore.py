@@ -148,8 +148,8 @@ def read_fasta(path) -> list[NucleotideSequence]:
 
 def parse_fasta(lines: Iterable[str], path) -> Iterator[NucleotideSequence]:
     """FASTA records from lines of text, such as an open file, read from
-    `path`. A symbol outside the alphabet raises BadFastaRecord naming the
-    path, the line and the record."""
+    `path`. A symbol outside the alphabet, or text before the first header,
+    raises BadFastaRecord naming the path and the line."""
     header = None
     chunks: list[str] = []  # every body line, blank ones too: chunk i is line first + i
     for line_no, line in enumerate(lines, start=1):
@@ -158,8 +158,10 @@ def parse_fasta(lines: Iterable[str], path) -> Iterator[NucleotideSequence]:
             if header is not None:
                 yield _fasta_record(header, chunks, first, path)
             header, chunks, first = line[1:].strip(), [], line_no + 1
-        else:
+        elif header is not None:
             chunks.append(line)
+        elif line.strip():
+            raise BadFastaRecord(path, line_no, None, "text before the first '>' header")
     if header is not None:
         yield _fasta_record(header, chunks, first, path)
 
@@ -176,12 +178,20 @@ def _fasta_record(header: str, chunks: list[str], first: int, path) -> Nucleotid
         return validate("".join(chunks), id=fields[0], meta=meta)
     except InvalidSymbol as exc:
         # only now map the position in the record back to its line
-        seen = 0
-        for line_no, chunk in enumerate(chunks, start=first):
-            seen += len("".join(chunk.split()))
-            if exc.position < seen:
-                break
+        line_no = line_of_position(exc.position, enumerate(chunks, start=first))
         raise BadFastaRecord(path, line_no, fields[0], exc) from exc
+
+
+def line_of_position(position: int, numbered_lines: Iterable[tuple[int, str]]) -> int:
+    """The number of the line that holds character `position` of the
+    (line number, text) pairs' text joined without whitespace, the string
+    `validate` measures an InvalidSymbol's position in."""
+    seen = 0
+    for line_no, text in numbered_lines:
+        seen += len("".join(text.split()))
+        if position < seen:
+            break
+    return line_no
 
 
 def fasta_text(seqs: Iterable[NucleotideSequence], width: int = 60) -> str:

@@ -69,10 +69,23 @@ _SPECIAL_TOKENS = SPECIAL_NAMES + [
 
 @dataclass(frozen=True)
 class Vocabulary:
-    """Dense token<->id bijection with special ids in the top range."""
+    """Dense token<->id bijection: the base tokens, then the `<...>` specials.
+    Construction checks that layout; a ValueError names the field at fault."""
 
     tokens: tuple[str, ...]
     n_base: int  # number of non-special tokens; specials are ids n_base..|V|-1
+
+    def __post_init__(self):
+        tokens, n_base = self.tokens, self.n_base
+        if not tokens or set(map(type, tokens)) != {str} or "" in tokens:
+            raise ValueError("tokens: not a non-empty list of non-empty strings")
+        if len(set(tokens)) != len(tokens):
+            raise ValueError("tokens: not unique")
+        if type(n_base) is not int or not 0 < n_base <= len(tokens):
+            raise ValueError(f"n_base: {n_base!r} is not in 1..{len(tokens)}")
+        if any(t.startswith("<") for t in tokens[:n_base]) or not all(
+                t.startswith("<") for t in tokens[n_base:]):
+            raise ValueError(f"n_base: {n_base} does not split base tokens from <specials>")
 
     @cached_property
     def _index(self) -> dict[str, int]:
@@ -101,27 +114,17 @@ class Vocabulary:
     def eos(self) -> int:
         return self.n_base + 1
 
-    @property
-    def mask(self) -> int:
-        return self.n_base + 2
-
-    @property
-    def unk(self) -> int:
-        return self.n_base + 3
-
-    @property
-    def pad(self) -> int:
-        return self.n_base + 4
-
     def content_hash(self) -> str:
         return hashlib.sha256("\n".join(self.tokens).encode()).hexdigest()[:16]
 
-    def to_json(self) -> str:
-        return json.dumps({"tokens": list(self.tokens), "n_base": self.n_base})
+    def to_record(self) -> dict:
+        """The {"tokens", "n_base"} pair a model file stores."""
+        return {"tokens": list(self.tokens), "n_base": self.n_base}
 
     @classmethod
-    def from_json(cls, text: str) -> "Vocabulary":
-        obj = json.loads(text)
+    def from_record(cls, obj: dict) -> "Vocabulary":
+        if not isinstance(obj["tokens"], list):
+            raise ValueError("tokens: not a list")
         return cls(tokens=tuple(obj["tokens"]), n_base=obj["n_base"])
 
 
@@ -195,25 +198,30 @@ def kmer_substitutions(ids: np.ndarray, k: int, j: int) -> np.ndarray:
 
 @dataclass(frozen=True)
 class BpeModel:
+    """Merges in training order and the vocabulary they built, checked
+    against each other so that every lookup `bpe_encode` makes is total."""
+
     merges: tuple[tuple[str, str], ...]
     vocab: Vocabulary
 
+    def __post_init__(self):
+        made = set(BASES)
+        for left, right in self.merges:
+            if left not in made or right not in made:
+                raise ValueError(f"merges: {left!r}+{right!r} joins a token not made before it")
+            made.add(left + right)
+        if self.vocab.tokens[: self.vocab.n_base] != (*BASES, *(a + b for a, b in self.merges)):
+            raise ValueError("tokens: base tokens are not ACGT, then each merge's concatenation")
+
     def to_json(self) -> str:
-        return json.dumps(
-            {
-                "merges": [list(m) for m in self.merges],
-                "tokens": list(self.vocab.tokens),
-                "n_base": self.vocab.n_base,
-            }
-        )
+        return json.dumps({"merges": [list(m) for m in self.merges], **self.vocab.to_record()})
 
     @classmethod
     def from_json(cls, text: str) -> "BpeModel":
         obj = json.loads(text)
-        return cls(
-            merges=tuple((a, b) for a, b in obj["merges"]),
-            vocab=Vocabulary(tokens=tuple(obj["tokens"]), n_base=obj["n_base"]),
-        )
+        if not all(type(m) is list and len(m) == 2 for m in obj["merges"]):
+            raise ValueError("merges: not a list of [left, right] pairs")
+        return cls(merges=tuple(map(tuple, obj["merges"])), vocab=Vocabulary.from_record(obj))
 
 
 def bpe_train(corpus: Sequence[NucleotideSequence | str], target_vocab: int) -> BpeModel:
@@ -234,24 +242,19 @@ def bpe_train(corpus: Sequence[NucleotideSequence | str], target_vocab: int) -> 
         raise EmptyCorpus("BPE training corpus is empty")
 
     # The whole corpus as one stream of symbol ids, -1 between words so no
-    # pair spans two words. A symbol id indexes `tokens`; a merge whose
-    # concatenation is already a token reuses that token's id, as equal
-    # strings are one symbol.
+    # pair spans two words. A symbol id indexes `tokens`. A concatenation
+    # made twice would be a duplicate token, which Vocabulary rejects.
     stream = np.concatenate([part for w in words for part in (w, [-1])][:-1])
     merges: list[tuple[str, str]] = []
     tokens = list(BASES)
-    symbol_ids = {b: i for i, b in enumerate(BASES)}
     while len(tokens) + N_SPECIAL_SLOTS < target_vocab:
         pair = _most_frequent_pair(stream, tokens)
         if pair is None:
             break
         left, right = pair
-        merged = tokens[left] + tokens[right]
         merges.append((tokens[left], tokens[right]))
-        tokens.append(merged)
-        stream = _merge_pair(
-            stream, left, right, symbol_ids.setdefault(merged, len(tokens) - 1)
-        )
+        tokens.append(tokens[left] + tokens[right])
+        stream = _merge_pair(stream, left, right, len(tokens) - 1)
 
     vocab = Vocabulary(tokens=tuple(tokens + _SPECIAL_TOKENS), n_base=len(tokens))
     return BpeModel(merges=tuple(merges), vocab=vocab)

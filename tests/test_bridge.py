@@ -7,6 +7,7 @@ import threading
 import numpy as np
 import pytest
 
+from genomelm import lm
 from genomelm.errors import BridgeTimeout, PeerUnavailable, ProtocolViolation
 from genomelm.lm import bridge_model
 from genomelm.sampling import SamplerConfig, generate
@@ -18,7 +19,11 @@ import sys
 import time
 
 MODE = sys.argv[1] if len(sys.argv) > 1 else "probs"
-TOKENS = ["A", "C", "G", "T", "<bos>", "<eos>"]
+TOKENS = {
+    "int-tokens": [1, 2, 3],
+    "low-specials": ["A", "<bos>", "C", "G", "T", "<eos>"],
+    "no-tokens": [],
+}.get(MODE, ["A", "C", "G", "T", "<bos>", "<eos>"])
 
 
 def reply_next(context):
@@ -47,8 +52,6 @@ for line in sys.stdin:
     req = json.loads(line)
     if req["op"] == "vocab":
         out = {"tokens": TOKENS}
-    elif req["op"] == "embed":
-        out = {"vec": [float(len(req["context"])), 1.0]}
     elif req["op"] == "next":
         if MODE == "garbage":
             print("} this is not json {")
@@ -102,13 +105,21 @@ class TestSubprocessBridge:
         finally:
             model.close()
 
-    def test_embed_reply(self, peer_script):
-        model = _connect(peer_script, "probs")
-        try:
-            vec = model.embed([5, 5, 5])
-            assert vec.tolist() == [3.0, 1.0]
-        finally:
-            model.close()
+    @pytest.mark.parametrize("mode, field", [
+        ("int-tokens", "tokens"), ("low-specials", "n_base"), ("no-tokens", "tokens"),
+    ])
+    def test_a_bad_vocabulary_closes_the_peer(self, peer_script, monkeypatch, mode, field):
+        peers = []
+        peer_init = lm._SubprocessPeer.__init__
+
+        def recording_init(peer, *args, **kwargs):
+            peer_init(peer, *args, **kwargs)
+            peers.append(peer)
+
+        monkeypatch.setattr(lm._SubprocessPeer, "__init__", recording_init)
+        with pytest.raises(ProtocolViolation, match=f"vocab reply: {field}: "):
+            _connect(peer_script, mode)
+        assert len(peers) == 1 and peers[0].proc.returncode is not None
 
     @pytest.mark.parametrize("mode", ["badsum", "badlen", "error", "empty", "garbage"])
     def test_protocol_violations(self, peer_script, mode):
@@ -148,10 +159,8 @@ def _serve_tcp(server_sock):
             req = json.loads(line)
             if req["op"] == "vocab":
                 out = {"tokens": ["A", "C", "G", "T", "<bos>", "<eos>"]}
-            elif req["op"] == "next":
-                out = {"probs": [0.25, 0.25, 0.25, 0.25, 0.0, 0.0]}
             else:
-                out = {"vec": [1.0]}
+                out = {"probs": [0.25, 0.25, 0.25, 0.25, 0.0, 0.0]}
             conn.sendall((json.dumps(out) + "\n").encode())
 
 

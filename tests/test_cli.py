@@ -1,4 +1,5 @@
 import contextlib
+import hashlib
 import io
 import json
 import tempfile
@@ -330,6 +331,10 @@ class TestModelFileErrors:
     @pytest.mark.parametrize("edit, reason", [
         pytest.param(edit_header(format_version=1), "header: unsupported model format: 1",
                      id="header-format"),
+        pytest.param(edit_header(vocab={"tokens": ["A", "C", "G", "T", "<bos>"], "n_base": 99}),
+                     "header: n_base: 99 is not in 1..5", id="header-n-base"),
+        pytest.param(edit_header(vocab={"tokens": "ACGT", "n_base": 4}),
+                     "header: tokens: not a list", id="header-tokens"),
         pytest.param(edit_header(order=-1), "header: order must be >= 0, got -1",
                      id="header-order"),
         pytest.param(edit_header(order=1.0), "header: order 1.0 is not an integer",
@@ -410,6 +415,22 @@ class TestModelFileErrors:
         model.write_text(model.read_text()[:40])
         self._fails_naming(capsys, ["tokenize", "ACGT", "--bpe-model", str(model)], model, "")
 
+    @pytest.mark.parametrize("edit, reason", [
+        (lambda m: m["tokens"].remove("ACAC"), "n_base: 6 does not split base tokens"),
+        (lambda m: m.update(n_base=99), "n_base: 99 is not in 1..38"),
+        (lambda m: m["merges"].reverse(), "merges: 'AC'+'AC' joins a token not made before it"),
+    ])
+    def test_bpe_vocabulary_is_checked(self, tmp_path, capsys, edit, reason):
+        corpus = tmp_path / "corpus.fa"
+        write_fasta(corpus, [NucleotideSequence("ACACACAC", id="a")])
+        model = tmp_path / "bpe.json"
+        assert main(["bpe-train", str(corpus), "--target-vocab", "38", "--out", str(model)]) == 0
+        obj = json.loads(model.read_text())
+        edit(obj)
+        model.write_text(json.dumps(obj))
+        self._fails_naming(capsys, ["tokenize", "ACGT", "--bpe-model", str(model)], model,
+                           reason)
+
     def test_predictor_without_intercept(self, tmp_path, capsys):
         predictor = self._predictor(tmp_path, capsys)
         obj = json.loads(predictor.read_text())
@@ -428,6 +449,21 @@ class TestModelFileErrors:
 
 
 class TestModelWorkflows:
+    def test_model_files_are_pinned(self, tmp_path):
+        # np.savez stamps every entry 1980-01-01, so a .npz file's bytes are
+        # a function of its arrays; a change to either file format shows here
+        corpus = tmp_path / "corpus.fa"
+        write_corpus(corpus, n=8, length=300, seed=11)
+        bpe, markov = tmp_path / "bpe.json", tmp_path / "m.npz"
+        assert main(["bpe-train", str(corpus), "--target-vocab", "64", "--out", str(bpe)]) == 0
+        assert main(["train-markov", str(corpus), "--k", "3", "--order", "2",
+                     "--model-out", str(markov)]) == 0
+        digests = [hashlib.sha256(path.read_bytes()).hexdigest() for path in (bpe, markov)]
+        assert digests == [
+            "f49d8286104c5de93b62a318b2171290e2ab1261cf9f6d047e33c1478523ad4d",
+            "9ae31243db145c9b68420eb94ef84141084fadf8eacee3cb694573b4d0ec7350",
+        ]
+
     def test_train_and_generate_deterministically(self, tmp_path):
         corpus = tmp_path / "corpus.fa"
         write_corpus(corpus)
@@ -480,6 +516,9 @@ class TestModelWorkflows:
          "GCATGCAAAATGAAATGCCAAAAATGACCT\nGAATTGCCTGCCAAATTGACCTGAAAATTA\n"),
         (["--seed", "9", "-n", "2", "--max-new", "30"],
          "CTATGCTTAGCCCTGCGTATTTGAGCGAGG\nTTCCTTGAGCTATGGGGATTTCTTCCACCT\n"),
+        (["--prefix", "<high>", "--prompt", "ACGT", "--temperature", "1.3", "--top-p", "0.5",
+          "--seed", "3", "-n", "2", "--max-new", "30"],
+         "TAATGCAAAATGAAATGCCAAAAATGACCT\nTATTATTATTAATGACCTTAAATGAAATTA\n"),
     ])
     def test_generate_output_is_pinned(self, tmp_path, capsys, argv, want):
         # bytes recorded from the per-token Python sampler loop; a change to
@@ -532,6 +571,12 @@ class TestModelWorkflows:
         ]) == 0
         line = capsys.readouterr().out.strip()
         assert len(line) == 8
+
+    @pytest.mark.parametrize("prefix", [[], ["--prefix", "<high>"]])
+    def test_generate_rejects_a_bad_prompt(self, capsys, prefix):
+        argv = ["generate", "--model", "uniform:1", "--prompt", "ACGU", *prefix]
+        assert main(argv) == DATA_ERROR
+        assert "InvalidSymbol: invalid symbol 'U' at position 3" in capsys.readouterr().err
 
     def test_recovery_pipeline(self, tmp_path, capsys):
         genome = tmp_path / "genome.fa"
@@ -683,6 +728,29 @@ class TestTableErrors:
         assert f"BadRow: {path}: bad row at line 2: {reason}" in err
         assert "Traceback" not in err
 
+    @pytest.mark.parametrize("text, line_no, reason", [
+        ("LOCUS\nORIGIN\n        1 acgt\n//\n", 1, "LOCUS line without a locus name"),
+        ("LOCUS       C1  4 bp\nORIGIN\n        1 acgx\n//\n", 3,
+         "record 'C1': invalid symbol 'X' at position 3"),
+    ])
+    def test_bad_genbank_names_file_and_line(self, tmp_path, capsys, text, line_no, reason):
+        genome = tmp_path / "genome.fa"
+        write_fasta(genome, [NucleotideSequence(GENOME_S0, id="s0")])
+        path = tmp_path / "rec.gb"
+        path.write_text(text)
+        assert main(["ingest", "extract", "--genome", str(genome), "--genbank", str(path)]) \
+            == DATA_ERROR
+        err = capsys.readouterr().err
+        assert f"BadRow: {path}: bad row at line {line_no}: {reason}" in err
+        assert "Traceback" not in err
+
+    def test_text_before_the_first_fasta_header(self, tmp_path, capsys):
+        path = tmp_path / "lead.fa"
+        path.write_text("ACGT\n>s\nACGTTT\n")
+        assert main(["tokenize", "--in", str(path), "--k", "2"]) == DATA_ERROR
+        err = capsys.readouterr().err
+        assert f"BadFastaRecord: {path}: line 1: text before the first '>' header" in err
+
 
 # Well-formed rows of every table, so that a fuzzed table can mix good rows,
 # rows of another table and rows of fields that reach past the row checks.
@@ -719,6 +787,100 @@ class TestTableFuzz:
                 code = main(table_argv(table, str(path), str(genome)))
         assert code in (0, USAGE_ERROR, DATA_ERROR), err.getvalue()
         assert "Traceback" not in err.getvalue()
+
+
+GOOD_GENBANK = (
+    "LOCUS       C1             60 bp    DNA\n"
+    "FEATURES             Location/Qualifiers\n"
+    "     gene            4..12\n"
+    "                     /gene=\"a\"\n"
+    "     gene            complement(join(20..25,\n"
+    "          28..31))\n"
+    "ORIGIN\n"
+    f"        1 {GENOME_S0[:30].lower()}\n"
+    f"       31 {GENOME_S0[30:].lower()}\n"
+    "//\n"
+).splitlines()
+GENBANK_LINE = st.one_of(
+    st.sampled_from(["LOCUS", "LOCUS       C2", "FEATURES", "ORIGIN", "//", "     gene",
+                     "     gene            1..80", "     gene            0..3",
+                     "     gene            complement(", "          9..))", "        1 acgx",
+                     "        1 nnnn", ""]),
+    st.text(max_size=12),
+)
+JSON_VALUE = st.recursive(
+    st.none() | st.booleans() | st.integers(-2, 99) | st.floats(allow_nan=False)
+    | st.sampled_from(["A", "C", "AC", "ACAC", "<bos>", "<x>", ""]) | st.text(max_size=4),
+    lambda inner: st.lists(inner, max_size=3) | st.dictionaries(st.text(max_size=3), inner,
+                                                                  max_size=2),
+    max_leaves=5,
+)
+
+
+def mutate_list(items, data, value):
+    """`items` with one element deleted, repeated, swapped or replaced."""
+    if not items:
+        return [data.draw(value)]
+    i = data.draw(st.integers(0, len(items) - 1))
+    j = data.draw(st.integers(0, len(items) - 1))
+    how = data.draw(st.sampled_from(["delete", "repeat", "swap", "replace"]))
+    items = list(items)
+    if how == "delete":
+        del items[i]
+    elif how == "repeat":
+        items.insert(j, items[i])
+    elif how == "swap":
+        items[i], items[j] = items[j], items[i]
+    else:
+        items[i] = data.draw(value)
+    return items
+
+
+def mutate_bpe_model(obj, data):
+    """A BPE model file's object with one key deleted or its value changed."""
+    key = data.draw(st.sampled_from(["merges", "tokens", "n_base"]))
+    how = data.draw(st.sampled_from(["delete", "replace", "edit"]))
+    if how == "delete":
+        obj.pop(key, None)
+    elif how == "edit" and isinstance(obj.get(key), list):
+        obj[key] = mutate_list(obj[key], data, JSON_VALUE)
+    else:
+        obj[key] = data.draw(JSON_VALUE | st.integers(-1, 50))
+
+
+class TestModelFileFuzz:
+    @settings(max_examples=120, deadline=None)
+    @given(kind=st.sampled_from(["bpe", "genbank"]), rounds=st.integers(1, 3), data=st.data())
+    def test_malformed_model_and_genbank_files_exit_cleanly(self, bpe_json, kind, rounds, data):
+        with tempfile.TemporaryDirectory() as d:
+            genome = Path(d) / "genome.fa"
+            write_fasta(genome, [NucleotideSequence(GENOME_S0, id="s0")])
+            path = Path(d) / "input"
+            if kind == "bpe":
+                obj = json.loads(bpe_json)
+                for _ in range(rounds):
+                    mutate_bpe_model(obj, data)
+                text = json.dumps(obj)
+                text = text[: data.draw(st.sampled_from([len(text), len(text) // 2]))]
+                argv = ["tokenize", "ACGTACGTAC", "--bpe-model", str(path)]
+            else:
+                lines = GOOD_GENBANK
+                for _ in range(rounds):
+                    lines = mutate_list(lines, data, GENBANK_LINE)
+                text = "\n".join(lines) + "\n"
+                argv = ["ingest", "extract", "--genome", str(genome), "--genbank", str(path)]
+            path.write_text(text)
+            out, err = io.StringIO(), io.StringIO()
+            with contextlib.redirect_stdout(out), contextlib.redirect_stderr(err):
+                code = main(argv)
+        assert code in (0, USAGE_ERROR, DATA_ERROR), err.getvalue()
+        assert "Traceback" not in err.getvalue()
+
+    @pytest.fixture(scope="class")
+    def bpe_json(self):
+        from genomelm.tokenizer import bpe_train
+
+        return bpe_train([GENOME_S0, "ACACACGTGT"], 44).to_json()
 
 
 class TestDesignWorkflow:
@@ -891,6 +1053,17 @@ class TestModelLifecycle:
         assert main(argv) == DATA_ERROR
         err = capsys.readouterr().err
         assert "VocabularyMismatch" in err and "Traceback" not in err
+
+    def test_a_bridge_vocabulary_of_integers_is_a_protocol_violation(self, tmp_path, capsys):
+        import sys
+
+        script = tmp_path / "int_peer.py"
+        script.write_text(UNIFORM_K1_PEER.replace('{"tokens": TOKENS}', '{"tokens": [1, 2, 3]}'))
+        argv = ["generate", "--model", f"bridge:{sys.executable} {script}", "--max-new", "4"]
+        assert main(argv) == DATA_ERROR
+        err = capsys.readouterr().err
+        assert "ProtocolViolation: bridge protocol violation: vocab reply: tokens: " in err
+        assert "Traceback" not in err
 
     def test_tampered_model_is_data_error(self, tmp_path, capsys):
         corpus = tmp_path / "corpus.fa"

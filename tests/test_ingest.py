@@ -9,6 +9,7 @@ from hypothesis import strategies as st
 from genomelm.errors import (
     BadRow,
     InsufficientData,
+    InvalidSymbol,
     MalformedLocation,
     MissingOrigin,
     UnknownSequenceId,
@@ -125,6 +126,26 @@ class TestGenbank:
         _write_genbank(path, "CTG1", GENOME_60, ["     gene            4..twelve"])
         with pytest.raises(MalformedLocation):
             parse_genbank(path)
+
+    def test_bare_locus_line_names_the_line(self, tmp_path):
+        path = tmp_path / "bad.gb"
+        path.write_text("LOCUS\nORIGIN\n        1 acgt\n//\n")
+        with pytest.raises(BadRow) as exc:
+            parse_genbank(path)
+        assert str(exc.value) == f"{path}: bad row at line 1: LOCUS line without a locus name"
+
+    @pytest.mark.parametrize("at, line_no", [(0, 5), (59, 5), (60, 6), (75, 6)])
+    def test_bad_origin_symbol_names_its_line(self, tmp_path, at, line_no):
+        # LOCUS, FEATURES, one gene, ORIGIN, then 60 bases a line from line 5
+        bases = GENOME_60 + GENOME_60[:20]
+        path = tmp_path / "bad.gb"
+        _write_genbank(path, "CTG1", bases[:at] + "X" + bases[at + 1:],
+                       ["     gene            4..12"])
+        with pytest.raises(BadRow) as exc:
+            parse_genbank(path)
+        assert (exc.value.path, exc.value.line_no) == (path, line_no)
+        assert exc.value.reason == f"record 'CTG1': invalid symbol 'X' at position {at}"
+        assert isinstance(exc.value.__cause__, InvalidSymbol)
 
     def test_location_beyond_contig_raises(self, tmp_path):
         path = tmp_path / "bad.gb"

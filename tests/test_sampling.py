@@ -121,7 +121,7 @@ class TestGenerate:
         assert generate(lm, [], cfg) == []
 
     def test_non_eos_specials_are_banned(self):
-        lm = FnLm(lambda ctx: dist((VOCAB1.mask, 0.7), (1, 0.3)))
+        lm = FnLm(lambda ctx: dist((VOCAB1.id_of("<mask>"), 0.7), (1, 0.3)))
         cfg = SamplerConfig(max_new_tokens=30, seed=9)
         assert generate(lm, [], cfg) == [1] * 30
 

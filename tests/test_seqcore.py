@@ -228,6 +228,20 @@ class TestFasta:
         assert (exc.value.line_no, exc.value.record) == (5 + line, "r")
 
 
+    def test_text_before_the_first_header_is_named(self, tmp_path):
+        path = tmp_path / "lead.fa"
+        path.write_text("\n  \nACGT\n>s\nACGTTT\n")
+        with pytest.raises(BadFastaRecord) as exc:
+            read_fasta(path)
+        assert (exc.value.path, exc.value.line_no, exc.value.record) == (path, 3, None)
+        assert str(exc.value) == f"{path}: line 3: text before the first '>' header"
+
+    def test_blank_lines_before_the_first_header_are_allowed(self, tmp_path):
+        path = tmp_path / "lead.fa"
+        path.write_text("\n \t\n>s\nACGT\n")
+        assert [(s.id, s.bases) for s in read_fasta(path)] == [("s", "ACGT")]
+
+
 class TestTsv:
     def test_round_trip_skips_blank_and_comment_lines(self, tmp_path):
         path = tmp_path / "t.tsv"

@@ -110,16 +110,16 @@ class TestVocabulary:
         vocab = kmer_vocabulary(2)
         assert vocab.bos == 16
         assert vocab.eos == 17
-        assert vocab.mask == 18
-        assert vocab.unk == 19
-        assert vocab.pad == 20
+        assert vocab.id_of("<mask>") == 18
+        assert vocab.id_of("<unk>") == 19
+        assert vocab.id_of("<pad>") == 20
         assert vocab.is_special(16)
         assert not vocab.is_special(15)
         assert vocab.tokens[vocab.id_of("<high>")] == "<high>"
 
-    def test_json_round_trip_and_hash(self):
+    def test_record_round_trip_and_hash(self):
         vocab = kmer_vocabulary(3)
-        back = Vocabulary.from_json(vocab.to_json())
+        back = Vocabulary.from_record(json.loads(json.dumps(vocab.to_record())))
         assert back == vocab
         assert back.content_hash() == vocab.content_hash()
         assert back.content_hash() != kmer_vocabulary(4).content_hash()
@@ -128,6 +128,33 @@ class TestVocabulary:
         for bad in (0, 9):
             with pytest.raises(ValueError):
                 kmer_vocabulary(bad)
+
+    @pytest.mark.parametrize("tokens, n_base, field", [
+        ((), 1, "tokens"),
+        (("A", 3, "<bos>"), 2, "tokens"),
+        (("A", "", "<bos>"), 2, "tokens"),
+        (("A", "C", "A", "<bos>"), 3, "tokens"),
+        (("A", "C", "<bos>"), 0, "n_base"),
+        (("A", "C", "<bos>"), 4, "n_base"),
+        (("A", "C", "<bos>"), 2.0, "n_base"),
+        (("A", "C", "<bos>"), True, "n_base"),
+        # every special above the base tokens, and nothing else
+        (("A", "C", "<bos>"), 3, "n_base"),
+        (("A", "<bos>", "C"), 1, "n_base"),
+        (("<bos>", "A", "C"), 2, "n_base"),
+    ])
+    def test_layout_is_checked_on_construction(self, tokens, n_base, field):
+        with pytest.raises(ValueError, match=f"^{field}: "):
+            Vocabulary(tokens=tokens, n_base=n_base)
+
+    @pytest.mark.parametrize("record, field", [
+        ({"tokens": "AC<bos>", "n_base": 2}, "tokens"),
+        ({"tokens": {"A": 0, "<bos>": 1}, "n_base": 1}, "tokens"),
+        ({"tokens": ["A", "C", "<bos>"], "n_base": 99}, "n_base"),
+    ])
+    def test_a_bad_record_names_its_field(self, record, field):
+        with pytest.raises(ValueError, match=f"^{field}: "):
+            Vocabulary.from_record(record)
 
 
 class TestVocabularyCaching:
@@ -146,13 +173,13 @@ class TestVocabularyCaching:
         fresh = Vocabulary(tokens=("A", "C", "<bos>"), n_base=2)
         assert used == fresh and hash(used) == hash(fresh)
         assert repr(used) == repr(fresh)
-        assert used != Vocabulary(tokens=("A", "C", "<bos>"), n_base=3)
+        assert used != Vocabulary(tokens=("A", "G", "<bos>"), n_base=2)
 
 
 class TestTokenizerForVocabulary:
     @pytest.mark.parametrize("k", [1, 3, 6])
     def test_kmer_vocabulary_gives_its_k(self, k):
-        vocab = Vocabulary.from_json(kmer_vocabulary(k).to_json())
+        vocab = Vocabulary.from_record(kmer_vocabulary(k).to_record())
         assert KmerTokenizer.for_vocabulary(vocab).k == k
 
     def test_other_vocabularies_are_a_mismatch(self):
@@ -381,6 +408,26 @@ class TestBpe:
         back = BpeModel.from_json(model.to_json())
         assert back == model
         json.loads(model.to_json())  # valid JSON document
+
+    @pytest.mark.parametrize("edit, field", [
+        # a merged token dropped, n_base kept: <bos> lands below n_base
+        (lambda m: m["tokens"].remove("ACAC"), "n_base"),
+        # ... and with n_base one lower
+        (lambda m: (m["tokens"].remove("ACAC"), m.update(n_base=6)), "tokens"),
+        (lambda m: m.update(n_base=99), "n_base"),
+        (lambda m: m["tokens"].insert(4, m["tokens"].pop(5)), "tokens"),
+        (lambda m: m["merges"].reverse(), "merges"),
+        (lambda m: m["merges"][2].reverse(), "tokens"),
+        # a merge spelled as one two-letter string, or as a triple
+        (lambda m: m["merges"].__setitem__(0, "AC"), "merges"),
+        (lambda m: m["merges"][0].append("G"), "merges"),
+    ])
+    def test_the_file_is_checked_against_its_merges(self, edit, field):
+        obj = json.loads(bpe_train(["ACACAC", "ACAC", "GTGTT"], 42).to_json())
+        assert obj["merges"] == [["A", "C"], ["AC", "AC"], ["G", "T"]]
+        edit(obj)
+        with pytest.raises(ValueError, match=f"^{field}: "):
+            BpeModel.from_json(json.dumps(obj))
 
     @settings(max_examples=100)
     @given(st.lists(st.text(alphabet="ACGT", min_size=1, max_size=60), min_size=1, max_size=5),
