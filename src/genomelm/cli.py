@@ -19,8 +19,8 @@ from . import analytics, design, ingest, recover, vep
 from .errors import GenomeLmError
 from .lm import MarkovLm, UniformLm, bridge_model, train_markov
 from .sampling import SamplerConfig, conditioned_generate
-from .seqcore import (fasta_text, parse_fasta, read_fasta, reading_model, translate,
-                      tsv_text, validate, write_tsv)
+from .seqcore import (fasta_text, parse_fasta, read_fasta, read_genome, reading_model,
+                      translate, tsv_text, validate, write_tsv)
 from .tokenizer import BpeModel, KmerTokenizer, bpe_encode, bpe_train, kmer_encode
 
 USAGE_ERROR = 1
@@ -171,10 +171,9 @@ def cmd_bpe_train(args):
 
 
 def cmd_ingest_extract(args):
-    genome = {s.id: s for s in read_fasta(args.genome)}
+    genome = read_genome(args.genome)
     if args.genbank:
-        gb_seqs, annotations = ingest.parse_genbank(args.genbank)
-        genome.update(gb_seqs)
+        annotations = ingest.add_genbank(genome, args.genbank)
     else:
         annotations = ingest.parse_bed_like(args.annotations)
     regions = ingest.extract_functional_regions(genome, annotations, args.min_subregion)
@@ -185,7 +184,7 @@ def cmd_ingest_extract(args):
 
 
 def cmd_ingest_stats(args):
-    genome = {s.id: s for s in read_fasta(args.genome)}
+    genome = read_genome(args.genome)
     annotations = ingest.parse_bed_like(args.annotations)
     regions = ingest.extract_functional_regions(genome, annotations, args.min_subregion)
     _emit(args, ingest.corpus_stats(regions).to_tsv())
@@ -193,7 +192,7 @@ def cmd_ingest_stats(args):
 
 
 def cmd_ingest_gener_tasks(args):
-    genome = {s.id: s for s in read_fasta(args.genome)}
+    genome = read_genome(args.genome)
     annotations = ingest.parse_bed_like(args.annotations)
     regions = ingest.extract_functional_regions(genome, annotations)
     config = ingest.GenerTaskConfig(
@@ -253,7 +252,7 @@ def cmd_generate(args):
 
 
 def cmd_recover_build(args):
-    genome = {s.id: s for s in read_fasta(args.genome)}
+    genome = read_genome(args.genome)
     annotations = ingest.parse_bed_like(args.annotations)
     regions = ingest.extract_functional_regions(genome, annotations)
     items = recover.build_recovery_dataset(
@@ -284,7 +283,7 @@ def cmd_recover_run(args):
 def cmd_vep_score(args):
     with _opened_model(args.model) as model:
         tokenizer = KmerTokenizer.for_vocabulary(model.vocabulary())
-        genome = {s.id: s for s in read_fasta(args.genome)}
+        genome = read_genome(args.genome)
         variants = vep.read_variants_tsv(args.variants)
         rows = []
         for v in variants:

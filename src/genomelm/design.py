@@ -7,7 +7,7 @@ import json
 import math
 import random
 from dataclasses import dataclass
-from typing import Optional, Protocol, Sequence
+from typing import Optional, Sequence
 
 import numpy as np
 
@@ -17,8 +17,8 @@ from .errors import (
     TooFewSamples,
     UnknownPrefixToken,
 )
-from .seqcore import NucleotideSequence, read_tsv, reading_model, tsv_text
-from .tokenizer import BASES, KmerTokenizer, kmer_counts, kmer_substitutions, kmer_windows
+from .seqcore import DNA_ALPHABET, NucleotideSequence, read_tsv, reading_model, tsv_text
+from .tokenizer import KmerTokenizer, kmer_counts, kmer_substitutions, kmer_windows
 
 PREFIX_BY_LABEL = {"high": "<high>", "mid": "<mid>", "low": "<low>"}
 
@@ -34,10 +34,6 @@ class ActivityRecord:
             raise ValueError("activity must be finite")
         if self.promoter_class not in ("Dev", "Hk"):
             raise ValueError(f"unknown promoter class {self.promoter_class!r}")
-
-
-class ActivityPredictor(Protocol):
-    def predict(self, sequence: str) -> float: ...
 
 
 def quantile_labels(activities: Sequence[float]) -> list[str]:
@@ -133,7 +129,7 @@ class SelectionReport:
 
 
 def rank_and_select(
-    predictor: ActivityPredictor,
+    predictor: KmerRidgePredictor,
     candidates: Sequence[str],
     plan: SelectionPlan,
 ) -> SelectionReport:
@@ -159,40 +155,23 @@ def rank_and_select(
 # --- contribution scores ------------------------------------------------------
 
 def contribution_scores(
-    predictor: ActivityPredictor, sequence: str
+    predictor: KmerRidgePredictor, sequence: str
 ) -> list[Optional[float]]:
     """Per-position score: predicted activity of the sequence minus the
     mean over the three single-base substitutions at that position.
-    Positions holding N are emitted as None.
+    Positions holding N are emitted as None; any symbol outside ACGTN
+    raises ValueError.
 
-    A k-mer ridge predictor is scored in closed form; any other predictor
-    is called on all 3*L substituted sequences."""
-    if not sequence:
-        raise ValueError("sequence must be non-empty")
-    if isinstance(predictor, KmerRidgePredictor) and not set(sequence) - set("ACGTN"):
-        return _ridge_contributions(predictor, sequence)
-    base_score = predictor.predict(sequence)
-    out: list[Optional[float]] = []
-    for i, original in enumerate(sequence):
-        if original == "N":
-            out.append(None)
-            continue
-        alternatives = [b for b in BASES if b != original]
-        mutated_mean = sum(
-            predictor.predict(sequence[:i] + b + sequence[i + 1 :])
-            for b in alternatives
-        ) / len(alternatives)
-        out.append(base_score - mutated_mean)
-    return out
-
-
-def _ridge_contributions(
-    predictor: KmerRidgePredictor, sequence: str
-) -> list[Optional[float]]:
-    """A substitution at position i changes only the (at most k) windows
+    A substitution at position i changes only the (at most k) windows
     that cover i, so the score is -mean over the 3 other bases of the sum
     over those windows of w[new k-mer] - w[old k-mer]. Windows holding an N
     are skipped, as kmer_counts skips them."""
+    if not sequence:
+        raise ValueError("sequence must be non-empty")
+    bad = set(sequence) - DNA_ALPHABET
+    if bad:
+        i = min(sequence.index(b) for b in bad)
+        raise ValueError(f"invalid symbol {sequence[i]!r} at position {i}")
     k, w = predictor.k, predictor.weights
     starts, ids = kmer_windows(sequence, k)
     delta = np.zeros(len(sequence))

@@ -102,10 +102,20 @@ def _parse_location(loc: str, line: str) -> tuple[int, int, str]:
 
 
 def parse_genbank(path) -> tuple[dict[str, NucleotideSequence], list[AnnotationRecord]]:
-    """Parse LOCUS/FEATURES/ORIGIN records; keep `gene` features only. A
-    LOCUS line without a name, or a symbol outside the alphabet in an
-    ORIGIN section, raises BadRow naming the path and the line."""
+    """The records of the GenBank file at `path` by LOCUS name, and their
+    `gene` features, read as add_genbank reads them."""
     sequences: dict[str, NucleotideSequence] = {}
+    return sequences, add_genbank(sequences, path)
+
+
+def add_genbank(genome: dict[str, NucleotideSequence], path) -> list[AnnotationRecord]:
+    """Parse the LOCUS/FEATURES/ORIGIN records of the GenBank file at `path`
+    into `genome` and return their `gene` features. A LOCUS line without a
+    name, or with the name of an earlier LOCUS or of a record `genome`
+    already holds, or a symbol outside the alphabet in an ORIGIN section,
+    raises BadRow naming the path and the line, and leaves `genome` as it was."""
+    sequences: dict[str, NucleotideSequence] = {}
+    locus_lines: dict[str, int] = {}
     records: list[AnnotationRecord] = []
     with open(path) as fh:
         lines = fh.read().splitlines()
@@ -119,6 +129,11 @@ def parse_genbank(path) -> tuple[dict[str, NucleotideSequence], list[AnnotationR
         if len(fields) < 2:
             raise BadRow(i + 1, "LOCUS line without a locus name", path)
         locus_id = fields[1]
+        if locus_id in locus_lines:
+            raise BadRow(i + 1, f"LOCUS name {locus_id!r} repeats line {locus_lines[locus_id]}", path)
+        if locus_id in genome:
+            raise BadRow(i + 1, f"record {locus_id!r} is also a genome FASTA record", path)
+        locus_lines[locus_id] = i + 1
         i += 1
         pending: list[tuple[str, str]] = []  # (location text, source line)
         origin: list[tuple[int, str]] = []  # (line number, bases) of each ORIGIN line
@@ -166,7 +181,8 @@ def parse_genbank(path) -> tuple[dict[str, NucleotideSequence], list[AnnotationR
             records.append(
                 AnnotationRecord(seq_id=locus_id, start=start, end=end, strand=strand)
             )
-    return sequences, records
+    genome.update(sequences)
+    return records
 
 
 # --- BED-like TSV ------------------------------------------------------------

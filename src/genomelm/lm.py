@@ -44,17 +44,13 @@ class TokenDistribution:
         if abs(p.sum() - 1.0) > _SUM_TOL:
             raise ValueError(f"probabilities sum to {p.sum()}, not 1")
 
-    def __len__(self) -> int:
-        return len(self.probs)
-
 
 @runtime_checkable
 class CausalLm(Protocol):
     """Anything that maps a token-id context to a next-token distribution.
 
     `context_window` is how many trailing context ids the model reads, or
-    None when it may read them all; callers pass no more than that, and
-    treat a model without the attribute as None.
+    None when it may read them all; callers pass no more than that.
     """
 
     context_window: Optional[int]
@@ -75,6 +71,10 @@ class UniformLm:
 
     def next_distribution(self, context: Sequence[int]) -> TokenDistribution:
         return self._dist
+
+    def logprobs(self, ids: Sequence[int]) -> np.ndarray:
+        check_ids(ids, len(self._vocab))
+        return np.log(self._dist.probs[np.asarray(ids, dtype=np.intp)])
 
     def vocabulary(self) -> Vocabulary:
         return self._vocab
@@ -200,7 +200,7 @@ class MarkovLm:
             seen = probs[ids] + values
             probs += rest
             probs[ids] = seen
-        return TokenDistribution(probs / probs.sum())
+        return TokenDistribution(probs)
 
     def _row(self, o: int, ctx: tuple) -> tuple[np.ndarray, np.ndarray, float]:
         """The add-alpha estimate of order o after ctx, times lambda_o, as
@@ -240,7 +240,7 @@ class MarkovLm:
 
         One searchsorted per order finds the context row of every position,
         and one more its entry. The terms are summed in next_distribution's
-        order; only its final renormalisation (about 1e-16) is left out.
+        order, so each probability is the one it gives, bit for bit.
         """
         V = len(self._vocab)
         check_ids(ids, V)
@@ -411,9 +411,8 @@ def context_start(model: CausalLm, n_nt: int, k: int) -> int:
     """Where an n_nt-long nucleotide context must start to end on a k-mer
     token boundary and hold no more tokens than `model` reads."""
     start = n_nt % k
-    window = getattr(model, "context_window", None)
-    if window is not None:
-        start = max(start, n_nt - window * k)
+    if model.context_window is not None:
+        start = max(start, n_nt - model.context_window * k)
     return start
 
 
@@ -440,19 +439,11 @@ def train_markov(
     return model
 
 
-def sequence_logprob(model: CausalLm, ids: Sequence[int]) -> float:
-    """Sum of log p(ids[i] | ids[:i]): by the model's `logprobs` when it has
-    one, else one next_distribution call per position."""
+def sequence_logprob(model: MarkovLm | UniformLm, ids: Sequence[int]) -> float:
+    """Sum of log p(ids[i] | ids[:i]), by the model's `logprobs`."""
     if not len(ids):
         raise ValueError("cannot score an empty id sequence")
-    logprobs = getattr(model, "logprobs", None)
-    if logprobs is not None:
-        return float(logprobs(ids).sum())
-    total = 0.0
-    for pos in range(len(ids)):
-        dist = model.next_distribution(ids[:pos])
-        total += math.log(dist.probs[ids[pos]])
-    return total
+    return float(model.logprobs(ids).sum())
 
 
 # --- bridge ------------------------------------------------------------------

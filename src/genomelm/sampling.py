@@ -16,6 +16,7 @@ from .lm import CausalLm, TokenDistribution, check_ids
 from .tokenizer import KmerTokenizer
 
 _MASK64 = (1 << 64) - 1
+MAX_ATTEMPTS_FACTOR = 4  # a dedup run makes up to this many attempts per sequence asked for
 
 
 def _rotl(x: int, k: int) -> int:
@@ -127,7 +128,7 @@ def generate(
     specials = np.arange(vocab.n_base, len(vocab), dtype=np.int64)
     banned = specials[specials != vocab.eos]
     rng = job_rng(cfg.seed, job_index)
-    window = getattr(lm, "context_window", None)
+    window = lm.context_window
     context = list(prompt_ids)
     out: list[int] = []
     for _ in range(cfg.max_new_tokens):
@@ -156,14 +157,13 @@ def conditioned_generate(
     n_sequences: int = 1,
     seed_context: Sequence[int] = (),
     dedup_against: Optional[set[str]] = None,
-    max_attempts_factor: int = 4,
 ) -> ConditionedBatch:
     """Generate nucleotide sequences primed with [BOS, prefix]+seed_context,
     or with seed_context alone when prefix_token is None; attempt i decodes
     on job stream i.
 
     With dedup_against, a string in it or generated before is discarded and
-    extra attempts are made up to max_attempts_factor * n_sequences.
+    extra attempts are made up to MAX_ATTEMPTS_FACTOR * n_sequences.
     """
     prompt = list(seed_context)
     if prefix_token is not None:
@@ -180,7 +180,7 @@ def conditioned_generate(
     sequences: list[str] = []
     filtered = 0
     attempts = 0
-    budget = n_sequences if dedup_against is None else n_sequences * max_attempts_factor
+    budget = n_sequences if dedup_against is None else n_sequences * MAX_ATTEMPTS_FACTOR
     while len(sequences) < n_sequences and attempts < budget:
         ids = generate(lm, prompt, cfg, job_index=attempts)
         bases = tokenizer.decode(ids)

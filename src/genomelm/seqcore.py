@@ -146,6 +146,20 @@ def read_fasta(path) -> list[NucleotideSequence]:
         return list(parse_fasta(fh, path))
 
 
+def read_genome(path) -> dict[str, NucleotideSequence]:
+    """The FASTA records of `path` by id. A repeated id raises
+    BadFastaRecord naming the path, the line of its second header and the id."""
+    genome: dict[str, NucleotideSequence] = {}
+    for seq in read_fasta(path):
+        if seq.id in genome:
+            with open(path) as fh:  # only now find the two headers' lines
+                first, second = [n for n, line in enumerate(fh, start=1) if line.startswith(">")
+                                 and line[1:].strip().split("|")[0] == seq.id][:2]
+            raise BadFastaRecord(path, second, seq.id, f"record id repeated from line {first}")
+        genome[seq.id] = seq
+    return genome
+
+
 def parse_fasta(lines: Iterable[str], path) -> Iterator[NucleotideSequence]:
     """FASTA records from lines of text, such as an open file, read from
     `path`. A symbol outside the alphabet, or text before the first header,

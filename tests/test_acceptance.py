@@ -58,6 +58,8 @@ def random_dna(rng, n, alphabet="ACGT"):
 class ConstLm:
     """Context-independent distribution over a given vocabulary."""
 
+    context_window = None
+
     def __init__(self, vocab, probs):
         self._vocab = vocab
         self._dist = TokenDistribution(np.asarray(probs, dtype=float))
@@ -337,11 +339,8 @@ def test_08_contribution_score_oracle():
         want = naive(seq)
         max_err = max(max_err, max(abs(g - w) for g, w in zip(got, want)))
 
-    class Flat:
-        def predict(self, sequence):
-            return 1.25
-
-    flat_zero = contribution_scores(Flat(), random_dna(rng, 100)) == [0.0] * 100
+    flat = KmerRidgePredictor(k=1, weights=np.zeros(4), intercept=1.25, l2=1.0)
+    flat_zero = contribution_scores(flat, random_dna(rng, 100)) == [0.0] * 100
     report(8, "per-base contribution scores match a naive loop",
            max_err < 1e-10 and flat_zero,
            f"max |delta| {max_err:.2e}, constant-predictor zero {flat_zero}")

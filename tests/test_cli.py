@@ -732,6 +732,11 @@ class TestTableErrors:
         ("LOCUS\nORIGIN\n        1 acgt\n//\n", 1, "LOCUS line without a locus name"),
         ("LOCUS       C1  4 bp\nORIGIN\n        1 acgx\n//\n", 3,
          "record 'C1': invalid symbol 'X' at position 3"),
+        ("LOCUS       C1  4 bp\nORIGIN\n        1 acgt\n//\n" * 2, 5,
+         "LOCUS name 'C1' repeats line 1"),
+        ("LOCUS       C1  4 bp\nORIGIN\n        1 acgt\n//\n"
+         "LOCUS       s0  4 bp\nORIGIN\n        1 acgt\n//\n", 5,
+         "record 's0' is also a genome FASTA record"),
     ])
     def test_bad_genbank_names_file_and_line(self, tmp_path, capsys, text, line_no, reason):
         genome = tmp_path / "genome.fa"
@@ -743,6 +748,22 @@ class TestTableErrors:
         err = capsys.readouterr().err
         assert f"BadRow: {path}: bad row at line {line_no}: {reason}" in err
         assert "Traceback" not in err
+
+    @pytest.mark.parametrize("argv", [
+        "ingest extract --annotations ANN", "ingest stats --annotations ANN",
+        "ingest gener-tasks --annotations ANN --gene-out g.tsv --taxon-out t.tsv",
+        "recover build --annotations ANN", "vep score --variants v.tsv --model uniform:1",
+    ])
+    def test_a_repeated_genome_id_names_file_and_line(self, tmp_path, capsys, argv):
+        genome = tmp_path / "genome.fa"
+        genome.write_text(f">s0\n{GENOME_S0}\n>s1\nACGT\n>s0|fungi|\nACGT\n")
+        annotations = tmp_path / "ann.tsv"
+        annotations.write_text("s0\t5\t35\t+\tgene\tfungi\n")
+        argv = argv.replace("ANN", str(annotations)).split() + ["--genome", str(genome)]
+        assert main(argv) == DATA_ERROR
+        err = capsys.readouterr().err
+        assert err == (f"error: BadFastaRecord: {genome}: line 5 (record 's0'): "
+                       "record id repeated from line 1\n")
 
     def test_text_before_the_first_fasta_header(self, tmp_path, capsys):
         path = tmp_path / "lead.fa"

@@ -215,6 +215,7 @@ class TestSelection:
 
 
 def naive_contributions(predictor, sequence):
+    """The 3*L-predict definition: the oracle of contribution_scores' closed form."""
     out = []
     for i, base in enumerate(sequence):
         if base == "N":
@@ -228,26 +229,26 @@ def naive_contributions(predictor, sequence):
     return out
 
 
-class ACountPredictor:
-    def predict(self, sequence):
-        return float(sequence.count("A"))
+def k1_predictor(weights, intercept=0.0):
+    """A k=1 ridge predictor: intercept + sum of the weights of the bases."""
+    return KmerRidgePredictor(k=1, weights=np.asarray(weights, dtype=float),
+                              intercept=intercept, l2=1.0)
+
+
+A_COUNT = k1_predictor([1, 0, 0, 0])
 
 
 class TestContributionScores:
     def test_a_counting_predictor_gives_plus_one_and_minus_a_third(self):
-        scores = contribution_scores(ACountPredictor(), "ACGT")
+        scores = contribution_scores(A_COUNT, "ACGT")
         assert scores[0] == pytest.approx(1.0)
         assert scores[1:] == [pytest.approx(-1 / 3)] * 3
 
     def test_constant_predictor_gives_all_zero(self):
-        class Flat:
-            def predict(self, sequence):
-                return 2.5
-
-        assert contribution_scores(Flat(), "ACGTACGT") == [0.0] * 8
+        assert contribution_scores(k1_predictor([0, 0, 0, 0], 2.5), "ACGTACGT") == [0.0] * 8
 
     def test_n_positions_are_none(self):
-        scores = contribution_scores(ACountPredictor(), "ANA")
+        scores = contribution_scores(A_COUNT, "ANA")
         assert scores[1] is None
         assert scores[0] == pytest.approx(1.0)
 
@@ -264,19 +265,18 @@ class TestContributionScores:
 
     def test_empty_sequence_rejected(self):
         with pytest.raises(ValueError):
-            contribution_scores(ACountPredictor(), "")
+            contribution_scores(A_COUNT, "")
+
+    @pytest.mark.parametrize("sequence, symbol, position", [
+        ("ACGU", "U", 3), ("acgt", "a", 0), ("ANXA-", "X", 2),
+    ])
+    def test_symbols_outside_acgtn_rejected(self, sequence, symbol, position):
+        with pytest.raises(ValueError, match=f"invalid symbol '{symbol}' at position {position}"):
+            contribution_scores(A_COUNT, sequence)
 
     def test_tsv_rendering(self):
         text = contributions_to_tsv("AN", [1.0, None])
         assert text == "#pos\tbase\tcontribution\n1\tA\t1\n2\tN\tNA\n"
-
-
-class _Opaque:
-    """Hides a predictor's type, so contribution_scores takes the generic
-    3*L-predict path: the oracle of the ridge predictor's closed form."""
-
-    def __init__(self, predictor):
-        self.predict = predictor.predict
 
 
 class TestRidgeContributionsClosedForm:
@@ -292,7 +292,7 @@ class TestRidgeContributionsClosedForm:
             k=k, weights=np_rng.normal(size=4**k), intercept=float(np_rng.normal()), l2=1.0
         )
         got = contribution_scores(predictor, sequence)
-        want = contribution_scores(_Opaque(predictor), sequence)
+        want = naive_contributions(predictor, sequence)
         assert [g is None for g in got] == [b == "N" for b in sequence]
         assert [w is None for w in want] == [b == "N" for b in sequence]
         for g, w in zip(got, want):

@@ -38,6 +38,14 @@ class TestUniformLm:
         assert np.allclose(dist.probs, 1.0 / V)
         assert lm.vocabulary() is VOCAB1
 
+    def test_logprobs_are_the_stepwise_logs(self):
+        lm = UniformLm(VOCAB1)
+        ids = [0, 5, V - 1, 5]
+        assert np.array_equal(lm.logprobs(ids), stepwise_logprobs(lm, ids))
+        assert lm.logprobs([]).shape == (0,)
+        with pytest.raises(UnknownTokenId, match=f"token id {V} "):
+            lm.logprobs([0, V])
+
 
 class TestMarkovLm:
     def test_pure_bigram_matches_closed_form(self):
@@ -71,7 +79,7 @@ class TestMarkovLm:
             model.observe(stream)
         expect = lams[0] * uni.next_distribution([1]).probs + lams[1] * bi.next_distribution([1]).probs
         got = mixed.next_distribution([1]).probs
-        assert np.allclose(got, expect, atol=1e-12)
+        assert np.array_equal(got, expect)
 
     def test_distribution_is_strictly_positive_and_normalized(self, rng):
         lm = MarkovLm(VOCAB1, 2, 0.05, [0.2, 0.3, 0.5])
@@ -194,7 +202,7 @@ class DictMarkovLm:
             for token, c in table.items():
                 est[token] = (c + self.alpha) / denom
             probs += lam * est
-        return probs / probs.sum()
+        return probs
 
 
 @st.composite
@@ -219,7 +227,10 @@ def markov_cases(draw):
 
 
 def stepwise_logprobs(lm, ids):
-    return np.array([math.log(lm.next_distribution(ids[:i]).probs[t]) for i, t in enumerate(ids)])
+    """The log of each position's next_distribution probability: the oracle
+    of logprobs. np.log, as logprobs uses, since math.log can differ from it
+    in the last bit."""
+    return np.log([lm.next_distribution(ids[:i]).probs[t] for i, t in enumerate(ids)])
 
 
 class TestMarkovLmMatchesReference:
@@ -265,9 +276,9 @@ class TestMarkovLmMatchesReference:
         for ids in contexts + [second]:
             got = lm.logprobs(ids)
             assert got.shape == (len(ids),)
-            assert np.abs(got - stepwise_logprobs(lm, ids)).max(initial=0.0) <= 1e-12
+            assert np.array_equal(got, stepwise_logprobs(lm, ids))
             if ids:
-                assert sequence_logprob(lm, ids) == pytest.approx(got.sum(), abs=1e-12)
+                assert sequence_logprob(lm, ids) == got.sum()
 
     def test_logprobs_of_an_untrained_model_are_uniform(self):
         lm = MarkovLm(VOCAB1, 2, 0.1, [0.2, 0.3, 0.5])
@@ -294,7 +305,7 @@ class TestMarkovLmMatchesReference:
             for ctx in (stream[:0], stream[:3], stream[:6], stream[:150]):
                 want = oracle.next_distribution(ctx)
                 assert np.array_equal(lm.next_distribution(ctx).probs, want)
-            assert np.abs(lm.logprobs(stream) - stepwise_logprobs(lm, stream)).max() <= 1e-12
+            assert np.array_equal(lm.logprobs(stream), stepwise_logprobs(lm, stream))
 
     @pytest.mark.parametrize("where", [0, 1000, 1999])
     def test_unknown_id_anywhere_in_a_long_context_is_named(self, where):

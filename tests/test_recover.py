@@ -38,6 +38,8 @@ class CycleLm:
     """Deterministic model: nucleotides follow the cycle A->C->G->T->A,
     expressed as a point mass over k-mer tokens."""
 
+    context_window = None
+
     def __init__(self, k):
         self.tok = KmerTokenizer(k)
 

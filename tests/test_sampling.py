@@ -29,6 +29,8 @@ def dist(*pairs):
 class FnLm:
     """Test double: next-token distribution computed from the context."""
 
+    context_window = None
+
     def __init__(self, fn, vocab=VOCAB1):
         self._fn = fn
         self._vocab = vocab
@@ -155,7 +157,7 @@ class TestGenerate:
         from genomelm.lm import train_markov
 
         lm = train_markov([[rng.randrange(4) for _ in range(300)]], VOCAB1, order=3)
-        reading_all = FnLm(lm.next_distribution)  # no context_window: passes the whole context
+        reading_all = FnLm(lm.next_distribution)  # context_window None: passes the whole context
         cfg = SamplerConfig(max_new_tokens=40, seed=4, temperature=0.8)
         prompt = [rng.randrange(4) for _ in range(25)]
         assert generate(lm, prompt, cfg) == generate(reading_all, prompt, cfg)
@@ -271,11 +273,10 @@ class TestConditionedGenerate:
         tok = KmerTokenizer(1)
         cfg = SamplerConfig(max_new_tokens=4)
         batch = conditioned_generate(
-            lm, tok, "<high>", cfg, n_sequences=3,
-            dedup_against={"AAAA"}, max_attempts_factor=2,
+            lm, tok, "<high>", cfg, n_sequences=3, dedup_against={"AAAA"},
         )
         assert batch.sequences == []
-        assert batch.duplicates_filtered == 6
+        assert batch.duplicates_filtered == 12  # all 4 * 3 attempts
         assert batch.exhausted
 
     def test_dedup_keeps_distinct_outputs(self):
@@ -304,9 +305,9 @@ class TestConditionedGenerate:
         lm = FnLm(lambda ctx: dist((0, 1.0)))  # always generates "AAAA"
         cfg = SamplerConfig(max_new_tokens=4)
         batch = conditioned_generate(lm, KmerTokenizer(1), None, cfg, n_sequences=3,
-                                     dedup_against=set(), max_attempts_factor=2)
+                                     dedup_against=set())
         assert batch.sequences == ["AAAA"]
-        assert batch.duplicates_filtered == 5
+        assert batch.duplicates_filtered == 11  # 4 * 3 attempts, one kept
         assert batch.exhausted
         # without a dedup set every attempt is kept, repeats included
         batch = conditioned_generate(lm, KmerTokenizer(1), None, cfg, n_sequences=3)

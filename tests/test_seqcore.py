@@ -14,6 +14,7 @@ from genomelm.seqcore import (
     NucleotideSequence,
     ProteinSequence,
     read_fasta,
+    read_genome,
     read_tsv,
     reverse_complement,
     split_on_n,
@@ -240,6 +241,22 @@ class TestFasta:
         path = tmp_path / "lead.fa"
         path.write_text("\n \t\n>s\nACGT\n")
         assert [(s.id, s.bases) for s in read_fasta(path)] == [("s", "ACGT")]
+
+    def test_genome_maps_ids_to_records(self, tmp_path):
+        path = tmp_path / "genome.fa"
+        path.write_text(">a|plant|\nACGT\n>b\nTT\n")
+        genome = read_genome(path)
+        assert list(genome) == ["a", "b"]
+        assert (genome["a"].bases, genome["a"].meta, genome["b"].bases) == (
+            "ACGT", {"taxon_group": "plant"}, "TT")
+
+    def test_a_repeated_genome_id_names_the_second_header(self, tmp_path):
+        path = tmp_path / "genome.fa"
+        path.write_text(">a\nACGT\n>ab\nTT\n>a|fungi|\nGG\n")
+        with pytest.raises(BadFastaRecord) as exc:
+            read_genome(path)
+        assert (exc.value.path, exc.value.line_no, exc.value.record) == (path, 5, "a")
+        assert str(exc.value) == f"{path}: line 5 (record 'a'): record id repeated from line 1"
 
 
 class TestTsv:

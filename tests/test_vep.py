@@ -187,6 +187,8 @@ class TestVepScore:
         tok = KmerTokenizer(1)
 
         class PointLm:
+            context_window = None
+
             def vocabulary(self):
                 return tok.vocab
 
@@ -221,6 +223,8 @@ class TestVepScore:
         calls = []
 
         class CountingLm:
+            context_window = None
+
             def vocabulary(self):
                 calls.append(1)
                 return lm.vocabulary()
