@@ -16,11 +16,11 @@ from typing import Iterator
 import numpy as np
 
 from . import analytics, design, ingest, recover, vep
-from .errors import GenomeLmError
+from .errors import AmbiguousContext, GenomeLmError
 from .lm import MarkovLm, UniformLm, bridge_model, train_markov
 from .sampling import SamplerConfig, conditioned_generate
-from .seqcore import (fasta_text, parse_fasta, read_fasta, read_genome, reading_model,
-                      translate, tsv_text, validate, write_tsv)
+from .seqcore import (fasta_text, parse_fasta, read_acgt_fasta, read_fasta, read_genome,
+                      reading_model, translate, tsv_text, validate, write_tsv)
 from .tokenizer import BpeModel, KmerTokenizer, bpe_encode, bpe_train, kmer_encode
 
 USAGE_ERROR = 1
@@ -148,7 +148,7 @@ def _kmer_offsets(args, fixed: int) -> Iterator[int]:
 # --- subcommand implementations ----------------------------------------------
 
 def cmd_tokenize(args):
-    seqs = _read_sequences(args)
+    seqs = read_acgt_fasta(args.infile) if args.infile and not args.seq else _read_sequences(args)
     lines = []
     if args.bpe_model:
         with open(args.bpe_model) as fh, reading_model(args.bpe_model):
@@ -215,7 +215,7 @@ def cmd_ingest_gener_tasks(args):
 def cmd_train_markov(args):
     tokenizer = KmerTokenizer(args.k)
     corpus = []
-    for seq, offset in zip(read_fasta(args.corpus), _kmer_offsets(args, 0)):
+    for seq, offset in zip(read_acgt_fasta(args.corpus), _kmer_offsets(args, 0)):
         ids = tokenizer.encode(seq.bases, offset)
         if ids:
             corpus.append(ids)
@@ -287,8 +287,11 @@ def cmd_vep_score(args):
         variants = vep.read_variants_tsv(args.variants)
         rows = []
         for v in variants:
-            score = vep.vep_score(model, tokenizer, genome, v, context_len=args.context_len,
-                                  average_phases=args.average_phases)
+            try:
+                score = vep.vep_score(model, tokenizer, genome, v, context_len=args.context_len,
+                                      average_phases=args.average_phases)
+            except AmbiguousContext as exc:
+                raise AmbiguousContext(exc.variant, exc.n_position, args.variants) from None
             rows.append((v.seq_id, v.pos, v.ref_allele, v.alt_allele, v.label or "",
                          f"{score:.6f}"))
     _emit(args, tsv_text(("seq_id", "pos", "ref", "alt", "label", "score"), rows))
@@ -315,10 +318,8 @@ def cmd_design_fit(args):
     records = design.read_activity_tsv(args.activities, head=args.head)
     predictor = design.fit_kmer_ridge(records, k=args.k, l2=args.l2)
     design.save_predictor(predictor, args.model_out)
-    residuals = [predictor.predict(r.sequence.bases) - r.activity for r in records]
-    rmse = float(np.sqrt(np.mean(np.square(residuals))))
-    print(f"fit k={args.k} ridge on {len(records)} records, train RMSE {rmse:.4f}",
-          file=sys.stderr)
+    print(f"fit k={args.k} ridge on {len(records)} records, train RMSE "
+          f"{predictor.train_rmse:.4f}", file=sys.stderr)
     return 0
 
 
@@ -348,7 +349,7 @@ def cmd_design_contrib(args):
 
 
 def _profile_embeddings(args):
-    seqs = read_fasta(args.infile)
+    seqs = read_acgt_fasta(args.infile)
     vectors = np.stack([analytics.profile_embedding(s.bases, args.k) for s in seqs])
     labels = [s.meta.get("taxon_group", "unlabeled") for s in seqs]
     return seqs, analytics.EmbeddingSet(vectors=vectors, labels=labels)

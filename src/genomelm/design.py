@@ -6,7 +6,7 @@ from __future__ import annotations
 import json
 import math
 import random
-from dataclasses import dataclass
+from dataclasses import dataclass, field
 from typing import Optional, Sequence
 
 import numpy as np
@@ -18,7 +18,8 @@ from .errors import (
     UnknownPrefixToken,
 )
 from .seqcore import DNA_ALPHABET, NucleotideSequence, read_tsv, reading_model, tsv_text
-from .tokenizer import KmerTokenizer, kmer_counts, kmer_substitutions, kmer_windows
+from .tokenizer import (KmerTokenizer, kmer_count_matrix, kmer_counts, kmer_substitutions,
+                        kmer_windows)
 
 PREFIX_BY_LABEL = {"high": "<high>", "mid": "<mid>", "low": "<low>"}
 
@@ -78,6 +79,8 @@ class KmerRidgePredictor:
     weights: np.ndarray  # length 4^k
     intercept: float
     l2: float
+    # root-mean-square error on the records it was fitted to; not saved
+    train_rmse: Optional[float] = field(default=None, compare=False)
 
     def predict(self, sequence: str) -> float:
         return float(kmer_counts(sequence, self.k) @ self.weights + self.intercept)
@@ -87,12 +90,13 @@ def fit_kmer_ridge(
     records: Sequence[ActivityRecord], k: int = 5, l2: float = 1.0
 ) -> KmerRidgePredictor:
     """Regularized least squares via the normal equations. The intercept
-    is unpenalized (features and targets are mean-centered for the solve)."""
+    is unpenalized (features and targets are mean-centered for the solve).
+    Each record is featurized once; its row also gives the training error."""
     if len(records) < 2:
         raise TooFewSamples(f"need at least 2 records, got {len(records)}")
     if l2 < 0:
         raise ValueError(f"l2 strength must be >= 0, got {l2}")
-    X = np.stack([kmer_counts(r.sequence.bases, k) for r in records])
+    X = kmer_count_matrix([r.sequence.bases for r in records], k)
     y = np.asarray([r.activity for r in records], dtype=float)
     x_mean = X.mean(axis=0)
     y_mean = y.mean()
@@ -105,9 +109,11 @@ def fit_kmer_ridge(
         raise SingularSystem("normal equations are singular; use l2 > 0")
     if l2 == 0 and np.linalg.matrix_rank(gram) < gram.shape[0]:
         raise SingularSystem("normal equations are singular; use l2 > 0")
-    return KmerRidgePredictor(
-        k=k, weights=w, intercept=float(y_mean - x_mean @ w), l2=l2
-    )
+    intercept = float(y_mean - x_mean @ w)
+    # row by row, the dot product `predict` takes, so each residual is its own
+    residuals = [float(x @ w + intercept) - a for x, a in zip(X, y.tolist())]
+    rmse = float(np.sqrt(np.mean(np.square(residuals))))
+    return KmerRidgePredictor(k=k, weights=w, intercept=intercept, l2=l2, train_rmse=rmse)
 
 
 # --- selection ---------------------------------------------------------------

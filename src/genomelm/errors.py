@@ -137,6 +137,15 @@ class PositionOutOfRange(GenomeLmError):
     pass
 
 
+class AmbiguousContext(GenomeLmError):
+    """A variant whose scored context holds an N, which no k-mer token encodes."""
+
+    def __init__(self, variant, n_position, path=None):
+        self.variant, self.n_position, self.path = variant, n_position, path
+        where = f"{path}: " if path is not None else ""
+        super().__init__(f"{where}variant {variant}: its scored context holds an N at {n_position}")
+
+
 class DegenerateLabels(GenomeLmError):
     pass
 

@@ -47,15 +47,17 @@ class TokenDistribution:
 
 @runtime_checkable
 class CausalLm(Protocol):
-    """Anything that maps a token-id context to a next-token distribution.
+    """Anything that maps token-id contexts to next-token distributions.
 
+    `next_distributions(contexts)` returns a new (len(contexts), |V|)
+    array, one row per context, which the caller may write into.
     `context_window` is how many trailing context ids the model reads, or
     None when it may read them all; callers pass no more than that.
     """
 
     context_window: Optional[int]
 
-    def next_distribution(self, context: Sequence[int]) -> TokenDistribution: ...
+    def next_distributions(self, contexts: Sequence[Sequence[int]]) -> np.ndarray: ...
 
     def vocabulary(self) -> Vocabulary: ...
 
@@ -67,14 +69,14 @@ class UniformLm:
 
     def __init__(self, vocab: Vocabulary):
         self._vocab = vocab
-        self._dist = TokenDistribution(np.full(len(vocab), 1.0 / len(vocab)))
+        self._probs = np.full(len(vocab), 1.0 / len(vocab))
 
-    def next_distribution(self, context: Sequence[int]) -> TokenDistribution:
-        return self._dist
+    def next_distributions(self, contexts: Sequence[Sequence[int]]) -> np.ndarray:
+        return np.tile(self._probs, (len(contexts), 1))
 
     def logprobs(self, ids: Sequence[int]) -> np.ndarray:
         check_ids(ids, len(self._vocab))
-        return np.log(self._dist.probs[np.asarray(ids, dtype=np.intp)])
+        return np.log(self._probs[np.asarray(ids, dtype=np.intp)])
 
     def vocabulary(self) -> Vocabulary:
         return self._vocab
@@ -97,10 +99,10 @@ class MarkovLm:
     of order o-1) * |V| at any order. The empty context of order 0 has key 0.
 
     `train_markov` counts a whole corpus in one pass and `observe` merges
-    one more sequence in. `next_distribution` compiles each (order,
-    context) row it reads into a cached row of estimates on first use;
-    `observe` clears the cache. `logprobs` scores every position of a
-    sequence at once. `save` writes one .npz file that `load` checks.
+    one more sequence in. `next_distributions` reads the rows of a batch
+    of contexts and `logprobs` scores every position of a sequence, each
+    with one searchsorted per order. `save` writes one .npz file that
+    `load` checks.
     """
 
     FORMAT_VERSION = 2
@@ -122,8 +124,7 @@ class MarkovLm:
         empty = np.empty(0, dtype=np.int64)
         # per order: context keys, row offsets, entry token ids, entry counts
         self._arrays = [(empty, np.zeros(1, dtype=np.int64), _NO_IDS, empty)] * (order + 1)
-        # (order, context) -> (token ids, lambda * their estimates, lambda * the rest's)
-        self._rows: dict[tuple[int, tuple], tuple[np.ndarray, np.ndarray, float]] = {}
+        self._derived = None  # what _derive builds from the counts, until they change
         # the estimate after a context never observed, at any order
         self._unseen_estimate = alpha / (alpha * len(vocab))
 
@@ -161,7 +162,7 @@ class MarkovLm:
         seqs = [ids for ids in seqs if len(ids)]
         if not seqs:
             return
-        self._rows.clear()
+        self._derived = None
         stream = np.concatenate([np.asarray(ids, dtype=np.int64) for ids in seqs])
         depth = np.concatenate([np.arange(len(ids)) for ids in seqs])  # index in its sequence
         at = np.arange(len(stream))  # positions that have a context of the current order
@@ -189,51 +190,71 @@ class MarkovLm:
             self._arrays[o] = (keys, offsets, (entries % V).astype(np.int32), counts)
 
     def next_distribution(self, context: Sequence[int]) -> TokenDistribution:
-        V = len(self._vocab)
-        check_ids(context, V)
-        probs = np.zeros(V)
-        for o, lam in enumerate(self.lambdas):
-            if lam == 0.0:
+        return TokenDistribution(self.next_distributions([context])[0])
+
+    def next_distributions(self, contexts: Sequence[Sequence[int]]) -> np.ndarray:
+        """The next-token distribution after each context, one row each.
+
+        One searchsorted per order finds the row of every context. Each
+        row starts from the dense order-0 row (0.0 + x == x) and adds the
+        higher orders' terms in place, so a row is the same sum, bit for
+        bit, in any batch and in `logprobs`.
+        """
+        V, n = len(self._vocab), self.order
+        for ctx in contexts:
+            check_ids(ctx, V)
+        base, orders = self._derived or self._derive()
+        # the last n ids of each context, oldest first, padded on the left with
+        # an id that no stored key holds
+        tails = [list(ctx[-n:]) if n and len(ctx) else [] for ctx in contexts]
+        last = np.array([[_PAD] * (n - len(t)) + t for t in tails], dtype=np.int64)
+        last = last.reshape(len(contexts), n)
+        rows = np.zeros(len(contexts), dtype=np.int64)  # each context's row at order o
+        probs = None
+        for o in range(1, n + 1):
+            keys, offsets, tokens, terms, rest = orders[o]
+            key = rows * V + last[:, n - o]
+            at = np.searchsorted(keys, key)
+            # an unseen context reads the empty row after the last
+            rows = np.where(keys[at] == key, at, len(keys) - 1)
+            if self.lambdas[o] == 0.0:
                 continue
-            ids, values, rest = self._row(o, tuple(context[-o:]) if o else ())
-            # probs += lam * (the estimate: its `ids` entries, and the rest's elsewhere)
-            seen = probs[ids] + values
-            probs += rest
-            probs[ids] = seen
-        return TokenDistribution(probs)
+            lo = offsets[rows]
+            lens = offsets[rows + 1] - lo
+            entry = np.arange(lens.sum()) + (lo - lens.cumsum() + lens).repeat(lens)
+            # probs += lam * (the estimate: its entries' terms in their cells, `rest` elsewhere)
+            cells = np.arange(len(contexts)).repeat(lens) * V + tokens[entry]
+            if probs is None:  # the first order adds to the order-0 row
+                seen = base[tokens[entry]] + terms[entry]
+                probs = base + rest[rows][:, None]
+            else:
+                seen = probs.reshape(-1)[cells] + terms[entry]
+                probs += rest[rows][:, None]
+            probs.reshape(-1)[cells] = seen
+        if probs is None:
+            probs = np.tile(base, (len(contexts), 1))
+        return probs
 
-    def _row(self, o: int, ctx: tuple) -> tuple[np.ndarray, np.ndarray, float]:
-        """The add-alpha estimate of order o after ctx, times lambda_o, as
-        the observed token ids, their terms and the term of every other token."""
-        row = self._rows.get((o, ctx))
-        if row is None:
-            lam = self.lambdas[o]
-            r = self._find(o, ctx)
-            if r < 0:
-                return (*_EMPTY_ROW, lam * self._unseen_estimate)
-            _, offsets, tokens, counts = self._arrays[o]
-            lo, hi = offsets[r], offsets[r + 1]
-            denom = int(counts[lo:hi].sum()) + self.alpha * len(self._vocab)
-            row = self._rows[(o, ctx)] = (
-                tokens[lo:hi].astype(np.intp),  # indexes faster than int32
-                lam * ((counts[lo:hi] + self.alpha) / denom),
-                lam * (self.alpha / denom),
-            )
-        return row
-
-    def _find(self, o: int, ctx: tuple) -> int:
-        """The row of the order-o context ctx, or -1 if it was never observed."""
-        if len(ctx) != o or not len(self._arrays[0][0]):
-            return -1
+    def _derive(self) -> tuple[np.ndarray, list[tuple[np.ndarray, ...]]]:
+        """Per order o, lambda_o times the add-alpha estimate after each
+        observed context: its key, row offsets, token ids, each entry's term
+        and each row's term for every token without an entry. One more row,
+        keyed above every key and with no entries, stands for every unseen
+        context. And the dense order-0 row."""
         V = len(self._vocab)
-        r = 0
-        for i in range(1, o + 1):
-            keys = self._arrays[i][0]
-            key = r * V + ctx[-i]
-            r = int(keys.searchsorted(key))
-            if r == len(keys) or keys[r] != key:
-                return -1
-        return r
+        orders = []
+        for lam, (keys, offsets, tokens, counts) in zip(self.lambdas, self._arrays):
+            totals = np.add.reduceat(counts, offsets[:-1]) if len(counts) else counts
+            denom = totals + self.alpha * V
+            terms = lam * ((counts + self.alpha) / denom.repeat(np.diff(offsets)))
+            rest = np.append(lam * (self.alpha / denom), lam * self._unseen_estimate)
+            orders.append((np.append(keys, _NO_KEY), np.append(offsets, offsets[-1]), tokens,
+                           terms, rest))
+        _, _, tokens, terms, rest = orders[0]
+        base = np.full(V, rest[0])  # the empty context's row, observed or not
+        base[tokens] = terms
+        self._derived = base, orders
+        return self._derived
 
     def logprobs(self, ids: Sequence[int]) -> np.ndarray:
         """log p(ids[i] | ids[:i]) for every position i.
@@ -348,7 +369,8 @@ class MarkovLm:
 # the arrays of each order in a model file, and their types
 _DTYPES = {"contexts": np.int64, "offsets": np.int64, "tokens": np.int32, "counts": np.int64}
 _NO_IDS = np.empty(0, dtype=np.int32)
-_EMPTY_ROW = (np.empty(0, dtype=np.intp), np.empty(0))  # ids and terms after an unseen context
+_PAD = 2**62  # an id no stored key holds: a key is below (contexts one order down) * |V|
+_NO_KEY = np.iinfo(np.int64).max  # the key of the empty row that unseen contexts read
 _NPZ_MAGIC = b"PK\x03\x04"  # a zip archive, as np.savez writes
 
 
@@ -505,6 +527,11 @@ class BridgeModel:
         if (probs < 0).any() or abs(probs.sum() - 1.0) > 1e-6:
             raise ProtocolViolation(f"probabilities sum to {probs.sum()}")
         return TokenDistribution(probs / probs.sum())
+
+    def next_distributions(self, contexts: Sequence[Sequence[int]]) -> np.ndarray:
+        """One `next` request per context, in order."""
+        rows = [self.next_distribution(ctx).probs for ctx in contexts]
+        return np.array(rows).reshape(len(contexts), len(self._vocab))
 
     def _call(self, request: dict) -> dict:
         line = self._peer.roundtrip(json.dumps(request), self.timeout)

@@ -133,8 +133,9 @@ def run_recovery(
 
     The prompt is left-trimmed so it ends on a token boundary, which makes
     the first generated token start exactly at the reference start for any
-    k, and to the model's context window before it is tokenized. Decoding
-    is greedy unless cfg says otherwise.
+    k, and to the model's context window before it is tokenized. Item i
+    decodes on job stream i, all items in one lockstep `generate`.
+    Decoding is greedy unless cfg says otherwise.
     """
     check_vocabulary(model, tokenizer.vocab)
     if cfg is None:
@@ -142,11 +143,10 @@ def run_recovery(
     k = tokenizer.k
     job_cfg = replace(cfg, max_new_tokens=math.ceil(max(predict_lens) / k))
 
+    prompts = [tokenizer.encode(item.prompt[context_start(model, len(item.prompt), k):])
+               for item in dataset]
     sums: dict[tuple[str, int, int], list[float]] = {}
-    for idx, item in enumerate(dataset):
-        start = context_start(model, len(item.prompt), k)
-        prompt_ids = tokenizer.encode(item.prompt[start:])
-        ids = generate(model, prompt_ids, job_cfg, job_index=idx)
+    for item, ids in zip(dataset, generate(model, prompts, job_cfg)):
         decoded = tokenizer.decode(ids)
         for llen in predict_lens:
             acc = recovery_accuracy(item.reference, decoded, llen)

@@ -1,61 +1,69 @@
 """Autoregressive decoding: temperature + nucleus sampling, greedy mode
 and conditioning prefixes.
 
-Randomness comes from a self-contained xoshiro256** stream seeded through
-SplitMix64, so draws are identical across platforms and processes.
+Jobs decode in lockstep: each step asks the model for the next-token
+distributions of every live job at once and selects all their tokens
+with array operations. Job i draws from its own xoshiro256** stream,
+seeded through SplitMix64 from (seed, i), so its tokens do not depend on
+the batch it ran in, the platform or the process.
 """
 from __future__ import annotations
 
 from dataclasses import dataclass
-from typing import Optional, Sequence
+from typing import Callable, Optional, Sequence
 
 import numpy as np
 
 from .errors import UnknownPrefixToken
-from .lm import CausalLm, TokenDistribution, check_ids
+from .lm import CausalLm, check_ids
 from .tokenizer import KmerTokenizer
 
-_MASK64 = (1 << 64) - 1
 MAX_ATTEMPTS_FACTOR = 4  # a dedup run makes up to this many attempts per sequence asked for
+BLOCK_VALUES = 2**17  # float64 values in one block of jobs' distributions (1 MiB)
+
+_MASK64 = (1 << 64) - 1
+_GOLDEN = 0x9E3779B97F4A7C15
 
 
-def _rotl(x: int, k: int) -> int:
-    return ((x << k) | (x >> (64 - k))) & _MASK64
+def _rotl(x: np.ndarray, k: int) -> np.ndarray:
+    return (x << np.uint64(k)) | (x >> np.uint64(64 - k))
 
 
-class Xoshiro256:
-    """xoshiro256** with SplitMix64 seeding."""
+class XoshiroLanes:
+    """xoshiro256** streams on uint64 lanes: lane i is the stream of job
+    first_job + i, its state seeded by SplitMix64 from
+    seed * 0x9E3779B97F4A7C15 + job + 1 (mod 2^64). Array arithmetic
+    wraps, so every lane matches the scalar generator bit for bit."""
 
-    def __init__(self, seed: int):
-        self.s = []
-        z = seed & _MASK64
-        for _ in range(4):
-            z = (z + 0x9E3779B97F4A7C15) & _MASK64
-            w = z
-            w = ((w ^ (w >> 30)) * 0xBF58476D1CE4E5B9) & _MASK64
-            w = ((w ^ (w >> 27)) * 0x94D049BB133111EB) & _MASK64
-            self.s.append(w ^ (w >> 31))
+    def __init__(self, seed: int, first_job: int, n: int):
+        z = np.full(n, (seed * _GOLDEN + first_job + 1) & _MASK64, dtype=np.uint64)
+        z += np.arange(n, dtype=np.uint64)
+        self.s = np.empty((4, n), dtype=np.uint64)
+        for word in self.s:
+            z += np.uint64(_GOLDEN)
+            w = (z ^ (z >> np.uint64(30))) * np.uint64(0xBF58476D1CE4E5B9)
+            w = (w ^ (w >> np.uint64(27))) * np.uint64(0x94D049BB133111EB)
+            word[:] = w ^ (w >> np.uint64(31))
 
-    def next_u64(self) -> int:
-        s = self.s
-        result = (_rotl((s[1] * 5) & _MASK64, 7) * 9) & _MASK64
-        t = (s[1] << 17) & _MASK64
-        s[2] ^= s[0]
-        s[3] ^= s[1]
-        s[1] ^= s[2]
-        s[0] ^= s[3]
-        s[2] ^= t
-        s[3] = _rotl(s[3], 45)
+    def keep(self, live: np.ndarray) -> None:
+        """Drop the lanes whose entry in `live` is False."""
+        self.s = self.s[:, live]
+
+    def next_u64(self) -> np.ndarray:
+        s0, s1, s2, s3 = self.s
+        result = _rotl(s1 * np.uint64(5), 7) * np.uint64(9)
+        t = s1 << np.uint64(17)
+        s2 ^= s0
+        s3 ^= s1
+        s1 ^= s2
+        s0 ^= s3
+        s2 ^= t
+        s3[:] = _rotl(s3, 45)
         return result
 
-    def uniform(self) -> float:
-        """Uniform in [0,1) with 53 bits of precision."""
-        return (self.next_u64() >> 11) * (1.0 / (1 << 53))
-
-
-def job_rng(seed: int, job_index: int = 0) -> Xoshiro256:
-    """One independent stream per generation job."""
-    return Xoshiro256((seed * 0x9E3779B97F4A7C15 + job_index + 1) & _MASK64)
+    def uniform(self) -> np.ndarray:
+        """One draw per lane, uniform in [0,1) with 53 bits of precision."""
+        return (self.next_u64() >> np.uint64(11)).astype(np.float64) * (1.0 / (1 << 53))
 
 
 @dataclass
@@ -75,71 +83,98 @@ class SamplerConfig:
             raise ValueError(f"unknown mode {self.mode!r}")
 
 
-def _select(dist: TokenDistribution, cfg: SamplerConfig, rng: Xoshiro256,
-            banned: np.ndarray) -> int:
-    probs = dist.probs.copy()
-    probs[banned] = 0.0
-    total = probs.sum()
-    if total <= 0:
+def _select(probs: np.ndarray, cfg: SamplerConfig, banned: np.ndarray,
+            uniform: Callable[[], np.ndarray]) -> np.ndarray:
+    """The next token of each row of a (B, |V|) array of distributions,
+    which it overwrites. `uniform()` gives one draw in [0,1) per row;
+    greedy mode never calls it.
+
+    Every row sum is a full-row NumPy sum, or a sum over the first n < 8
+    entries, which a row cumsum gives exactly; so each row's token is the
+    one a 1-d sampler of that row alone picks.
+    """
+    probs[:, banned] = 0.0
+    total = probs.sum(axis=1, keepdims=True)
+    if (total <= 0).any():
         raise ValueError("all candidate tokens are masked out")
     probs /= total
 
     if cfg.mode == "greedy":
-        return int(np.argmax(probs))  # argmax ties resolve to the lowest id
+        return probs.argmax(axis=1)  # argmax ties resolve to the lowest id
 
     if cfg.temperature != 1.0:
         # zero-probability ids stay at exp(-inf) = 0
         with np.errstate(divide="ignore"):
             logits = np.where(probs > 0, np.log(probs), -np.inf) / cfg.temperature
-        logits -= logits.max()
+        logits -= logits.max(axis=1, keepdims=True)
         probs = np.exp(logits)
-        probs /= probs.sum()
+        probs /= probs.sum(axis=1, keepdims=True)
 
     # nucleus: probability-sorted prefix with cumulative mass >= P,
     # equal probabilities admitted lower id first
-    order = np.lexsort((np.arange(len(probs)), -probs))
-    cum = np.cumsum(probs[order])
-    cut = int(np.searchsorted(cum, cfg.nucleus_p - 1e-12)) + 1
-    kept = order[:cut]
-    kept_probs = probs[kept]
-    kept_probs /= kept_probs.sum()
+    B, V = probs.shape
+    order = np.argsort(-probs, axis=1, kind="stable")
+    ranked = np.take_along_axis(probs, order, axis=1)
+    cum = np.cumsum(ranked, axis=1)
+    cut = np.minimum((cum < cfg.nucleus_p - 1e-12).sum(axis=1) + 1, V)
+    kept_mass = cum[np.arange(B), cut - 1]  # exact below 8 kept ids
+    for n in np.unique(cut[cut >= 8]):
+        rows = np.flatnonzero(cut == n)
+        kept_mass[rows] = ranked[rows, :n].sum(axis=1)
 
     # the first kept id whose cumulative mass exceeds u; the last one if rounding
     # leaves the total at or below u
-    pick = np.searchsorted(np.cumsum(kept_probs), rng.uniform(), side="right")
-    return int(kept[min(pick, len(kept) - 1)])
+    kept_cum = np.cumsum(ranked / kept_mass[:, None], axis=1)
+    below = (kept_cum <= uniform()[:, None]) & (np.arange(V) < cut[:, None])
+    pick = np.minimum(below.sum(axis=1), cut - 1)
+    return order[np.arange(B), pick]
 
 
 def generate(
     lm: CausalLm,
-    prompt_ids: Sequence[int],
+    prompts: Sequence[Sequence[int]],
     cfg: SamplerConfig,
-    job_index: int = 0,
-) -> list[int]:
-    """Decode up to max_new_tokens ids after the prompt, stopping before EOS.
+    first_job: int = 0,
+) -> list[list[int]]:
+    """Decode up to max_new_tokens ids after each prompt, stopping before
+    EOS; prompt i decodes on the stream of job first_job + i.
 
     Special tokens other than EOS are masked out of the candidate set.
-    The whole prompt is checked against the vocabulary once; each step then
-    passes the model only the last `lm.context_window` ids, when it says.
-    Deterministic given (lm, prompt, cfg, job_index).
+    Each prompt is checked against the vocabulary once. Jobs run in blocks
+    of at most BLOCK_VALUES // |V| rows; within a block every step makes
+    one `next_distributions` call over the live jobs, each context cut to
+    the last `lm.context_window` ids when the model says, and a job that
+    draws EOS leaves the block. Deterministic given (lm, prompt, cfg, job).
     """
     vocab = lm.vocabulary()
-    check_ids(prompt_ids, len(vocab))
+    for prompt in prompts:
+        check_ids(prompt, len(vocab))
     specials = np.arange(vocab.n_base, len(vocab), dtype=np.int64)
     banned = specials[specials != vocab.eos]
-    rng = job_rng(cfg.seed, job_index)
     window = lm.context_window
-    context = list(prompt_ids)
-    out: list[int] = []
-    for _ in range(cfg.max_new_tokens):
-        if window is not None:
-            del context[: max(0, len(context) - window)]
-        token = _select(lm.next_distribution(context), cfg, rng, banned)
-        if token == vocab.eos:
-            break
-        out.append(token)
-        context.append(token)
-    return out
+    outs: list[list[int]] = [[] for _ in prompts]
+    block = max(1, BLOCK_VALUES // len(vocab))
+    for lo in range(0, len(prompts), block):
+        jobs = list(range(lo, min(lo + block, len(prompts))))
+        contexts = [list(prompts[j]) for j in jobs]
+        lanes = XoshiroLanes(cfg.seed, first_job + lo, len(jobs))
+        for _ in range(cfg.max_new_tokens):
+            if not jobs:
+                break
+            if window is not None:
+                for ctx in contexts:
+                    del ctx[: max(0, len(ctx) - window)]
+            tokens = _select(lm.next_distributions(contexts), cfg, banned, lanes.uniform)
+            live = tokens != vocab.eos
+            if not live.all():
+                jobs = [j for j, keep in zip(jobs, live) if keep]
+                contexts = [ctx for ctx, keep in zip(contexts, live) if keep]
+                tokens = tokens[live]
+                lanes.keep(live)
+            for j, ctx, token in zip(jobs, contexts, tokens.tolist()):
+                outs[j].append(token)
+                ctx.append(token)
+    return outs
 
 
 @dataclass
@@ -163,7 +198,9 @@ def conditioned_generate(
     on job stream i.
 
     With dedup_against, a string in it or generated before is discarded and
-    extra attempts are made up to MAX_ATTEMPTS_FACTOR * n_sequences.
+    extra attempts are made up to MAX_ATTEMPTS_FACTOR * n_sequences. Each
+    round decodes as many attempts as sequences are still missing, and
+    accepts them in attempt order: the attempts a one-at-a-time loop makes.
     """
     prompt = list(seed_context)
     if prefix_token is not None:
@@ -182,12 +219,13 @@ def conditioned_generate(
     attempts = 0
     budget = n_sequences if dedup_against is None else n_sequences * MAX_ATTEMPTS_FACTOR
     while len(sequences) < n_sequences and attempts < budget:
-        ids = generate(lm, prompt, cfg, job_index=attempts)
-        bases = tokenizer.decode(ids)
-        attempts += 1
-        if dedup_against is not None and bases in seen:
-            filtered += 1
-            continue
-        seen.add(bases)
-        sequences.append(bases)
+        need = min(n_sequences - len(sequences), budget - attempts)
+        for ids in generate(lm, [prompt] * need, cfg, first_job=attempts):
+            bases = tokenizer.decode(ids)
+            attempts += 1
+            if dedup_against is not None and bases in seen:
+                filtered += 1
+                continue
+            seen.add(bases)
+            sequences.append(bases)
     return ConditionedBatch(sequences, filtered, exhausted=len(sequences) < n_sequences)

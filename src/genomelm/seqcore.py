@@ -146,6 +146,23 @@ def read_fasta(path) -> list[NucleotideSequence]:
         return list(parse_fasta(fh, path))
 
 
+def read_acgt_fasta(path) -> list[NucleotideSequence]:
+    """The records of FASTA `path`, each of A, C, G and T only, as a
+    tokenizer needs. An N raises BadFastaRecord naming the path, the record
+    and the line of its first N."""
+    seqs = read_fasta(path)
+    for index, seq in enumerate(seqs):
+        if seq.has_n():
+            position = seq.bases.index("N")
+            with open(path) as fh:  # only now find the record's lines
+                lines = fh.readlines()
+            headers = [n for n, line in enumerate(lines) if line.startswith(">")] + [len(lines)]
+            first, end = headers[index] + 1, headers[index + 1]  # the record's body lines
+            line_no = line_of_position(position, enumerate(lines[first:end], start=first + 1))
+            raise BadFastaRecord(path, line_no, seq.id, AmbiguousBase(position))
+    return seqs
+
+
 def read_genome(path) -> dict[str, NucleotideSequence]:
     """The FASTA records of `path` by id. A repeated id raises
     BadFastaRecord naming the path, the line of its second header and the id."""

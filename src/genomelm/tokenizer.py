@@ -23,6 +23,7 @@ from .errors import (
     EmptyCorpus,
     InvalidSymbol,
     SpecialTokenInStream,
+    UnknownTokenId,
     VocabularyMismatch,
 )
 from .seqcore import NucleotideSequence
@@ -90,6 +91,11 @@ class Vocabulary:
     @cached_property
     def _index(self) -> dict[str, int]:
         return {t: i for i, t in enumerate(self.tokens)}
+
+    @cached_property
+    def _base_bytes(self) -> np.ndarray:
+        """The base tokens as NUL-padded ASCII strings, indexed by id."""
+        return np.array(self.tokens[: self.n_base], dtype=bytes)
 
     @property
     def index(self) -> dict[str, int]:
@@ -161,9 +167,16 @@ def kmer_decode(ids: Sequence[int], k: int) -> NucleotideSequence:
 
 
 def _decode(ids: Sequence[int], vocab: Vocabulary) -> NucleotideSequence:
-    if len(ids) and max(ids) >= vocab.n_base:
-        raise SpecialTokenInStream(next(t for t in ids if vocab.is_special(t)))
-    return NucleotideSequence("".join([vocab.tokens[t] for t in ids]))
+    """The bases of base-token ids, looked up as one array: no token is a
+    Python object on the way."""
+    ids = np.fromiter(ids, dtype=np.intp, count=len(ids))
+    if len(ids) and (ids.max() >= vocab.n_base or ids.min() < 0):
+        bad = int(ids[(ids >= vocab.n_base) | (ids < 0)][0])
+        if bad < 0:
+            raise UnknownTokenId(f"token id {bad} outside vocabulary of size {len(vocab)}")
+        raise SpecialTokenInStream(bad)
+    # tokens hold no NUL, so dropping the padding leaves their bases
+    return NucleotideSequence(vocab._base_bytes[ids].tobytes().replace(b"\0", b"").decode())
 
 
 def kmer_windows(bases: str, k: int) -> tuple[np.ndarray, np.ndarray]:
@@ -179,7 +192,17 @@ def kmer_windows(bases: str, k: int) -> tuple[np.ndarray, np.ndarray]:
 def kmer_counts(bases: str, k: int) -> np.ndarray:
     """Count vector over the 4^k k-mers in id order; windows holding an N
     are skipped."""
-    return np.bincount(kmer_windows(bases, k)[1], minlength=4**k).astype(float)
+    return kmer_count_matrix([bases], k)[0]
+
+
+def kmer_count_matrix(seqs: Sequence[str], k: int) -> np.ndarray:
+    """The k-mer count vector of each sequence, one row each, from one pass
+    over the sequences joined by N, so that no window spans two of them."""
+    starts, ids = kmer_windows("N".join(seqs), k)
+    ends = np.cumsum([len(s) + 1 for s in seqs])  # each sequence's end, its N included
+    rows = np.searchsorted(ends, starts, side="right")
+    counts = np.bincount(rows * 4**k + ids, minlength=len(seqs) * 4**k)
+    return counts.reshape(len(seqs), 4**k).astype(float)
 
 
 def base_ranks_at(ids: np.ndarray, k: int, j: int) -> np.ndarray:

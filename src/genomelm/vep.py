@@ -13,6 +13,7 @@ from typing import Optional, Sequence
 import numpy as np
 
 from .errors import (
+    AmbiguousContext,
     DegenerateLabels,
     PositionOutOfRange,
     RefMismatch,
@@ -94,7 +95,8 @@ def marginal_nucleotide_prob(
     tokenizer must share a vocabulary."""
     start = context_start(lm, len(context_before), tokenizer.k)
     ids = tokenizer.encode(context_before[start:])
-    return marginalize_distribution(lm.next_distribution(ids), tokenizer, j)
+    return marginalize_distribution(TokenDistribution(lm.next_distributions([ids])[0]),
+                                    tokenizer, j)
 
 
 def _llr(p_ref: float, p_alt: float) -> float:
@@ -128,7 +130,8 @@ def vep_score(
 
     phase j places the variant at offset j inside the next predicted token
     (default k-1, maximizing preceding context). With average_phases the
-    score is averaged over all k alignments.
+    score is averaged over all k alignments. An N in the part of a context
+    the model reads raises AmbiguousContext naming the variant and the N.
     """
     check_variant(genome, variant)
     check_vocabulary(lm, tokenizer.vocab)
@@ -141,7 +144,11 @@ def vep_score(
         if context_end < 0:
             continue
         start = max(0, context_end - context_len)
+        start += context_start(lm, context_end - start, k)
         context = contig.bases[start:context_end]
+        if "N" in context:
+            raise AmbiguousContext(f"{variant.seq_id}:{variant.pos}",
+                                   f"{variant.seq_id}:{start + context.index('N') + 1}")
         marg = marginal_nucleotide_prob(lm, tokenizer, context, j)
         scores.append(_llr(marg.prob(variant.ref_allele), marg.prob(variant.alt_allele)))
     if not scores:

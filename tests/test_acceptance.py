@@ -64,8 +64,8 @@ class ConstLm:
         self._vocab = vocab
         self._dist = TokenDistribution(np.asarray(probs, dtype=float))
 
-    def next_distribution(self, context):
-        return self._dist
+    def next_distributions(self, contexts):
+        return np.tile(self._dist.probs, (len(contexts), 1))
 
     def vocabulary(self):
         return self._vocab

@@ -146,8 +146,18 @@ class TestSubprocessBridge:
         model = _connect(peer_script, "probs")
         try:
             # the peer is a point-mass on (context length mod 4)
-            ids = generate(model, [0], SamplerConfig(mode="greedy", max_new_tokens=4))
-            assert ids == [1, 2, 3, 0]
+            ids = generate(model, [[0], [0, 1]], SamplerConfig(mode="greedy", max_new_tokens=4))
+            assert ids == [[1, 2, 3, 0], [2, 3, 0, 1]]
+        finally:
+            model.close()
+
+    def test_batched_distributions_are_one_request_each(self, peer_script):
+        model = _connect(peer_script, "probs")
+        try:
+            probs = model.next_distributions([[], [0, 1, 2], [3]])
+            assert probs.shape == (3, 6)
+            assert probs.argmax(axis=1).tolist() == [0, 3, 1]
+            assert model.next_distributions([]).shape == (0, 6)
         finally:
             model.close()
 

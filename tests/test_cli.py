@@ -2,6 +2,7 @@ import contextlib
 import hashlib
 import io
 import json
+import random
 import tempfile
 from pathlib import Path
 
@@ -771,6 +772,44 @@ class TestTableErrors:
         assert main(["tokenize", "--in", str(path), "--k", "2"]) == DATA_ERROR
         err = capsys.readouterr().err
         assert f"BadFastaRecord: {path}: line 1: text before the first '>' header" in err
+
+    @pytest.mark.parametrize("argv", [
+        "train-markov FA --k 2 --model-out m.npz", "tokenize --in FA --k 2",
+        "embed project --in FA",
+    ])
+    def test_an_n_in_a_fasta_to_tokenize_names_file_record_and_line(self, tmp_path, capsys,
+                                                                     argv):
+        path = tmp_path / "g.fa"
+        path.write_text(f">s0|fungi\n{GENOME_S0[:40]}\n>s1|plants\nACGTACGTAC\n\nACGNNNGT\n")
+        argv = argv.replace("FA", str(path)).replace("m.npz", str(tmp_path / "m.npz")).split()
+        assert main(argv) == DATA_ERROR
+        err = capsys.readouterr().err
+        assert err == (f"error: BadFastaRecord: {path}: line 6 (record 's1'): "
+                       "ambiguous base 'N' at position 13\n")
+
+    def test_an_n_in_a_scored_vep_context_names_the_variant_and_the_n(self, tmp_path, capsys):
+        rng = random.Random(5)
+        bases = [rng.choice("ACGT") for _ in range(120)]
+        bases[40:50] = "N" * 10  # genome positions 41..50
+        genome, train = tmp_path / "g.fa", tmp_path / "train.fa"
+        genome.write_text(">c1\n" + "".join(bases) + "\n")
+        train.write_text(">t\n" + "".join(rng.choice("ACGT") for _ in range(400)) + "\n")
+        model = tmp_path / "m.npz"
+        assert main(["train-markov", str(train), "--k", "2", "--order", "1",
+                     "--model-out", str(model)]) == 0
+        variants = tmp_path / "v.tsv"
+        rows = [(60, bases[59]), (53, bases[52])]  # c1:53's order-1 context reads c1:50..51
+        variants.write_text("".join(f"c1\t{pos}\t{ref}\t{'A' if ref != 'A' else 'C'}\n"
+                                    for pos, ref in rows))
+        capsys.readouterr()
+        argv = ["vep", "score", "--model", f"markov:{model}", "--genome", str(genome),
+                "--variants", str(variants)]
+        assert main(argv) == DATA_ERROR
+        assert capsys.readouterr().err == (
+            f"error: AmbiguousContext: {variants}: variant c1:53: its scored context holds "
+            "an N at c1:50\n")
+        variants.write_text(variants.read_text().splitlines()[0] + "\n")
+        assert main(argv) == 0  # a variant whose context the N run does not reach is scored
 
 
 # Well-formed rows of every table, so that a fuzzed table can mix good rows,

@@ -165,6 +165,14 @@ class TestRidge:
         with pytest.raises(ValueError):
             fit_kmer_ridge(records * 3, l2=-1.0)
 
+    @pytest.mark.parametrize("k, l2", [(1, 0.5), (2, 1.0), (3, 0.1)])
+    def test_train_rmse_is_that_of_predict_on_each_record(self, k, l2):
+        records, _, _ = self._linear_data(seed=3, k=2, m=60)
+        records.append(ActivityRecord(NucleotideSequence("ACNNGTAC"), 0.25))
+        predictor = fit_kmer_ridge(records, k=k, l2=l2)
+        residuals = [predictor.predict(r.sequence.bases) - r.activity for r in records]
+        assert predictor.train_rmse == float(np.sqrt(np.mean(np.square(residuals))))
+
     def test_save_load_round_trip(self, tmp_path):
         records, _, _ = self._linear_data()
         predictor = fit_kmer_ridge(records, k=2, l2=0.5)

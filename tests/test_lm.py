@@ -34,8 +34,9 @@ class TestTokenDistribution:
 class TestUniformLm:
     def test_flat_distribution(self):
         lm = UniformLm(VOCAB1)
-        dist = lm.next_distribution([0, 1, 2])
-        assert np.allclose(dist.probs, 1.0 / V)
+        probs = lm.next_distributions([[0, 1, 2], []])
+        assert probs.shape == (2, V)
+        assert np.allclose(probs, 1.0 / V)
         assert lm.vocabulary() is VOCAB1
 
     def test_logprobs_are_the_stepwise_logs(self):
@@ -191,7 +192,10 @@ class DictMarkovLm:
                 table = self.counts[o].setdefault(tuple(ids[pos - o : pos]), {})
                 table[token] = table.get(token, 0) + 1
 
-    def next_distribution(self, context):
+    def next_distributions(self, contexts):
+        return np.array([self._row(ctx) for ctx in contexts]).reshape(len(contexts), self.V)
+
+    def _row(self, context):
         probs = np.zeros(self.V)
         for o, lam in enumerate(self.lambdas):
             if lam == 0.0:
@@ -227,10 +231,18 @@ def markov_cases(draw):
 
 
 def stepwise_logprobs(lm, ids):
-    """The log of each position's next_distribution probability: the oracle
-    of logprobs. np.log, as logprobs uses, since math.log can differ from it
-    in the last bit."""
-    return np.log([lm.next_distribution(ids[:i]).probs[t] for i, t in enumerate(ids)])
+    """The log of each position's next-token probability, one context a
+    query: the oracle of logprobs. np.log, as logprobs uses, since math.log
+    can differ from it in the last bit."""
+    return np.log([lm.next_distributions([ids[:i]])[0, t] for i, t in enumerate(ids)])
+
+
+def assert_rows_match(lm, oracle, contexts):
+    """The batched rows, and each context's single query, equal the oracle's."""
+    want = oracle.next_distributions(contexts)
+    assert np.array_equal(lm.next_distributions(contexts), want)
+    for ctx, row in zip(contexts, want):
+        assert np.array_equal(lm.next_distribution(ctx).probs, row)
 
 
 class TestMarkovLmMatchesReference:
@@ -244,13 +256,11 @@ class TestMarkovLmMatchesReference:
             lm.observe(stream)
             oracle.observe(stream)
         assert lm.counts == oracle.counts
-        for ctx in [[]] + contexts:
-            assert np.array_equal(lm.next_distribution(ctx).probs, oracle.next_distribution(ctx))
+        assert_rows_match(lm, oracle, [[]] + contexts)
         lm.observe(second)  # counts change after the model has been queried
         oracle.observe(second)
         assert lm.counts == oracle.counts
-        for ctx in [[]] + contexts + [second]:
-            assert np.array_equal(lm.next_distribution(ctx).probs, oracle.next_distribution(ctx))
+        assert_rows_match(lm, oracle, [[]] + contexts + [second])
 
     @settings(max_examples=100, deadline=None)
     @given(markov_cases())
@@ -302,10 +312,17 @@ class TestMarkovLmMatchesReference:
         assert lm.counts == oracle.counts
         assert all((keys >= 0).all() for keys, *_ in lm._arrays)
         for stream in streams:
-            for ctx in (stream[:0], stream[:3], stream[:6], stream[:150]):
-                want = oracle.next_distribution(ctx)
-                assert np.array_equal(lm.next_distribution(ctx).probs, want)
+            assert_rows_match(lm, oracle, [stream[:0], stream[:3], stream[:6], stream[:150]])
             assert np.array_equal(lm.logprobs(stream), stepwise_logprobs(lm, stream))
+
+    def test_a_short_context_reads_no_longer_context(self):
+        # the order-2 context (V-1, 0) has the key that [1], one id short,
+        # would get if its missing id counted as -1
+        stream = [V - 1, 0, 1, 1, 2]
+        lm = train_markov([stream], VOCAB1, order=2)
+        oracle = DictMarkovLm(VOCAB1, 2, lm.alpha, lm.lambdas)
+        oracle.observe(stream)
+        assert_rows_match(lm, oracle, [[1], [], [0, 1], [V - 1, 0]])
 
     @pytest.mark.parametrize("where", [0, 1000, 1999])
     def test_unknown_id_anywhere_in_a_long_context_is_named(self, where):
@@ -318,14 +335,6 @@ class TestMarkovLmMatchesReference:
         with pytest.raises(UnknownTokenId, match="token id -3 "):
             lm.next_distribution(context)
 
-    def test_cached_rows_are_bounded_by_the_observed_contexts(self, rng):
-        vocab = kmer_vocabulary(2)
-        lm = train_markov([[rng.randrange(8) for _ in range(300)]], vocab, order=3)
-        for _ in range(1000):
-            # ids 8..15 never occur in training, so every such context is unseen
-            lm.next_distribution([rng.randrange(8, 16) for _ in range(rng.randrange(5))])
-        assert len(lm._rows) <= sum(len(table) for table in lm.counts)
-
     def test_concurrent_queries_build_the_same_rows(self, rng):
         import sys
         import threading
@@ -335,7 +344,7 @@ class TestMarkovLmMatchesReference:
         oracle = DictMarkovLm(kmer_vocabulary(2), 2, lm.alpha, lm.lambdas)
         oracle.observe(streams[0])
         contexts = [[rng.randrange(10) for _ in range(rng.randrange(4))] for _ in range(300)]
-        want = [oracle.next_distribution(ctx) for ctx in contexts]
+        want = oracle.next_distributions(contexts)
         mismatches = []
 
         def query():
@@ -355,6 +364,7 @@ class TestMarkovLmMatchesReference:
             sys.setswitchinterval(interval)
         assert not any(w.is_alive() for w in workers)
         assert mismatches == []
+
 
 
 def test_context_windows():
@@ -387,3 +397,16 @@ def test_save_is_a_single_npz_file_under_the_given_name(tmp_path):
             ["header"] + [f"{a}_{o}" for a in ("contexts", "offsets", "tokens", "counts")
                           for o in range(3)])
         assert json.loads(str(npz["header"]))["format_version"] == 2
+
+
+@pytest.mark.parametrize("lm", [
+    UniformLm(VOCAB1),
+    train_markov([[0, 1, 2, 3, 0, 1]], VOCAB1, order=0),
+    train_markov([[0, 1, 2, 3, 0, 1]], VOCAB1, order=2),
+])
+def test_distribution_rows_are_new_arrays_the_caller_may_change(lm):
+    contexts = [[0, 1], [2], []]
+    first = lm.next_distributions(contexts)
+    want = first.copy()
+    first[:] = -1.0
+    assert np.array_equal(lm.next_distributions(contexts), want)

@@ -8,7 +8,7 @@ from genomelm.errors import (
     VocabularyMismatch,
 )
 from genomelm.ingest import AnnotationRecord, extract_functional_regions
-from genomelm.lm import TokenDistribution, UniformLm
+from genomelm.lm import UniformLm
 from genomelm.recover import (
     RecoveryItem,
     build_recovery_dataset,
@@ -46,13 +46,13 @@ class CycleLm:
     def vocabulary(self):
         return self.tok.vocab
 
-    def next_distribution(self, context):
-        decoded = self.tok.decode(context)
-        last = decoded[-1] if decoded else "T"
-        token = cycle_from(last, self.tok.k)
-        probs = np.zeros(len(self.tok.vocab))
-        probs[self.tok.encode(token)[0]] = 1.0
-        return TokenDistribution(probs)
+    def next_distributions(self, contexts):
+        probs = np.zeros((len(contexts), len(self.tok.vocab)))
+        for row, context in zip(probs, contexts):
+            decoded = self.tok.decode(context)
+            last = decoded[-1] if decoded else "T"
+            row[self.tok.encode(cycle_from(last, self.tok.k))[0]] = 1.0
+        return probs
 
 
 class WindowSpy:
@@ -65,9 +65,9 @@ class WindowSpy:
     def vocabulary(self):
         return self.lm.vocabulary()
 
-    def next_distribution(self, context):
-        self.lengths.append(len(context))
-        return self.lm.next_distribution(context)
+    def next_distributions(self, contexts):
+        self.lengths.extend(len(context) for context in contexts)
+        return self.lm.next_distributions(contexts)
 
 
 class TestRecoveryAccuracy:

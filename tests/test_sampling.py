@@ -1,19 +1,32 @@
+import warnings
+from dataclasses import replace
+
 import numpy as np
 import pytest
 from hypothesis import given, settings
 from hypothesis import strategies as st
 
+from genomelm import sampling
 from genomelm.errors import UnknownPrefixToken, UnknownTokenId
-from genomelm.lm import TokenDistribution, UniformLm
+from genomelm.lm import TokenDistribution, UniformLm, train_markov
 from genomelm.sampling import (
+    MAX_ATTEMPTS_FACTOR,
     SamplerConfig,
-    Xoshiro256,
+    XoshiroLanes,
     _select,
     conditioned_generate,
     generate,
-    job_rng,
 )
 from genomelm.tokenizer import KmerTokenizer, kmer_vocabulary
+from sequential_decode import (
+    Xoshiro256,
+    conditioned_attempts,
+    generate_one,
+    job_rng,
+    normalized,
+    nucleus,
+)
+from sequential_decode import select as select_one
 
 VOCAB1 = kmer_vocabulary(1)
 V = len(VOCAB1)
@@ -27,7 +40,8 @@ def dist(*pairs):
 
 
 class FnLm:
-    """Test double: next-token distribution computed from the context."""
+    """Test double: next-token distribution computed from the context, one
+    call of `fn` per context, in order."""
 
     context_window = None
 
@@ -35,11 +49,17 @@ class FnLm:
         self._fn = fn
         self._vocab = vocab
 
-    def next_distribution(self, context):
-        return self._fn(list(context))
+    def next_distributions(self, contexts):
+        rows = [self._fn(list(ctx)).probs for ctx in contexts]
+        return np.array(rows).reshape(len(contexts), len(self._vocab))
 
     def vocabulary(self):
         return self._vocab
+
+
+def generate1(lm, prompt, cfg, job_index=0):
+    """One job through the lockstep decoder."""
+    return generate(lm, [prompt], cfg, first_job=job_index)[0]
 
 
 class TestXoshiro:
@@ -77,41 +97,41 @@ class TestSamplerConfig:
 class TestGenerate:
     def test_point_mass_always_selected(self):
         lm = FnLm(lambda ctx: dist((2, 1.0)))
-        assert generate(lm, [], SamplerConfig(max_new_tokens=5)) == [2] * 5
+        assert generate1(lm, [], SamplerConfig(max_new_tokens=5)) == [2] * 5
 
     def test_greedy_takes_argmax(self):
         lm = FnLm(lambda ctx: dist((0, 0.2), (3, 0.5), (1, 0.3)))
         cfg = SamplerConfig(mode="greedy", max_new_tokens=4)
-        assert generate(lm, [], cfg) == [3] * 4
+        assert generate1(lm, [], cfg) == [3] * 4
 
     def test_greedy_ties_resolve_to_lowest_id(self):
         lm = FnLm(lambda ctx: dist((1, 0.5), (2, 0.5)))
         cfg = SamplerConfig(mode="greedy", max_new_tokens=3)
-        assert generate(lm, [], cfg) == [1] * 3
+        assert generate1(lm, [], cfg) == [1] * 3
 
     def test_nucleus_cut_keeps_minimal_mass_prefix(self):
         lm = FnLm(lambda ctx: dist((0, 0.5), (1, 0.3), (2, 0.2)))
         cfg = SamplerConfig(nucleus_p=0.5, max_new_tokens=50, seed=11)
-        assert generate(lm, [], cfg) == [0] * 50  # cumulative 0.5 reached by id 0 alone
+        assert generate1(lm, [], cfg) == [0] * 50  # cumulative 0.5 reached by id 0 alone
 
     def test_nucleus_ties_admit_lower_ids_first(self):
         lm = FnLm(lambda ctx: dist((0, 0.25), (1, 0.25), (2, 0.25), (3, 0.25)))
         cfg = SamplerConfig(nucleus_p=0.5, max_new_tokens=400, seed=3)
-        out = generate(lm, [], cfg)
+        out = generate1(lm, [], cfg)
         assert set(out) == {0, 1}
 
     def test_low_temperature_approaches_greedy(self):
         lm = FnLm(lambda ctx: dist((0, 0.6), (1, 0.3), (2, 0.1)))
         cfg = SamplerConfig(temperature=0.02, max_new_tokens=200, seed=5)
-        assert generate(lm, [], cfg) == [0] * 200
+        assert generate1(lm, [], cfg) == [0] * 200
 
     def test_sampling_frequencies_match_distribution(self):
         lm = FnLm(lambda ctx: dist((0, 0.6), (1, 0.3), (2, 0.1)))
         cfg = SamplerConfig(max_new_tokens=1, seed=123)
         counts = np.zeros(V)
         n = 20_000
-        for job in range(n):
-            counts[generate(lm, [], cfg, job_index=job)[0]] += 1
+        for ids in generate(lm, [[]] * n, cfg):
+            counts[ids[0]] += 1
         freqs = counts / n
         assert freqs[0] == pytest.approx(0.6, abs=0.015)
         assert freqs[1] == pytest.approx(0.3, abs=0.015)
@@ -120,19 +140,19 @@ class TestGenerate:
     def test_eos_stops_generation(self):
         lm = FnLm(lambda ctx: dist((VOCAB1.eos, 0.9), (0, 0.1)))
         cfg = SamplerConfig(mode="greedy", max_new_tokens=10)
-        assert generate(lm, [], cfg) == []
+        assert generate1(lm, [], cfg) == []
 
     def test_non_eos_specials_are_banned(self):
         lm = FnLm(lambda ctx: dist((VOCAB1.id_of("<mask>"), 0.7), (1, 0.3)))
         cfg = SamplerConfig(max_new_tokens=30, seed=9)
-        assert generate(lm, [], cfg) == [1] * 30
+        assert generate1(lm, [], cfg) == [1] * 30
 
     def test_deterministic_per_seed_and_job(self):
         lm = UniformLm(VOCAB1)
         cfg = SamplerConfig(max_new_tokens=30, seed=77)
-        a = generate(lm, [0], cfg, job_index=4)
-        b = generate(lm, [0], cfg, job_index=4)
-        c = generate(lm, [0], cfg, job_index=5)
+        a = generate1(lm, [0], cfg, job_index=4)
+        b = generate1(lm, [0], cfg, job_index=4)
+        c = generate1(lm, [0], cfg, job_index=5)
         assert a == b
         assert a != c
 
@@ -147,7 +167,7 @@ class TestGenerate:
         lm = FnLm(record)
         lm.context_window = window
         prompt = [i % 4 for i in range(7)]
-        out = generate(lm, prompt, SamplerConfig(max_new_tokens=6))
+        out = generate1(lm, prompt, SamplerConfig(max_new_tokens=6))
         full = prompt + out
         for step, ctx in enumerate(seen):
             whole = full[: len(prompt) + step]
@@ -160,7 +180,7 @@ class TestGenerate:
         reading_all = FnLm(lm.next_distribution)  # context_window None: passes the whole context
         cfg = SamplerConfig(max_new_tokens=40, seed=4, temperature=0.8)
         prompt = [rng.randrange(4) for _ in range(25)]
-        assert generate(lm, prompt, cfg) == generate(reading_all, prompt, cfg)
+        assert generate1(lm, prompt, cfg) == generate1(reading_all, prompt, cfg)
 
     @pytest.mark.parametrize("where", [0, 1000, 1999])
     def test_unknown_id_anywhere_in_a_long_prompt_is_named(self, where):
@@ -170,7 +190,7 @@ class TestGenerate:
         prompt = [i % 4 for i in range(2000)]
         prompt[where] = V + 7
         with pytest.raises(UnknownTokenId, match=f"token id {V + 7} "):
-            generate(lm, prompt, SamplerConfig(max_new_tokens=3))
+            generate1(lm, prompt, SamplerConfig(max_new_tokens=3))
 
 
 def _select_oracle(dist, cfg, rng, banned):
@@ -213,28 +233,74 @@ class TestSelect:
     @given(
         data=st.data(),
         # small integer weights give zeros and ties
-        weights=st.lists(st.integers(0, 4), min_size=1, max_size=40),
+        width=st.integers(1, 40),
+        n_rows=st.integers(1, 6),
         temperature=st.one_of(st.just(1.0), st.floats(0.01, 3.0)),
         nucleus_p=st.one_of(st.just(1.0), st.floats(0.01, 1.0)),
         mode=st.sampled_from(["sample", "greedy"]),
         seed=st.integers(0, 2**32),
     )
-    def test_matches_the_loop_oracle(self, data, weights, temperature, nucleus_p, mode, seed):
-        w = np.asarray(weights, dtype=float)
-        if w.sum() == 0:
-            w[0] = 1.0
-        banned = data.draw(st.lists(st.integers(0, len(w) - 1), unique=True))
-        dist = TokenDistribution(w / w.sum())
+    def test_matches_the_loop_oracle(self, data, width, n_rows, temperature, nucleus_p, mode,
+                                     seed):
+        rows = []
+        for _ in range(n_rows):
+            w = np.asarray(data.draw(st.lists(st.integers(0, 4), min_size=width,
+                                              max_size=width)), dtype=float)
+            if w.sum() == 0:
+                w[0] = 1.0
+            rows.append(w / w.sum())
+        banned = data.draw(st.lists(st.integers(0, width - 1), unique=True))
         cfg = SamplerConfig(temperature=temperature, nucleus_p=nucleus_p, mode=mode)
-        fast_rng, slow_rng = Xoshiro256(seed), Xoshiro256(seed)
+        streams = [Xoshiro256(seed + i) for i in range(n_rows)]
+        draws = []
+
+        def uniform():
+            draws.append(np.array([rng.uniform() for rng in streams]))
+            return draws[-1]
+
         try:
-            want = _select_oracle(dist, cfg, slow_rng, banned)
+            want = []
+            for i, row in enumerate(rows):
+                want.append(select_one(TokenDistribution(row), cfg, Xoshiro256(seed + i), banned))
+                loop = _select_oracle(TokenDistribution(row), cfg, Xoshiro256(seed + i), banned)
+                assert loop == want[-1]
         except ValueError:
             with pytest.raises(ValueError, match="masked out"):
-                _select(dist, cfg, fast_rng, np.asarray(banned, dtype=np.int64))
+                _select(np.array(rows), cfg, np.asarray(banned, dtype=np.int64), uniform)
             return
-        assert _select(dist, cfg, fast_rng, np.asarray(banned, dtype=np.int64)) == want
-        assert fast_rng.s == slow_rng.s
+        got = _select(np.array(rows), cfg, np.asarray(banned, dtype=np.int64), uniform)
+        assert got.tolist() == want
+        assert len(draws) == (mode == "sample")  # one draw a row when sampling, none greedy
+
+    @settings(max_examples=200, deadline=None)
+    @given(data=st.data(),
+           weights=st.lists(st.floats(0.001, 1.0), min_size=9, max_size=40),
+           temperature=st.one_of(st.just(1.0), st.floats(0.3, 3.0)))
+    def test_draws_and_cuts_on_cumulative_boundaries(self, data, weights, temperature):
+        # u equal to a kept cumulative mass, and a nucleus P whose cut lands on
+        # a cumulative mass, pick a different id if one sum is off by one bit
+        w = np.asarray(weights)
+        dist = TokenDistribution(w / w.sum())
+        none = np.empty(0, dtype=np.int64)
+        cfg = SamplerConfig(temperature=temperature)
+        _, cum, _ = nucleus(normalized(dist, none), cfg)
+        p = cum[data.draw(st.integers(0, len(cum) - 1))] + 1e-12
+        if p <= 1.0:
+            cfg = SamplerConfig(temperature=temperature, nucleus_p=p)
+        kept, _, kept_cum = nucleus(normalized(dist, none), cfg)
+        draws = np.array([u for u in kept_cum if u < 1.0] or [0.5])
+
+        class FixedDraws:
+            def __init__(self):
+                self.draws = iter(draws.tolist())
+
+            def uniform(self):
+                return next(self.draws)
+
+        rng = FixedDraws()
+        want = [select_one(dist, cfg, rng, none) for _ in draws]
+        rows = np.tile(dist.probs, (len(draws), 1))
+        assert _select(rows, cfg, none, lambda: draws).tolist() == want
 
     @pytest.mark.parametrize("n_equal, u, want", [
         (2, 0.5, 1),  # u on a cumulative boundary belongs to the next id
@@ -247,7 +313,9 @@ class TestSelect:
 
         d = dist(*((i, 1 / n_equal) for i in range(n_equal)))
         banned = np.empty(0, dtype=np.int64)
-        assert _select(d, SamplerConfig(), FixedDraw(), banned) == want
+        assert _select(d.probs[None].copy(), SamplerConfig(), banned,
+                       lambda: np.array([u])) == [want]
+        assert select_one(d, SamplerConfig(), FixedDraw(), banned) == want
         assert _select_oracle(d, SamplerConfig(), FixedDraw(), banned) == want
 
 
@@ -321,3 +389,148 @@ class TestConditionedGenerate:
             conditioned_generate(lm, tok, "<nope>", cfg)
         with pytest.raises(UnknownPrefixToken):
             conditioned_generate(lm, tok, "A", cfg)
+
+
+class TestXoshiroLanes:
+    @pytest.mark.parametrize("seed", [0, -1, 2**63 + 5])
+    def test_each_lane_is_its_jobs_scalar_stream(self, seed):
+        first_job, n_lanes, n_draws = 7, 3, 10_000
+        with warnings.catch_warnings():
+            warnings.simplefilter("error")  # no overflow warning from the wrapping arithmetic
+            lanes = XoshiroLanes(seed, first_job, n_lanes)
+            got = np.array([lanes.uniform() for _ in range(n_draws)]).T
+        for lane, draws in enumerate(got):
+            rng = job_rng(seed, first_job + lane)
+            assert draws.tolist() == [rng.uniform() for _ in range(n_draws)]
+
+    def test_dropped_lanes_leave_the_others_on_their_streams(self):
+        lanes = XoshiroLanes(11, 0, 4)
+        lanes.uniform()
+        lanes.keep(np.array([True, False, True, False]))
+        after = lanes.next_u64().tolist()
+        want = []
+        for job in (0, 2):
+            rng = job_rng(11, job)
+            rng.uniform()
+            want.append(rng.next_u64())
+        assert after == want
+
+
+VOCAB2 = kmer_vocabulary(2)  # 16 base ids: kept sets of more than 8 ids
+
+
+class TableLm:
+    """Rows of a fixed table, picked by the last `depth` context ids."""
+
+    def __init__(self, table, depth, window):
+        self.table, self.depth, self.context_window = table, depth, window
+
+    def next_distributions(self, contexts):
+        picks = [sum((t + 1) * 7**i for i, t in enumerate(ctx[len(ctx) - self.depth:]))
+                 % len(self.table) for ctx in contexts]
+        return self.table[picks]
+
+    def vocabulary(self):
+        return VOCAB2
+
+
+@st.composite
+def decode_cases(draw):
+    V = len(VOCAB2)
+    token = st.integers(0, VOCAB2.n_base - 1)
+    if draw(st.booleans()):
+        order = draw(st.integers(0, 3))
+        streams = draw(st.lists(st.lists(token, min_size=1, max_size=60), min_size=1,
+                                max_size=3))
+        # an EOS or a special in the corpus gives them mass, as a prefix model has
+        streams.append([VOCAB2.bos, VOCAB2.id_of("<high>"), *streams[0][:5], VOCAB2.eos])
+        lm = train_markov(streams, VOCAB2, order, alpha=draw(st.sampled_from([0.01, 0.1, 1.0])))
+    else:
+        # small integer weights give zeros and ties; the EOS weight sets how early jobs end
+        rows = []
+        for _ in range(draw(st.integers(1, 5))):
+            w = np.asarray(draw(st.lists(st.integers(0, 4), min_size=V, max_size=V)), float)
+            w[VOCAB2.eos] *= draw(st.sampled_from([0, 1, 8]))
+            if not w[: VOCAB2.n_base].any() and not w[VOCAB2.eos]:
+                w[0] = 1.0  # leave the sampler a candidate
+            rows.append(w / w.sum())
+        lm = TableLm(np.array(rows), draw(st.integers(0, 3)),
+                     draw(st.one_of(st.none(), st.integers(0, 3))))
+    cfg = SamplerConfig(
+        temperature=draw(st.one_of(st.just(1.0), st.floats(0.05, 3.0))),
+        nucleus_p=draw(st.one_of(st.just(1.0), st.floats(0.01, 1.0))),
+        max_new_tokens=draw(st.integers(0, 12)),
+        seed=draw(st.one_of(st.integers(-5, 5), st.integers(-2**70, 2**70))),
+        mode=draw(st.sampled_from(["sample", "sample", "greedy"])),
+    )
+    prompts = draw(st.lists(st.lists(token, max_size=6), min_size=1, max_size=9))
+    block_rows = draw(st.sampled_from([1, 2, 3, 1000]))
+    return lm, cfg, prompts, block_rows
+
+
+class TestLockstepMatchesSequential:
+    @settings(max_examples=250, deadline=None)
+    @given(case=decode_cases(), first_job=st.integers(0, 5))
+    def test_token_for_token(self, case, first_job):
+        lm, cfg, prompts, block_rows = case
+        want = [generate_one(lm, p, cfg, job_index=first_job + i) for i, p in enumerate(prompts)]
+        with pytest.MonkeyPatch.context() as mp:
+            mp.setattr(sampling, "BLOCK_VALUES", block_rows * len(VOCAB2))
+            assert generate(lm, prompts, cfg, first_job=first_job) == want
+
+    @settings(max_examples=100, deadline=None)
+    @given(case=decode_cases(), n=st.integers(1, 6), prefix=st.sampled_from([None, "<high>"]),
+           dedup=st.sampled_from([None, set(), {"", "A", "AC"}]))
+    def test_conditioned_attempts(self, case, n, prefix, dedup):
+        lm, cfg, prompts, block_rows = case
+        cfg = replace(cfg, max_new_tokens=min(cfg.max_new_tokens, 3))  # short outputs collide
+        tok = KmerTokenizer(2)
+        prompt = [VOCAB2.bos, VOCAB2.id_of(prefix), *prompts[0]] if prefix else prompts[0]
+        budget = n if dedup is None else n * MAX_ATTEMPTS_FACTOR
+        sequences, filtered, attempts = conditioned_attempts(lm, tok, prompt, cfg, n, dedup,
+                                                             budget)
+        with pytest.MonkeyPatch.context() as mp:
+            mp.setattr(sampling, "BLOCK_VALUES", block_rows * len(VOCAB2))
+            batch = conditioned_generate(lm, tok, prefix, cfg, n_sequences=n,
+                                         seed_context=prompts[0], dedup_against=dedup)
+        assert batch.sequences == sequences
+        assert batch.duplicates_filtered == filtered
+        assert len(batch.sequences) + batch.duplicates_filtered == attempts
+        assert batch.exhausted == (len(sequences) < n)
+
+    def test_dedup_collisions_rerun_only_the_missing_attempts(self):
+        calls = []
+
+        def fn(ctx):
+            calls.append(list(ctx))
+            return dist((0, 0.5), (1, 0.5))
+
+        cfg = SamplerConfig(max_new_tokens=1, seed=2)
+        batch = conditioned_generate(FnLm(fn), KmerTokenizer(1), None, cfg, n_sequences=2,
+                                     dedup_against=set())
+        sequences, filtered, attempts = conditioned_attempts(
+            FnLm(lambda ctx: dist((0, 0.5), (1, 0.5))), KmerTokenizer(1), [], cfg, 2, set(), 8)
+        assert (batch.sequences, batch.duplicates_filtered) == (sequences, filtered)
+        assert filtered > 0  # the seed gives at least one repeat
+        assert len(calls) == attempts  # one step per attempt, no attempt beyond the loop's
+
+    def test_jobs_beyond_one_block_run_in_blocks(self, monkeypatch):
+        lm = train_markov([[i % 16 for i in range(200)]], VOCAB2, order=2)
+        sizes = []
+
+        class Spy:
+            context_window = lm.context_window
+
+            def vocabulary(self):
+                return VOCAB2
+
+            def next_distributions(self, contexts):
+                sizes.append(len(contexts))
+                return lm.next_distributions(contexts)
+
+        monkeypatch.setattr(sampling, "BLOCK_VALUES", 3 * len(VOCAB2) + 5)  # 3 rows a block
+        cfg = SamplerConfig(max_new_tokens=4, seed=9, temperature=1.5)
+        prompts = [[i % 16] for i in range(8)]
+        got = generate(Spy(), prompts, cfg)
+        assert got == [generate_one(lm, p, cfg, job_index=i) for i, p in enumerate(prompts)]
+        assert max(sizes) == 3 and sum(sizes) == sum(len(ids) + (len(ids) < 4) for ids in got)

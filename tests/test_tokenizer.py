@@ -11,6 +11,7 @@ from genomelm.errors import (
     EmptyCorpus,
     InvalidSymbol,
     SpecialTokenInStream,
+    UnknownTokenId,
     VocabularyMismatch,
 )
 from genomelm.seqcore import NucleotideSequence
@@ -20,11 +21,13 @@ from genomelm.tokenizer import (
     N_SPECIAL_SLOTS,
     Vocabulary,
     _SPECIAL_TOKENS,
+    _decode,
     bpe_decode,
     bpe_encode,
     _most_frequent_pair,
     base_ranks_at,
     bpe_train,
+    kmer_count_matrix,
     kmer_counts,
     kmer_decode,
     kmer_encode,
@@ -336,6 +339,18 @@ class TestKmerLayout:
             counts[rank] += 1
         assert kmer_counts(s, k).tolist() == counts.tolist()
 
+    @settings(max_examples=100)
+    @given(st.lists(st.text(alphabet="ACGTN", max_size=30), max_size=6), st.integers(1, 4))
+    def test_count_matrix_rows_are_each_sequences_counts(self, seqs, k):
+        got = kmer_count_matrix(seqs, k)
+        assert got.shape == (len(seqs), 4**k)
+        for row, s in zip(got, seqs):
+            want = np.zeros(4**k)
+            for i in range(len(s) - k + 1):
+                if "N" not in s[i : i + k]:
+                    want[kmer_id(s[i : i + k])] += 1
+            assert row.tolist() == want.tolist()
+
     @pytest.mark.parametrize("k", [1, 2, 4])
     def test_base_ranks_and_substitutions(self, k):
         vocab = kmer_vocabulary(k)
@@ -348,6 +363,42 @@ class TestKmerLayout:
                 assert ranks[t] == "ACGT".index(kmer[j])
                 others = ["ACGT"[("ACGT".index(kmer[j]) + s) % 4] for s in (1, 2, 3)]
                 assert subs[t].tolist() == [kmer_id(kmer[:j] + b + kmer[j + 1 :]) for b in others]
+
+
+def join_decode(ids, vocab):
+    """The per-token join the array decoder replaced, kept as its oracle."""
+    if len(ids) and max(ids) >= vocab.n_base:
+        raise SpecialTokenInStream(next(t for t in ids if vocab.is_special(t)))
+    return "".join([vocab.tokens[t] for t in ids])
+
+
+BPE_FOR_DECODE = bpe_train(["ACGTTACGAACGTTTACGGA" * 3, "TTTTACGCCA"], target_vocab=50)
+
+
+class TestDecodeMatchesTheJoin:
+    @settings(max_examples=200)
+    @given(st.data(), st.sampled_from([kmer_vocabulary(k) for k in (1, 2, 3, 6)]
+                                      + [BPE_FOR_DECODE.vocab]))
+    def test_same_bases_and_errors(self, data, vocab):
+        token = st.integers(0, vocab.n_base - 1)
+        ids = data.draw(st.lists(st.one_of(token, st.integers(0, len(vocab) - 1)), max_size=50))
+        try:
+            want = join_decode(ids, vocab)
+        except SpecialTokenInStream as exc:
+            with pytest.raises(SpecialTokenInStream, match=f"id {exc.token_id} "):
+                _decode(ids, vocab)
+            return
+        assert _decode(ids, vocab).bases == want
+        assert _decode(np.asarray(ids, dtype=np.int64), vocab).bases == want
+
+    def test_through_both_decoders(self):
+        assert kmer_decode([0, 27, 63], 3).bases == "AAACGTTTT"
+        ids = bpe_encode("ACGTTACGAAT", BPE_FOR_DECODE)
+        assert bpe_decode(ids, BPE_FOR_DECODE).bases == "ACGTTACGAAT"
+
+    def test_a_negative_id_is_named(self):
+        with pytest.raises(UnknownTokenId, match="token id -2 "):
+            kmer_decode([1, -2], 2)
 
 
 class TestBpe:

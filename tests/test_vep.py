@@ -116,9 +116,9 @@ class WindowSpy:
     def vocabulary(self):
         return self.lm.vocabulary()
 
-    def next_distribution(self, context):
-        self.lengths.append(len(context))
-        return self.lm.next_distribution(context)
+    def next_distributions(self, contexts):
+        self.lengths.extend(len(context) for context in contexts)
+        return self.lm.next_distributions(contexts)
 
 
 class TestVepScore:
@@ -192,10 +192,10 @@ class TestVepScore:
             def vocabulary(self):
                 return tok.vocab
 
-            def next_distribution(self, context):
-                probs = np.zeros(len(tok.vocab))
-                probs[0] = 1.0  # always A
-                return TokenDistribution(probs)
+            def next_distributions(self, contexts):
+                probs = np.zeros((len(contexts), len(tok.vocab)))
+                probs[:, 0] = 1.0  # always A
+                return probs
 
         score = vep_score(PointLm(), tok, genome, Variant("c", 5, "A", "C"))
         assert score == SCORE_CAP
@@ -229,8 +229,8 @@ class TestVepScore:
                 calls.append(1)
                 return lm.vocabulary()
 
-            def next_distribution(self, context):
-                return lm.next_distribution(context)
+            def next_distributions(self, contexts):
+                return lm.next_distributions(contexts)
 
         variant = Variant("c", 100, genome["c"].bases[99],
                           "A" if genome["c"].bases[99] != "A" else "C")
