@@ -16,8 +16,8 @@ from typing import Iterator
 import numpy as np
 
 from . import analytics, design, ingest, recover, vep
-from .errors import AmbiguousContext, GenomeLmError
-from .lm import MarkovLm, UniformLm, bridge_model, train_markov
+from .errors import AmbiguousContext, EmptyCorpus, GenomeLmError
+from .lm import MarkovLm, bridge_model, train_markov
 from .sampling import SamplerConfig, conditioned_generate
 from .seqcore import (fasta_text, parse_fasta, read_acgt_fasta, read_fasta, read_genome,
                       reading_model, translate, tsv_text, validate, write_tsv)
@@ -109,13 +109,14 @@ def _emit(args, text: str) -> None:
 
 @contextlib.contextmanager
 def _opened_model(spec_text: str):
-    """Model spec: 'markov:<path>', 'uniform:<k>', or a bridge target.
-    A bridge model is closed, and its peer shut down, on exit."""
+    """Model spec: 'markov:<path>', 'uniform:<k>' (the untrained order-0
+    Markov model over k-mers), or a bridge target. A bridge model is
+    closed, and its peer shut down, on exit."""
     kind, _, rest = spec_text.partition(":")
     if kind == "markov":
         model = MarkovLm.load(rest)
     elif kind == "uniform":
-        model = UniformLm(KmerTokenizer(int(rest)).vocab)
+        model = MarkovLm.uniform(KmerTokenizer(int(rest)).vocab)
     else:
         model = bridge_model(rest if kind == "bridge" else spec_text)
     try:
@@ -219,6 +220,8 @@ def cmd_train_markov(args):
         ids = tokenizer.encode(seq.bases, offset)
         if ids:
             corpus.append(ids)
+    if not corpus:
+        raise EmptyCorpus(f"{args.corpus}: no record of at least {args.k} bases to train on")
     lambdas = None
     if args.lambdas:
         lambdas = [float(x) for x in args.lambdas.split(",")]

@@ -18,8 +18,8 @@ from .errors import (
     UnknownPrefixToken,
 )
 from .seqcore import DNA_ALPHABET, NucleotideSequence, read_tsv, reading_model, tsv_text
-from .tokenizer import (KmerTokenizer, kmer_count_matrix, kmer_counts, kmer_substitutions,
-                        kmer_windows)
+from .tokenizer import (KmerTokenizer, check_k, kmer_count_matrix, kmer_counts,
+                        kmer_substitutions, kmer_windows)
 
 PREFIX_BY_LABEL = {"high": "<high>", "mid": "<mid>", "low": "<low>"}
 
@@ -94,8 +94,8 @@ def fit_kmer_ridge(
     Each record is featurized once; its row also gives the training error."""
     if len(records) < 2:
         raise TooFewSamples(f"need at least 2 records, got {len(records)}")
-    if l2 < 0:
-        raise ValueError(f"l2 strength must be >= 0, got {l2}")
+    if not (math.isfinite(l2) and l2 >= 0):
+        raise ValueError(f"l2 strength must be finite and >= 0, got {l2}")
     X = kmer_count_matrix([r.sequence.bases for r in records], k)
     y = np.asarray([r.activity for r in records], dtype=float)
     x_mean = X.mean(axis=0)
@@ -149,9 +149,10 @@ def rank_and_select(
     scores = {seq: predictor.predict(seq) for seq in pool}
     by_score = sorted(pool, key=lambda s: (-scores[s], s))
     top = by_score[: plan.top]
+    taken = set(top)
     bottom_sorted = sorted(pool, key=lambda s: (scores[s], s))
-    bottom = [s for s in bottom_sorted if s not in set(top)][: plan.bottom]
-    taken = set(top) | set(bottom)
+    bottom = [s for s in bottom_sorted if s not in taken][: plan.bottom]
+    taken.update(bottom)
     rest = [s for s in sorted(pool) if s not in taken]
     rng = random.Random(plan.seed)
     rand = rng.sample(rest, plan.random) if plan.random else []
@@ -203,6 +204,7 @@ def save_predictor(predictor: KmerRidgePredictor, path) -> None:
 def load_predictor(path) -> KmerRidgePredictor:
     with open(path) as fh, reading_model(path):
         obj = json.load(fh)
+        check_k(obj["k"])
         weights = np.asarray(obj["weights"], dtype=float)
         if weights.shape != (4 ** obj["k"],):
             raise ValueError(f"{weights.size} weights for k={obj['k']}, expected 4^k")

@@ -39,9 +39,9 @@ class EmptyCorpus(GenomeLmError):
 # --- ingestion ---------------------------------------------------------------
 
 class MalformedLocation(GenomeLmError):
-    def __init__(self, line):
-        self.line = line
-        super().__init__(f"malformed feature location: {line!r}")
+    def __init__(self, line, where):
+        self.line = line  # where names the file and the line's number
+        super().__init__(f"{where}: malformed feature location: {line!r}")
 
 
 class MissingOrigin(GenomeLmError):

@@ -71,8 +71,9 @@ class FunctionalRegion:
 _SPAN_RE = re.compile(r"^<?(\d+)\.\.>?(\d+)$")
 
 
-def _parse_location(loc: str, line: str) -> tuple[int, int, str]:
-    """Reduce a gene location to (start, end, strand).
+def _parse_location(loc: str) -> Optional[tuple[int, int, str]]:
+    """Reduce a gene location to (start, end, strand), or None if malformed
+    or not a 1-based span.
 
     join(...) collapses to the outer span [min, max]: gene-centric regions
     keep intervening introns.
@@ -95,10 +96,9 @@ def _parse_location(loc: str, line: str) -> tuple[int, int, str]:
             starts.append(int(part))
             ends.append(int(part))
         else:
-            raise MalformedLocation(line)
-    if not starts:
-        raise MalformedLocation(line)
-    return min(starts), max(ends), strand
+            return None
+    start, end = min(starts), max(ends)
+    return (start, end, strand) if 1 <= start <= end else None
 
 
 def parse_genbank(path) -> tuple[dict[str, NucleotideSequence], list[AnnotationRecord]]:
@@ -135,7 +135,7 @@ def add_genbank(genome: dict[str, NucleotideSequence], path) -> list[AnnotationR
             raise BadRow(i + 1, f"record {locus_id!r} is also a genome FASTA record", path)
         locus_lines[locus_id] = i + 1
         i += 1
-        pending: list[tuple[str, str]] = []  # (location text, source line)
+        pending: list[tuple[str, str, int]] = []  # (location text, source line, its number)
         origin: list[tuple[int, str]] = []  # (line number, bases) of each ORIGIN line
         saw_origin = False
         in_features = False
@@ -162,22 +162,24 @@ def add_genbank(genome: dict[str, NucleotideSequence], path) -> list[AnnotationR
                         while j < len(lines) and lines[j].startswith(" " * 10) and not lines[j].strip().startswith("/"):
                             loc += lines[j].strip()
                             j += 1
-                        i = j - 1
                         if key == "gene":
-                            pending.append((loc, line.strip()))
+                            pending.append((loc, line.strip(), i + 1))
+                        i = j - 1
             i += 1
         if not saw_origin:
-            raise MissingOrigin(f"record {locus_id} has no ORIGIN section")
+            raise MissingOrigin(f"{path}: line {locus_lines[locus_id]}: record {locus_id!r} "
+                                "has no ORIGIN section")
         try:
             seq = validate("".join(bases for _, bases in origin), id=locus_id)
         except InvalidSymbol as exc:
             line_no = line_of_position(exc.position, origin)
             raise BadRow(line_no, f"record {locus_id!r}: {exc}", path) from exc
         sequences[locus_id] = seq
-        for loc, src_line in pending:
-            start, end, strand = _parse_location(loc, src_line)
-            if end > len(seq):
-                raise MalformedLocation(src_line)
+        for loc, src_line, line_no in pending:
+            span = _parse_location(loc)
+            if span is None or span[1] > len(seq):
+                raise MalformedLocation(src_line, f"{path}: line {line_no}")
+            start, end, strand = span
             records.append(
                 AnnotationRecord(seq_id=locus_id, start=start, end=end, strand=strand)
             )

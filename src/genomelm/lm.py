@@ -62,26 +62,6 @@ class CausalLm(Protocol):
     def vocabulary(self) -> Vocabulary: ...
 
 
-class UniformLm:
-    """Uniform next-token model; the random-guessing baseline."""
-
-    context_window = 0
-
-    def __init__(self, vocab: Vocabulary):
-        self._vocab = vocab
-        self._probs = np.full(len(vocab), 1.0 / len(vocab))
-
-    def next_distributions(self, contexts: Sequence[Sequence[int]]) -> np.ndarray:
-        return np.tile(self._probs, (len(contexts), 1))
-
-    def logprobs(self, ids: Sequence[int]) -> np.ndarray:
-        check_ids(ids, len(self._vocab))
-        return np.log(self._probs[np.asarray(ids, dtype=np.intp)])
-
-    def vocabulary(self) -> Vocabulary:
-        return self._vocab
-
-
 class MarkovLm:
     """Order-n count model: lambda-weighted mixture of add-alpha estimates.
 
@@ -100,9 +80,10 @@ class MarkovLm:
 
     `train_markov` counts a whole corpus in one pass and `observe` merges
     one more sequence in. `next_distributions` reads the rows of a batch
-    of contexts and `logprobs` scores every position of a sequence, each
-    with one searchsorted per order. `save` writes one .npz file that
-    `load` checks.
+    of contexts and `logprobs` scores every position of a sequence: both
+    find each context's row at every order by `_rows` and read the terms
+    `_derive` builds. `save` writes one .npz file that `load` checks.
+    `MarkovLm.uniform` is the untrained order-0 model, the random baseline.
     """
 
     FORMAT_VERSION = 2
@@ -110,11 +91,15 @@ class MarkovLm:
     def __init__(self, vocab: Vocabulary, order: int, alpha: float, lambdas: Sequence[float]):
         if order < 0:
             raise BadSmoothing(f"order must be >= 0, got {order}")
+        if not math.isfinite(alpha):
+            raise BadSmoothing(f"alpha must be finite, got {alpha}")
         if alpha <= 0:
             raise BadSmoothing(f"alpha must be > 0, got {alpha}")
         lambdas = [float(x) for x in lambdas]
         if len(lambdas) != order + 1:
             raise BadSmoothing(f"need {order + 1} interpolation weights, got {len(lambdas)}")
+        if not all(map(math.isfinite, lambdas)):
+            raise BadSmoothing(f"interpolation weights must be finite, got {lambdas}")
         if any(x < 0 for x in lambdas) or abs(sum(lambdas) - 1.0) > 1e-9:
             raise BadSmoothing("interpolation weights must be a simplex")
         self._vocab = vocab
@@ -127,6 +112,11 @@ class MarkovLm:
         self._derived = None  # what _derive builds from the counts, until they change
         # the estimate after a context never observed, at any order
         self._unseen_estimate = alpha / (alpha * len(vocab))
+
+    @classmethod
+    def uniform(cls, vocab: Vocabulary) -> "MarkovLm":
+        """The untrained order-0 model: every token has probability 1/|V|."""
+        return cls(vocab, 0, 1.0, [1.0])
 
     @property
     def context_window(self) -> int:
@@ -195,30 +185,19 @@ class MarkovLm:
     def next_distributions(self, contexts: Sequence[Sequence[int]]) -> np.ndarray:
         """The next-token distribution after each context, one row each.
 
-        One searchsorted per order finds the row of every context. Each
-        row starts from the dense order-0 row (0.0 + x == x) and adds the
-        higher orders' terms in place, so a row is the same sum, bit for
-        bit, in any batch and in `logprobs`.
+        Each row starts from the dense order-0 row (0.0 + x == x) and adds
+        the higher orders' terms in place, so a row is the same sum, bit
+        for bit, in any batch and in `logprobs`.
         """
         V, n = len(self._vocab), self.order
         for ctx in contexts:
             check_ids(ctx, V)
         base, orders = self._derived or self._derive()
-        # the last n ids of each context, oldest first, padded on the left with
-        # an id that no stored key holds
         tails = [list(ctx[-n:]) if n and len(ctx) else [] for ctx in contexts]
         last = np.array([[_PAD] * (n - len(t)) + t for t in tails], dtype=np.int64)
-        last = last.reshape(len(contexts), n)
-        rows = np.zeros(len(contexts), dtype=np.int64)  # each context's row at order o
         probs = None
-        for o in range(1, n + 1):
-            keys, offsets, tokens, terms, rest = orders[o]
-            key = rows * V + last[:, n - o]
-            at = np.searchsorted(keys, key)
-            # an unseen context reads the empty row after the last
-            rows = np.where(keys[at] == key, at, len(keys) - 1)
-            if self.lambdas[o] == 0.0:
-                continue
+        for o, rows in self._rows(orders, last.reshape(len(contexts), n)):
+            _, offsets, tokens, _, terms, rest = orders[o]
             lo = offsets[rows]
             lens = offsets[rows + 1] - lo
             entry = np.arange(lens.sum()) + (lo - lens.cumsum() + lens).repeat(lens)
@@ -235,12 +214,48 @@ class MarkovLm:
             probs = np.tile(base, (len(contexts), 1))
         return probs
 
+    def logprobs(self, ids: Sequence[int]) -> np.ndarray:
+        """log p(ids[i] | ids[:i]) for every position i: each position's
+        cell of the row `next_distributions` gives after ids[:i], summed
+        in the same order, so each probability is the same bits."""
+        V, n = len(self._vocab), self.order
+        check_ids(ids, V)
+        base, orders = self._derived or self._derive()
+        ids = np.asarray(ids, dtype=np.int64)
+        # each position's previous n ids, oldest first
+        last = np.append(np.full(n, _PAD), ids)[np.arange(len(ids))[:, None] + np.arange(n)]
+        probs = base[ids]
+        for o, rows in self._rows(orders, last):
+            _, _, _, entry_keys, terms, rest = orders[o]
+            query = rows * V + ids
+            j = np.searchsorted(entry_keys, query)
+            probs += np.where(entry_keys[j] == query, terms[j], rest[rows])
+        return np.log(probs)
+
+    def _rows(self, orders: list, last: np.ndarray):
+        """(o, rows) for each order o in 1..n whose lambda is not 0: the row
+        of `orders[o]` that each context reads. `last` holds each context's
+        last n ids, oldest first, padded on the left with an id that no
+        stored key holds. One searchsorted per order; an unseen context
+        reads the empty row after the last, and so does every longer one."""
+        V, n = len(self._vocab), last.shape[1]
+        rows = np.zeros(len(last), dtype=np.int64)
+        for o in range(1, n + 1):
+            keys = orders[o][0]
+            key = rows * V + last[:, n - o]
+            at = np.searchsorted(keys, key)
+            rows = np.where(keys[at] == key, at, len(keys) - 1)
+            if self.lambdas[o] != 0.0:
+                yield o, rows
+
     def _derive(self) -> tuple[np.ndarray, list[tuple[np.ndarray, ...]]]:
         """Per order o, lambda_o times the add-alpha estimate after each
-        observed context: its key, row offsets, token ids, each entry's term
-        and each row's term for every token without an entry. One more row,
-        keyed above every key and with no entries, stands for every unseen
-        context. And the dense order-0 row."""
+        observed context: its key, row offsets, token ids, each entry's
+        flat key (row * |V| + token) and term, and each row's term for
+        every token without an entry. One more row, keyed above every key
+        and with no entries, stands for every unseen context, and one more
+        entry, keyed above every entry with term 0, ends the entries. And
+        the dense order-0 row."""
         V = len(self._vocab)
         orders = []
         for lam, (keys, offsets, tokens, counts) in zip(self.lambdas, self._arrays):
@@ -248,50 +263,14 @@ class MarkovLm:
             denom = totals + self.alpha * V
             terms = lam * ((counts + self.alpha) / denom.repeat(np.diff(offsets)))
             rest = np.append(lam * (self.alpha / denom), lam * self._unseen_estimate)
+            entry_keys = np.arange(len(keys)).repeat(np.diff(offsets)) * V + tokens
             orders.append((np.append(keys, _NO_KEY), np.append(offsets, offsets[-1]), tokens,
-                           terms, rest))
-        _, _, tokens, terms, rest = orders[0]
+                           np.append(entry_keys, _NO_KEY), np.append(terms, 0.0), rest))
+        _, _, tokens, _, terms, rest = orders[0]
         base = np.full(V, rest[0])  # the empty context's row, observed or not
-        base[tokens] = terms
+        base[tokens] = terms[:-1]
         self._derived = base, orders
         return self._derived
-
-    def logprobs(self, ids: Sequence[int]) -> np.ndarray:
-        """log p(ids[i] | ids[:i]) for every position i.
-
-        One searchsorted per order finds the context row of every position,
-        and one more its entry. The terms are summed in next_distribution's
-        order, so each probability is the one it gives, bit for bit.
-        """
-        V = len(self._vocab)
-        check_ids(ids, V)
-        ids = np.asarray(ids, dtype=np.int64)
-        probs = np.zeros(len(ids))
-        # positions whose order-o context was observed, and that context's row
-        at = np.arange(len(ids) if len(self._arrays[0][0]) else 0)
-        rows = np.zeros(len(at), dtype=np.int64)
-        for o, lam in enumerate(self.lambdas):
-            keys, offsets, tokens, counts = self._arrays[o]
-            if o:
-                keep = at >= o
-                at, key = at[keep], rows[keep] * V + ids[at[keep] - o]
-                rows = np.minimum(np.searchsorted(keys, key), len(keys) - 1)
-                found = keys[rows] == key if len(keys) else np.zeros(len(key), dtype=bool)
-                at, rows = at[found], rows[found]
-            if lam == 0.0:
-                continue
-            cum = np.concatenate([[0], np.cumsum(counts)])
-            denom = (cum[offsets[1:]] - cum[offsets[:-1]])[rows] + self.alpha * V
-            entries = np.repeat(np.arange(len(keys)), np.diff(offsets)) * V + tokens
-            query = rows * V + ids[at]
-            j = np.minimum(np.searchsorted(entries, query), len(entries) - 1)
-            hit = np.zeros(len(at), dtype=np.int64)
-            if len(entries):
-                hit = np.where(entries[j] == query, counts[j], 0)
-            est = np.full(len(ids), self._unseen_estimate)
-            est[at] = (hit + self.alpha) / denom
-            probs += lam * est
-        return np.log(probs)
 
     # --- persistence: one .npz file, a JSON header and four arrays per order --
 
@@ -370,15 +349,16 @@ class MarkovLm:
 _DTYPES = {"contexts": np.int64, "offsets": np.int64, "tokens": np.int32, "counts": np.int64}
 _NO_IDS = np.empty(0, dtype=np.int32)
 _PAD = 2**62  # an id no stored key holds: a key is below (contexts one order down) * |V|
-_NO_KEY = np.iinfo(np.int64).max  # the key of the empty row that unseen contexts read
+_NO_KEY = np.iinfo(np.int64).max  # the key of the empty row and of the entry that end an order
 _NPZ_MAGIC = b"PK\x03\x04"  # a zip archive, as np.savez writes
+_MAX_TOTAL = 2.0**53  # counts sum to less, so every total is exact as a float
 
 
 def _checked_counts(path, o: int, arrays: dict, n_keys: int, V: int) -> tuple:
     """The order-o arrays of a model file, checked against each other:
     context keys below n_keys, sorted and unique; offsets rising from 0 to
     the entry count; token ids in the vocabulary and ascending within a
-    row; counts of at least 1."""
+    row; counts of at least 1, summing to less than 2^53."""
     names = [f"{name}_{o}" for name in _DTYPES]
     for name, dtype in zip(names, _DTYPES.values()):
         a = arrays.get(name)
@@ -413,6 +393,8 @@ def _checked_counts(path, o: int, arrays: dict, n_keys: int, V: int) -> tuple:
         bad(cname, f"{len(counts)} counts for {len(tokens)} tokens")
     if len(counts) and counts.min() < 1:
         bad(cname, "count below 1")
+    if counts.sum(dtype=float) >= _MAX_TOTAL:  # or a total could round, or wrap as int64
+        bad(cname, "counts sum to 2^53 or more")
     return keys, offsets, tokens, counts
 
 
@@ -461,7 +443,7 @@ def train_markov(
     return model
 
 
-def sequence_logprob(model: MarkovLm | UniformLm, ids: Sequence[int]) -> float:
+def sequence_logprob(model: MarkovLm, ids: Sequence[int]) -> float:
     """Sum of log p(ids[i] | ids[:i]), by the model's `logprobs`."""
     if not len(ids):
         raise ValueError("cannot score an empty id sequence")

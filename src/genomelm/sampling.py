@@ -9,6 +9,7 @@ the batch it ran in, the platform or the process.
 """
 from __future__ import annotations
 
+import math
 from dataclasses import dataclass
 from typing import Callable, Optional, Sequence
 
@@ -75,8 +76,8 @@ class SamplerConfig:
     mode: str = "sample"  # or "greedy"
 
     def __post_init__(self):
-        if self.temperature <= 0:
-            raise ValueError(f"temperature must be > 0, got {self.temperature}")
+        if not (math.isfinite(self.temperature) and self.temperature > 0):
+            raise ValueError(f"temperature must be finite and > 0, got {self.temperature}")
         if not 0 < self.nucleus_p <= 1:
             raise ValueError(f"nucleus P must be in (0,1], got {self.nucleus_p}")
         if self.mode not in ("sample", "greedy"):

@@ -134,11 +134,16 @@ class Vocabulary:
         return cls(tokens=tuple(obj["tokens"]), n_base=obj["n_base"])
 
 
+def check_k(k: int) -> None:
+    """Raise ValueError unless k is a k-mer size this package handles, 1..8."""
+    if not isinstance(k, (int, np.integer)) or not 1 <= k <= 8:
+        raise ValueError(f"k must be in [1,8], got {k!r}")
+
+
 @lru_cache(maxsize=None)
 def kmer_vocabulary(k: int) -> Vocabulary:
     """The k-mer vocabulary; built once per k and shared, as it is immutable."""
-    if not 1 <= k <= 8:
-        raise ValueError(f"k must be in [1,8], got {k}")
+    check_k(k)
     kmers = ["".join(p) for p in itertools.product(BASES, repeat=k)]
     return Vocabulary(tokens=tuple(kmers + _SPECIAL_TOKENS), n_base=4**k)
 
@@ -151,8 +156,7 @@ def kmer_encode(seq: NucleotideSequence | str, k: int, offset: int = 0) -> tuple
     padded or dropped silently. Every character, skipped ones and the tail
     included, must be A, C, G or T.
     """
-    if not 1 <= k <= 8:
-        raise ValueError(f"k must be in [1,8], got {k}")
+    check_k(k)
     if not 0 <= offset < k:
         raise ValueError(f"offset must be in [0,{k - 1}], got {offset}")
     bases = seq.bases if isinstance(seq, NucleotideSequence) else seq
@@ -182,6 +186,7 @@ def _decode(ids: Sequence[int], vocab: Vocabulary) -> NucleotideSequence:
 def kmer_windows(bases: str, k: int) -> tuple[np.ndarray, np.ndarray]:
     """(starts, ids) of every k-long window of `bases` that holds only A, C,
     G and T; a window with an N, or any other character, is skipped."""
+    check_k(k)
     if len(bases) < k:
         return np.zeros(0, dtype=np.int64), np.zeros(0, dtype=np.int64)
     windows = np.lib.stride_tricks.sliding_window_view(_digits(bases), k)

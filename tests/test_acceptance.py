@@ -29,7 +29,7 @@ from genomelm.design import (
     quantile_labels,
 )
 from genomelm.ingest import corpus_stats, extract_functional_regions, parse_genbank
-from genomelm.lm import MarkovLm, TokenDistribution, UniformLm
+from genomelm.lm import MarkovLm, TokenDistribution
 from genomelm.recover import RecoveryItem, run_recovery
 from genomelm.sampling import SamplerConfig, conditioned_generate
 from genomelm.seqcore import NucleotideSequence, write_fasta
@@ -244,7 +244,7 @@ def test_06_vep_properties():
             antisymmetric = False
 
     uniform_zero = True
-    uni = UniformLm(tok.vocab)
+    uni = MarkovLm.uniform(tok.vocab)
     for _ in range(25):
         pos = rng.randrange(30, 380)
         ref = bases[pos - 1]

@@ -1,7 +1,9 @@
 import contextlib
+import functools
 import hashlib
 import io
 import json
+import math
 import random
 import tempfile
 from pathlib import Path
@@ -292,6 +294,51 @@ class TestLengthFlags:
         assert not out.exists()
 
 
+class TestNumberFlags:
+    """Float flags reject NaN and inf, which pass a `<= 0` check, and every
+    k-mer size flag rejects a k outside 1..8."""
+
+    @pytest.fixture
+    def inputs(self, tmp_path, monkeypatch):
+        monkeypatch.chdir(tmp_path)
+        seqs = write_corpus(tmp_path / "c.fa", n=4, length=40)
+        Path("act.tsv").write_text("".join(f"{s.bases}\t{i}\t0\n" for i, s in enumerate(seqs)))
+
+    @pytest.mark.parametrize("argv, reason", [
+        (["train-markov", "c.fa", "--k", "1", "--alpha", "nan"], "alpha must be finite, got nan"),
+        (["train-markov", "c.fa", "--k", "1", "--alpha", "inf"], "alpha must be finite, got inf"),
+        (["train-markov", "c.fa", "--k", "1", "--order", "1", "--lambdas", "0.5,nan"],
+         "interpolation weights must be finite"),
+        (["generate", "--model", "uniform:1", "--temperature", "nan", "--out", "m.out"],
+         "temperature must be finite and > 0, got nan"),
+        (["generate", "--model", "uniform:1", "--temperature", "inf", "--out", "m.out"],
+         "temperature must be finite and > 0, got inf"),
+        (["design", "fit", "--activities", "act.tsv", "--k", "1", "--l2", "nan"],
+         "l2 strength must be finite and >= 0, got nan"),
+        (["design", "fit", "--activities", "act.tsv", "--k", "1", "--l2", "inf"],
+         "l2 strength must be finite and >= 0, got inf"),
+    ])
+    def test_non_finite_number_is_data_error(self, inputs, capsys, argv, reason):
+        out = [] if argv[0] == "generate" else ["--model-out", "m.out"]
+        assert main(argv + out) == DATA_ERROR
+        captured = capsys.readouterr()
+        assert reason in captured.err and "Traceback" not in captured.err
+        assert not Path("m.out").exists()
+
+    # k=7 and k=8 are valid but need gigabytes for a fit, so only rejected values run here
+    @pytest.mark.parametrize("k", ["-1", "0", "9", "12"])
+    @pytest.mark.parametrize("argv", [
+        ["design", "fit", "--activities", "act.tsv", "--model-out", "m.out", "--k"],
+        ["embed", "project", "--in", "c.fa", "--k"],
+        ["tokenize", "ACGTACGT", "--k"],
+    ], ids=["design-fit", "embed-project", "tokenize"])
+    def test_k_mer_size_outside_1_to_8_is_data_error(self, inputs, capsys, argv, k):
+        assert main(argv + [k]) == DATA_ERROR
+        captured = capsys.readouterr()
+        assert f"k must be in [1,8], got {k}" in captured.err
+        assert "Traceback" not in captured.err and captured.out == ""
+
+
 class TestModelFileErrors:
     def _markov(self, tmp_path):
         corpus = tmp_path / "corpus.fa"
@@ -342,6 +389,11 @@ class TestModelFileErrors:
                      id="header-order-float"),
         pytest.param(edit_header(alpha=0), "header: alpha must be > 0, got 0",
                      id="header-alpha"),
+        pytest.param(edit_header(alpha=float("nan")), "header: alpha must be finite, got nan",
+                     id="header-alpha-nan"),
+        pytest.param(edit_header(lambdas=[float("inf"), 0.0]),
+                     "header: interpolation weights must be finite, got [inf, 0.0]",
+                     id="header-lambdas-inf"),
         pytest.param(edit_header(lambdas=[0.2, 0.3, 0.5]),
                      "header: need 2 interpolation weights, got 3", id="header-lambdas"),
         pytest.param(edit_header(lambdas=[0.7, 0.7]),
@@ -388,6 +440,8 @@ class TestModelFileErrors:
                      "counts_1: 15 counts for 16 tokens", id="counts-length"),
         pytest.param(edit_array("counts_1", lambda a: np.append(a[:-1], 0)),
                      "counts_1: count below 1", id="count-zero"),
+        pytest.param(edit_array("counts_0", lambda a: a + 2**62),
+                     "counts_0: counts sum to 2^53 or more", id="counts-overflow"),
     ])
     def test_markov_array_corruption_is_named(self, tmp_path, capsys, edit, reason):
         model = self._markov(tmp_path)
@@ -439,6 +493,15 @@ class TestModelFileErrors:
         predictor.write_text(json.dumps(obj))
         self._fails_naming(capsys, ["design", "contrib", "ACGT", "--predictor", str(predictor)],
                            predictor, "missing key 'intercept'")
+
+    @pytest.mark.parametrize("k", [0, 9, 2.0, "2"])
+    def test_predictor_with_k_outside_1_to_8(self, tmp_path, capsys, k):
+        predictor = self._predictor(tmp_path, capsys)
+        obj = json.loads(predictor.read_text())
+        obj["k"] = k
+        predictor.write_text(json.dumps(obj))
+        self._fails_naming(capsys, ["design", "contrib", "ACGT", "--predictor", str(predictor)],
+                           predictor, f"k must be in [1,8], got {k!r}")
 
     def test_predictor_with_too_few_weights(self, tmp_path, capsys):
         predictor = self._predictor(tmp_path, capsys)
@@ -558,6 +621,15 @@ class TestModelWorkflows:
             f"error: BadFastaRecord: {corpus}: line 5 (record 's2'): "
             "invalid symbol 'X' at position 10\n"
         )
+        assert not (tmp_path / "m.npz").exists()
+
+    def test_train_on_a_fasta_with_nothing_to_count_names_the_file(self, tmp_path, capsys):
+        corpus = tmp_path / "short.fa"
+        corpus.write_text(">s1\nACG\n>s2\n")
+        argv = ["train-markov", str(corpus), "--k", "4", "--model-out", str(tmp_path / "m.npz")]
+        assert main(argv) == DATA_ERROR
+        assert capsys.readouterr().err == (
+            f"error: EmptyCorpus: {corpus}: no record of at least 4 bases to train on\n")
         assert not (tmp_path / "m.npz").exists()
 
     def test_bad_fasta_on_stdin_is_named_too(self, monkeypatch, capsys):
@@ -908,9 +980,62 @@ def mutate_bpe_model(obj, data):
         obj[key] = data.draw(JSON_VALUE | st.integers(-1, 50))
 
 
+NPZ_VALUE = st.one_of(st.integers(-2, 40), st.sampled_from([2**31 - 1, 2**62, -2**63]))
+HEADER_VALUE = JSON_VALUE | st.sampled_from([math.nan, math.inf, -math.inf, 1e308])
+FASTA_LINE = st.one_of(
+    st.sampled_from([">s1", ">", ">s0 taxon_group=x", "ACGT", "acgt", "NNNN", "ACGU", "AC GT",
+                     "", "  ", ";comment", GENOME_S0[:30]]),
+    st.text(max_size=8),
+)
+
+
+def mutate_npz(arrays, data):
+    """A saved model's arrays with one array or header field dropped or
+    changed, or one array retyped, reshaped or given a new element."""
+    name = data.draw(st.sampled_from(sorted(arrays)))
+    how = data.draw(st.sampled_from(["drop", "retype", "reshape", "perturb"]))
+    if name == "header" and how != "drop":
+        header = json.loads(str(arrays[name]))
+        key = data.draw(st.sampled_from(sorted(header)))
+        if data.draw(st.booleans()):
+            del header[key]
+        else:
+            header[key] = data.draw(HEADER_VALUE)
+        arrays[name] = np.array(json.dumps(header))
+    elif how == "drop":
+        del arrays[name]
+    elif how == "retype":
+        arrays[name] = arrays[name].astype(data.draw(st.sampled_from(
+            [np.int32, np.int64, np.uint8, np.float64, object])))
+    elif how == "reshape":
+        a = arrays[name]
+        arrays[name] = a.reshape(1, -1) if a.size != 1 else a.reshape(())
+    elif arrays[name].size:
+        a = arrays[name].copy()
+        value = data.draw(NPZ_VALUE)
+        if np.can_cast(np.min_scalar_type(value), a.dtype):
+            a.flat[data.draw(st.integers(0, a.size - 1))] = value
+        arrays[name] = a
+
+
+@functools.lru_cache(maxsize=None)
+def saved_markov_model() -> bytes:
+    """The file bytes of a k=1, order-2 Markov model."""
+    from genomelm.lm import train_markov
+    from genomelm.tokenizer import KmerTokenizer
+
+    tokenizer = KmerTokenizer(1)
+    model = train_markov([tokenizer.encode(GENOME_S0[:37]), tokenizer.encode("ACCA")],
+                         tokenizer.vocab, order=2)
+    with tempfile.TemporaryDirectory() as d:
+        model.save(Path(d) / "m.npz")
+        return (Path(d) / "m.npz").read_bytes()
+
+
 class TestModelFileFuzz:
-    @settings(max_examples=120, deadline=None)
-    @given(kind=st.sampled_from(["bpe", "genbank"]), rounds=st.integers(1, 3), data=st.data())
+    @settings(max_examples=200, deadline=None)
+    @given(kind=st.sampled_from(["bpe", "genbank", "npz", "fasta"]), rounds=st.integers(1, 3),
+           data=st.data())
     def test_malformed_model_and_genbank_files_exit_cleanly(self, bpe_json, kind, rounds, data):
         with tempfile.TemporaryDirectory() as d:
             genome = Path(d) / "genome.fa"
@@ -923,18 +1048,38 @@ class TestModelFileFuzz:
                 text = json.dumps(obj)
                 text = text[: data.draw(st.sampled_from([len(text), len(text) // 2]))]
                 argv = ["tokenize", "ACGTACGTAC", "--bpe-model", str(path)]
+            elif kind == "npz":
+                with np.load(io.BytesIO(saved_markov_model()), allow_pickle=False) as npz:
+                    arrays = dict(npz)
+                for _ in range(rounds):
+                    mutate_npz(arrays, data)
+                buffer = io.BytesIO()
+                np.savez(buffer, **arrays)
+                body = buffer.getvalue()
+                path.write_bytes(body[: data.draw(st.sampled_from([len(body), len(body) // 2,
+                                                                   len(body) - 30, 3]))])
+                argv = ["generate", "--model", f"markov:{path}", "-n", "2", "--max-new", "6"]
+            elif kind == "fasta":
+                lines = [">s0", GENOME_S0[:30], GENOME_S0[30:], ">s1", "ACGTTGCA"]
+                for _ in range(rounds):
+                    lines = mutate_list(lines, data, FASTA_LINE)
+                text = "\n".join(lines) + "\n"
+                argv = ["train-markov", str(path), "--k", "1", "--order", "2",
+                        "--model-out", str(Path(d) / "m.npz")]
             else:
                 lines = GOOD_GENBANK
                 for _ in range(rounds):
                     lines = mutate_list(lines, data, GENBANK_LINE)
                 text = "\n".join(lines) + "\n"
                 argv = ["ingest", "extract", "--genome", str(genome), "--genbank", str(path)]
-            path.write_text(text)
+            if kind != "npz":
+                path.write_text(text)
             out, err = io.StringIO(), io.StringIO()
             with contextlib.redirect_stdout(out), contextlib.redirect_stderr(err):
                 code = main(argv)
         assert code in (0, USAGE_ERROR, DATA_ERROR), err.getvalue()
         assert "Traceback" not in err.getvalue()
+        assert code == 0 or str(path) in err.getvalue(), err.getvalue()
 
     @pytest.fixture(scope="class")
     def bpe_json(self):

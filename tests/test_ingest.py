@@ -118,14 +118,17 @@ class TestGenbank:
             "     gene            1..8\n"
             "//\n"
         )
-        with pytest.raises(MissingOrigin):
+        with pytest.raises(MissingOrigin) as exc:
             parse_genbank(path)
+        assert str(exc.value) == f"{path}: line 1: record 'NOORI' has no ORIGIN section"
 
     def test_malformed_location_raises(self, tmp_path):
         path = tmp_path / "bad.gb"
         _write_genbank(path, "CTG1", GENOME_60, ["     gene            4..twelve"])
-        with pytest.raises(MalformedLocation):
+        with pytest.raises(MalformedLocation) as exc:
             parse_genbank(path)
+        assert str(exc.value) == (f"{path}: line 3: malformed feature location: "
+                                  "'gene            4..twelve'")
 
     def test_bare_locus_line_names_the_line(self, tmp_path):
         path = tmp_path / "bad.gb"
@@ -150,7 +153,14 @@ class TestGenbank:
     def test_location_beyond_contig_raises(self, tmp_path):
         path = tmp_path / "bad.gb"
         _write_genbank(path, "CTG1", GENOME_60, ["     gene            4..99"])
-        with pytest.raises(MalformedLocation):
+        with pytest.raises(MalformedLocation, match=f"^{path}: line 3: "):
+            parse_genbank(path)
+
+    @pytest.mark.parametrize("loc", ["0..3", "8..3", "join(5..8,0..2)"])
+    def test_location_that_is_not_a_1_based_span_raises(self, tmp_path, loc):
+        path = tmp_path / "bad.gb"
+        _write_genbank(path, "CTG1", GENOME_60, [f"     gene            {loc}"])
+        with pytest.raises(MalformedLocation, match=f"^{path}: line 3: "):
             parse_genbank(path)
 
 

@@ -10,7 +10,6 @@ from genomelm.errors import BadSmoothing, EmptyCorpus, UnknownTokenId, Vocabular
 from genomelm.lm import (
     MarkovLm,
     TokenDistribution,
-    UniformLm,
     sequence_logprob,
     train_markov,
 )
@@ -32,17 +31,21 @@ class TestTokenDistribution:
 
 
 class TestUniformLm:
+    """The uniform baseline is the untrained order-0 Markov model."""
+
     def test_flat_distribution(self):
-        lm = UniformLm(VOCAB1)
+        lm = MarkovLm.uniform(VOCAB1)
         probs = lm.next_distributions([[0, 1, 2], []])
         assert probs.shape == (2, V)
-        assert np.allclose(probs, 1.0 / V)
+        assert np.array_equal(probs, np.full((2, V), 1.0 / V))
         assert lm.vocabulary() is VOCAB1
+        assert lm.order == 0 and lm.counts == [{}]
 
     def test_logprobs_are_the_stepwise_logs(self):
-        lm = UniformLm(VOCAB1)
+        lm = MarkovLm.uniform(VOCAB1)
         ids = [0, 5, V - 1, 5]
         assert np.array_equal(lm.logprobs(ids), stepwise_logprobs(lm, ids))
+        assert np.array_equal(lm.logprobs(ids), np.log(np.full(len(ids), 1.0 / V)))
         assert lm.logprobs([]).shape == (0,)
         with pytest.raises(UnknownTokenId, match=f"token id {V} "):
             lm.logprobs([0, V])
@@ -107,6 +110,16 @@ class TestMarkovLm:
         with pytest.raises(BadSmoothing):
             MarkovLm(VOCAB1, 1, 0.1, [0.9, 0.3])  # not a simplex
 
+    @pytest.mark.parametrize("alpha, lambdas, reason", [
+        (math.nan, [0.5, 0.5], "alpha must be finite, got nan"),
+        (math.inf, [0.5, 0.5], "alpha must be finite, got inf"),
+        (0.1, [0.5, math.nan], "interpolation weights must be finite"),
+        (0.1, [math.inf, -math.inf], "interpolation weights must be finite"),
+    ])
+    def test_non_finite_parameters_are_rejected(self, alpha, lambdas, reason):
+        with pytest.raises(BadSmoothing, match=reason):
+            MarkovLm(VOCAB1, 1, alpha, lambdas)
+
     def test_rejects_out_of_vocab_ids(self):
         lm = MarkovLm(VOCAB1, 1, 0.1, [0.5, 0.5])
         with pytest.raises(UnknownTokenId):
@@ -167,12 +180,12 @@ class TestSequenceLogprob:
         assert sequence_logprob(lm, ids) == pytest.approx(expect, abs=1e-12)
 
     def test_uniform_model_scores_length_times_log_v(self):
-        lm = UniformLm(VOCAB1)
+        lm = MarkovLm.uniform(VOCAB1)
         assert sequence_logprob(lm, [0, 1, 2]) == pytest.approx(-3 * math.log(V))
 
     def test_empty_sequence_rejected(self):
         with pytest.raises(ValueError):
-            sequence_logprob(UniformLm(VOCAB1), [])
+            sequence_logprob(MarkovLm.uniform(VOCAB1), [])
 
 
 # --- the dict-of-dicts model the array engine replaced, kept as its oracle ---
@@ -290,6 +303,36 @@ class TestMarkovLmMatchesReference:
             if ids:
                 assert sequence_logprob(lm, ids) == got.sum()
 
+    @settings(max_examples=60, deadline=None)
+    @given(markov_cases())
+    def test_logprobs_after_observe_read_the_new_counts(self, case):
+        vocab, order, alpha, lambdas, streams, contexts, second = case
+        lm = MarkovLm(vocab, order, alpha, lambdas)
+        lm.observe(streams[0])
+        ids = second + [t for ctx in contexts for t in ctx]
+        lm.logprobs(ids)  # derives the tables of the first counts
+        for stream in streams[1:] + [second]:
+            lm.observe(stream)
+        # the oracle is first queried with all its counts, so no table of it is stale
+        fresh = MarkovLm(vocab, order, alpha, lambdas)
+        for stream in streams + [second]:
+            fresh.observe(stream)
+        assert np.array_equal(lm.logprobs(ids), stepwise_logprobs(fresh, ids))
+
+    def test_the_tables_are_derived_once_per_set_of_counts(self, monkeypatch):
+        lm = train_markov([[0, 1, 2, 3, 0, 1]], VOCAB1, order=2)
+        calls = []
+        derive = lm._derive
+        monkeypatch.setattr(lm, "_derive", lambda: calls.append(1) or derive())
+        for _ in range(3):
+            lm.logprobs([0, 1, 2, 1])
+            lm.next_distributions([[0, 1], []])
+        assert len(calls) == 1
+        lm.observe([3, 3, 2])
+        lm.logprobs([0, 1, 2, 1])
+        lm.next_distributions([[3]])
+        assert len(calls) == 2
+
     def test_logprobs_of_an_untrained_model_are_uniform(self):
         lm = MarkovLm(VOCAB1, 2, 0.1, [0.2, 0.3, 0.5])
         assert np.allclose(lm.logprobs([0, 5, 3]), -math.log(V), atol=1e-15)
@@ -369,7 +412,7 @@ class TestMarkovLmMatchesReference:
 
 def test_context_windows():
     assert MarkovLm(VOCAB1, 3, 0.1, [0.25] * 4).context_window == 3
-    assert UniformLm(VOCAB1).context_window == 0
+    assert MarkovLm.uniform(VOCAB1).context_window == 0
 
 
 def test_load_rejects_a_tampered_vocab_hash(tmp_path):
@@ -400,7 +443,7 @@ def test_save_is_a_single_npz_file_under_the_given_name(tmp_path):
 
 
 @pytest.mark.parametrize("lm", [
-    UniformLm(VOCAB1),
+    MarkovLm.uniform(VOCAB1),
     train_markov([[0, 1, 2, 3, 0, 1]], VOCAB1, order=0),
     train_markov([[0, 1, 2, 3, 0, 1]], VOCAB1, order=2),
 ])

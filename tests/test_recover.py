@@ -8,7 +8,7 @@ from genomelm.errors import (
     VocabularyMismatch,
 )
 from genomelm.ingest import AnnotationRecord, extract_functional_regions
-from genomelm.lm import UniformLm
+from genomelm.lm import MarkovLm
 from genomelm.recover import (
     RecoveryItem,
     build_recovery_dataset,
@@ -138,7 +138,7 @@ class TestRunRecovery:
         items = self._items()
         cfg = SamplerConfig(mode="sample", seed=9)
         tok = KmerTokenizer(1)
-        lm = UniformLm(tok.vocab)
+        lm = MarkovLm.uniform(tok.vocab)
         a = run_recovery(lm, tok, items, [6], cfg)
         b = run_recovery(lm, tok, items, [6], cfg)
         assert a.cells == b.cells

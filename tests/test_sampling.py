@@ -8,7 +8,7 @@ from hypothesis import strategies as st
 
 from genomelm import sampling
 from genomelm.errors import UnknownPrefixToken, UnknownTokenId
-from genomelm.lm import TokenDistribution, UniformLm, train_markov
+from genomelm.lm import MarkovLm, TokenDistribution, train_markov
 from genomelm.sampling import (
     MAX_ATTEMPTS_FACTOR,
     SamplerConfig,
@@ -148,7 +148,7 @@ class TestGenerate:
         assert generate1(lm, [], cfg) == [1] * 30
 
     def test_deterministic_per_seed_and_job(self):
-        lm = UniformLm(VOCAB1)
+        lm = MarkovLm.uniform(VOCAB1)
         cfg = SamplerConfig(max_new_tokens=30, seed=77)
         a = generate1(lm, [0], cfg, job_index=4)
         b = generate1(lm, [0], cfg, job_index=4)
@@ -348,7 +348,7 @@ class TestConditionedGenerate:
         assert batch.exhausted
 
     def test_dedup_keeps_distinct_outputs(self):
-        lm = UniformLm(VOCAB1)
+        lm = MarkovLm.uniform(VOCAB1)
         tok = KmerTokenizer(1)
         cfg = SamplerConfig(max_new_tokens=12, seed=1)
         batch = conditioned_generate(
@@ -382,7 +382,7 @@ class TestConditionedGenerate:
         assert batch.sequences == ["AAAA"] * 3 and not batch.exhausted
 
     def test_unknown_or_non_special_prefix_rejected(self):
-        lm = UniformLm(VOCAB1)
+        lm = MarkovLm.uniform(VOCAB1)
         tok = KmerTokenizer(1)
         cfg = SamplerConfig()
         with pytest.raises(UnknownPrefixToken):

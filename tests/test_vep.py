@@ -6,7 +6,7 @@ from hypothesis import given, settings
 from hypothesis import strategies as st
 
 from genomelm.errors import DegenerateLabels, RefMismatch, VocabularyMismatch
-from genomelm.lm import TokenDistribution, UniformLm, train_markov
+from genomelm.lm import MarkovLm, TokenDistribution, train_markov
 from genomelm.tokenizer import KmerTokenizer
 from genomelm.vep import (
     SCORE_CAP,
@@ -143,7 +143,7 @@ class TestVepScore:
     def test_uniform_model_scores_zero_everywhere(self):
         genome = _toy_genome()
         tok = KmerTokenizer(2)
-        lm = UniformLm(tok.vocab)
+        lm = MarkovLm.uniform(tok.vocab)
         for pos in (5, 50, 123):
             ref = genome["c"].bases[pos - 1]
             alt = "A" if ref != "A" else "C"
@@ -213,7 +213,7 @@ class TestVepScore:
 
     def test_ref_mismatch_propagates(self):
         genome = {"c": NucleotideSequence("AAAA")}
-        lm = UniformLm(KmerTokenizer(1).vocab)
+        lm = MarkovLm.uniform(KmerTokenizer(1).vocab)
         with pytest.raises(RefMismatch):
             vep_score(lm, KmerTokenizer(1), genome, Variant("c", 2, "G", "T"))
 
