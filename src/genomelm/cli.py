@@ -16,7 +16,7 @@ from typing import Iterator
 import numpy as np
 
 from . import analytics, design, ingest, recover, vep
-from .errors import AmbiguousContext, EmptyCorpus, GenomeLmError
+from .errors import EmptyCorpus, GenomeLmError
 from .lm import MarkovLm, bridge_model, train_markov
 from .sampling import SamplerConfig, conditioned_generate
 from .seqcore import (fasta_text, parse_fasta, read_acgt_fasta, read_fasta, read_genome,
@@ -116,7 +116,10 @@ def _opened_model(spec_text: str):
     if kind == "markov":
         model = MarkovLm.load(rest)
     elif kind == "uniform":
-        model = MarkovLm.uniform(KmerTokenizer(int(rest)).vocab)
+        try:
+            model = MarkovLm.uniform(KmerTokenizer(int(rest)).vocab)
+        except ValueError:
+            raise ValueError(f"--model {spec_text}: expected uniform:<k> with k in [1,8]") from None
     else:
         model = bridge_model(rest if kind == "bridge" else spec_text)
     try:
@@ -293,8 +296,9 @@ def cmd_vep_score(args):
             try:
                 score = vep.vep_score(model, tokenizer, genome, v, context_len=args.context_len,
                                       average_phases=args.average_phases)
-            except AmbiguousContext as exc:
-                raise AmbiguousContext(exc.variant, exc.n_position, args.variants) from None
+            except vep.VARIANT_ERRORS as exc:
+                exc.args = (f"{args.variants}: {exc}",)
+                raise
             rows.append((v.seq_id, v.pos, v.ref_allele, v.alt_allele, v.label or "",
                          f"{score:.6f}"))
     _emit(args, tsv_text(("seq_id", "pos", "ref", "alt", "label", "score"), rows))

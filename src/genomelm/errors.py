@@ -124,12 +124,13 @@ class VocabularyMismatch(GenomeLmError):
 # --- variant scoring ---------------------------------------------------------
 
 class RefMismatch(GenomeLmError):
-    def __init__(self, pos, expected, found):
-        self.pos = pos
+    def __init__(self, variant, expected, found):
+        self.variant = variant
         self.expected = expected
         self.found = found
         super().__init__(
-            f"reference mismatch at {pos}: variant says {expected!r}, genome has {found!r}"
+            f"variant {variant}: reference mismatch: "
+            f"variant says {expected!r}, genome has {found!r}"
         )
 
 
@@ -140,10 +141,9 @@ class PositionOutOfRange(GenomeLmError):
 class AmbiguousContext(GenomeLmError):
     """A variant whose scored context holds an N, which no k-mer token encodes."""
 
-    def __init__(self, variant, n_position, path=None):
-        self.variant, self.n_position, self.path = variant, n_position, path
-        where = f"{path}: " if path is not None else ""
-        super().__init__(f"{where}variant {variant}: its scored context holds an N at {n_position}")
+    def __init__(self, variant, n_position):
+        self.variant, self.n_position = variant, n_position
+        super().__init__(f"variant {variant}: its scored context holds an N at {n_position}")
 
 
 class DegenerateLabels(GenomeLmError):

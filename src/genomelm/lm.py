@@ -487,23 +487,23 @@ class BridgeModel:
         reply = self._call({"op": "next", "context": list(context)})
         V = len(self._vocab)
         if "probs" in reply:
-            probs = np.asarray(reply["probs"], dtype=float)
+            probs = _finite(reply["probs"], "probs")
             if probs.shape != (V,):
                 raise ProtocolViolation(
                     f"probs length {probs.size} != vocabulary size {V}"
                 )
         elif "top" in reply:
-            probs = np.zeros(V)
-            rest = float(reply.get("rest_mass", 0.0))
-            ids = []
-            for token_id, logprob in reply["top"]:
-                if not 0 <= token_id < V:
-                    raise ProtocolViolation(f"top entry id {token_id} out of range")
-                probs[token_id] = math.exp(logprob)
-                ids.append(token_id)
+            top = reply["top"]
+            if not isinstance(top, list) or not all(type(e) is list and len(e) == 2 for e in top):
+                raise ProtocolViolation("top: not a list of [id, logprob] pairs")
+            ids = [token_id for token_id, _ in top]
+            if not all(type(i) is int and 0 <= i < V for i in ids) or len(set(ids)) < len(ids):
+                raise ProtocolViolation(f"top: ids must be distinct integers in 0..{V - 1}")
+            logprobs = _finite([logprob for _, logprob in top], "top logprobs")
+            rest = _finite([reply.get("rest_mass", 0.0)], "rest_mass")[0]
             others = V - len(ids)
-            if others:
-                probs[probs == 0.0] = rest / others
+            probs = np.full(V, rest / others if others else 0.0)
+            probs[ids] = [math.exp(logprob) for logprob in logprobs.tolist()]
         else:
             raise ProtocolViolation("next reply has neither 'probs' nor 'top'")
         if (probs < 0).any() or abs(probs.sum() - 1.0) > 1e-6:
@@ -529,6 +529,19 @@ class BridgeModel:
 
     def close(self) -> None:
         self._peer.close()
+
+
+def _finite(values, what: str) -> np.ndarray:
+    """A reply's list of finite JSON numbers as float64; anything else is a ProtocolViolation."""
+    if not isinstance(values, list) or not set(map(type, values)) <= {int, float}:
+        raise ProtocolViolation(f"{what}: not a list of numbers")
+    try:
+        a = np.array(values, dtype=float)
+    except OverflowError:  # an integer beyond the float range
+        raise ProtocolViolation(f"{what}: not finite") from None
+    if not np.isfinite(a).all():
+        raise ProtocolViolation(f"{what}: not finite")
+    return a
 
 
 _EXIT_GRACE_S = 5.0  # how long a closed subprocess peer may take to exit

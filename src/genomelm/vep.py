@@ -20,12 +20,14 @@ from .errors import (
     UnknownSequenceId,
     VocabularyMismatch,
 )
-from .lm import CausalLm, TokenDistribution, check_vocabulary, context_start
+from .lm import CausalLm, check_vocabulary, context_start
 from .seqcore import NucleotideSequence, read_tsv
 from .tokenizer import BASE_RANK, KmerTokenizer, base_ranks_at
 
 PROB_FLOOR = 1e-18
 SCORE_CAP = 40.0
+# what vep_score raises about one variant, each message naming it as seq_id:pos
+VARIANT_ERRORS = (AmbiguousContext, PositionOutOfRange, RefMismatch, UnknownSequenceId)
 
 
 @dataclass(frozen=True)
@@ -47,56 +49,27 @@ class Variant:
             raise ValueError(f"unknown label {self.label!r}")
 
 
-@dataclass(frozen=True)
-class NucleotideMarginal:
-    """Probability 4-vector indexed A,C,G,T."""
+def marginalize_distribution(probs: np.ndarray, tokenizer: KmerTokenizer, j: int) -> np.ndarray:
+    """The A, C, G, T probabilities of the nucleotide at offset j of the next
+    token, from one row of next-token probabilities.
 
-    probs: np.ndarray
-
-    def __post_init__(self):
-        p = np.asarray(self.probs, dtype=float)
-        object.__setattr__(self, "probs", p)
-        if p.shape != (4,) or (p < 0).any() or abs(p.sum() - 1.0) > 1e-9:
-            raise ValueError(f"not a nucleotide distribution: {p}")
-
-    def prob(self, base: str) -> float:
-        return float(self.probs[BASE_RANK[base]])
-
-
-def marginalize_distribution(
-    dist: TokenDistribution, tokenizer: KmerTokenizer, j: int
-) -> NucleotideMarginal:
-    """Collapse a token distribution to the nucleotide at offset j.
-
-    Special-token mass is excluded and renormalized away. The base at
-    offset j of each token is read off its id, without string lookups.
+    Special-token mass is excluded and renormalized away; a row with no
+    mass on a base token gives the uniform 4-vector. The base at offset j
+    of each token is read off its id, without string lookups.
     """
     k = tokenizer.k
     if not 0 <= j < k:
         raise ValueError(f"offset {j} outside [0,{k - 1}]")
     n_base = tokenizer.vocab.n_base
-    if len(dist.probs) != len(tokenizer.vocab):
+    if len(probs) != len(tokenizer.vocab):
         raise VocabularyMismatch(
-            f"distribution of length {len(dist.probs)} vs vocabulary {len(tokenizer.vocab)}"
+            f"distribution of length {len(probs)} vs vocabulary {len(tokenizer.vocab)}"
         )
-    body = np.asarray(dist.probs[:n_base], dtype=float)
+    body = np.asarray(probs[:n_base], dtype=float)
     total = body.sum()
     if total <= 0:
-        return NucleotideMarginal(np.full(4, 0.25))
-    marg = np.bincount(base_ranks_at(np.arange(n_base), k, j), weights=body, minlength=4) / total
-    return NucleotideMarginal(marg)
-
-
-def marginal_nucleotide_prob(
-    lm: CausalLm, tokenizer: KmerTokenizer, context_before: str, j: int
-) -> NucleotideMarginal:
-    """Marginal over the nucleotide at offset j of the next token after a context
-    left-trimmed to a token boundary and to the model's context window; lm and
-    tokenizer must share a vocabulary."""
-    start = context_start(lm, len(context_before), tokenizer.k)
-    ids = tokenizer.encode(context_before[start:])
-    return marginalize_distribution(TokenDistribution(lm.next_distributions([ids])[0]),
-                                    tokenizer, j)
+        return np.full(4, 0.25)
+    return np.bincount(base_ranks_at(np.arange(n_base), k, j), weights=body, minlength=4) / total
 
 
 def _llr(p_ref: float, p_alt: float) -> float:
@@ -106,15 +79,16 @@ def _llr(p_ref: float, p_alt: float) -> float:
 
 def check_variant(genome: dict[str, NucleotideSequence], variant: Variant) -> None:
     contig = genome.get(variant.seq_id)
+    where = f"{variant.seq_id}:{variant.pos}"
     if contig is None:
-        raise UnknownSequenceId(variant.seq_id)
+        raise UnknownSequenceId(f"variant {where}: unknown sequence id {variant.seq_id!r}")
     if not 1 <= variant.pos <= len(contig):
         raise PositionOutOfRange(
-            f"position {variant.pos} outside {variant.seq_id!r} (1..{len(contig)})"
+            f"variant {where}: position {variant.pos} outside {variant.seq_id!r} (1..{len(contig)})"
         )
     found = contig.bases[variant.pos - 1]
     if found != variant.ref_allele:
-        raise RefMismatch(variant.pos, variant.ref_allele, found)
+        raise RefMismatch(where, variant.ref_allele, found)
 
 
 def vep_score(
@@ -123,36 +97,41 @@ def vep_score(
     genome: dict[str, NucleotideSequence],
     variant: Variant,
     context_len: int = 6144,
-    phase: Optional[int] = None,
     average_phases: bool = False,
 ) -> float:
     """Score with the variant at the end of the context.
 
-    phase j places the variant at offset j inside the next predicted token
-    (default k-1, maximizing preceding context). With average_phases the
-    score is averaged over all k alignments. An N in the part of a context
-    the model reads raises AmbiguousContext naming the variant and the N.
+    Phase j places the variant at offset j inside the next predicted token:
+    k-1 by default, which maximizes the preceding context, or every phase
+    with room before the variant (j < pos) with average_phases, whose
+    scores are averaged. Each phase's context is cut to context_len bases,
+    to a token boundary and to the model's window, and all of them go to
+    one `next_distributions` call. An N in the part of a context the model
+    reads raises AmbiguousContext, naming the variant and the N, before
+    that call.
     """
     check_variant(genome, variant)
     check_vocabulary(lm, tokenizer.vocab)
     k = tokenizer.k
-    contig = genome[variant.seq_id]
-    phases = range(k) if average_phases else [k - 1 if phase is None else phase]
-    scores = []
+    bases, where = genome[variant.seq_id].bases, f"{variant.seq_id}:{variant.pos}"
+    phases = [j for j in (range(k) if average_phases else [k - 1]) if j < variant.pos]
+    if not phases:
+        raise PositionOutOfRange(f"variant {where}: a {k}-mer token ending at position "
+                                 f"{variant.pos} would start before {variant.seq_id!r}")
+    contexts = []
     for j in phases:
-        context_end = variant.pos - 1 - j  # inclusive, 1-based
-        if context_end < 0:
-            continue
-        start = max(0, context_end - context_len)
-        start += context_start(lm, context_end - start, k)
-        context = contig.bases[start:context_end]
+        end = variant.pos - 1 - j  # the context is bases[start:end]
+        start = max(0, end - context_len)
+        start += context_start(lm, end - start, k)
+        context = bases[start:end]
         if "N" in context:
-            raise AmbiguousContext(f"{variant.seq_id}:{variant.pos}",
-                                   f"{variant.seq_id}:{start + context.index('N') + 1}")
-        marg = marginal_nucleotide_prob(lm, tokenizer, context, j)
-        scores.append(_llr(marg.prob(variant.ref_allele), marg.prob(variant.alt_allele)))
-    if not scores:
-        raise ValueError(f"no valid phase for variant at position {variant.pos}")
+            raise AmbiguousContext(where, f"{variant.seq_id}:{start + context.index('N') + 1}")
+        contexts.append(tokenizer.encode(context))
+    ref, alt = BASE_RANK[variant.ref_allele], BASE_RANK[variant.alt_allele]
+    scores = []
+    for j, row in zip(phases, lm.next_distributions(contexts)):
+        marg = marginalize_distribution(row, tokenizer, j)
+        scores.append(_llr(float(marg[ref]), float(marg[alt])))
     return sum(scores) / len(scores)
 
 

@@ -26,8 +26,30 @@ TOKENS = {
 }.get(MODE, ["A", "C", "G", "T", "<bos>", "<eos>"])
 
 
+NAN, INF = float("nan"), float("inf")
+# replies that are JSON, but not a distribution over the 6 tokens
+BAD_REPLIES = {
+    "nan-probs": {"probs": [NAN, 0.5, 0.25, 0.25, 0, 0]},
+    "inf-probs": {"probs": [INF, 0, 0, 0, 0, 0]},
+    "str-probs": {"probs": ["1", 0, 0, 0, 0, 0]},
+    "bool-probs": {"probs": [True, False, False, False, False, False]},
+    "huge-probs": {"probs": [10**400, 0, 0, 0, 0, 0]},
+    "nan-top": {"top": [[0, NAN]], "rest_mass": 0.5},
+    "nan-rest": {"top": [[0, math.log(0.7)], [1, math.log(0.2)]], "rest_mass": NAN},
+    "str-rest": {"top": [[0, math.log(0.7)], [1, math.log(0.2)]], "rest_mass": "0.1"},
+    "str-logprob": {"top": [[0, "x"]]},
+    "float-id": {"top": [[1.5, -0.1]]},
+    "bool-id": {"top": [[True, 0.0]]},
+    "short-pair": {"top": [[0]]},
+    "top-not-list": {"top": {"0": 0.0}},
+    "repeat-id": {"top": [[0, math.log(0.5)], [0, math.log(0.5)]], "rest_mass": 0.4},
+}
+
+
 def reply_next(context):
     n = len(TOKENS)
+    if MODE in BAD_REPLIES:
+        return BAD_REPLIES[MODE]
     if MODE == "probs":
         probs = [0.0] * n
         probs[len(context) % 4] = 1.0
@@ -121,7 +143,11 @@ class TestSubprocessBridge:
             _connect(peer_script, mode)
         assert len(peers) == 1 and peers[0].proc.returncode is not None
 
-    @pytest.mark.parametrize("mode", ["badsum", "badlen", "error", "empty", "garbage"])
+    @pytest.mark.parametrize("mode", [
+        "badsum", "badlen", "error", "empty", "garbage", "nan-probs", "inf-probs", "str-probs",
+        "bool-probs", "huge-probs", "nan-top", "nan-rest", "str-rest", "str-logprob",
+        "float-id", "bool-id", "short-pair", "top-not-list", "repeat-id",
+    ])
     def test_protocol_violations(self, peer_script, mode):
         model = _connect(peer_script, mode)
         try:

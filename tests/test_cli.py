@@ -93,6 +93,12 @@ class TestExitCodes:
         assert main(argv) == USAGE_ERROR
         assert "unrecognized arguments" in capsys.readouterr().err
 
+    @pytest.mark.parametrize("spec", ["uniform:x", "uniform:", "uniform:0", "uniform:9"])
+    def test_a_bad_uniform_model_spec_is_named(self, spec, capsys):
+        assert main(["generate", "--model", spec, "--max-new", "4"]) == DATA_ERROR
+        assert capsys.readouterr().err == (
+            f"error: --model {spec}: expected uniform:<k> with k in [1,8]\n")
+
     def test_success_is_zero(self, capsys):
         assert main(["translate", "ATGTAA"]) == 0
         out = capsys.readouterr().out
@@ -736,6 +742,26 @@ class TestModelWorkflows:
         err = capsys.readouterr().err
         assert error in err and "Traceback" not in err
 
+    @pytest.mark.parametrize("row, message", [
+        ("chrX\t2\tC\tT", "UnknownSequenceId: {path}: variant chrX:2: unknown sequence id 'chrX'"),
+        ("s0\t5\tA\tT", "PositionOutOfRange: {path}: variant s0:5: position 5 outside 's0' (1..4)"),
+        ("s0\t2\tG\tT", "RefMismatch: {path}: variant s0:2: reference mismatch: variant says 'G', "
+                        "genome has 'C'"),
+        ("s0\t1\tA\tT", "PositionOutOfRange: {path}: variant s0:1: a 3-mer token ending at "
+                        "position 1 would start before 's0'"),
+    ])
+    def test_a_variant_error_names_the_file_and_the_variant(self, tmp_path, capsys, row,
+                                                            message):
+        genome = tmp_path / "genome.fa"
+        write_fasta(genome, [NucleotideSequence("ACAG", id="s0")])
+        variants = tmp_path / "variants.tsv"
+        variants.write_text("s0\t3\tA\tT\n" + row + "\n")
+        assert main([
+            "vep", "score", "--genome", str(genome), "--variants", str(variants),
+            "--model", "uniform:3",
+        ]) == DATA_ERROR
+        assert capsys.readouterr().err == f"error: {message.format(path=variants)}\n"
+
     @pytest.mark.parametrize("rows, line_no, reason", [
         ("s0\t2\tC\n", 1, "expected >=4 columns, got 3"),
         ("# header\ns0\ttwo\tC\tT\n", 2, "non-integer position 'two'"),
@@ -1269,6 +1295,25 @@ class TestModelLifecycle:
         err = capsys.readouterr().err
         assert "ProtocolViolation: bridge protocol violation: vocab reply: tokens: " in err
         assert "Traceback" not in err
+
+    @pytest.mark.parametrize("reply", [
+        '{"probs": [float("nan"), 0.5, 0.25, 0.25] + [0] * 32}',
+        '{"top": [[0, -0.1]], "rest_mass": float("nan")}',
+        '{"top": [[0, "x"]]}',
+        '{"top": [[1.5, -0.1]]}',
+    ])
+    def test_a_bridge_reply_that_is_not_a_distribution_is_a_protocol_violation(
+            self, tmp_path, capsys, reply):
+        import sys
+
+        script = tmp_path / "bad_peer.py"
+        script.write_text(UNIFORM_K1_PEER.replace(
+            '{"probs": [1 / len(TOKENS)] * len(TOKENS)}', reply))
+        argv = ["generate", "--model", f"bridge:{sys.executable} {script}", "--max-new", "4"]
+        assert main(argv) == DATA_ERROR
+        captured = capsys.readouterr()
+        assert "error: ProtocolViolation: bridge protocol violation: " in captured.err
+        assert "Traceback" not in captured.err and captured.out == ""
 
     def test_tampered_model_is_data_error(self, tmp_path, capsys):
         corpus = tmp_path / "corpus.fa"

@@ -73,6 +73,8 @@ CALLS = [
     "vep score --genome genome.fa --variants variants.tsv --model markov:m6.npz"
     " --context-len 90 --average-phases --out vep6.tsv",
     "vep score --genome genome.fa --variants variants.tsv --model markov:m1.npz",
+    "vep score --genome genome.fa --variants near_start.tsv --model markov:m6.npz"
+    " --context-len 20 --average-phases",
     "vep eval --scores vep2.tsv",
     "vep eval --scores vep6.tsv --out eval6.json",
     "design label --activities activities.tsv",
@@ -157,6 +159,11 @@ def write_inputs(d: Path) -> None:
         alt = _BASES[(_BASES.index(ref) + 1 + pos % 3) % 4]
         variants.append(f"fun0\t{pos}\t{ref}\t{alt}\t{('benign', 'pathogenic')[pos % 2]}\n")
     (d / "variants.tsv").write_text("#seq_id\tpos\tref\talt\tlabel\n" + "".join(variants))
+    # within k of fun0's start and before its N run at 31..45: phases are
+    # skipped and contexts are shorter than --context-len
+    near = [f"fun0\t{pos}\t{fun0[pos - 1]}\t{_BASES[(_BASES.index(fun0[pos - 1]) + 1) % 4]}\n"
+            for pos in range(2, 30)]
+    (d / "near_start.tsv").write_text("".join(near))
 
     activities, candidates = [], []
     for i in range(24):

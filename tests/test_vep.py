@@ -5,12 +5,19 @@ import pytest
 from hypothesis import given, settings
 from hypothesis import strategies as st
 
-from genomelm.errors import DegenerateLabels, RefMismatch, VocabularyMismatch
-from genomelm.lm import MarkovLm, TokenDistribution, train_markov
-from genomelm.tokenizer import KmerTokenizer
+from genomelm.errors import (
+    AmbiguousContext,
+    DegenerateLabels,
+    PositionOutOfRange,
+    RefMismatch,
+    VocabularyMismatch,
+)
+from genomelm.lm import MarkovLm, context_start, train_markov
+from genomelm.tokenizer import BASE_RANK, KmerTokenizer
 from genomelm.vep import (
     SCORE_CAP,
     Variant,
+    _llr,
     auprc,
     auroc,
     check_variant,
@@ -24,17 +31,46 @@ from genomelm.seqcore import NucleotideSequence
 
 def random_distribution(np_rng, vocab_size):
     raw = np_rng.random(vocab_size)
-    return TokenDistribution(raw / raw.sum())
+    return raw / raw.sum()
 
 
-def brute_force_marginal(dist, tokenizer, j):
+def brute_force_marginal(probs, tokenizer, j):
     """Oracle: iterate token strings and sum the probability per letter."""
     vocab = tokenizer.vocab
     totals = {b: 0.0 for b in "ACGT"}
     for token_id in range(vocab.n_base):
-        totals[vocab.tokens[token_id][j]] += dist.probs[token_id]
+        totals[vocab.tokens[token_id][j]] += probs[token_id]
     z = sum(totals.values())
     return np.array([totals[b] / z for b in "ACGT"])
+
+
+def vep_score_per_phase(lm, tokenizer, genome, variant, context_len=6144, phase=None,
+                        average_phases=False):
+    """Oracle: the per-phase loop, one `next_distributions` call per phase;
+    `phase` scores one chosen offset alone."""
+    check_variant(genome, variant)
+    k = tokenizer.k
+    contig = genome[variant.seq_id]
+    phases = range(k) if average_phases else [k - 1 if phase is None else phase]
+    scores = []
+    for j in phases:
+        context_end = variant.pos - 1 - j
+        if context_end < 0:
+            continue
+        start = max(0, context_end - context_len)
+        start += context_start(lm, context_end - start, k)
+        context = contig.bases[start:context_end]
+        if "N" in context:
+            raise AmbiguousContext(f"{variant.seq_id}:{variant.pos}",
+                                   f"{variant.seq_id}:{start + context.index('N') + 1}")
+        start = context_start(lm, len(context), k)  # a no-op: cut once already
+        row = lm.next_distributions([tokenizer.encode(context[start:])])[0]
+        marg = marginalize_distribution(row, tokenizer, j)
+        scores.append(_llr(float(marg[BASE_RANK[variant.ref_allele]]),
+                           float(marg[BASE_RANK[variant.alt_allele]])))
+    if not scores:
+        raise ValueError(f"no valid phase for variant at position {variant.pos}")
+    return sum(scores) / len(scores)
 
 
 class TestVariant:
@@ -63,7 +99,7 @@ class TestMarginalization:
         for _ in range(10):
             dist = random_distribution(np_rng, len(tok.vocab))
             for j in range(k):
-                got = marginalize_distribution(dist, tok, j).probs
+                got = marginalize_distribution(dist, tok, j)
                 want = brute_force_marginal(dist, tok, j)
                 assert np.abs(got - want).max() < 1e-12
                 assert got.sum() == pytest.approx(1.0, abs=1e-9)
@@ -74,16 +110,15 @@ class TestMarginalization:
         probs[0] = 0.3  # A
         probs[1] = 0.1  # C
         probs[tok.vocab.bos] = 0.6
-        marg = marginalize_distribution(TokenDistribution(probs), tok, 0)
-        assert marg.prob("A") == pytest.approx(0.75)
-        assert marg.prob("C") == pytest.approx(0.25)
+        marg = marginalize_distribution(probs, tok, 0)
+        assert marg.tolist() == pytest.approx([0.75, 0.25, 0.0, 0.0])
 
     def test_all_mass_on_specials_falls_back_to_uniform(self):
         tok = KmerTokenizer(1)
         probs = np.zeros(len(tok.vocab))
         probs[tok.vocab.eos] = 1.0
-        marg = marginalize_distribution(TokenDistribution(probs), tok, 0)
-        assert np.allclose(marg.probs, 0.25)
+        marg = marginalize_distribution(probs, tok, 0)
+        assert marg.tolist() == [0.25] * 4
 
     def test_offset_and_length_validation(self):
         tok = KmerTokenizer(2)
@@ -121,6 +156,103 @@ class WindowSpy:
         return self.lm.next_distributions(contexts)
 
 
+class CallSpy(WindowSpy):
+    """A WindowSpy that also records each `next_distributions` call's contexts."""
+
+    def __init__(self, lm, window):
+        super().__init__(lm, window)
+        self.calls = []
+
+    def next_distributions(self, contexts):
+        self.calls.append([list(context) for context in contexts])
+        return super().next_distributions(contexts)
+
+
+def _alt(ref):
+    return "A" if ref != "A" else "C"
+
+
+class TestOneModelCallPerVariant:
+    @pytest.mark.parametrize("k", [1, 2, 3, 4])
+    @pytest.mark.parametrize("window", ["model", None])
+    def test_equal_to_the_per_phase_oracle(self, k, window):
+        genome = _toy_genome()
+        lm, tok = _markov_on(genome, k, order=2)
+        spy = WindowSpy(lm, lm.context_window if window == "model" else None)
+        for pos in [*range(1, k + 1), 150]:
+            variant = Variant("c", pos, genome["c"].bases[pos - 1],
+                              _alt(genome["c"].bases[pos - 1]))
+            for average_phases in (False, True):
+                for context_len in (6144, 5):
+                    kwargs = dict(context_len=context_len, average_phases=average_phases)
+                    try:
+                        want = vep_score_per_phase(spy, tok, genome, variant, **kwargs)
+                    except ValueError:  # no phase has room before the variant
+                        with pytest.raises(PositionOutOfRange, match=f"variant c:{pos}: "):
+                            vep_score(spy, tok, genome, variant, **kwargs)
+                        continue
+                    assert vep_score(spy, tok, genome, variant, **kwargs) == want
+
+    @pytest.mark.parametrize("k", [1, 3, 4])
+    @pytest.mark.parametrize("window", ["model", None])
+    def test_every_phase_context_goes_to_one_call_in_phase_order(self, k, window):
+        genome = _toy_genome()
+        lm, tok = _markov_on(genome, k, order=2)
+        for pos in (2, 3, 150):
+            variant = Variant("c", pos, genome["c"].bases[pos - 1],
+                              _alt(genome["c"].bases[pos - 1]))
+            oracle = CallSpy(lm, lm.context_window if window == "model" else None)
+            spy = CallSpy(lm, oracle.context_window)
+            vep_score_per_phase(oracle, tok, genome, variant, context_len=9,
+                                average_phases=True)
+            vep_score(spy, tok, genome, variant, context_len=9, average_phases=True)
+            assert len(oracle.calls) == min(k, pos)
+            assert spy.calls == [[context for [context] in oracle.calls]]
+
+    @pytest.mark.parametrize("k", [2, 3])
+    def test_an_n_in_any_phase_context_raises_before_the_model_call(self, k):
+        genome = _toy_genome()
+        lm, tok = _markov_on(genome, k, order=3)
+        pos, bases = 150, genome["c"].bases
+        variant = Variant("c", pos, bases[pos - 1], _alt(bases[pos - 1]))
+        raised = 0
+        for n_at in range(pos - 20, pos):  # 1-based position of the N
+            with_n = {"c": NucleotideSequence(bases[: n_at - 1] + "N" + bases[n_at:], id="c")}
+            oracle, spy = CallSpy(lm, lm.context_window), CallSpy(lm, lm.context_window)
+            try:
+                want = vep_score_per_phase(oracle, tok, with_n, variant, average_phases=True)
+            except AmbiguousContext as exc:
+                raised += 1
+                with pytest.raises(AmbiguousContext) as got:
+                    vep_score(spy, tok, with_n, variant, average_phases=True)
+                assert str(got.value) == str(exc) == (
+                    f"variant c:{pos}: its scored context holds an N at c:{n_at}")
+                assert spy.calls == []
+            else:
+                assert vep_score(spy, tok, with_n, variant, average_phases=True) == want
+                assert len(spy.calls) == 1
+        # the window reads order * k bases before each phase's end: phase 0
+        # reaches back 3k bases and phase k-1 ends k-1 bases earlier
+        assert raised == 3 * k + k - 1
+
+    def test_per_variant_errors_name_the_variant(self):
+        genome = {"s0": NucleotideSequence("ACAG", id="s0")}
+        lm = MarkovLm.uniform(KmerTokenizer(3).vocab)
+        tok = KmerTokenizer(3)
+        for variant, error, message in [
+            (Variant("s0", 1, "A", "C"), PositionOutOfRange,
+             "variant s0:1: a 3-mer token ending at position 1 would start before 's0'"),
+            (Variant("s0", 5, "A", "C"), PositionOutOfRange,
+             "variant s0:5: position 5 outside 's0' (1..4)"),
+            (Variant("s0", 2, "G", "C"), RefMismatch,
+             "variant s0:2: reference mismatch: variant says 'G', genome has 'C'"),
+        ]:
+            with pytest.raises(error) as exc:
+                vep_score(lm, tok, genome, variant)
+            assert str(exc.value) == message
+        assert vep_score(lm, tok, genome, Variant("s0", 1, "A", "C"), average_phases=True) == 0
+
+
 class TestVepScore:
     @pytest.mark.parametrize("k", [1, 2, 3])
     def test_context_is_cut_to_the_model_window_before_encoding(self, k):
@@ -130,11 +262,11 @@ class TestVepScore:
         for pos in (2, 4, 40, 151, 300):
             ref = genome["c"].bases[pos - 1]
             variant = Variant("c", pos, ref, "A" if ref != "A" else "C")
-            for kwargs in ({}, {"phase": 0}, {"average_phases": True}, {"context_len": 7}):
+            for kwargs in ({}, {"average_phases": True}, {"context_len": 7}):
                 try:
                     want = vep_score(whole, tok, genome, variant, **kwargs)
-                except ValueError:  # no phase has room for a context
-                    with pytest.raises(ValueError):
+                except PositionOutOfRange:  # no phase has room for a context
+                    with pytest.raises(PositionOutOfRange):
                         vep_score(windowed, tok, genome, variant, **kwargs)
                     continue
                 assert vep_score(windowed, tok, genome, variant, **kwargs) == want
@@ -206,10 +338,10 @@ class TestVepScore:
         variant = Variant("c", 100, genome["c"].bases[99],
                           "A" if genome["c"].bases[99] != "A" else "C")
         per_phase = [
-            vep_score(lm, tok, genome, variant, phase=j) for j in range(3)
+            vep_score_per_phase(lm, tok, genome, variant, phase=j) for j in range(3)
         ]
         averaged = vep_score(lm, tok, genome, variant, average_phases=True)
-        assert averaged == pytest.approx(sum(per_phase) / 3, abs=1e-12)
+        assert averaged == sum(per_phase) / 3
 
     def test_ref_mismatch_propagates(self):
         genome = {"c": NucleotideSequence("AAAA")}
