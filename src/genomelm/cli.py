@@ -179,7 +179,7 @@ def cmd_ingest_extract(args):
     if args.genbank:
         annotations = ingest.add_genbank(genome, args.genbank)
     else:
-        annotations = ingest.parse_bed_like(args.annotations)
+        annotations = ingest.parse_bed_like(args.annotations, genome)
     regions = ingest.extract_functional_regions(genome, annotations, args.min_subregion)
     _emit(args, fasta_text(r.sequence for r in regions))
     if args.out:
@@ -189,7 +189,7 @@ def cmd_ingest_extract(args):
 
 def cmd_ingest_stats(args):
     genome = read_genome(args.genome)
-    annotations = ingest.parse_bed_like(args.annotations)
+    annotations = ingest.parse_bed_like(args.annotations, genome)
     regions = ingest.extract_functional_regions(genome, annotations, args.min_subregion)
     _emit(args, ingest.corpus_stats(regions).to_tsv())
     return 0
@@ -197,7 +197,7 @@ def cmd_ingest_stats(args):
 
 def cmd_ingest_gener_tasks(args):
     genome = read_genome(args.genome)
-    annotations = ingest.parse_bed_like(args.annotations)
+    annotations = ingest.parse_bed_like(args.annotations, genome)
     regions = ingest.extract_functional_regions(genome, annotations)
     config = ingest.GenerTaskConfig(
         per_class_n=args.per_class_n,
@@ -259,7 +259,7 @@ def cmd_generate(args):
 
 def cmd_recover_build(args):
     genome = read_genome(args.genome)
-    annotations = ingest.parse_bed_like(args.annotations)
+    annotations = ingest.parse_bed_like(args.annotations, genome)
     regions = ingest.extract_functional_regions(genome, annotations)
     items = recover.build_recovery_dataset(
         regions, genome, args.prompt_len, args.predict_len, args.per_group_n, seed=args.seed
@@ -576,7 +576,13 @@ def main(argv=None) -> int:
         file_values = _load_config(args.config) if args.config else {}
         leaf = next(p for p in _parsers(parser) if p.get_default("func") is args.func)
         actions = {a.dest: a for a in leaf._actions}
+        # a key of another command's flag is ignored; one of no command's is a typo
+        known = {a.dest for p in _parsers(parser) if p.get_default("func") for a in p._actions}
         for key, value in file_values.items():
+            if key not in known:
+                print(f"error: {args.config}: key {key!r} matches no flag of any command",
+                      file=sys.stderr)
+                return USAGE_ERROR
             action = actions.get(key)
             if key == "config" or action is None or not hasattr(args, key):
                 continue

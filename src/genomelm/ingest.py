@@ -189,12 +189,16 @@ def add_genbank(genome: dict[str, NucleotideSequence], path) -> list[AnnotationR
 
 # --- BED-like TSV ------------------------------------------------------------
 
-def parse_bed_like(path) -> list[AnnotationRecord]:
-    """seq_id, start, end, strand, feature_type[, taxon_group]; BED 0-based half-open."""
-    return read_tsv(path, _bed_record, min_cols=5)
+def parse_bed_like(path, genome: Optional[dict[str, NucleotideSequence]] = None
+                   ) -> list[AnnotationRecord]:
+    """seq_id, start, end, strand, feature_type[, taxon_group]; BED 0-based
+    half-open. With `genome`, a row on no contig of it, or past its contig's
+    end, is a BadRow too."""
+    return read_tsv(path, lambda cols: _bed_record(cols, genome), min_cols=5)
 
 
-def _bed_record(cols: list[str]) -> AnnotationRecord:
+def _bed_record(cols: list[str], genome: Optional[dict[str, NucleotideSequence]]
+                ) -> AnnotationRecord:
     # AnnotationRecord checks the interval, strand and feature type.
     seq_id, start_s, end_s, strand, feature = cols[:5]
     taxon = cols[5] if len(cols) > 5 and cols[5] else None
@@ -204,10 +208,24 @@ def _bed_record(cols: list[str]) -> AnnotationRecord:
         raise ValueError("non-integer coordinates") from None
     if taxon is not None and taxon not in TAXON_GROUPS:
         raise ValueError(f"unknown taxon group {taxon!r}")
-    return AnnotationRecord(seq_id, start0 + 1, end0, strand, feature, taxon)
+    rec = AnnotationRecord(seq_id, start0 + 1, end0, strand, feature, taxon)
+    problem = genome is not None and _off_genome(genome, rec)
+    if problem:
+        raise ValueError(problem)
+    return rec
 
 
 # --- extraction --------------------------------------------------------------
+
+def _off_genome(genome: dict[str, NucleotideSequence], rec: AnnotationRecord) -> Optional[str]:
+    """Why rec lies on no contig of genome, or None when it does."""
+    contig = genome.get(rec.seq_id)
+    if contig is None:
+        return f"unknown sequence id {rec.seq_id!r}"
+    if rec.end > len(contig):
+        return f"annotation {rec.seq_id}:{rec.start}..{rec.end} exceeds contig length {len(contig)}"
+    return None
+
 
 def extract_functional_regions(
     genome: dict[str, NucleotideSequence],
@@ -221,13 +239,10 @@ def extract_functional_regions(
     """
     out = []
     for rec in annotations:
-        if rec.seq_id not in genome:
-            raise UnknownSequenceId(rec.seq_id)
+        problem = _off_genome(genome, rec)
+        if problem:
+            raise UnknownSequenceId(problem) if rec.seq_id not in genome else ValueError(problem)
         contig = genome[rec.seq_id]
-        if rec.end > len(contig):
-            raise ValueError(
-                f"annotation {rec.seq_id}:{rec.start}..{rec.end} exceeds contig length {len(contig)}"
-            )
         piece = NucleotideSequence(
             contig.bases[rec.start - 1 : rec.end],
             id=f"{rec.seq_id}:{rec.start}-{rec.end}({rec.strand})",

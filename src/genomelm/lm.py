@@ -53,6 +53,12 @@ class CausalLm(Protocol):
     array, one row per context, which the caller may write into.
     `context_window` is how many trailing context ids the model reads, or
     None when it may read them all; callers pass no more than that.
+
+    A row depends on the model and its own context only, not on the other
+    contexts of the batch or on the calls before it. With a finite
+    `context_window`, it is a function of the last `context_window` ids
+    only, so a caller may reuse the row of one such tail for every context
+    that ends in it (`generate` does).
     """
 
     context_window: Optional[int]

@@ -2,10 +2,20 @@
 and conditioning prefixes.
 
 Jobs decode in lockstep: each step asks the model for the next-token
-distributions of every live job at once and selects all their tokens
+distributions of the live jobs at once and selects all their tokens
 with array operations. Job i draws from its own xoshiro256** stream,
 seeded through SplitMix64 from (seed, i), so its tokens do not depend on
 the batch it ran in, the platform or the process.
+
+Selection has a deterministic half per distribution (`_prepare`) and a
+per-job draw (`_draw`). With a finite `context_window`, a job's context
+state is its last `context_window` ids, and its row depends on nothing
+else; so one `generate` call keeps the prepared tables of every state it
+meets in a store and asks the model only for states the store lacks.
+The store holds up to BLOCK_VALUES values, and at least one block's
+states: one value per state when greedy (its token), |V| when sampling
+(the kept cumulative masses, with their token order beside them). When
+a step's new states do not fit, it starts over.
 """
 from __future__ import annotations
 
@@ -20,7 +30,9 @@ from .lm import CausalLm, check_ids
 from .tokenizer import KmerTokenizer
 
 MAX_ATTEMPTS_FACTOR = 4  # a dedup run makes up to this many attempts per sequence asked for
-BLOCK_VALUES = 2**17  # float64 values in one block of jobs' distributions (1 MiB)
+# float64 values in one block of jobs' distributions (1 MiB), and the budget of
+# the state store: BLOCK_VALUES states when greedy, a block's rows when sampling
+BLOCK_VALUES = 2**17
 
 _MASK64 = (1 << 64) - 1
 _GOLDEN = 0x9E3779B97F4A7C15
@@ -84,15 +96,15 @@ class SamplerConfig:
             raise ValueError(f"unknown mode {self.mode!r}")
 
 
-def _select(probs: np.ndarray, cfg: SamplerConfig, banned: np.ndarray,
-            uniform: Callable[[], np.ndarray]) -> np.ndarray:
-    """The next token of each row of a (B, |V|) array of distributions,
-    which it overwrites. `uniform()` gives one draw in [0,1) per row;
-    greedy mode never calls it.
+def _prepare(probs: np.ndarray, cfg: SamplerConfig, banned: np.ndarray) -> tuple:
+    """The selection tables of each row of a (S, |V|) array of
+    distributions, which it overwrites: (greedy token,) per row, or the
+    nucleus as (order, kept_cum, cut): the ids by falling probability, the
+    cumulative kept mass in that order, and how many ids are kept.
 
     Every row sum is a full-row NumPy sum, or a sum over the first n < 8
-    entries, which a row cumsum gives exactly; so each row's token is the
-    one a 1-d sampler of that row alone picks.
+    entries, which a row cumsum gives exactly; so each row's tables are the
+    ones a 1-d sampler of that row alone builds.
     """
     probs[:, banned] = 0.0
     total = probs.sum(axis=1, keepdims=True)
@@ -101,7 +113,7 @@ def _select(probs: np.ndarray, cfg: SamplerConfig, banned: np.ndarray,
     probs /= total
 
     if cfg.mode == "greedy":
-        return probs.argmax(axis=1)  # argmax ties resolve to the lowest id
+        return (probs.argmax(axis=1),)  # argmax ties resolve to the lowest id
 
     if cfg.temperature != 1.0:
         # zero-probability ids stay at exp(-inf) = 0
@@ -113,22 +125,69 @@ def _select(probs: np.ndarray, cfg: SamplerConfig, banned: np.ndarray,
 
     # nucleus: probability-sorted prefix with cumulative mass >= P,
     # equal probabilities admitted lower id first
-    B, V = probs.shape
+    S, V = probs.shape
     order = np.argsort(-probs, axis=1, kind="stable")
     ranked = np.take_along_axis(probs, order, axis=1)
     cum = np.cumsum(ranked, axis=1)
     cut = np.minimum((cum < cfg.nucleus_p - 1e-12).sum(axis=1) + 1, V)
-    kept_mass = cum[np.arange(B), cut - 1]  # exact below 8 kept ids
+    kept_mass = cum[np.arange(S), cut - 1]  # exact below 8 kept ids
     for n in np.unique(cut[cut >= 8]):
         rows = np.flatnonzero(cut == n)
         kept_mass[rows] = ranked[rows, :n].sum(axis=1)
+    return order, np.cumsum(ranked / kept_mass[:, None], axis=1), cut
 
+
+def _draw(tables: tuple, idx: np.ndarray, cfg: SamplerConfig,
+          uniform: Callable[[], np.ndarray]) -> np.ndarray:
+    """The next token of each job, whose state is row idx[i] of the tables
+    `_prepare` built. `uniform()` gives one draw in [0,1) per job; greedy
+    mode never calls it."""
+    if cfg.mode == "greedy":
+        return tables[0][idx]
+    order, kept_cum, cut = tables
+    cut = cut[idx]
     # the first kept id whose cumulative mass exceeds u; the last one if rounding
     # leaves the total at or below u
-    kept_cum = np.cumsum(ranked / kept_mass[:, None], axis=1)
-    below = (kept_cum <= uniform()[:, None]) & (np.arange(V) < cut[:, None])
+    below = (kept_cum[idx] <= uniform()[:, None]) & (np.arange(order.shape[1]) < cut[:, None])
     pick = np.minimum(below.sum(axis=1), cut - 1)
-    return order[np.arange(B), pick]
+    return order[idx, pick]
+
+
+class _StateStore:
+    """The selection tables of the context states one `generate` call has
+    prepared, row `rows[state]` each. It grows by doubling as states come,
+    up to `capacity` states, and starts over when a step's new states do
+    not fit; `capacity` is at least the states of one step."""
+
+    def __init__(self, capacity: int):
+        self.capacity = capacity
+        self.rows: dict[tuple, int] = {}
+        self.tables: Optional[tuple] = None
+
+    def lookup(self, states: list[tuple],
+               prepare: Callable[[list[tuple]], tuple]) -> tuple[tuple, np.ndarray]:
+        """Tables that hold every state, and each state's row in them; the
+        states the store lacks are prepared in one `prepare(new)` call."""
+        new = [s for s in dict.fromkeys(states) if s not in self.rows]
+        if len(self.rows) + len(new) > self.capacity:
+            self.rows.clear()
+            new = list(dict.fromkeys(states))
+        if new:
+            self._add(new, prepare(new))
+        return self.tables, np.array([self.rows[s] for s in states])
+
+    def _add(self, states: list[tuple], fresh: tuple) -> None:
+        n, m = len(self.rows), len(states)
+        held = 0 if self.tables is None else len(self.tables[0])
+        if n + m > held:
+            size = min(self.capacity, max(n + m, 2 * held))
+            grown = tuple(np.empty((size, *t.shape[1:]), t.dtype) for t in fresh)
+            for new, old in zip(grown, self.tables or ()):
+                new[:n] = old[:n]
+            self.tables = grown
+        for table, rows in zip(self.tables, fresh):
+            table[n : n + m] = rows
+        self.rows.update(zip(states, range(n, n + m)))
 
 
 def generate(
@@ -142,10 +201,12 @@ def generate(
 
     Special tokens other than EOS are masked out of the candidate set.
     Each prompt is checked against the vocabulary once. Jobs run in blocks
-    of at most BLOCK_VALUES // |V| rows; within a block every step makes
-    one `next_distributions` call over the live jobs, each context cut to
-    the last `lm.context_window` ids when the model says, and a job that
-    draws EOS leaves the block. Deterministic given (lm, prompt, cfg, job).
+    of at most BLOCK_VALUES // |V| rows, and a job that draws EOS leaves
+    its block. Within a block every step makes at most one
+    `next_distributions` call: over every live job's whole context when
+    `lm.context_window` is None, or else over the distinct context states
+    (each cut to the last `context_window` ids) that the call's state store
+    lacks. Deterministic given (lm, prompt, cfg, job).
     """
     vocab = lm.vocabulary()
     for prompt in prompts:
@@ -153,8 +214,10 @@ def generate(
     specials = np.arange(vocab.n_base, len(vocab), dtype=np.int64)
     banned = specials[specials != vocab.eos]
     window = lm.context_window
-    outs: list[list[int]] = [[] for _ in prompts]
     block = max(1, BLOCK_VALUES // len(vocab))
+    # at least a block's states, so one step's new states always fit
+    store = _StateStore(BLOCK_VALUES if cfg.mode == "greedy" else block)
+    outs: list[list[int]] = [[] for _ in prompts]
     for lo in range(0, len(prompts), block):
         jobs = list(range(lo, min(lo + block, len(prompts))))
         contexts = [list(prompts[j]) for j in jobs]
@@ -162,10 +225,16 @@ def generate(
         for _ in range(cfg.max_new_tokens):
             if not jobs:
                 break
-            if window is not None:
+            if window is None:  # whole contexts rarely repeat: nothing is stored
+                tables = _prepare(lm.next_distributions(contexts), cfg, banned)
+                idx = np.arange(len(jobs))
+            else:
                 for ctx in contexts:
                     del ctx[: max(0, len(ctx) - window)]
-            tokens = _select(lm.next_distributions(contexts), cfg, banned, lanes.uniform)
+                tables, idx = store.lookup(
+                    [tuple(ctx) for ctx in contexts],
+                    lambda new: _prepare(lm.next_distributions(new), cfg, banned))
+            tokens = _draw(tables, idx, cfg, lanes.uniform)
             live = tokens != vocab.eos
             if not live.all():
                 jobs = [j for j, keep in zip(jobs, live) if keep]

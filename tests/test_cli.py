@@ -258,10 +258,21 @@ class TestConfigPrecedence:
         assert from_config == capsys.readouterr().out
 
     def test_keys_for_absent_flags_are_ignored(self, tmp_path, capsys):
+        # translate has neither --k nor --seed; tokenize has both
         config = tmp_path / "genomelm.conf"
-        config.write_text("threads = 2\nseed = x\n")
+        config.write_text("k = 2\nseed = x\n")
         assert main(["translate", "ATG", "--config", str(config)]) == 0
         assert "M" in capsys.readouterr().out
+
+    @pytest.mark.parametrize("key", ["tempreature", "threads"])
+    def test_key_of_no_flag_is_usage_error(self, tmp_path, capsys, key):
+        config = tmp_path / "c.cfg"
+        config.write_text(f"seed = 3\n{key} = 0.1\n")
+        assert main(["generate", "--model", "uniform:1", "--config", str(config)]) == USAGE_ERROR
+        captured = capsys.readouterr()
+        assert captured.out == ""
+        assert f"error: {config}: key {key!r} matches no flag of any command" in captured.err
+        assert "Traceback" not in captured.err
 
 
 class TestLengthFlags:
@@ -1228,6 +1239,28 @@ class TestIngestCommands:
             "--annotations", str(annotations), "--out", str(out),
         ]) == 0
         assert out.read_text().startswith(">")
+
+    @pytest.mark.parametrize("argv", [
+        ["ingest", "extract"],
+        ["ingest", "stats"],
+        ["ingest", "gener-tasks", "--gene-out", "g.tsv", "--taxon-out", "t.tsv"],
+        ["recover", "build", "--prompt-len", "20", "--predict-len", "12"],
+    ])
+    @pytest.mark.parametrize("row, problem", [
+        ("zzz\t1\t4\t+\tgene\tfungi", "unknown sequence id 'zzz'"),
+        ("s0\t1\t140\t+\tgene\tfungi", "annotation s0:2..140 exceeds contig length 100"),
+    ])
+    def test_a_row_off_the_genome_names_the_file_and_line(self, tmp_path, capsys, argv, row,
+                                                          problem):
+        genome = tmp_path / "genome.fa"
+        write_corpus(genome, n=1, length=100, seed=2)
+        annotations = tmp_path / "ann.tsv"
+        annotations.write_text(f"s0\t10\t30\t+\tgene\tfungi\n{row}\n")
+        assert main(argv + ["--genome", str(genome), "--annotations", str(annotations)]) \
+            == DATA_ERROR
+        err = capsys.readouterr().err
+        assert f"error: BadRow: {annotations}: bad row at line 2: {problem}" in err
+        assert "Traceback" not in err
 
 
 UNIFORM_K1_PEER = '''

@@ -198,6 +198,19 @@ class TestBedLike:
         assert exc.value.line_no == 2
         assert str(path) in str(exc.value)
 
+    @pytest.mark.parametrize("row, problem", [
+        ("chrX\t0\t4\t+\tgene", "unknown sequence id 'chrX'"),
+        ("chr1\t2\t9\t+\tgene", "annotation chr1:3..9 exceeds contig length 8"),
+    ])
+    def test_rows_off_the_genome_raise_with_line_number(self, tmp_path, row, problem):
+        path = tmp_path / "ann.tsv"
+        path.write_text("chr1\t0\t8\t+\tgene\n" + row + "\n")
+        assert len(parse_bed_like(path)) == 2  # no genome, no check
+        with pytest.raises(BadRow) as exc:
+            parse_bed_like(path, {"chr1": NucleotideSequence("ACGTACGT")})
+        assert exc.value.line_no == 2
+        assert str(exc.value) == f"{path}: bad row at line 2: {problem}"
+
 
 class TestExtraction:
     def test_strands_and_intervals(self):
@@ -218,7 +231,7 @@ class TestExtraction:
         assert [r.sequence.bases for r in regions] == ["AAAACCCC", "GGGGTTTT"]
 
     def test_unknown_contig_raises(self):
-        with pytest.raises(UnknownSequenceId):
+        with pytest.raises(UnknownSequenceId, match="unknown sequence id 'zzz'"):
             extract_functional_regions({}, [AnnotationRecord("zzz", 1, 4, "+")])
 
     def test_annotation_past_contig_end_raises(self):

@@ -13,7 +13,8 @@ from genomelm.sampling import (
     MAX_ATTEMPTS_FACTOR,
     SamplerConfig,
     XoshiroLanes,
-    _select,
+    _draw,
+    _prepare,
     conditioned_generate,
     generate,
 )
@@ -191,6 +192,11 @@ class TestGenerate:
         prompt[where] = V + 7
         with pytest.raises(UnknownTokenId, match=f"token id {V + 7} "):
             generate1(lm, prompt, SamplerConfig(max_new_tokens=3))
+
+
+def _select(probs, cfg, banned, uniform):
+    """`_prepare` then `_draw` with row i of `probs` as job i's state."""
+    return _draw(_prepare(probs, cfg, banned), np.arange(len(probs)), cfg, uniform)
 
 
 def _select_oracle(dist, cfg, rng, banned):
@@ -516,7 +522,7 @@ class TestLockstepMatchesSequential:
 
     def test_jobs_beyond_one_block_run_in_blocks(self, monkeypatch):
         lm = train_markov([[i % 16 for i in range(200)]], VOCAB2, order=2)
-        sizes = []
+        calls = []
 
         class Spy:
             context_window = lm.context_window
@@ -525,12 +531,117 @@ class TestLockstepMatchesSequential:
                 return VOCAB2
 
             def next_distributions(self, contexts):
-                sizes.append(len(contexts))
+                calls.append([tuple(ctx) for ctx in contexts])
                 return lm.next_distributions(contexts)
 
         monkeypatch.setattr(sampling, "BLOCK_VALUES", 3 * len(VOCAB2) + 5)  # 3 rows a block
-        cfg = SamplerConfig(max_new_tokens=4, seed=9, temperature=1.5)
         prompts = [[i % 16] for i in range(8)]
-        got = generate(Spy(), prompts, cfg)
-        assert got == [generate_one(lm, p, cfg, job_index=i) for i, p in enumerate(prompts)]
-        assert max(sizes) == 3 and sum(sizes) == sum(len(ids) + (len(ids) < 4) for ids in got)
+        for mode in ("sample", "greedy"):
+            calls.clear()
+            cfg = SamplerConfig(max_new_tokens=4, seed=9, temperature=1.5, mode=mode)
+            got = generate(Spy(), prompts, cfg)
+            assert got == [generate_one(lm, p, cfg, job_index=i) for i, p in enumerate(prompts)]
+            assert max(map(len, calls)) == 3
+            requested = [state for call in calls for state in call]
+            if mode == "greedy":
+                # the budget holds 3|V| + 5 greedy states, more than the call
+                # meets: each distinct state is requested once
+                assert len(requested) == len(set(requested))
+                assert len(requested) < sum(len(ids) + (len(ids) < 4) for ids in got)
+            else:
+                # it holds 3 sampled states and starts over, yet no call repeats a state
+                assert all(len(set(call)) == len(call) for call in calls)
+
+class Served:
+    """A model that records the contexts it is asked for, served with its own
+    context window or with none (every job's whole context is sent)."""
+
+    def __init__(self, lm, window):
+        self.lm, self.context_window = lm, window
+        self.requested = []
+
+    def vocabulary(self):
+        return self.lm.vocabulary()
+
+    def next_distributions(self, contexts):
+        self.requested += [tuple(ctx) for ctx in contexts]
+        return self.lm.next_distributions(contexts)
+
+
+def ending_lm():
+    """An order-3 k=2 Markov model whose training streams end on EOS, so
+    decoding jobs stop partway."""
+    rng = np.random.default_rng(5)
+    streams = [[*rng.integers(0, 4, rng.integers(3, 9)).tolist(), VOCAB2.eos]
+               for _ in range(40)]
+    return train_markov(streams, VOCAB2, 3, alpha=0.05)
+
+
+# prompts shorter than the window of 3, as long and longer
+STORE_PROMPTS = [[], [1], [2, 3], [0, 1, 2], [3, 3, 1, 0], [1, 0, 2, 2, 3], [1], [2, 3]]
+STORE_CONFIGS = [
+    SamplerConfig(mode="greedy", max_new_tokens=10),
+    SamplerConfig(temperature=0.7, nucleus_p=0.9, max_new_tokens=10, seed=3),
+    SamplerConfig(temperature=1.3, max_new_tokens=10, seed=4),
+    SamplerConfig(max_new_tokens=10, seed=5),
+]
+
+
+class TestStateStoreMatchesSequential:
+    """`generate` against the one-job decoder, with its state store at the
+    default budget and at budgets it overflows: 4 values (4 greedy states,
+    1 sampled, one job a block), 2|V| (2 sampled states) and |V| - 1."""
+
+    @pytest.mark.parametrize("cfg", STORE_CONFIGS)
+    @pytest.mark.parametrize("windowed", [True, False])
+    @pytest.mark.parametrize("budget", [None, 4, 2 * len(VOCAB2), len(VOCAB2) - 1])
+    def test_token_for_token(self, monkeypatch, cfg, windowed, budget):
+        lm = ending_lm()
+        want = [generate_one(lm, p, cfg, job_index=2 + i) for i, p in enumerate(STORE_PROMPTS)]
+        assert any(len(ids) < cfg.max_new_tokens for ids in want)  # some jobs end at EOS
+        assert any(ids for ids in want)
+        served = Served(lm, lm.context_window if windowed else None)
+        if budget is not None:
+            monkeypatch.setattr(sampling, "BLOCK_VALUES", budget)
+        assert generate(served, STORE_PROMPTS, cfg, first_job=2) == want
+        steps = sum(len(ids) + (len(ids) < cfg.max_new_tokens) for ids in want)
+        if not windowed:  # nothing stored: one row a job-step
+            assert len(served.requested) == steps
+        elif budget is None:  # everything fits: each state once
+            assert len(served.requested) == len(set(served.requested)) < steps
+        elif budget == 4:  # the store starts over: states come back
+            assert len(served.requested) > len(set(served.requested))
+
+    @pytest.mark.parametrize("cfg", STORE_CONFIGS[1:])
+    @pytest.mark.parametrize("windowed", [True, False])
+    @pytest.mark.parametrize("budget", [None, 2 * len(VOCAB2)])
+    def test_dedup_rounds(self, monkeypatch, cfg, windowed, budget):
+        lm = ending_lm()
+        cfg = replace(cfg, max_new_tokens=1)  # one-token outputs collide
+        tok = KmerTokenizer(2)
+        sequences, filtered, attempts = conditioned_attempts(
+            lm, tok, [VOCAB2.bos, VOCAB2.id_of("<high>"), 1], cfg, 6, set(), 24)
+        assert filtered > 0  # more than one round
+        if budget is not None:
+            monkeypatch.setattr(sampling, "BLOCK_VALUES", budget)
+        batch = conditioned_generate(Served(lm, lm.context_window if windowed else None), tok,
+                                     "<high>", cfg, n_sequences=6, seed_context=[1],
+                                     dedup_against=set())
+        assert (batch.sequences, batch.duplicates_filtered) == (sequences, filtered)
+
+    def test_a_restart_prepares_every_state_of_its_step(self, monkeypatch):
+        # job 0 stays in state (0, 0, 0); job 1 cycles 1 -> 2 -> 3 and meets a new
+        # state each step, so the 2-state store starts over when it is full,
+        # while job 0's state is one it already holds
+        requested = []
+
+        def fn(ctx):
+            requested.append(tuple(ctx))
+            return dist((0, 1.0)) if ctx[-1] == 0 else dist((ctx[-1] % 3 + 1, 1.0))
+
+        lm = FnLm(fn)
+        lm.context_window = 3
+        monkeypatch.setattr(sampling, "BLOCK_VALUES", 2 * V)  # 2 jobs a block, 2 sampled states
+        cfg = SamplerConfig(max_new_tokens=6, seed=1)
+        assert generate(lm, [[0], [1]], cfg) == [[0] * 6, [2, 3, 1, 2, 3, 1]]
+        assert requested.count((0, 0, 0)) == 4  # prepared again after each restart
