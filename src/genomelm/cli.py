@@ -577,10 +577,14 @@ def main(argv=None) -> int:
         leaf = next(p for p in _parsers(parser) if p.get_default("func") is args.func)
         actions = {a.dest: a for a in leaf._actions}
         # a key of another command's flag is ignored; one of no command's is a typo
-        known = {a.dest for p in _parsers(parser) if p.get_default("func") for a in p._actions}
+        known = {a.dest: a.option_strings
+                 for p in _parsers(parser) if p.get_default("func") for a in p._actions}
         for key, value in file_values.items():
             if key not in known:
-                print(f"error: {args.config}: key {key!r} matches no flag of any command",
+                flag = "--" + key.replace("_", "-")
+                hint = "".join(f"; the key of {flag} is {dest!r}"
+                               for dest, options in known.items() if flag in options)
+                print(f"error: {args.config}: key {key!r} matches no flag of any command{hint}",
                       file=sys.stderr)
                 return USAGE_ERROR
             action = actions.get(key)

@@ -189,16 +189,14 @@ def add_genbank(genome: dict[str, NucleotideSequence], path) -> list[AnnotationR
 
 # --- BED-like TSV ------------------------------------------------------------
 
-def parse_bed_like(path, genome: Optional[dict[str, NucleotideSequence]] = None
-                   ) -> list[AnnotationRecord]:
+def parse_bed_like(path, genome: dict[str, NucleotideSequence]) -> list[AnnotationRecord]:
     """seq_id, start, end, strand, feature_type[, taxon_group]; BED 0-based
-    half-open. With `genome`, a row on no contig of it, or past its contig's
-    end, is a BadRow too."""
+    half-open. A row on no contig of `genome`, or past its contig's end, is
+    a BadRow too."""
     return read_tsv(path, lambda cols: _bed_record(cols, genome), min_cols=5)
 
 
-def _bed_record(cols: list[str], genome: Optional[dict[str, NucleotideSequence]]
-                ) -> AnnotationRecord:
+def _bed_record(cols: list[str], genome: dict[str, NucleotideSequence]) -> AnnotationRecord:
     # AnnotationRecord checks the interval, strand and feature type.
     seq_id, start_s, end_s, strand, feature = cols[:5]
     taxon = cols[5] if len(cols) > 5 and cols[5] else None
@@ -209,22 +207,27 @@ def _bed_record(cols: list[str], genome: Optional[dict[str, NucleotideSequence]]
     if taxon is not None and taxon not in TAXON_GROUPS:
         raise ValueError(f"unknown taxon group {taxon!r}")
     rec = AnnotationRecord(seq_id, start0 + 1, end0, strand, feature, taxon)
-    problem = genome is not None and _off_genome(genome, rec)
-    if problem:
-        raise ValueError(problem)
+    try:
+        _contig_of(genome, rec)
+    except UnknownSequenceId as exc:
+        raise ValueError(str(exc)) from None
     return rec
 
 
 # --- extraction --------------------------------------------------------------
 
-def _off_genome(genome: dict[str, NucleotideSequence], rec: AnnotationRecord) -> Optional[str]:
-    """Why rec lies on no contig of genome, or None when it does."""
+def _contig_of(genome: dict[str, NucleotideSequence], rec: AnnotationRecord
+               ) -> NucleotideSequence:
+    """rec's contig: UnknownSequenceId when genome has none, ValueError when
+    rec runs past its end."""
     contig = genome.get(rec.seq_id)
     if contig is None:
-        return f"unknown sequence id {rec.seq_id!r}"
+        raise UnknownSequenceId(f"unknown sequence id {rec.seq_id!r}")
     if rec.end > len(contig):
-        return f"annotation {rec.seq_id}:{rec.start}..{rec.end} exceeds contig length {len(contig)}"
-    return None
+        raise ValueError(
+            f"annotation {rec.seq_id}:{rec.start}..{rec.end} exceeds contig length {len(contig)}"
+        )
+    return contig
 
 
 def extract_functional_regions(
@@ -239,10 +242,7 @@ def extract_functional_regions(
     """
     out = []
     for rec in annotations:
-        problem = _off_genome(genome, rec)
-        if problem:
-            raise UnknownSequenceId(problem) if rec.seq_id not in genome else ValueError(problem)
-        contig = genome[rec.seq_id]
+        contig = _contig_of(genome, rec)
         piece = NucleotideSequence(
             contig.bases[rec.start - 1 : rec.end],
             id=f"{rec.seq_id}:{rec.start}-{rec.end}({rec.strand})",

@@ -12,10 +12,12 @@ per-job draw (`_draw`). With a finite `context_window`, a job's context
 state is its last `context_window` ids, and its row depends on nothing
 else; so one `generate` call keeps the prepared tables of every state it
 meets in a store and asks the model only for states the store lacks.
-The store holds up to BLOCK_VALUES values, and at least one block's
-states: one value per state when greedy (its token), |V| when sampling
-(the kept cumulative masses, with their token order beside them). When
-a step's new states do not fit, it starts over.
+A stored state costs its key (a tuple of ids in a dict) and its row of
+the tables: its token when greedy, or its token order, kept cumulative
+masses and cut when sampling. The store holds as many states as fit in
+the BLOCK_VALUES budget (8 bytes a value), and never fewer than one
+block's states, so one step's new states always fit. When a step's new
+states do not fit, it starts over.
 """
 from __future__ import annotations
 
@@ -30,9 +32,12 @@ from .lm import CausalLm, check_ids
 from .tokenizer import KmerTokenizer
 
 MAX_ATTEMPTS_FACTOR = 4  # a dedup run makes up to this many attempts per sequence asked for
-# float64 values in one block of jobs' distributions (1 MiB), and the budget of
-# the state store: BLOCK_VALUES states when greedy, a block's rows when sampling
+# float64 values in one block of jobs' distributions (1 MiB), and the byte
+# budget of the state store (8 bytes a value)
 BLOCK_VALUES = 2**17
+# bytes a stored state's key takes beyond 8 an id: the tuple, its dict entry
+# and its row number (80-115 bytes for 1-8 ids, measured with tracemalloc)
+_KEY_BYTES = 128
 
 _MASK64 = (1 << 64) - 1
 _GOLDEN = 0x9E3779B97F4A7C15
@@ -215,8 +220,9 @@ def generate(
     banned = specials[specials != vocab.eos]
     window = lm.context_window
     block = max(1, BLOCK_VALUES // len(vocab))
-    # at least a block's states, so one step's new states always fit
-    store = _StateStore(BLOCK_VALUES if cfg.mode == "greedy" else block)
+    row_bytes = 8 if cfg.mode == "greedy" else 16 * len(vocab) + 8
+    state_bytes = row_bytes + 8 * (window or 0) + _KEY_BYTES
+    store = _StateStore(max(block, 8 * BLOCK_VALUES // state_bytes))
     outs: list[list[int]] = [[] for _ in prompts]
     for lo in range(0, len(prompts), block):
         jobs = list(range(lo, min(lo + block, len(prompts))))

@@ -264,15 +264,25 @@ class TestConfigPrecedence:
         assert main(["translate", "ATG", "--config", str(config)]) == 0
         assert "M" in capsys.readouterr().out
 
-    @pytest.mark.parametrize("key", ["tempreature", "threads"])
-    def test_key_of_no_flag_is_usage_error(self, tmp_path, capsys, key):
+    @pytest.mark.parametrize("key, hint", [
+        ("tempreature", ""), ("threads", ""), ("in", "; the key of --in is 'infile'"),
+    ])
+    def test_key_of_no_flag_is_usage_error(self, tmp_path, capsys, key, hint):
         config = tmp_path / "c.cfg"
         config.write_text(f"seed = 3\n{key} = 0.1\n")
         assert main(["generate", "--model", "uniform:1", "--config", str(config)]) == USAGE_ERROR
         captured = capsys.readouterr()
         assert captured.out == ""
-        assert f"error: {config}: key {key!r} matches no flag of any command" in captured.err
-        assert "Traceback" not in captured.err
+        assert f"error: {config}: key {key!r} matches no flag of any command{hint}\n" \
+            == captured.err
+
+    def test_infile_key_sets_in(self, tmp_path, capsys):
+        fasta = tmp_path / "s.fa"
+        fasta.write_text(">s\nATGGCC\n")
+        config = tmp_path / "c.cfg"
+        config.write_text(f"infile = {fasta}\n")
+        assert main(["translate", "--config", str(config)]) == 0
+        assert "MA" in capsys.readouterr().out
 
 
 class TestLengthFlags:

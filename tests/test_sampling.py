@@ -1,3 +1,4 @@
+import tracemalloc
 import warnings
 from dataclasses import replace
 
@@ -535,6 +536,8 @@ class TestLockstepMatchesSequential:
                 return lm.next_distributions(contexts)
 
         monkeypatch.setattr(sampling, "BLOCK_VALUES", 3 * len(VOCAB2) + 5)  # 3 rows a block
+        # keys cost nothing, so the budget holds 8(3|V| + 5) / 24 = 49 greedy states
+        monkeypatch.setattr(sampling, "_KEY_BYTES", 0)
         prompts = [[i % 16] for i in range(8)]
         for mode in ("sample", "greedy"):
             calls.clear()
@@ -544,8 +547,8 @@ class TestLockstepMatchesSequential:
             assert max(map(len, calls)) == 3
             requested = [state for call in calls for state in call]
             if mode == "greedy":
-                # the budget holds 3|V| + 5 greedy states, more than the call
-                # meets: each distinct state is requested once
+                # the budget holds more greedy states than the call meets:
+                # each distinct state is requested once
                 assert len(requested) == len(set(requested))
                 assert len(requested) < sum(len(ids) + (len(ids) < 4) for ids in got)
             else:
@@ -589,8 +592,9 @@ STORE_CONFIGS = [
 
 class TestStateStoreMatchesSequential:
     """`generate` against the one-job decoder, with its state store at the
-    default budget and at budgets it overflows: 4 values (4 greedy states,
-    1 sampled, one job a block), 2|V| (2 sampled states) and |V| - 1."""
+    default budget and at budgets it overflows: 4 values (1 state, one job
+    a block), 2|V| (4 greedy states, 2 sampled, 2 jobs a block) and |V| - 1
+    (2 greedy states, 1 sampled)."""
 
     @pytest.mark.parametrize("cfg", STORE_CONFIGS)
     @pytest.mark.parametrize("windowed", [True, False])
@@ -645,3 +649,41 @@ class TestStateStoreMatchesSequential:
         cfg = SamplerConfig(max_new_tokens=6, seed=1)
         assert generate(lm, [[0], [1]], cfg) == [[0] * 6, [2, 3, 1, 2, 3, 1]]
         assert requested.count((0, 0, 0)) == 4  # prepared again after each restart
+
+    @pytest.mark.parametrize("window", [1, 2, 4, 8])
+    def test_key_bytes_cover_a_stored_state(self, window):
+        # the store's own bytes per greedy state: its key tuples are made as
+        # generate makes them, of ids the contexts hold
+        rng = np.random.default_rng(window)
+        ids = list(range(256, 4384))
+        contexts = [[ids[i] for i in row] for row in
+                    {tuple(row) for row in rng.integers(0, len(ids), (5000, window)).tolist()}]
+        store = sampling._StateStore(len(contexts))
+        tracemalloc.start()
+        try:
+            store.lookup([tuple(ctx) for ctx in contexts],
+                         lambda new: (np.zeros(len(new), dtype=np.int64),))
+            used = tracemalloc.get_traced_memory()[0]
+        finally:
+            tracemalloc.stop()
+        assert used / len(contexts) <= 8 + 8 * window + sampling._KEY_BYTES
+
+    @pytest.mark.parametrize("mode", ["greedy", "sample"])
+    def test_store_capacity_fits_the_budget(self, monkeypatch, mode):
+        capacities = []
+
+        class Store(sampling._StateStore):
+            def __init__(self, capacity):
+                capacities.append(capacity)
+                super().__init__(capacity)
+
+        monkeypatch.setattr(sampling, "_StateStore", Store)
+        vocab = kmer_vocabulary(6)
+        generate(Served(MarkovLm.uniform(vocab), 2), [[1, 2]], SamplerConfig(mode=mode))
+        block = sampling.BLOCK_VALUES // len(vocab)
+        if mode == "greedy":  # the token, two ids and the key's overhead a state
+            state_bytes = 8 + 16 + sampling._KEY_BYTES
+            assert 4 * sampling.BLOCK_VALUES < capacities[0] * state_bytes \
+                <= 8 * sampling.BLOCK_VALUES
+        else:  # a sampled state's tables outgrow the budget: one block's states
+            assert capacities == [block] == [31]
