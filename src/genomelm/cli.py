@@ -47,10 +47,14 @@ def _default_threads() -> int:
 def _load_config(path) -> dict[str, str]:
     values = {}
     with open(path) as fh:
-        for line in fh:
+        for lineno, line in enumerate(fh, 1):
             line = line.strip()
-            if not line or line.startswith("#") or "=" not in line:
+            if not line or line.startswith("#"):
                 continue
+            if "=" not in line:
+                print(f"error: {path}: line {lineno}: {line!r} is not a key = value line",
+                      file=sys.stderr)
+                raise SystemExit(USAGE_ERROR)
             key, _, value = line.partition("=")
             values[key.strip().replace("-", "_")] = value.strip()
     return values

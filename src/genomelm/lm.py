@@ -5,6 +5,7 @@ All log probabilities are base-e.
 """
 from __future__ import annotations
 
+import array
 import json
 import math
 import socket
@@ -43,6 +44,13 @@ class TokenDistribution:
             raise ValueError("negative probability")
         if abs(p.sum() - 1.0) > _SUM_TOL:
             raise ValueError(f"probabilities sum to {p.sum()}, not 1")
+
+    @classmethod
+    def _unchecked(cls, probs: np.ndarray) -> "TokenDistribution":
+        """Wrap a float64 row its caller has already checked, without checking it again."""
+        dist = object.__new__(cls)
+        object.__setattr__(dist, "probs", probs)
+        return dist
 
 
 @runtime_checkable
@@ -509,22 +517,37 @@ class BridgeModel:
             rest = _finite([reply.get("rest_mass", 0.0)], "rest_mass")[0]
             others = V - len(ids)
             probs = np.full(V, rest / others if others else 0.0)
-            probs[ids] = [math.exp(logprob) for logprob in logprobs.tolist()]
+            try:
+                probs[ids] = [math.exp(logprob) for logprob in logprobs.tolist()]
+            except OverflowError:  # a logprob above log(max float)
+                raise ProtocolViolation("probabilities sum to inf") from None
         else:
             raise ProtocolViolation("next reply has neither 'probs' nor 'top'")
-        if (probs < 0).any() or abs(probs.sum() - 1.0) > 1e-6:
-            raise ProtocolViolation(f"probabilities sum to {probs.sum()}")
-        return TokenDistribution(probs / probs.sum())
+        total = probs.sum()
+        if (probs < 0).any() or abs(total - 1.0) > 1e-6:
+            raise ProtocolViolation(f"probabilities sum to {total}")
+        probs /= total
+        return TokenDistribution._unchecked(probs)
 
     def next_distributions(self, contexts: Sequence[Sequence[int]]) -> np.ndarray:
         """One `next` request per context, in order."""
-        rows = [self.next_distribution(ctx).probs for ctx in contexts]
-        return np.array(rows).reshape(len(contexts), len(self._vocab))
+        rows = np.empty((len(contexts), len(self._vocab)))
+        for row, ctx in zip(rows, contexts):
+            row[:] = self.next_distribution(ctx).probs
+        return rows
 
     def _call(self, request: dict) -> dict:
+        """Send one request and return the peer's reply object.
+
+        Each distinct number text of a reply is parsed once: a smoothed or
+        low-precision distribution repeats a few values over the whole
+        vocabulary. `float(text)` is what json.loads itself makes of a
+        number text, so every value is the same bits; the memo lives for
+        one reply, so it holds at most one reply's texts.
+        """
         line = self._peer.roundtrip(json.dumps(request), self.timeout)
         try:
-            reply = json.loads(line)
+            reply = json.loads(line, parse_float=_NumberTexts().__getitem__)
         except json.JSONDecodeError:
             raise ProtocolViolation(f"unparsable reply: {line[:200]!r}")
         if not isinstance(reply, dict):
@@ -537,14 +560,33 @@ class BridgeModel:
         self._peer.close()
 
 
+class _NumberTexts(dict):
+    """The floats of one reply by their JSON text; a text seen again is not parsed again."""
+
+    def __missing__(self, text: str) -> float:
+        value = self[text] = float(text)
+        return value
+
+
 def _finite(values, what: str) -> np.ndarray:
-    """A reply's list of finite JSON numbers as float64; anything else is a ProtocolViolation."""
-    if not isinstance(values, list) or not set(map(type, values)) <= {int, float}:
+    """A reply's list of finite JSON numbers as float64; anything else is a ProtocolViolation.
+
+    array("d") takes ints and floats and refuses strings, null, lists and
+    objects, but it takes a bool as 0.0 or 1.0: so the types of a list are
+    checked one by one only when it holds one of those values, or could not
+    be converted.
+    """
+    if not isinstance(values, list):
         raise ProtocolViolation(f"{what}: not a list of numbers")
     try:
-        a = np.array(values, dtype=float)
-    except OverflowError:  # an integer beyond the float range
-        raise ProtocolViolation(f"{what}: not finite") from None
+        a = np.frombuffer(array.array("d", values))
+    except (TypeError, OverflowError):
+        a = None
+    if a is None or ((a == 0.0) | (a == 1.0)).any():
+        if not set(map(type, values)) <= {int, float}:
+            raise ProtocolViolation(f"{what}: not a list of numbers")
+        if a is None:  # an integer beyond the float range
+            raise ProtocolViolation(f"{what}: not finite")
     if not np.isfinite(a).all():
         raise ProtocolViolation(f"{what}: not finite")
     return a

@@ -276,6 +276,15 @@ class TestConfigPrecedence:
         assert f"error: {config}: key {key!r} matches no flag of any command{hint}\n" \
             == captured.err
 
+    @pytest.mark.parametrize("line", ["temperature 0.1", "greedy", "k: 2"])
+    def test_line_without_equals_is_usage_error(self, tmp_path, capsys, line):
+        config = tmp_path / "c.cfg"
+        config.write_text(f"# comment\n\nseed = 3\n{line}\n")
+        assert main(["generate", "--model", "uniform:1", "--config", str(config)]) == USAGE_ERROR
+        captured = capsys.readouterr()
+        assert captured.out == ""
+        assert captured.err == f"error: {config}: line 4: {line!r} is not a key = value line\n"
+
     def test_infile_key_sets_in(self, tmp_path, capsys):
         fasta = tmp_path / "s.fa"
         fasta.write_text(">s\nATGGCC\n")
