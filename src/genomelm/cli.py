@@ -8,9 +8,11 @@ from __future__ import annotations
 
 import argparse
 import contextlib
+import functools
 import json
 import random
 import sys
+import threading
 from typing import Iterator
 
 import numpy as np
@@ -19,8 +21,8 @@ from . import analytics, design, ingest, recover, vep
 from .errors import EmptyCorpus, GenomeLmError
 from .lm import MarkovLm, bridge_model, train_markov
 from .sampling import SamplerConfig, conditioned_generate
-from .seqcore import (fasta_text, parse_fasta, read_acgt_fasta, read_fasta, read_genome,
-                      reading_model, translate, tsv_text, validate, write_tsv)
+from .seqcore import (acgt_only, fasta_text, parse_fasta, read_acgt_fasta, read_fasta,
+                      read_genome, reading_model, translate, tsv_text, validate, write_tsv)
 from .tokenizer import BpeModel, KmerTokenizer, bpe_encode, bpe_train, kmer_encode
 
 USAGE_ERROR = 1
@@ -133,14 +135,19 @@ def _opened_model(spec_text: str):
             model.close()
 
 
-def _read_sequences(args):
+def _read_sequences(args, acgt=False):
+    """The positional sequence, the FASTA records of --in or of stdin, or
+    stdin as one sequence. With `acgt`, as a tokenizer needs, a FASTA record
+    with an N raises BadFastaRecord naming its line."""
     if getattr(args, "seq", None):
         return [validate(args.seq)]
     if getattr(args, "infile", None):
-        return read_fasta(args.infile)
-    data = sys.stdin.read()
+        return read_acgt_fasta(args.infile) if acgt else read_fasta(args.infile)
+    # the newline translation that open() gives a file
+    data = sys.stdin.read().replace("\r\n", "\n").replace("\r", "\n")
     if data.lstrip().startswith(">"):
-        return list(parse_fasta(data.splitlines(), "<stdin>"))
+        seqs = parse_fasta(data, "<stdin>")
+        return acgt_only(seqs, data, "<stdin>") if acgt else seqs
     return [validate(data)]
 
 
@@ -156,7 +163,7 @@ def _kmer_offsets(args, fixed: int) -> Iterator[int]:
 # --- subcommand implementations ----------------------------------------------
 
 def cmd_tokenize(args):
-    seqs = read_acgt_fasta(args.infile) if args.infile and not args.seq else _read_sequences(args)
+    seqs = _read_sequences(args, acgt=True)
     lines = []
     if args.bpe_model:
         with open(args.bpe_model) as fh, reading_model(args.bpe_model):
@@ -172,7 +179,7 @@ def cmd_tokenize(args):
 
 
 def cmd_bpe_train(args):
-    corpus = read_fasta(args.corpus)
+    corpus = read_acgt_fasta(args.corpus)
     model = bpe_train(corpus, args.target_vocab)
     _emit(args, model.to_json() + "\n")
     return 0
@@ -569,10 +576,24 @@ def build_parser() -> _Parser:
     return parser
 
 
-def main(argv=None) -> int:
+@functools.cache
+def _shared_parser() -> tuple[_Parser, list[argparse.Action]]:
+    """The parser `main` uses, built on first use, with every action below it."""
     parser = build_parser()
+    return parser, [a for p in _parsers(parser) for a in p._actions]
+
+
+_PARSER_LOCK = threading.Lock()
+
+
+def _parse(argv) -> argparse.Namespace | int:
+    """The arguments of `argv`, --config values as defaults, or an exit code."""
+    parser, all_actions = _shared_parser()
+    # This switches `required` and writes --config values into `default`; it
+    # puts both back on the way out, so the next call sees the parser as built.
+    saved = [(a, a.required, a.default) for a in all_actions]
     # The first parse lets required flags be absent, as --config may set them.
-    required = [a for p in _parsers(parser) for a in p._actions if a.required and a.option_strings]
+    required = [a for a in all_actions if a.required and a.option_strings]
     for action in required:
         action.required = False
     try:
@@ -601,13 +622,22 @@ def main(argv=None) -> int:
         for action in required:
             action.required = action.dest not in file_values
         # As defaults, file values lose to every flag argparse saw, abbreviated or not.
-        args = parser.parse_args(argv)
+        return parser.parse_args(argv)
     except SystemExit as exc:
         return exc.code if isinstance(exc.code, int) else USAGE_ERROR
     except OSError as exc:
         print(f"error: cannot read config: {exc}", file=sys.stderr)
         return DATA_ERROR
+    finally:
+        for action, was_required, default in saved:
+            action.required, action.default = was_required, default
 
+
+def main(argv=None) -> int:
+    with _PARSER_LOCK:  # one call at a time changes the shared parser
+        args = _parse(argv)
+    if isinstance(args, int):
+        return args
     try:
         return args.func(args)
     except GenomeLmError as exc:

@@ -9,7 +9,7 @@ import re
 from contextlib import contextmanager
 from dataclasses import dataclass, field
 from pathlib import Path
-from typing import Callable, Iterable, Iterator, Optional, Sequence, TypeVar
+from typing import Callable, Iterable, Optional, Sequence, TypeVar
 
 from .errors import AmbiguousBase, BadFastaRecord, BadModelFile, BadRow, InvalidSymbol
 
@@ -33,7 +33,11 @@ CODON_TABLE = {
 
 AMINO_ALPHABET = frozenset("ACDEFGHIKLMNPQRSTVWY*")
 
-# The first character outside each alphabet, found in one C-level scan.
+# One C-level pass checks an alphabet: deleting every symbol in it leaves
+# nothing. Only text that leaves something is searched for its first
+# character outside the alphabet.
+_DROP_DNA = str.maketrans("", "", "".join(DNA_ALPHABET))
+_DROP_AMINO = str.maketrans("", "", "".join(AMINO_ALPHABET))
 _NOT_DNA = re.compile("[^%s]" % re.escape("".join(sorted(DNA_ALPHABET))))
 _NOT_AMINO = re.compile("[^%s]" % re.escape("".join(sorted(AMINO_ALPHABET))))
 
@@ -47,8 +51,8 @@ class NucleotideSequence:
     meta: dict = field(default_factory=dict)
 
     def __post_init__(self):
-        bad = _NOT_DNA.search(self.bases)
-        if bad:
+        if self.bases.translate(_DROP_DNA):
+            bad = _NOT_DNA.search(self.bases)
             raise InvalidSymbol(bad.start(), bad.group())
 
     def __len__(self) -> int:
@@ -66,8 +70,8 @@ class ProteinSequence:
     residues: str
 
     def __post_init__(self):
-        bad = _NOT_AMINO.search(self.residues)
-        if bad:
+        if self.residues.translate(_DROP_AMINO):
+            bad = _NOT_AMINO.search(self.residues)
             raise InvalidSymbol(bad.start(), bad.group())
 
     def __len__(self) -> int:
@@ -143,7 +147,7 @@ def split_on_n(seq: NucleotideSequence, min_len: int = 1) -> list[NucleotideSequ
 
 def read_fasta(path) -> list[NucleotideSequence]:
     with open(path) as fh:
-        return list(parse_fasta(fh, path))
+        return parse_fasta(fh.read(), path)
 
 
 def read_acgt_fasta(path) -> list[NucleotideSequence]:
@@ -151,14 +155,20 @@ def read_acgt_fasta(path) -> list[NucleotideSequence]:
     tokenizer needs. An N raises BadFastaRecord naming the path, the record
     and the line of its first N."""
     seqs = read_fasta(path)
+    if any(seq.has_n() for seq in seqs):
+        with open(path) as fh:  # only now find the record's lines
+            acgt_only(seqs, fh.read(), path)
+    return seqs
+
+
+def acgt_only(seqs: list[NucleotideSequence], text: str, path) -> list[NucleotideSequence]:
+    """`seqs`, the records parse_fasta read from `text`, if each is of A, C,
+    G and T only. An N raises BadFastaRecord naming `path`, the record and
+    the line of its first N."""
     for index, seq in enumerate(seqs):
         if seq.has_n():
             position = seq.bases.index("N")
-            with open(path) as fh:  # only now find the record's lines
-                lines = fh.readlines()
-            headers = [n for n, line in enumerate(lines) if line.startswith(">")] + [len(lines)]
-            first, end = headers[index] + 1, headers[index + 1]  # the record's body lines
-            line_no = line_of_position(position, enumerate(lines[first:end], start=first + 1))
+            line_no = _line_in_record(text, index, position)
             raise BadFastaRecord(path, line_no, seq.id, AmbiguousBase(position))
     return seqs
 
@@ -177,40 +187,41 @@ def read_genome(path) -> dict[str, NucleotideSequence]:
     return genome
 
 
-def parse_fasta(lines: Iterable[str], path) -> Iterator[NucleotideSequence]:
-    """FASTA records from lines of text, such as an open file, read from
-    `path`. A symbol outside the alphabet, or text before the first header,
-    raises BadFastaRecord naming the path and the line."""
-    header = None
-    chunks: list[str] = []  # every body line, blank ones too: chunk i is line first + i
-    for line_no, line in enumerate(lines, start=1):
-        line = line.rstrip("\n")
-        if line.startswith(">"):
-            if header is not None:
-                yield _fasta_record(header, chunks, first, path)
-            header, chunks, first = line[1:].strip(), [], line_no + 1
-        elif header is not None:
-            chunks.append(line)
-        elif line.strip():
-            raise BadFastaRecord(path, line_no, None, "text before the first '>' header")
-    if header is not None:
-        yield _fasta_record(header, chunks, first, path)
+def parse_fasta(text: str, path) -> list[NucleotideSequence]:
+    """The FASTA records of `text`, read from `path`: a record starts at a
+    line that starts with '>'. A symbol outside the alphabet, or text before
+    the first header, raises BadFastaRecord naming the path and the line."""
+    preamble, *records = ("\n" + text).split("\n>")
+    if preamble.strip():
+        # line n of the text is line n of the preamble, after the "\n" put before it
+        line_no = next(n for n, line in enumerate(preamble.split("\n")) if line.strip())
+        raise BadFastaRecord(path, line_no, None, "text before the first '>' header")
+    seqs = []
+    for index, record in enumerate(records):
+        header, _, body = record.partition("\n")
+        # Headers of the form "id|taxon|feature" carry corpus metadata.
+        fields = header.strip().split("|")
+        meta = {}
+        if len(fields) >= 2 and fields[1]:
+            meta["taxon_group"] = fields[1]
+        if len(fields) >= 3 and fields[2]:
+            meta["feature_type"] = fields[2]
+        try:
+            seqs.append(validate(body, id=fields[0], meta=meta))
+        except InvalidSymbol as exc:
+            line_no = _line_in_record(text, index, exc.position)
+            raise BadFastaRecord(path, line_no, fields[0], exc) from exc
+    return seqs
 
 
-def _fasta_record(header: str, chunks: list[str], first: int, path) -> NucleotideSequence:
-    # Headers of the form "id|taxon|feature" carry corpus metadata.
-    fields = header.split("|")
-    meta = {}
-    if len(fields) >= 2 and fields[1]:
-        meta["taxon_group"] = fields[1]
-    if len(fields) >= 3 and fields[2]:
-        meta["feature_type"] = fields[2]
-    try:
-        return validate("".join(chunks), id=fields[0], meta=meta)
-    except InvalidSymbol as exc:
-        # only now map the position in the record back to its line
-        line_no = line_of_position(exc.position, enumerate(chunks, start=first))
-        raise BadFastaRecord(path, line_no, fields[0], exc) from exc
+def _line_in_record(text: str, index: int, position: int) -> int:
+    """The line of FASTA `text` that holds character `position` of record
+    `index`'s sequence; only an error needs it, so only an error pays for it."""
+    preamble, *records = ("\n" + text).split("\n>")
+    # each record before this one spans its newlines plus the one before its header
+    header_line = preamble.count("\n") + sum(r.count("\n") for r in records[:index]) + index + 1
+    body = records[index].split("\n")[1:]
+    return line_of_position(position, enumerate(body, start=header_line + 1))
 
 
 def line_of_position(position: int, numbered_lines: Iterable[tuple[int, str]]) -> int:

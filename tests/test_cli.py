@@ -5,7 +5,9 @@ import io
 import json
 import math
 import random
+import sys
 import tempfile
+import threading
 from pathlib import Path
 
 import numpy as np
@@ -154,6 +156,13 @@ class TestTokenizeCommand:
         assert main(["tokenize", "--k", "3"]) == 0
         assert capsys.readouterr().out.splitlines() == ["0\t6 49\t", "0\t42\t"]
 
+    @pytest.mark.parametrize("eol", ["\r\n", "\r"])
+    def test_fasta_on_stdin_ends_lines_as_a_file_does(self, monkeypatch, capsys, eol):
+        text = ">a|fungi\nACG\nTAC\n\n>b\nGGG\n".replace("\n", eol)
+        monkeypatch.setattr("sys.stdin", io.StringIO(text))
+        assert main(["tokenize", "--k", "3"]) == 0
+        assert capsys.readouterr().out.splitlines() == ["0\t6 49\t", "0\t42\t"]
+
     def test_random_offset_is_drawn_per_sequence_from_one_seed(self, tmp_path, capsys):
         import random
 
@@ -292,6 +301,73 @@ class TestConfigPrecedence:
         config.write_text(f"infile = {fasta}\n")
         assert main(["translate", "--config", str(config)]) == 0
         assert "MA" in capsys.readouterr().out
+
+    # main builds its parser once per process; these run several calls in one
+    # process, so a --config value or a switched-off `required` that outlived
+    # its call would show in the next one.
+    def test_a_config_default_does_not_outlive_its_call(self, tmp_path, capsys):
+        corpus, model = tmp_path / "corp.fa", tmp_path / "m.npz"
+        write_corpus(corpus)
+        assert main(["train-markov", str(corpus), "--k", "1", "--model-out", str(model)]) == 0
+        argv = ["generate", "--model", f"markov:{model}", "--max-new", "40", "-n", "3"]
+        assert main(argv) == 0
+        flag_default = capsys.readouterr().out
+        cold, bad = tmp_path / "cold.cfg", tmp_path / "bad.cfg"
+        cold.write_text("temperature = 0.1\n")
+        bad.write_text("temperature = 0.1\ntop_p = x\n")  # fails after temperature is applied
+        assert main(argv + ["--config", str(cold)]) == 0
+        assert capsys.readouterr().out != flag_default  # the config value did apply
+        assert main(argv) == 0
+        assert capsys.readouterr().out == flag_default
+        assert main(argv + ["--config", str(bad)]) == USAGE_ERROR
+        assert main(argv) == 0
+        assert capsys.readouterr().out == flag_default
+
+    def test_calls_from_many_threads_keep_their_own_config(self, tmp_path):
+        config = tmp_path / "k2.conf"
+        config.write_text("k = 2\n")
+        expected = {True: "0\t1 11 1\t\n", False: "0\t433\t\n"}  # k=2 and the default k=6
+        wrong = []
+
+        def call(worker):
+            for i in range(100):
+                with_config = (worker + i) % 2 == 0
+                out = tmp_path / f"{worker}.txt"
+                argv = ["tokenize", "ACGTAC", "--out", str(out)]
+                code = main(argv + ["--config", str(config)] if with_config else argv)
+                if code != 0 or out.read_text() != expected[with_config]:
+                    wrong.append((worker, i))
+
+        interval = sys.getswitchinterval()
+        sys.setswitchinterval(1e-6)
+        try:
+            workers = [threading.Thread(target=call, args=(w,)) for w in range(6)]
+            for worker in workers:
+                worker.start()
+            for worker in workers:
+                worker.join(timeout=60)
+        finally:
+            sys.setswitchinterval(interval)
+        assert not any(worker.is_alive() for worker in workers)
+        assert wrong == []
+
+    @pytest.mark.parametrize("between", [
+        ["bpe-train", "CORPUS", "--config", "CONFIG"],
+        ["bpe-train", "CORPUS", "--config", "BAD"],
+        ["bpe-train", "--help"],
+    ])
+    def test_a_required_flag_stays_required_in_the_next_call(self, tmp_path, capsys, between):
+        corpus, config, bad = tmp_path / "corp.fa", tmp_path / "t.conf", tmp_path / "bad.conf"
+        write_corpus(corpus)
+        config.write_text("target_vocab = 37\n")
+        bad.write_text("target_vocab = many\n")
+        paths = {"CORPUS": str(corpus), "CONFIG": str(config), "BAD": str(bad)}
+        main([paths.get(arg, arg) for arg in between])
+        capsys.readouterr()
+        assert main(["bpe-train", str(corpus)]) == USAGE_ERROR
+        captured = capsys.readouterr()
+        assert captured.out == ""
+        assert "required: --target-vocab" in captured.err
 
 
 class TestLengthFlags:
@@ -673,6 +749,12 @@ class TestModelWorkflows:
         assert main(["tokenize", "--k", "3"]) == DATA_ERROR
         assert "BadFastaRecord: <stdin>: line 4 (record 'a')" in capsys.readouterr().err
 
+    def test_an_n_in_fasta_on_stdin_to_tokenize_names_record_and_line(self, monkeypatch, capsys):
+        monkeypatch.setattr("sys.stdin", io.StringIO(">a\nACG\n>b|fungi\nACGT\r\n\r\nTTNA\n"))
+        assert main(["tokenize", "--k", "3"]) == DATA_ERROR
+        assert capsys.readouterr().err == ("error: BadFastaRecord: <stdin>: line 6 (record 'b'): "
+                                           "ambiguous base 'N' at position 6\n")
+
     def test_generate_with_uniform_model_and_prompt(self, tmp_path, capsys):
         assert main([
             "generate", "--model", "uniform:1", "--prompt", "ACGT",
@@ -903,7 +985,7 @@ class TestTableErrors:
 
     @pytest.mark.parametrize("argv", [
         "train-markov FA --k 2 --model-out m.npz", "tokenize --in FA --k 2",
-        "embed project --in FA",
+        "embed project --in FA", "bpe-train FA --target-vocab 37",
     ])
     def test_an_n_in_a_fasta_to_tokenize_names_file_record_and_line(self, tmp_path, capsys,
                                                                      argv):

@@ -1,3 +1,4 @@
+import io
 import tempfile
 import textwrap
 from pathlib import Path
@@ -13,6 +14,9 @@ from genomelm.seqcore import (
     DNA_ALPHABET,
     NucleotideSequence,
     ProteinSequence,
+    acgt_only,
+    line_of_position,
+    parse_fasta,
     read_fasta,
     read_genome,
     read_tsv,
@@ -257,6 +261,90 @@ class TestFasta:
             read_genome(path)
         assert (exc.value.path, exc.value.line_no, exc.value.record) == (path, 5, "a")
         assert str(exc.value) == f"{path}: line 5 (record 'a'): record id repeated from line 1"
+
+
+def line_based_parse_fasta(lines, path):
+    """The line-by-line FASTA parser that parse_fasta replaced, kept as its
+    oracle: records from lines of text, such as an open file."""
+    header, chunks = None, []  # every body line, blank ones too: chunk i is line first + i
+    for line_no, line in enumerate(lines, start=1):
+        line = line.rstrip("\n")
+        if line.startswith(">"):
+            if header is not None:
+                yield line_based_record(header, chunks, first, path)
+            header, chunks, first = line[1:].strip(), [], line_no + 1
+        elif header is not None:
+            chunks.append(line)
+        elif line.strip():
+            raise BadFastaRecord(path, line_no, None, "text before the first '>' header")
+    if header is not None:
+        yield line_based_record(header, chunks, first, path)
+
+
+def line_based_record(header, chunks, first, path):
+    fields = header.split("|")
+    meta = {}
+    if len(fields) >= 2 and fields[1]:
+        meta["taxon_group"] = fields[1]
+    if len(fields) >= 3 and fields[2]:
+        meta["feature_type"] = fields[2]
+    try:
+        return validate("".join(chunks), id=fields[0], meta=meta)
+    except InvalidSymbol as exc:
+        line_no = line_of_position(exc.position, enumerate(chunks, start=first))
+        raise BadFastaRecord(path, line_no, fields[0], exc) from exc
+
+
+def line_based_first_n(seqs, lines, path):
+    """The N check that read_acgt_fasta made over the file's lines, kept as
+    the oracle of acgt_only."""
+    for index, seq in enumerate(seqs):
+        if seq.has_n():
+            position = seq.bases.index("N")
+            headers = [n for n, line in enumerate(lines) if line.startswith(">")] + [len(lines)]
+            first, end = headers[index] + 1, headers[index + 1]
+            line_no = line_of_position(position, enumerate(lines[first:end], start=first + 1))
+            raise BadFastaRecord(path, line_no, seq.id, AmbiguousBase(position))
+    return seqs
+
+
+def outcome(parse):
+    try:
+        return [(s.id, s.bases, s.meta) for s in parse()]
+    except BadFastaRecord as exc:
+        return type(exc), str(exc)
+
+
+fasta_line = st.one_of(
+    st.sampled_from(["", " ", "\t ", ">"]),  # blank and whitespace-only lines, a bare '>'
+    st.builds(">{}".format, st.text(alphabet="ab| ", max_size=8)),  # id|taxon|feature headers
+    st.text(alphabet="acgtnACGTN \t", max_size=12),  # lowercase, spaces and tabs
+    # bad symbols at the start and the end of a line
+    st.builds("{}{}{}".format, st.sampled_from(["", "x", "U", "é"]),
+              st.text(alphabet="ACGTN", max_size=6), st.sampled_from(["", "*", ">"])),
+)
+
+
+class TestOneTextFastaParser:
+    @given(st.lists(st.tuples(fasta_line, st.sampled_from(["\n", "\r\n"])), max_size=12),
+           st.booleans())
+    def test_matches_the_line_based_parser(self, lines, final_newline):
+        text = "".join(line + eol for line, eol in lines)
+        if lines and not final_newline:
+            text = text[: -len(lines[-1][1])]
+        expected = outcome(lambda: line_based_parse_fasta(io.StringIO(text), "in.fa"))
+        assert outcome(lambda: parse_fasta(text, "in.fa")) == expected
+        if isinstance(expected, list):
+            seqs = parse_fasta(text, "in.fa")
+            text_lines = io.StringIO(text).readlines()
+            assert outcome(lambda: acgt_only(seqs, text, "in.fa")) \
+                == outcome(lambda: line_based_first_n(seqs, text_lines, "in.fa"))
+
+    def test_a_file_reads_as_its_text(self, tmp_path):
+        path = tmp_path / "in.fa"
+        path.write_bytes(b"\r\n>a|t|f\r\nac\rgt\r\n>b\n")
+        assert outcome(lambda: read_fasta(path)) == [
+            ("a", "ACGT", {"taxon_group": "t", "feature_type": "f"}), ("b", "", {})]
 
 
 class TestTsv:
