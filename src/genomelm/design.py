@@ -89,22 +89,32 @@ class KmerRidgePredictor:
 def fit_kmer_ridge(
     records: Sequence[ActivityRecord], k: int = 5, l2: float = 1.0
 ) -> KmerRidgePredictor:
-    """Regularized least squares via the normal equations. The intercept
-    is unpenalized (features and targets are mean-centered for the solve).
+    """Regularized least squares, solved in the smaller of its two
+    dimensions. With l2 > 0 and fewer records n than k-mers 4^k, it solves
+    the n × n dual system (Xc Xcᵀ + l2·I) α = yc and takes w = Xcᵀ α
+    (ridge regression in dual variables); otherwise the 4^k × 4^k normal
+    equations (Xcᵀ Xc + l2·I) w = Xcᵀ yc. Both give the same weights.
+    With l2 == 0 and n <= 4^k the centered rows have rank below 4^k, so
+    that case is singular before anything is built. The intercept is
+    unpenalized (features and targets are mean-centered for the solve).
     Each record is featurized once; its row also gives the training error."""
     if len(records) < 2:
         raise TooFewSamples(f"need at least 2 records, got {len(records)}")
     if not (math.isfinite(l2) and l2 >= 0):
         raise ValueError(f"l2 strength must be finite and >= 0, got {l2}")
+    if l2 == 0 and len(records) <= 4**k:
+        raise SingularSystem("normal equations are singular; use l2 > 0")
     X = kmer_count_matrix([r.sequence.bases for r in records], k)
     y = np.asarray([r.activity for r in records], dtype=float)
     x_mean = X.mean(axis=0)
     y_mean = y.mean()
     Xc = X - x_mean
     yc = y - y_mean
-    gram = Xc.T @ Xc + l2 * np.eye(X.shape[1])
+    dual = l2 > 0 and len(records) < 4**k
+    gram = Xc @ Xc.T if dual else Xc.T @ Xc
+    gram.flat[:: gram.shape[0] + 1] += l2
     try:
-        w = np.linalg.solve(gram, Xc.T @ yc)
+        w = Xc.T @ np.linalg.solve(gram, yc) if dual else np.linalg.solve(gram, Xc.T @ yc)
     except np.linalg.LinAlgError:
         raise SingularSystem("normal equations are singular; use l2 > 0")
     if l2 == 0 and np.linalg.matrix_rank(gram) < gram.shape[0]:

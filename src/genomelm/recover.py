@@ -35,11 +35,7 @@ def recovery_accuracy(reference: str, generated: str, length: int) -> float:
         raise ReferenceTooShort(
             f"reference of {len(reference)} nt cannot score length {length}"
         )
-    hits = sum(
-        1
-        for p in range(length)
-        if p < len(generated) and generated[p] == reference[p]
-    )
+    hits = sum(map(str.__eq__, generated[:length], reference[:length]))
     return hits / length
 
 

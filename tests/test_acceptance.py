@@ -73,7 +73,7 @@ class ConstLm:
 
 def test_01_tokenizer_round_trip():
     rng = random.Random(101)
-    sequences = [random_dna(rng, rng.randrange(1, 10_001)) for _ in range(1000)]
+    sequences = ["".join(rng.choices("ACGT", k=rng.randrange(1, 10_001))) for _ in range(1000)]
 
     failures = 0
     for s in sequences:

@@ -17,6 +17,7 @@ from hypothesis import strategies as st
 
 from genomelm.cli import DATA_ERROR, USAGE_ERROR, main
 from genomelm.seqcore import NucleotideSequence, write_fasta
+from genomelm.tokenizer import kmer_count_matrix
 
 
 def rewrite_npz(path, edit):
@@ -437,7 +438,26 @@ class TestNumberFlags:
         assert reason in captured.err and "Traceback" not in captured.err
         assert not Path("m.out").exists()
 
-    # k=7 and k=8 are valid but need gigabytes for a fit, so only rejected values run here
+    def test_k_8_fit_on_few_records(self, tmp_path, monkeypatch, capsys):
+        # 20 records against 4^8 = 65,536 k-mers: a 20 × 20 system, not 65,536 × 65,536
+        monkeypatch.chdir(tmp_path)
+        seqs = write_corpus(tmp_path / "k8.fa", n=20, length=30, seed=8)
+        y = np.random.default_rng(8).normal(size=20)
+        rows = (f"{s.bases}\t{a!r}\t0\n" for s, a in zip(seqs, y.tolist()))
+        Path("k8.tsv").write_text("".join(rows))
+        fit = ["design", "fit", "--activities", "k8.tsv", "--k", "8", "--model-out", "k8.json"]
+        assert main(fit + ["--l2", "1"]) == 0
+        w = np.array(json.loads(Path("k8.json").read_text())["weights"])
+        X = kmer_count_matrix([s.bases for s in seqs], 8)
+        Xc, yc = X - X.mean(axis=0), y - y.mean()
+        # the ridge condition Xcᵀ (yc - Xc w) = l2 w, here with l2 = 1
+        assert np.abs(Xc.T @ (yc - Xc @ w) - w).max() <= 1e-9 * np.abs(w).max()
+        Path("k8.json").unlink()
+        assert main(fit + ["--l2", "0"]) == DATA_ERROR
+        err = capsys.readouterr().err
+        assert "normal equations are singular; use l2 > 0" in err and "Traceback" not in err
+        assert not Path("k8.json").exists()
+
     @pytest.mark.parametrize("k", ["-1", "0", "9", "12"])
     @pytest.mark.parametrize("argv", [
         ["design", "fit", "--activities", "act.tsv", "--model-out", "m.out", "--k"],

@@ -1,4 +1,5 @@
 import math
+import tracemalloc
 
 import numpy as np
 import pytest
@@ -27,7 +28,7 @@ from genomelm.design import (
     save_predictor,
 )
 from genomelm.seqcore import NucleotideSequence
-from genomelm.tokenizer import KmerTokenizer
+from genomelm.tokenizer import KmerTokenizer, kmer_count_matrix
 
 
 def oracle_labels(activities):
@@ -185,6 +186,51 @@ class TestRidge:
         assert back.predict("ACGTACGT") == pytest.approx(
             predictor.predict("ACGTACGT")
         )
+
+    @staticmethod
+    def _random_records(seed, n, max_len):
+        rng = np.random.default_rng(seed)
+        return [
+            ActivityRecord(
+                NucleotideSequence("".join("ACGT"[i] for i in rng.integers(0, 4, length))),
+                float(rng.normal()),
+            )
+            for length in rng.integers(1, max_len + 1, n)
+        ]
+
+    @settings(max_examples=150, deadline=None)
+    @given(
+        k=st.integers(1, 4),
+        n_over_kmers=st.floats(0.05, 2.0),
+        log_l2=st.floats(-3.0, 3.0),
+        seed=st.integers(0, 2**32 - 1),
+    )
+    def test_matches_the_primal_normal_equations(self, k, n_over_kmers, log_l2, seed):
+        # the oracle: the 4^k × 4^k primal solve, whatever the record count
+        n, l2 = max(2, round(n_over_kmers * 4**k)), 10.0**log_l2
+        records = self._random_records(seed, n, 40)
+        X = kmer_count_matrix([r.sequence.bases for r in records], k)
+        y = np.array([r.activity for r in records])
+        Xc, yc = X - X.mean(axis=0), y - y.mean()
+        w = np.linalg.solve(Xc.T @ Xc + l2 * np.eye(4**k), Xc.T @ yc)
+        intercept = y.mean() - X.mean(axis=0) @ w
+        rmse = np.sqrt(np.mean(np.square(X @ w + intercept - y)))
+
+        predictor = fit_kmer_ridge(records, k=k, l2=l2)
+        assert np.abs(predictor.weights - w).max() <= 1e-9 * np.abs(w).max()
+        assert predictor.intercept == pytest.approx(intercept, rel=1e-9, abs=1e-12)
+        assert predictor.train_rmse == pytest.approx(rmse, rel=1e-9, abs=1e-12)
+
+    def test_fewer_records_than_kmers_solves_in_records(self):
+        # k=5 on 600 records: the 600 × 600 dual system, not the 1,024 × 1,024 primal
+        records = self._random_records(0, 600, 150)
+        tracemalloc.start()
+        try:
+            fit_kmer_ridge(records, k=5, l2=1.0)
+            _, peak = tracemalloc.get_traced_memory()
+        finally:
+            tracemalloc.stop()
+        assert peak < 18_000_000
 
 
 class GcPredictor:
