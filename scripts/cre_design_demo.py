@@ -57,7 +57,7 @@ def main():
           {name: labels.count(name) for name in ("low", "mid", "high")})
 
     predictor = fit_kmer_ridge(train, k=args.k, l2=args.l2)
-    preds = [predictor.predict(r.sequence.bases) for r in test]
+    preds = predictor.predict_many([r.sequence.bases for r in test])
     r = pearson_r(preds, [r.activity for r in test])
     print(f"held-out Pearson r ({len(test)} sequences, k={args.k}, "
           f"l2={args.l2}): {r:.3f}")

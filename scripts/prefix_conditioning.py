@@ -75,7 +75,7 @@ def main():
         text = "".join(batch.sequences)
         gc = (text.count("G") + text.count("C")) / len(text)
         activity = statistics.mean(
-            oracle.predict(s) for s in batch.sequences if s
+            oracle.predict_many([s for s in batch.sequences if s])
         )
         print(f"  {prefix:7s} GC fraction {gc:.3f}  "
               f"predicted activity {activity:+.2f}  "

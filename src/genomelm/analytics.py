@@ -1,7 +1,7 @@
 """Classification metrics and embedding analysis.
 
 The embedding side works on any EmbeddingSet, but its only producer is
-`profile_embedding`, an L1-normalized k-mer composition profile: the
+`profile_embeddings`, L1-normalized k-mer composition profiles: the
 `embed` subcommands use it.
 """
 from __future__ import annotations
@@ -19,7 +19,7 @@ from .errors import (
     SingleCluster,
 )
 from .seqcore import tsv_text
-from .tokenizer import kmer_counts
+from .tokenizer import kmer_count_matrix
 
 
 @dataclass(frozen=True)
@@ -97,14 +97,16 @@ class EmbeddingSet:
             raise ValueError("embedding entries must be finite")
 
 
-def profile_embedding(bases: str, k: int) -> np.ndarray:
-    """L1-normalized k-mer frequency vector of length 4^k."""
-    if "N" in bases:
-        raise ValueError("profile embeddings require N-free sequences")
-    if len(bases) < k:
-        raise SequenceTooShort(f"sequence of {len(bases)} nt shorter than k={k}")
-    counts = kmer_counts(bases, k)
-    return counts / counts.sum()
+def profile_embeddings(seqs: Sequence[str], k: int) -> np.ndarray:
+    """The L1-normalized k-mer frequency vector of each sequence, one row of
+    length 4^k each, from one count matrix; the first sequence at fault raises."""
+    for bases in seqs:
+        if "N" in bases:
+            raise ValueError("profile embeddings require N-free sequences")
+        if len(bases) < k:
+            raise SequenceTooShort(f"sequence of {len(bases)} nt shorter than k={k}")
+    counts = kmer_count_matrix(seqs, k)
+    return counts / counts.sum(axis=1, keepdims=True)
 
 
 @dataclass

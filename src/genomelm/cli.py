@@ -15,8 +15,6 @@ import sys
 import threading
 from typing import Iterator
 
-import numpy as np
-
 from . import analytics, design, ingest, recover, vep
 from .errors import EmptyCorpus, GenomeLmError
 from .lm import MarkovLm, bridge_model, train_markov
@@ -357,18 +355,15 @@ def cmd_design_rank(args):
 
 def cmd_design_contrib(args):
     predictor = design.load_predictor(args.predictor)
-    seqs = _read_sequences(args)
-    chunks = []
-    for seq in seqs:
-        scores = design.contribution_scores(predictor, seq.bases)
-        chunks.append(design.contributions_to_tsv(seq.bases, scores))
-    _emit(args, "".join(chunks))
+    seqs = [seq.bases for seq in _read_sequences(args)]
+    rows = design.contribution_rows(predictor, seqs)
+    _emit(args, "".join(map(design.contributions_to_tsv, seqs, rows)))
     return 0
 
 
 def _profile_embeddings(args):
     seqs = read_acgt_fasta(args.infile)
-    vectors = np.stack([analytics.profile_embedding(s.bases, args.k) for s in seqs])
+    vectors = analytics.profile_embeddings([s.bases for s in seqs], args.k)
     labels = [s.meta.get("taxon_group", "unlabeled") for s in seqs]
     return seqs, analytics.EmbeddingSet(vectors=vectors, labels=labels)
 

@@ -17,7 +17,7 @@ from .errors import (
     TooFewSamples,
     UnknownPrefixToken,
 )
-from .seqcore import DNA_ALPHABET, NucleotideSequence, read_tsv, reading_model, tsv_text
+from .seqcore import DNA_ALPHABET, NucleotideSequence, read_tsv, reading_model
 from .tokenizer import (KmerTokenizer, check_k, kmer_count_matrix, kmer_counts,
                         kmer_substitutions, kmer_windows)
 
@@ -83,7 +83,12 @@ class KmerRidgePredictor:
     train_rmse: Optional[float] = field(default=None, compare=False)
 
     def predict(self, sequence: str) -> float:
-        return float(kmer_counts(sequence, self.k) @ self.weights + self.intercept)
+        return self.predict_many([sequence])[0]
+
+    def predict_many(self, sequences: Sequence[str]) -> list[float]:
+        """Each prediction is its own row's dot product, so it never depends on the batch."""
+        X = kmer_count_matrix(sequences, self.k)
+        return [float(row @ self.weights + self.intercept) for row in X]
 
 
 def fit_kmer_ridge(
@@ -95,7 +100,8 @@ def fit_kmer_ridge(
     (ridge regression in dual variables); otherwise the 4^k × 4^k normal
     equations (Xcᵀ Xc + l2·I) w = Xcᵀ yc. Both give the same weights.
     With l2 == 0 and n <= 4^k the centered rows have rank below 4^k, so
-    that case is singular before anything is built. The intercept is
+    that case is singular before anything is built; so is l2 == 0 when every
+    record has the same count total, as then Xc·𝟙 = 0. The intercept is
     unpenalized (features and targets are mean-centered for the solve).
     Each record is featurized once; its row also gives the training error."""
     if len(records) < 2:
@@ -105,6 +111,8 @@ def fit_kmer_ridge(
     if l2 == 0 and len(records) <= 4**k:
         raise SingularSystem("normal equations are singular; use l2 > 0")
     X = kmer_count_matrix([r.sequence.bases for r in records], k)
+    if l2 == 0 and np.ptp(X.sum(axis=1)) == 0:  # integer counts sum exactly
+        raise SingularSystem("normal equations are singular; use l2 > 0")
     y = np.asarray([r.activity for r in records], dtype=float)
     x_mean = X.mean(axis=0)
     y_mean = y.mean()
@@ -156,7 +164,7 @@ def rank_and_select(
     needed = plan.top + plan.bottom + plan.random
     if needed > len(pool):
         raise PoolTooSmall(f"plan needs {needed} sequences, pool has {len(pool)}")
-    scores = {seq: predictor.predict(seq) for seq in pool}
+    scores = dict(zip(pool, predictor.predict_many(pool)))
     by_score = sorted(pool, key=lambda s: (-scores[s], s))
     top = by_score[: plan.top]
     taken = set(top)
@@ -171,44 +179,47 @@ def rank_and_select(
 
 # --- contribution scores ------------------------------------------------------
 
-def contribution_scores(
-    predictor: KmerRidgePredictor, sequence: str
-) -> list[Optional[float]]:
-    """Per-position score: predicted activity of the sequence minus the
+def contribution_scores(predictor: KmerRidgePredictor, sequence: str) -> list[Optional[float]]:
+    """The per-position scores of one sequence: see contribution_rows."""
+    return contribution_rows(predictor, [sequence])[0]
+
+
+def contribution_rows(
+    predictor: KmerRidgePredictor, sequences: Sequence[str]
+) -> list[list[Optional[float]]]:
+    """Per-position scores of each sequence: predicted activity minus the
     mean over the three single-base substitutions at that position.
-    Positions holding N are emitted as None; any symbol outside ACGTN
-    raises ValueError.
+    Positions holding N are emitted as None; an empty sequence or any
+    symbol outside ACGTN raises ValueError, for the first sequence at fault.
 
     A substitution at position i changes only the (at most k) windows
     that cover i, so the score is -mean over the 3 other bases of the sum
     over those windows of w[new k-mer] - w[old k-mer]. Windows holding an N
-    are skipped, as kmer_counts skips them."""
-    if not sequence:
-        raise ValueError("sequence must be non-empty")
-    bad = set(sequence) - DNA_ALPHABET
-    if bad:
-        i = min(sequence.index(b) for b in bad)
-        raise ValueError(f"invalid symbol {sequence[i]!r} at position {i}")
+    are skipped, as kmer_counts skips them, so all sequences join into one pass."""
+    for sequence in sequences:
+        if not sequence:
+            raise ValueError("sequence must be non-empty")
+        bad = set(sequence) - DNA_ALPHABET
+        if bad:
+            i = min(sequence.index(b) for b in bad)
+            raise ValueError(f"invalid symbol {sequence[i]!r} at position {i}")
     k, w = predictor.k, predictor.weights
-    starts, ids = kmer_windows(sequence, k)
-    delta = np.zeros(len(sequence))
+    joined = "N".join(sequences)
+    starts, ids = kmer_windows(joined, k)
+    delta = np.zeros(len(joined))
     for j in range(k):  # the substituted base is the j-th of each window
         for new in kmer_substitutions(ids, k, j).T:
             delta[starts + j] += w[new] - w[ids]
-    return [None if b == "N" else float(-d / 3) for b, d in zip(sequence, delta)]
+    scores = [None if b == "N" else c for b, c in zip(joined, (-delta / 3).tolist())]
+    ends = np.cumsum([len(s) + 1 for s in sequences])  # each sequence's end, its N included
+    return [scores[end - len(s) - 1 : end - 1] for s, end in zip(sequences, ends.tolist())]
 
 
 def save_predictor(predictor: KmerRidgePredictor, path) -> None:
+    record = {"k": predictor.k, "weights": predictor.weights.tolist(),
+              "intercept": predictor.intercept, "l2": predictor.l2}
     with open(path, "w") as fh:
-        json.dump(
-            {
-                "k": predictor.k,
-                "weights": predictor.weights.tolist(),
-                "intercept": predictor.intercept,
-                "l2": predictor.l2,
-            },
-            fh,
-        )
+        fh.write(json.dumps(record))  # one write, where json.dump writes once per chunk
 
 
 def load_predictor(path) -> KmerRidgePredictor:
@@ -238,6 +249,7 @@ def read_activity_tsv(path, head: str = "dev") -> list[ActivityRecord]:
 
 
 def contributions_to_tsv(sequence: str, scores: Sequence[Optional[float]]) -> str:
-    return tsv_text(("pos", "base", "contribution"),
-                    ((i, base, "NA" if c is None else f"{c:.6g}")
-                     for i, (base, c) in enumerate(zip(sequence, scores), start=1)))
+    """The text `tsv_text` gives for these (pos, base, contribution) rows."""
+    return "#pos\tbase\tcontribution\n" + "".join(
+        f"{i}\t{base}\tNA\n" if c is None else f"{i}\t{base}\t{c:.6g}\n"
+        for i, (base, c) in enumerate(zip(sequence, scores), start=1))

@@ -187,11 +187,16 @@ def kmer_windows(bases: str, k: int) -> tuple[np.ndarray, np.ndarray]:
     """(starts, ids) of every k-long window of `bases` that holds only A, C,
     G and T; a window with an N, or any other character, is skipped."""
     check_k(k)
-    if len(bases) < k:
-        return np.zeros(0, dtype=np.int64), np.zeros(0, dtype=np.int64)
-    windows = np.lib.stride_tricks.sliding_window_view(_digits(bases), k)
-    starts = np.flatnonzero((windows != 255).all(axis=1))
-    return starts, _ranks(windows[starts])
+    digits = _digits(bases)
+    n = max(len(digits) - k + 1, 0)
+    ids, valid = np.zeros(n, dtype=np.int64), np.ones(n, dtype=bool)
+    for j in range(k):
+        column = digits[j : j + n]
+        ids <<= 2
+        ids += column
+        valid &= column != 255
+    starts = np.flatnonzero(valid)
+    return starts, ids[starts]
 
 
 def kmer_counts(bases: str, k: int) -> np.ndarray:
@@ -206,8 +211,9 @@ def kmer_count_matrix(seqs: Sequence[str], k: int) -> np.ndarray:
     starts, ids = kmer_windows("N".join(seqs), k)
     ends = np.cumsum([len(s) + 1 for s in seqs])  # each sequence's end, its N included
     rows = np.searchsorted(ends, starts, side="right")
-    counts = np.bincount(rows * 4**k + ids, minlength=len(seqs) * 4**k)
-    return counts.reshape(len(seqs), 4**k).astype(float)
+    counts = np.zeros((len(seqs), 4**k))
+    np.add.at(counts.reshape(-1), rows * 4**k + ids, 1.0)
+    return counts
 
 
 def base_ranks_at(ids: np.ndarray, k: int, j: int) -> np.ndarray:

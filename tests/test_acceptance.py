@@ -17,7 +17,7 @@ from genomelm.analytics import (
     mcc,
     pca_project,
     pearson_r,
-    profile_embedding,
+    profile_embeddings,
     silhouette,
     weighted_f1,
 )
@@ -433,7 +433,7 @@ def test_11_ingestion_exactness(tmp_path):
 
 def test_12_embedding_separation():
     rng = random.Random(112)
-    vectors = []
+    seqs = []
     labels = []
     for gc, taxon in ((0.3, "low_gc"), (0.7, "high_gc")):
         for _ in range(50):
@@ -441,9 +441,9 @@ def test_12_embedding_separation():
                 rng.choice("GC") if rng.random() < gc else rng.choice("AT")
                 for _ in range(5000)
             )
-            vectors.append(profile_embedding(bases, 4))
+            seqs.append(bases)
             labels.append(taxon)
-    emb = EmbeddingSet(vectors=np.stack(vectors), labels=labels)
+    emb = EmbeddingSet(vectors=profile_embeddings(seqs, 4), labels=labels)
     result = pca_project(emb, dims=2)
     value = silhouette(EmbeddingSet(vectors=result.coords, labels=labels))
     report(12, "synthetic taxa separate in the 2-D projection", value > 0.5,

@@ -18,11 +18,12 @@ from genomelm.analytics import (
     mcc,
     pca_project,
     pearson_r,
-    profile_embedding,
+    profile_embeddings,
     projection_to_tsv,
     silhouette,
     weighted_f1,
 )
+from genomelm.tokenizer import kmer_counts
 
 
 class TestMcc:
@@ -121,15 +122,32 @@ class TestPearson:
 
 class TestProfileEmbedding:
     def test_l1_normalized(self):
-        vec = profile_embedding("ACGTACGT", 2)
+        vec = profile_embeddings(["ACGTACGT"], 2)[0]
         assert vec.sum() == pytest.approx(1.0)
         assert vec.shape == (16,)
 
     def test_rejects_n_and_short_input(self):
         with pytest.raises(ValueError):
-            profile_embedding("ACGN", 2)
+            profile_embeddings(["ACGN"], 2)
         with pytest.raises(SequenceTooShort):
-            profile_embedding("A", 2)
+            profile_embeddings(["A"], 2)
+
+    @pytest.mark.parametrize("seqs, error, message", [
+        (["ACGT", "A", "ACGN"], SequenceTooShort, "sequence of 1 nt shorter than k=2"),
+        (["ACGT", "ACGN", "A"], ValueError, "profile embeddings require N-free sequences"),
+    ])
+    def test_first_record_at_fault_raises(self, seqs, error, message):
+        with pytest.raises(error, match=message):
+            profile_embeddings(seqs, 2)
+
+    @settings(max_examples=50, deadline=None)
+    @given(st.lists(st.text(alphabet="ACGT", min_size=4, max_size=60), min_size=1, max_size=8),
+           st.integers(1, 4))
+    def test_rows_are_each_records_profile(self, seqs, k):
+        # the single-record profile, as profile_embedding computed it
+        want = [kmer_counts(s, k) / kmer_counts(s, k).sum() for s in seqs]
+        got = profile_embeddings(seqs, k)
+        assert [row.tolist() for row in got] == [row.tolist() for row in want]
 
 
 class TestEmbeddingSet:

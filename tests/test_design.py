@@ -17,6 +17,7 @@ from genomelm.design import (
     KmerRidgePredictor,
     SelectionPlan,
     build_prefix_dataset,
+    contribution_rows,
     contribution_scores,
     contributions_to_tsv,
     fit_kmer_ridge,
@@ -28,7 +29,8 @@ from genomelm.design import (
     save_predictor,
 )
 from genomelm.seqcore import NucleotideSequence
-from genomelm.tokenizer import KmerTokenizer, kmer_count_matrix
+from genomelm.tokenizer import (KmerTokenizer, kmer_count_matrix, kmer_substitutions,
+                                 kmer_windows)
 
 
 def oracle_labels(activities):
@@ -159,6 +161,21 @@ class TestRidge:
             fit_kmer_ridge(records, k=2, l2=0.0)
         fit_kmer_ridge(records, k=2, l2=1.0)  # regularized solve succeeds
 
+    def test_equal_count_sums_are_singular_before_any_solve(self, monkeypatch):
+        # 12 equal-length N-free records at k=1: more records than k-mers, and
+        # every count row sums to 20, so the centered rows sum to 0 exactly
+        records = self._random_records(5, 12, 1)
+        records = [ActivityRecord(NucleotideSequence(r.sequence.bases * 20), r.activity)
+                   for r in records]
+
+        def boom(*args, **kwargs):
+            raise AssertionError("solved a system known to be singular")
+
+        monkeypatch.setattr(np.linalg, "solve", boom)
+        monkeypatch.setattr(np.linalg, "matrix_rank", boom)
+        with pytest.raises(SingularSystem, match="normal equations are singular; use l2 > 0"):
+            fit_kmer_ridge(records, k=1, l2=0.0)
+
     def test_input_validation(self):
         records = [ActivityRecord(NucleotideSequence("ACGT"), 1.0)]
         with pytest.raises(TooFewSamples):
@@ -236,6 +253,9 @@ class TestRidge:
 class GcPredictor:
     def predict(self, sequence):
         return sequence.count("G") + sequence.count("C")
+
+    def predict_many(self, sequences):
+        return [self.predict(s) for s in sequences]
 
 
 class TestSelection:
@@ -361,6 +381,66 @@ class TestRidgeContributionsClosedForm:
         )
         contribution_scores(predictor, "ACGTNACGTACGGT" * 10)
         assert len(calls) <= 1
+
+
+def closed_form_contributions(predictor, sequence):
+    """One sequence's closed form, as contribution_scores computed it before
+    the batched pass: the oracle of contribution_rows."""
+    k, w = predictor.k, predictor.weights
+    starts, ids = kmer_windows(sequence, k)
+    delta = np.zeros(len(sequence))
+    for j in range(k):
+        for new in kmer_substitutions(ids, k, j).T:
+            delta[starts + j] += w[new] - w[ids]
+    return [None if b == "N" else float(-d / 3) for b, d in zip(sequence, delta)]
+
+
+class TestBatchedScoring:
+    EDGE_CASES = ["A", "N", "NNNNNN", "ACG", "ACGTN", "NACGTNNTTGCAN", "GATTACA" * 9]
+
+    @settings(max_examples=150, deadline=None)
+    @given(
+        k=st.integers(1, 6),
+        sequences=st.lists(st.text(alphabet="ACGTN", min_size=1, max_size=40), max_size=8),
+        seed=st.integers(0, 2**32 - 1),
+    )
+    def test_contribution_rows_match_each_sequence_alone(self, k, sequences, seed):
+        np_rng = np.random.default_rng(seed)
+        predictor = KmerRidgePredictor(
+            k=k, weights=np_rng.normal(size=4**k), intercept=float(np_rng.normal()), l2=1.0
+        )
+        sequences = sequences + self.EDGE_CASES
+        got = contribution_rows(predictor, sequences)
+        assert got == [closed_form_contributions(predictor, s) for s in sequences]
+        for row, s in zip(got, sequences):
+            assert [c is None for c in row] == [b == "N" for b in s]
+
+    @settings(max_examples=150, deadline=None)
+    @given(
+        k=st.integers(1, 6),
+        sequences=st.lists(st.text(alphabet="ACGTN", max_size=40), max_size=8),
+        seed=st.integers(0, 2**32 - 1),
+    )
+    def test_predict_many_matches_each_sequence_alone(self, k, sequences, seed):
+        np_rng = np.random.default_rng(seed)
+        predictor = KmerRidgePredictor(
+            k=k, weights=np_rng.normal(size=4**k), intercept=float(np_rng.normal()), l2=1.0
+        )
+        sequences = sequences + self.EDGE_CASES
+        # the single-sequence formula `predict` used before the batch
+        want = [float(kmer_counts(s, k) @ predictor.weights + predictor.intercept)
+                for s in sequences]
+        assert predictor.predict_many(sequences) == want
+        assert [predictor.predict(s) for s in sequences] == want
+
+    @pytest.mark.parametrize("sequences, message", [
+        (["ACGT", "", "ACXT"], "sequence must be non-empty"),
+        (["ACGT", "ACXT", ""], "invalid symbol 'X' at position 2"),
+        (["ACGT", "NNaN"], "invalid symbol 'a' at position 2"),
+    ])
+    def test_contribution_rows_report_the_first_bad_sequence(self, sequences, message):
+        with pytest.raises(ValueError, match=message):
+            contribution_rows(A_COUNT, sequences)
 
 
 class TestActivityIo:

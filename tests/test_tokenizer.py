@@ -1,5 +1,6 @@
 import json
 import random
+import tracemalloc
 
 import numpy as np
 import pytest
@@ -22,6 +23,8 @@ from genomelm.tokenizer import (
     Vocabulary,
     _SPECIAL_TOKENS,
     _decode,
+    _digits,
+    _ranks,
     bpe_decode,
     bpe_encode,
     _most_frequent_pair,
@@ -327,7 +330,45 @@ class TestOneAcgtCheck:
             assert (exc.value.position, exc.value.symbol) == (bad[0], text[bad[0]])
 
 
+def sliding_kmer_windows(bases, k):
+    """kmer_windows as a sliding window view over the base ranks: the oracle
+    of its rolling code."""
+    if len(bases) < k:
+        return np.zeros(0, dtype=np.int64), np.zeros(0, dtype=np.int64)
+    windows = np.lib.stride_tricks.sliding_window_view(_digits(bases), k)
+    starts = np.flatnonzero((windows != 255).all(axis=1))
+    return starts, _ranks(windows[starts])
+
+
+# N, lowercase, any other ASCII and any non-ASCII character
+ANY_SYMBOL = st.one_of(st.sampled_from("ACGTNacgtn"), st.characters(max_codepoint=127),
+                       st.characters(min_codepoint=128))
+
+
 class TestKmerLayout:
+    @settings(max_examples=300)
+    @given(st.integers(1, 8).flatmap(
+        lambda k: st.tuples(st.just(k), st.text(ANY_SYMBOL, max_size=3 * k))))
+    def test_rolling_windows_match_the_sliding_view(self, k_text):
+        k, text = k_text
+        starts, ids = kmer_windows(text, k)
+        want_starts, want_ids = sliding_kmer_windows(text, k)
+        assert starts.dtype == want_starts.dtype and ids.dtype == want_ids.dtype
+        assert starts.tolist() == want_starts.tolist()
+        assert ids.tolist() == want_ids.tolist()
+
+    def test_count_matrix_peak_memory_is_near_its_result(self):
+        # 600 records of 150 nt at k=5: the 4.9 MB result, and little beside it
+        rng = np.random.default_rng(0)
+        seqs = ["".join("ACGT"[i] for i in rng.integers(0, 4, 150)) for _ in range(600)]
+        tracemalloc.start()
+        try:
+            counts = kmer_count_matrix(seqs, 5)
+            _, peak = tracemalloc.get_traced_memory()
+        finally:
+            tracemalloc.stop()
+        assert peak <= 1.7 * counts.nbytes
+
     @settings(max_examples=100)
     @given(st.text(alphabet="ACGTN", max_size=60), st.integers(1, 6))
     def test_windows_and_counts_match_the_oracle(self, s, k):
