@@ -8,11 +8,11 @@ from __future__ import annotations
 
 import argparse
 import contextlib
+import copy
 import functools
 import json
 import random
 import sys
-import threading
 from typing import Iterator
 
 from . import analytics, design, ingest, recover, vep
@@ -28,12 +28,18 @@ DATA_ERROR = 2
 
 
 class _Parser(argparse.ArgumentParser):
+    one_of = ()  # dests of which a call sets exactly one, by flag or by --config
+
     def __init__(self, **kwargs):
         # no abbreviations, so a removed flag (`--mode`) cannot read as another (`--model`)
         super().__init__(allow_abbrev=False, **kwargs)
 
-    def error(self, message):
-        self.print_usage(sys.stderr)
+    def error(self, message, swapped=None):
+        # the usage line shows the actions of `swapped`, by dest, in place of the parser's own
+        formatter = self._get_formatter()
+        formatter.add_usage(self.usage, [(swapped or {}).get(a.dest, a) for a in self._actions],
+                            self._mutually_exclusive_groups)
+        sys.stderr.write(formatter.format_help())
         print(f"error: {message}", file=sys.stderr)
         raise SystemExit(USAGE_ERROR)
 
@@ -71,36 +77,31 @@ def lengths(text: str) -> list[int]:
     return [length(x) for x in text.split(",")]
 
 
+def count(text: str) -> int:
+    if int(text) < 0:
+        raise ValueError(f"count must be >= 0, got {text}")
+    return int(text)
+
+
 _BOOLEANS = {"1": True, "true": True, "yes": True, "on": True,
              "0": False, "false": False, "no": False, "off": False}
 
 
-def _parsers(parser):
-    """`parser` and every subcommand parser below it."""
-    yield parser
-    for action in parser._actions:
-        if isinstance(action, argparse._SubParsersAction):
-            for sub in action.choices.values():
-                yield from _parsers(sub)
-
-
-def _apply_config_value(action, value: str):
-    """Make one --config value its flag's default, cast by the flag's rules;
-    a problem, or None."""
-    if isinstance(action.default, bool):
-        if value.lower() not in _BOOLEANS:
-            return "is not a boolean (" + "/".join(_BOOLEANS) + ")"
-        action.default = _BOOLEANS[value.lower()]
-        return None
+def _config_value(action, default, text: str):
+    """One --config value cast by the rules of its flag, whose default is
+    `default`; ValueError naming the problem if it breaks them."""
+    if isinstance(default, bool):
+        if text.lower() not in _BOOLEANS:
+            raise ValueError("is not a boolean (" + "/".join(_BOOLEANS) + ")")
+        return _BOOLEANS[text.lower()]
     caster = action.type or str
     try:
-        cast = caster(value)
+        value = caster(text)
     except ValueError:
-        return f"is not a valid {caster.__name__}"
-    if action.choices is not None and cast not in action.choices:
-        return "is not one of " + ", ".join(map(str, action.choices))
-    action.default = cast
-    return None
+        raise ValueError(f"is not a valid {caster.__name__}") from None
+    if action.choices is not None and value not in action.choices:
+        raise ValueError("is not one of " + ", ".join(map(str, action.choices)))
+    return value
 
 
 def _emit(args, text: str) -> None:
@@ -185,10 +186,8 @@ def cmd_bpe_train(args):
 
 def cmd_ingest_extract(args):
     genome = read_genome(args.genome)
-    if args.genbank:
-        annotations = ingest.add_genbank(genome, args.genbank)
-    else:
-        annotations = ingest.parse_bed_like(args.annotations, genome)
+    annotations = (ingest.add_genbank(genome, args.genbank) if args.genbank is not None
+                   else ingest.parse_bed_like(args.annotations, genome))
     regions = ingest.extract_functional_regions(genome, annotations, args.min_subregion)
     _emit(args, fasta_text(r.sequence for r in regions))
     if args.out:
@@ -400,13 +399,15 @@ def cmd_translate(args):
 
 # --- parser ------------------------------------------------------------------
 
-def _add_common(p, seed=False, out=True):
-    """--config on every leaf; --seed and --out only where the handler reads them."""
+def _add_common(p, func, seed=False, out=True):
+    """The handler `func` and --config of every leaf; --seed and --out only
+    where the handler reads them."""
     if seed:
         p.add_argument("--seed", type=int, default=0)
     p.add_argument("--config", default=None)
     if out:
         p.add_argument("--out", default=None, help="write results here instead of stdout")
+    p.set_defaults(func=func)
 
 
 def build_parser() -> _Parser:
@@ -420,14 +421,12 @@ def build_parser() -> _Parser:
     p.add_argument("--offset", type=int, default=0)
     p.add_argument("--random-offset", action="store_true")
     p.add_argument("--bpe-model", help="path to a trained BPE model JSON")
-    _add_common(p, seed=True)
-    p.set_defaults(func=cmd_tokenize)
+    _add_common(p, cmd_tokenize, seed=True)
 
     p = sub.add_parser("bpe-train", help="train a BPE tokenizer on a FASTA corpus")
     p.add_argument("corpus")
     p.add_argument("--target-vocab", type=int, required=True)
-    _add_common(p)
-    p.set_defaults(func=cmd_bpe_train)
+    _add_common(p, cmd_bpe_train)
 
     p_ing = sub.add_parser("ingest", help="corpus construction")
     ing_sub = p_ing.add_subparsers(dest="subcommand", required=True)
@@ -435,25 +434,23 @@ def build_parser() -> _Parser:
     p.add_argument("--genome", required=True)
     p.add_argument("--annotations", help="BED-like TSV")
     p.add_argument("--genbank", help="GenBank flat file (alternative to --annotations)")
+    p.one_of = ("annotations", "genbank")
     p.add_argument("--min-subregion", type=int, default=8)
-    _add_common(p)
-    p.set_defaults(func=cmd_ingest_extract)
+    _add_common(p, cmd_ingest_extract)
     p = ing_sub.add_parser("stats", help="corpus statistics")
     p.add_argument("--genome", required=True)
     p.add_argument("--annotations", required=True)
     p.add_argument("--min-subregion", type=int, default=8)
-    _add_common(p)
-    p.set_defaults(func=cmd_ingest_stats)
+    _add_common(p, cmd_ingest_stats)
     p = ing_sub.add_parser("gener-tasks", help="build classification datasets")
     p.add_argument("--genome", required=True)
     p.add_argument("--annotations", required=True)
-    p.add_argument("--per-class-n", type=int, default=10)
+    p.add_argument("--per-class-n", type=count, default=10)
     p.add_argument("--window-len", type=int, default=96_000)
-    p.add_argument("--per-group-windows", type=int, default=10)
+    p.add_argument("--per-group-windows", type=count, default=10)
     p.add_argument("--gene-out", required=True)
     p.add_argument("--taxon-out", required=True)
-    _add_common(p, seed=True, out=False)
-    p.set_defaults(func=cmd_ingest_gener_tasks)
+    _add_common(p, cmd_ingest_gener_tasks, seed=True, out=False)
 
     p = sub.add_parser("train-markov", help="train the built-in Markov model")
     p.add_argument("corpus", help="FASTA training corpus")
@@ -465,8 +462,7 @@ def build_parser() -> _Parser:
                    help="randomize the tokenization phase per sequence")
     p.add_argument("--model-out", required=True,
                    help="model file to write, an .npz archive whatever its name")
-    _add_common(p, seed=True, out=False)
-    p.set_defaults(func=cmd_train_markov)
+    _add_common(p, cmd_train_markov, seed=True, out=False)
 
     p = sub.add_parser("generate", help="autoregressive generation")
     p.add_argument("--model", required=True, help="markov:<path> | uniform:<k> | bridge target")
@@ -478,8 +474,7 @@ def build_parser() -> _Parser:
     p.add_argument("--greedy", action="store_true")
     p.add_argument("-n", type=length, default=1, help="number of sequences")
     p.add_argument("--dedup-against", help="FASTA of sequences to exclude")
-    _add_common(p, seed=True)
-    p.set_defaults(func=cmd_generate)
+    _add_common(p, cmd_generate, seed=True)
 
     p_rec = sub.add_parser("recover", help="sequence-recovery benchmark")
     rec_sub = p_rec.add_subparsers(dest="subcommand", required=True)
@@ -488,9 +483,8 @@ def build_parser() -> _Parser:
     p.add_argument("--annotations", required=True)
     p.add_argument("--prompt-len", type=length, default=6144)
     p.add_argument("--predict-len", type=length, default=30)
-    p.add_argument("--per-group-n", type=int, default=100)
-    _add_common(p, seed=True)
-    p.set_defaults(func=cmd_recover_build)
+    p.add_argument("--per-group-n", type=count, default=100)
+    _add_common(p, cmd_recover_build, seed=True)
     p = rec_sub.add_parser("run", help="run the benchmark")
     p.add_argument("--model", required=True)
     p.add_argument("--dataset", required=True)
@@ -499,8 +493,7 @@ def build_parser() -> _Parser:
     p.add_argument("--temperature", type=float, default=1.0)
     p.add_argument("--top-p", type=float, default=1.0)
     p.add_argument("--json", action="store_true")
-    _add_common(p, seed=True)
-    p.set_defaults(func=cmd_recover_run)
+    _add_common(p, cmd_recover_run, seed=True)
 
     p_vep = sub.add_parser("vep", help="variant effect prediction")
     vep_sub = p_vep.add_subparsers(dest="subcommand", required=True)
@@ -510,127 +503,131 @@ def build_parser() -> _Parser:
     p.add_argument("--model", required=True)
     p.add_argument("--context-len", type=length, default=6144)
     p.add_argument("--average-phases", action="store_true")
-    _add_common(p)
-    p.set_defaults(func=cmd_vep_score)
+    _add_common(p, cmd_vep_score)
     p = vep_sub.add_parser("eval", help="AUROC/AUPRC from a score table")
     p.add_argument("--scores", required=True, help="output of `vep score`")
-    _add_common(p)
-    p.set_defaults(func=cmd_vep_eval)
+    _add_common(p, cmd_vep_eval)
 
     p_des = sub.add_parser("design", help="regulatory element design")
     des_sub = p_des.add_subparsers(dest="subcommand", required=True)
     p = des_sub.add_parser("label", help="quantile activity labels")
     p.add_argument("--activities", required=True, help="TSV: sequence, dev, hk[, split]")
     p.add_argument("--head", choices=["dev", "hk"], default="dev")
-    _add_common(p)
-    p.set_defaults(func=cmd_design_label)
+    _add_common(p, cmd_design_label)
     p = des_sub.add_parser("fit", help="fit the k-mer ridge predictor")
     p.add_argument("--activities", required=True)
     p.add_argument("--head", choices=["dev", "hk"], default="dev")
     p.add_argument("--k", type=int, default=5)
     p.add_argument("--l2", type=float, default=1.0)
     p.add_argument("--model-out", required=True)
-    _add_common(p, out=False)
-    p.set_defaults(func=cmd_design_fit)
+    _add_common(p, cmd_design_fit, out=False)
     p = des_sub.add_parser("rank", help="predictor-guided selection")
     p.add_argument("--predictor", required=True)
     p.add_argument("--candidates", required=True, help="FASTA of candidates")
-    p.add_argument("--top", type=int, default=0)
-    p.add_argument("--bottom", type=int, default=0)
-    p.add_argument("--random", type=int, default=0)
-    _add_common(p, seed=True)
-    p.set_defaults(func=cmd_design_rank)
+    p.add_argument("--top", type=count, default=0)
+    p.add_argument("--bottom", type=count, default=0)
+    p.add_argument("--random", type=count, default=0)
+    _add_common(p, cmd_design_rank, seed=True)
     p = des_sub.add_parser("contrib", help="per-base contribution scores")
     p.add_argument("seq", nargs="?")
     p.add_argument("--in", dest="infile")
     p.add_argument("--predictor", required=True)
-    _add_common(p)
-    p.set_defaults(func=cmd_design_contrib)
+    _add_common(p, cmd_design_contrib)
 
     p_emb = sub.add_parser("embed", help="embedding analysis")
     emb_sub = p_emb.add_subparsers(dest="subcommand", required=True)
     p = emb_sub.add_parser("project", help="2-D principal-component projection")
     p.add_argument("--in", dest="infile", required=True)
     p.add_argument("--k", type=int, default=4)
-    _add_common(p)
-    p.set_defaults(func=cmd_embed_project)
+    _add_common(p, cmd_embed_project)
     p = emb_sub.add_parser("silhouette", help="cluster quality of labeled embeddings")
     p.add_argument("--in", dest="infile", required=True)
     p.add_argument("--k", type=int, default=4)
     p.add_argument("--metric", choices=["euclidean", "cosine"], default="euclidean")
-    _add_common(p)
-    p.set_defaults(func=cmd_embed_silhouette)
+    _add_common(p, cmd_embed_silhouette)
 
     p = sub.add_parser("translate", help="translate with the standard genetic code")
     p.add_argument("seq", nargs="?")
     p.add_argument("--in", dest="infile")
     p.add_argument("--frame", type=int, choices=[0, 1, 2], default=0)
-    _add_common(p)
-    p.set_defaults(func=cmd_translate)
+    _add_common(p, cmd_translate)
 
     return parser
 
 
 @functools.cache
-def _shared_parser() -> tuple[_Parser, list[argparse.Action]]:
-    """The parser `main` uses, built on first use, with every action below it."""
-    parser = build_parser()
-    return parser, [a for p in _parsers(parser) for a in p._actions]
-
-
-_PARSER_LOCK = threading.Lock()
+def _shared_parser() -> tuple[_Parser, dict, dict[str, list[str]]]:
+    """The parser `main` uses, built on first use; by handler, each leaf
+    parser with its flags a --config key may set, its defaults as argparse
+    would cast them, and its required flags as declared, each by dest; and
+    the option strings of every leaf dest. Here, once, every leaf flag loses
+    its default and `required` mark, so a parse yields just the flags given."""
+    parsers = [build_parser()]
+    leaves, known = {}, {}
+    for p in parsers:  # extended, as it goes, by every subcommand parser
+        if p.get_default("func") is None:
+            parsers += [sub for a in p._actions if isinstance(a, argparse._SubParsersAction)
+                        for sub in a.choices.values()]
+            continue
+        settable = {a.dest: a for a in p._actions if a.default is not argparse.SUPPRESS}
+        defaults, required = {}, {}
+        for a in p._actions:
+            known[a.dest] = a.option_strings
+            if a.required and a.option_strings:
+                required[a.dest] = copy.copy(a)
+            elif not a.required and a.default is not argparse.SUPPRESS:
+                cast = isinstance(a.default, str) and a.type
+                defaults[a.dest] = a.type(a.default) if cast else a.default
+            # a positional keeps its mark, so it is missed before --config is read
+            a.default, a.required = argparse.SUPPRESS, a.required and not a.option_strings
+        leaves[p.get_default("func")] = p, settable, defaults, required
+    return parsers[0], leaves, known
 
 
 def _parse(argv) -> argparse.Namespace | int:
-    """The arguments of `argv`, --config values as defaults, or an exit code."""
-    parser, all_actions = _shared_parser()
-    # This switches `required` and writes --config values into `default`; it
-    # puts both back on the way out, so the next call sees the parser as built.
-    saved = [(a, a.required, a.default) for a in all_actions]
-    # The first parse lets required flags be absent, as --config may set them.
-    required = [a for a in all_actions if a.required and a.option_strings]
-    for action in required:
-        action.required = False
+    """The arguments of `argv`, over its --config values, over the flag
+    defaults; or an exit code."""
+    parser, leaves, known = _shared_parser()
     try:
-        args = parser.parse_args(argv)
-        file_values = _load_config(args.config) if args.config else {}
-        leaf = next(p for p in _parsers(parser) if p.get_default("func") is args.func)
-        actions = {a.dest: a for a in leaf._actions}
-        # a key of another command's flag is ignored; one of no command's is a typo
-        known = {a.dest: a.option_strings
-                 for p in _parsers(parser) if p.get_default("func") for a in p._actions}
-        for key, value in file_values.items():
+        given = vars(parser.parse_args(argv))
+        leaf, settable, defaults, required = leaves[given["func"]]
+        config = given.get("config")
+        file_values = _load_config(config) if config else {}
+        values = dict(defaults)
+        for key, text in file_values.items():
+            # a key of another command's flag is ignored; one of no command's is a typo
             if key not in known:
                 flag = "--" + key.replace("_", "-")
                 hint = "".join(f"; the key of {flag} is {dest!r}"
                                for dest, options in known.items() if flag in options)
-                print(f"error: {args.config}: key {key!r} matches no flag of any command{hint}",
+                print(f"error: {config}: key {key!r} matches no flag of any command{hint}",
                       file=sys.stderr)
                 return USAGE_ERROR
-            action = actions.get(key)
-            if key == "config" or action is None or not hasattr(args, key):
-                continue
-            problem = _apply_config_value(action, value)
-            if problem:
-                print(f"error: {args.config}: {key} = {value!r} {problem}", file=sys.stderr)
-                return USAGE_ERROR
-        for action in required:
-            action.required = action.dest not in file_values
-        # As defaults, file values lose to every flag argparse saw, abbreviated or not.
-        return parser.parse_args(argv)
+            if key in settable:
+                try:
+                    values[key] = _config_value(settable[key], defaults.get(key), text)
+                except ValueError as exc:
+                    print(f"error: {config}: {key} = {text!r} {exc}", file=sys.stderr)
+                    return USAGE_ERROR
+        values.update(given)
+        # as argparse would, the usage line marks required each flag the file did not set
+        swapped = {dest: a for dest, a in required.items() if dest not in file_values}
+        missing = ["/".join(a.option_strings) for dest, a in swapped.items() if dest not in values]
+        if missing:
+            leaf.error("the following arguments are required: " + ", ".join(missing), swapped)
+        if leaf.one_of and sum(values.get(dest) is not None for dest in leaf.one_of) != 1:
+            flags = " ".join("--" + dest.replace("_", "-") for dest in leaf.one_of)
+            leaf.error(f"exactly one of the arguments {flags} is required", swapped)
+        return argparse.Namespace(**values)
     except SystemExit as exc:
         return exc.code if isinstance(exc.code, int) else USAGE_ERROR
     except OSError as exc:
         print(f"error: cannot read config: {exc}", file=sys.stderr)
         return DATA_ERROR
-    finally:
-        for action, was_required, default in saved:
-            action.required, action.default = was_required, default
 
 
 def main(argv=None) -> int:
-    with _PARSER_LOCK:  # one call at a time changes the shared parser
-        args = _parse(argv)
+    args = _parse(argv)
     if isinstance(args, int):
         return args
     try:

@@ -1,3 +1,4 @@
+import argparse
 import contextlib
 import functools
 import hashlib
@@ -15,7 +16,8 @@ import pytest
 from hypothesis import given, settings
 from hypothesis import strategies as st
 
-from genomelm.cli import DATA_ERROR, USAGE_ERROR, main
+from genomelm.cli import (_BOOLEANS, DATA_ERROR, USAGE_ERROR, _load_config, _parse,
+                          _shared_parser, build_parser, count, length, lengths, main)
 from genomelm.seqcore import NucleotideSequence, write_fasta
 from genomelm.tokenizer import kmer_count_matrix
 
@@ -371,6 +373,175 @@ class TestConfigPrecedence:
         assert "required: --target-vocab" in captured.err
 
 
+# --- the two-pass parse that `cli._parse` replaced, kept as its oracle --------
+# It runs on a parser of its own, built by `build_parser` and so unsuppressed:
+# it switches off every required flag for a first parse, writes the --config
+# values into the flag defaults, parses again, and restores every action.
+
+def oracle_parsers(parser):
+    """`parser` and every subcommand parser below it."""
+    yield parser
+    for action in parser._actions:
+        if isinstance(action, argparse._SubParsersAction):
+            for sub in action.choices.values():
+                yield from oracle_parsers(sub)
+
+
+def oracle_apply_config_value(action, value):
+    """Make one --config value its flag's default, cast by the flag's rules;
+    a problem, or None."""
+    if isinstance(action.default, bool):
+        if value.lower() not in _BOOLEANS:
+            return "is not a boolean (" + "/".join(_BOOLEANS) + ")"
+        action.default = _BOOLEANS[value.lower()]
+        return None
+    caster = action.type or str
+    try:
+        cast = caster(value)
+    except ValueError:
+        return f"is not a valid {caster.__name__}"
+    if action.choices is not None and cast not in action.choices:
+        return "is not one of " + ", ".join(map(str, action.choices))
+    action.default = cast
+    return None
+
+
+def oracle_parse(parser, argv):
+    all_actions = [a for p in oracle_parsers(parser) for a in p._actions]
+    saved = [(a, a.required, a.default) for a in all_actions]
+    required = [a for a in all_actions if a.required and a.option_strings]
+    for action in required:
+        action.required = False
+    try:
+        args = parser.parse_args(argv)
+        file_values = _load_config(args.config) if args.config else {}
+        leaf = next(p for p in oracle_parsers(parser) if p.get_default("func") is args.func)
+        actions = {a.dest: a for a in leaf._actions}
+        known = {a.dest: a.option_strings
+                 for p in oracle_parsers(parser) if p.get_default("func") for a in p._actions}
+        for key, value in file_values.items():
+            if key not in known:
+                flag = "--" + key.replace("_", "-")
+                hint = "".join(f"; the key of {flag} is {dest!r}"
+                               for dest, options in known.items() if flag in options)
+                print(f"error: {args.config}: key {key!r} matches no flag of any command{hint}",
+                      file=sys.stderr)
+                return USAGE_ERROR
+            action = actions.get(key)
+            if key == "config" or action is None or not hasattr(args, key):
+                continue
+            problem = oracle_apply_config_value(action, value)
+            if problem:
+                print(f"error: {args.config}: {key} = {value!r} {problem}", file=sys.stderr)
+                return USAGE_ERROR
+        for action in required:
+            action.required = action.dest not in file_values
+        return parser.parse_args(argv)
+    except SystemExit as exc:
+        return exc.code if isinstance(exc.code, int) else USAGE_ERROR
+    except OSError as exc:
+        print(f"error: cannot read config: {exc}", file=sys.stderr)
+        return DATA_ERROR
+    finally:
+        for action, was_required, default in saved:
+            action.required, action.default = was_required, default
+
+
+ORACLE_PARSER = build_parser()
+LEAVES = [p for p in oracle_parsers(ORACLE_PARSER) if p.get_default("func")]
+
+
+def flag_text(action):
+    """A value that `action`'s flag takes."""
+    if action.nargs == 0:
+        return "on"
+    if action.choices:
+        return str(action.choices[-1])
+    return {None: "x.txt", int: "3", float: "0.5", length: "3", count: "3",
+            lengths: "3,4"}[action.type]
+
+
+def oracle_cases(leaf):
+    """(argv, --config text or None) pairs that exercise every rule of the
+    parse on the subcommand `leaf`."""
+    actions = [a for a in leaf._actions if a.dest not in ("help", "config")]
+    positionals = [flag_text(a) for a in actions if not a.option_strings and a.required]
+    required = [a for a in actions if a.option_strings and a.required]
+    # a base call of the new parse sets one of the flags it needs exactly one of
+    chosen = [a for a in actions if a.dest in leaf.one_of[:1]]
+
+    def argv(without=(), positional=True):
+        flags = [x for a in required + chosen if a not in without
+                 for x in (a.option_strings[0], flag_text(a))]
+        return leaf.prog.split()[1:] + (positionals if positional else []) + flags
+
+    typed = [a for a in actions if a.type or a.choices or a.nargs == 0]
+    cases = [(argv(), None), (argv() + ["--help"], None), (argv(), "help = 1"),
+             (argv(), "config = other.cfg"), (argv(), "tempreature = 1"), (argv(), "in = x"),
+             (argv(), "tempreature = 1\nk = x"), (argv(required), None),
+             (argv() + ["--config", "missing.cfg"], None)]
+    # the one-of rule is new; its cases are tested on their own
+    cases += [(argv(), f"{a.dest} = {flag_text(a)}") for a in actions
+              if a.dest not in leaf.one_of[1:]]
+    cases += [(argv(), f"{a.dest} = x?") for a in typed]
+    cases += [(argv(), f"{a.dest} = x?\n{a.dest} = {flag_text(a)}") for a in typed]
+    cases += [(argv(), f"{key} = 1") for key in ("temperature", "gene_out", "frame", "seq")
+              if key not in {a.dest for a in actions}]
+    cases += [(argv([a]), f"{a.dest} = {flag_text(a)}") for a in required]
+    cases += [(argv(required), f"{a.dest} = {flag_text(a)}") for a in required]
+    if positionals:
+        cases.append((argv(positional=False), f"{actions[-1].dest} = 1"))
+    if any(a.dest == "seq" for a in actions):
+        cases.append((argv(), "seq = ACGT"))
+    return cases
+
+
+class TestSharedParser:
+    @pytest.mark.parametrize("leaf", LEAVES, ids=lambda leaf: leaf.prog.split(" ", 1)[1])
+    def test_each_call_matches_the_two_pass_oracle(self, leaf, tmp_path, monkeypatch, capsys):
+        monkeypatch.chdir(tmp_path)
+        for argv, config in oracle_cases(leaf):
+            if config is not None:
+                Path("c.cfg").write_text(config + "\n")
+                argv = argv + ["--config", "c.cfg"]
+            outcomes = []
+            for parse in (_parse, functools.partial(oracle_parse, ORACLE_PARSER)):
+                result = parse(argv)
+                captured = capsys.readouterr()
+                if isinstance(result, argparse.Namespace):
+                    result = vars(result)
+                outcomes.append((result, captured.out, captured.err))
+            assert outcomes[0] == outcomes[1], (argv, config)
+
+    def test_calls_leave_every_action_as_built(self, tmp_path, capsys):
+        _shared_parser.cache_clear()
+        parser = _shared_parser()[0]
+
+        def state():
+            return [(a, a.required, a.default) for p in oracle_parsers(parser) for a in p._actions]
+
+        built = state()
+        good, bad, variants = tmp_path / "k2.cfg", tmp_path / "bad.cfg", tmp_path / "v.cfg"
+        good.write_text("k = 2\n")
+        bad.write_text("k = two\n")
+        variants.write_text("variants = v.tsv\n")
+        assert main(["tokenize", "ACGTAC", "--config", str(good)]) == 0
+        assert main(["tokenize", "ACGTAC", "--config", str(bad)]) == USAGE_ERROR
+        assert main(["bpe-train", "--help"]) == 0
+        capsys.readouterr()
+        assert main(["vep", "score"]) == USAGE_ERROR
+        err = capsys.readouterr().err
+        assert err.endswith("error: the following arguments are required: "
+                            "--genome, --variants, --model\n")
+        assert "[--variants VARIANTS]" not in err
+        assert main(["vep", "score", "--config", str(variants)]) == USAGE_ERROR
+        err = capsys.readouterr().err
+        assert err.endswith("error: the following arguments are required: --genome, --model\n")
+        # the file set it, so the usage line shows it optional
+        assert "[--variants VARIANTS]" in err
+        assert state() == built
+
+
 class TestLengthFlags:
     @pytest.mark.parametrize("argv, value", [
         (["recover", "run", "--model", "uniform:1", "--dataset", "d.tsv", "--predict-len"], "0"),
@@ -391,6 +562,31 @@ class TestLengthFlags:
         assert main(argv[:-1] + ["--config", str(config)]) == USAGE_ERROR
         assert f"= '{value}' is not a valid length" in capsys.readouterr().err
 
+    @pytest.mark.parametrize("argv, value", [
+        (["design", "rank", "--predictor", "p.json", "--candidates", "c.fa", "--top"], "-1"),
+        (["design", "rank", "--predictor", "p.json", "--candidates", "c.fa", "--top", "5",
+          "--bottom"], "-3"),
+        (["design", "rank", "--predictor", "p.json", "--candidates", "c.fa", "--random"], "-2"),
+        (["recover", "build", "--genome", "g.fa", "--annotations", "a.tsv", "--per-group-n"],
+         "-1"),
+        (["ingest", "gener-tasks", "--genome", "g.fa", "--annotations", "a.tsv",
+          "--gene-out", "g.tsv", "--taxon-out", "t.tsv", "--per-class-n"], "-1"),
+        (["ingest", "gener-tasks", "--genome", "g.fa", "--annotations", "a.tsv",
+          "--gene-out", "g.tsv", "--taxon-out", "t.tsv", "--per-group-windows"], "-1"),
+    ])
+    def test_negative_count_is_usage_error(self, tmp_path, capsys, argv, value):
+        assert main(argv + [value]) == USAGE_ERROR
+        assert f"invalid count value: '{value}'" in capsys.readouterr().err
+        # the same value from a config file
+        key = argv[-1][2:].replace("-", "_")
+        config = tmp_path / "t.conf"
+        config.write_text(f"{key} = {value}\n")
+        assert main(argv[:-1] + ["--config", str(config)]) == USAGE_ERROR
+        assert f"{key} = '{value}' is not a valid count" in capsys.readouterr().err
+        # a count of 0 is valid, from a flag and from a file
+        assert vars(_parse(argv + ["0"]))[key] == 0
+        config.write_text(f"{key} = 0\n")
+        assert vars(_parse(argv[:-1] + ["--config", str(config)]))[key] == 0
 
     def test_sequence_count_must_be_positive(self, tmp_path, capsys):
         for value in ("0", "-2"):
@@ -1360,6 +1556,37 @@ class TestIngestCommands:
             "--annotations", str(annotations), "--out", str(out),
         ]) == 0
         assert out.read_text().startswith(">")
+
+    @pytest.mark.parametrize("flags, config", [
+        ([], None),
+        (["--annotations", "ann.tsv", "--genbank", "rec.gb"], None),
+        (["--annotations", "ann.tsv"], "genbank = rec.gb"),
+        ([], "annotations = ann.tsv\ngenbank = rec.gb"),
+    ], ids=["neither", "both", "one-by-config", "both-by-config"])
+    def test_extract_needs_exactly_one_annotation_source(self, tmp_path, capsys, flags,
+                                                         config):
+        argv = ["ingest", "extract", "--genome", str(tmp_path / "genome.fa")] + flags
+        if config is not None:
+            (tmp_path / "c.cfg").write_text(config + "\n")
+            argv += ["--config", str(tmp_path / "c.cfg")]
+        assert main(argv) == USAGE_ERROR
+        captured = capsys.readouterr()
+        assert captured.out == ""
+        assert captured.err.endswith(
+            "error: exactly one of the arguments --annotations --genbank is required\n")
+
+    def test_extract_takes_its_annotations_from_the_config(self, tmp_path, capsys):
+        genome = tmp_path / "genome.fa"
+        write_corpus(genome, n=1, length=100, seed=2)
+        annotations = tmp_path / "ann.tsv"
+        annotations.write_text("s0\t10\t30\t-\tgene\tfungi\n")
+        config = tmp_path / "c.cfg"
+        config.write_text(f"annotations = {annotations}\n")
+        assert main(["ingest", "extract", "--genome", str(genome), "--config", str(config)]) == 0
+        from_config = capsys.readouterr().out
+        assert main(["ingest", "extract", "--genome", str(genome),
+                     "--annotations", str(annotations)]) == 0
+        assert from_config.startswith(">") and from_config == capsys.readouterr().out
 
     @pytest.mark.parametrize("argv", [
         ["ingest", "extract"],
