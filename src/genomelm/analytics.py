@@ -1,4 +1,4 @@
-"""Classification metrics and embedding analysis.
+"""Pearson correlation and embedding analysis.
 
 The embedding side works on any EmbeddingSet, but its only producer is
 `profile_embeddings`, L1-normalized k-mer composition profiles: the
@@ -12,59 +12,9 @@ from typing import Sequence
 
 import numpy as np
 
-from .errors import (
-    ConstantInput,
-    EmptyInput,
-    SequenceTooShort,
-    SingleCluster,
-)
+from .errors import ConstantInput, SequenceTooShort, SingleCluster
 from .seqcore import tsv_text
 from .tokenizer import kmer_count_matrix
-
-
-@dataclass(frozen=True)
-class ConfusionCounts:
-    tp: int
-    tn: int
-    fp: int
-    fn: int
-
-    def __post_init__(self):
-        if min(self.tp, self.tn, self.fp, self.fn) < 0:
-            raise ValueError("confusion counts must be non-negative")
-
-
-def mcc(cc: ConfusionCounts) -> float:
-    """Matthews correlation coefficient; 0 when any denominator factor is 0."""
-    num = cc.tp * cc.tn - cc.fp * cc.fn
-    factors = [
-        cc.tp + cc.fp,
-        cc.tp + cc.fn,
-        cc.tn + cc.fp,
-        cc.tn + cc.fn,
-    ]
-    if any(f == 0 for f in factors):
-        return 0.0
-    return num / math.sqrt(math.prod(factors))
-
-
-def weighted_f1(confusion_matrix: Sequence[Sequence[int]]) -> float:
-    """Support-weighted mean of per-class F1. Rows are true classes,
-    columns predictions. Classes with precision+recall == 0 score 0."""
-    m = np.asarray(confusion_matrix, dtype=float)
-    if m.ndim != 2 or m.shape[0] != m.shape[1]:
-        raise ValueError("confusion matrix must be square")
-    total = m.sum()
-    if total == 0:
-        raise EmptyInput("empty confusion matrix")
-    tp = np.diag(m)
-    support = m.sum(axis=1)
-    predicted = m.sum(axis=0)
-    precision = np.divide(tp, predicted, out=np.zeros_like(tp), where=predicted > 0)
-    recall = np.divide(tp, support, out=np.zeros_like(tp), where=support > 0)
-    both = precision + recall
-    f1 = np.divide(2 * precision * recall, both, out=np.zeros_like(tp), where=both > 0)
-    return float((support / total) @ f1)
 
 
 def pearson_r(x: Sequence[float], y: Sequence[float]) -> float:
@@ -176,13 +126,6 @@ def silhouette(embeddings: EmbeddingSet, metric: str = "euclidean") -> float:
 
 
 # --- export ------------------------------------------------------------------
-
-def embeddings_to_tsv(ids: Sequence[str], embeddings: EmbeddingSet) -> str:
-    d = embeddings.vectors.shape[1]
-    return tsv_text(["id", "label", *(f"v_{i + 1}" for i in range(d))],
-                    ([seq_id, label, *(f"{v:.6g}" for v in row)]
-                     for seq_id, label, row in zip(ids, embeddings.labels, embeddings.vectors)))
-
 
 def projection_to_tsv(ids: Sequence[str], labels: Sequence[str], coords: np.ndarray) -> str:
     return tsv_text(("id", "label", "x", "y"),

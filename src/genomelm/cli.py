@@ -435,18 +435,18 @@ def build_parser() -> _Parser:
     p.add_argument("--annotations", help="BED-like TSV")
     p.add_argument("--genbank", help="GenBank flat file (alternative to --annotations)")
     p.one_of = ("annotations", "genbank")
-    p.add_argument("--min-subregion", type=int, default=8)
+    p.add_argument("--min-subregion", type=length, default=8)
     _add_common(p, cmd_ingest_extract)
     p = ing_sub.add_parser("stats", help="corpus statistics")
     p.add_argument("--genome", required=True)
     p.add_argument("--annotations", required=True)
-    p.add_argument("--min-subregion", type=int, default=8)
+    p.add_argument("--min-subregion", type=length, default=8)
     _add_common(p, cmd_ingest_stats)
     p = ing_sub.add_parser("gener-tasks", help="build classification datasets")
     p.add_argument("--genome", required=True)
     p.add_argument("--annotations", required=True)
     p.add_argument("--per-class-n", type=count, default=10)
-    p.add_argument("--window-len", type=int, default=96_000)
+    p.add_argument("--window-len", type=length, default=96_000)
     p.add_argument("--per-group-windows", type=count, default=10)
     p.add_argument("--gene-out", required=True)
     p.add_argument("--taxon-out", required=True)

@@ -18,8 +18,8 @@ from .errors import (
     UnknownPrefixToken,
 )
 from .seqcore import DNA_ALPHABET, NucleotideSequence, read_tsv, reading_model
-from .tokenizer import (KmerTokenizer, check_k, kmer_count_matrix, kmer_counts,
-                        kmer_substitutions, kmer_windows)
+from .tokenizer import (KmerTokenizer, check_k, kmer_count_matrix, kmer_substitutions,
+                        kmer_windows)
 
 PREFIX_BY_LABEL = {"high": "<high>", "mid": "<mid>", "low": "<low>"}
 
@@ -195,7 +195,7 @@ def contribution_rows(
     A substitution at position i changes only the (at most k) windows
     that cover i, so the score is -mean over the 3 other bases of the sum
     over those windows of w[new k-mer] - w[old k-mer]. Windows holding an N
-    are skipped, as kmer_counts skips them, so all sequences join into one pass."""
+    are skipped, as kmer_count_matrix skips them, so all sequences join into one pass."""
     for sequence in sequences:
         if not sequence:
             raise ValueError("sequence must be non-empty")

@@ -166,10 +166,6 @@ class PoolTooSmall(GenomeLmError):
 
 # --- analytics ---------------------------------------------------------------
 
-class EmptyInput(GenomeLmError):
-    pass
-
-
 class ConstantInput(GenomeLmError):
     pass
 

@@ -101,13 +101,6 @@ def _parse_location(loc: str) -> Optional[tuple[int, int, str]]:
     return (start, end, strand) if 1 <= start <= end else None
 
 
-def parse_genbank(path) -> tuple[dict[str, NucleotideSequence], list[AnnotationRecord]]:
-    """The records of the GenBank file at `path` by LOCUS name, and their
-    `gene` features, read as add_genbank reads them."""
-    sequences: dict[str, NucleotideSequence] = {}
-    return sequences, add_genbank(sequences, path)
-
-
 def add_genbank(genome: dict[str, NucleotideSequence], path) -> list[AnnotationRecord]:
     """Parse the LOCUS/FEATURES/ORIGIN records of the GenBank file at `path`
     into `genome` and return their `gene` features. A LOCUS line without a

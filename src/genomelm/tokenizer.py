@@ -199,12 +199,6 @@ def kmer_windows(bases: str, k: int) -> tuple[np.ndarray, np.ndarray]:
     return starts, ids[starts]
 
 
-def kmer_counts(bases: str, k: int) -> np.ndarray:
-    """Count vector over the 4^k k-mers in id order; windows holding an N
-    are skipped."""
-    return kmer_count_matrix([bases], k)[0]
-
-
 def kmer_count_matrix(seqs: Sequence[str], k: int) -> np.ndarray:
     """The k-mer count vector of each sequence, one row each, from one pass
     over the sequences joined by N, so that no window spans two of them."""

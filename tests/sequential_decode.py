@@ -1,11 +1,29 @@
 """The one-job-at-a-time decoder that `genomelm.sampling.generate`
 replaced, kept as its test oracle: a scalar xoshiro256** on Python
-integers, a 1-d sampler step and the per-job decode loop."""
+integers, a 1-d sampler step and the per-job decode loop. Each row the
+loop reads is a CheckedRow."""
+from dataclasses import dataclass
+
 import numpy as np
 
-from genomelm.lm import TokenDistribution, check_ids
+from genomelm.lm import check_ids
 
 _MASK64 = (1 << 64) - 1
+_SUM_TOL = 1e-9
+
+
+@dataclass(frozen=True)
+class CheckedRow:
+    """A next-token distribution, checked: non-negative, summing to 1 within 1e-9."""
+    probs: np.ndarray
+
+    def __post_init__(self):
+        p = np.asarray(self.probs, dtype=float)
+        object.__setattr__(self, "probs", p)
+        if (p < 0).any():
+            raise ValueError("negative probability")
+        if abs(p.sum() - 1.0) > _SUM_TOL:
+            raise ValueError(f"probabilities sum to {p.sum()}, not 1")
 
 
 def _rotl(x: int, k: int) -> int:
@@ -47,7 +65,7 @@ def job_rng(seed: int, job_index: int = 0) -> Xoshiro256:
     return Xoshiro256((seed * 0x9E3779B97F4A7C15 + job_index + 1) & _MASK64)
 
 
-def normalized(dist: TokenDistribution, banned) -> np.ndarray:
+def normalized(dist: CheckedRow, banned) -> np.ndarray:
     """The distribution with the banned ids at zero, renormalized."""
     probs = dist.probs.copy()
     probs[banned] = 0.0
@@ -80,7 +98,7 @@ def nucleus(probs: np.ndarray, cfg) -> tuple[np.ndarray, np.ndarray, np.ndarray]
     return kept, cum, np.cumsum(kept_probs)
 
 
-def select(dist: TokenDistribution, cfg, rng, banned: np.ndarray) -> int:
+def select(dist: CheckedRow, cfg, rng, banned: np.ndarray) -> int:
     probs = normalized(dist, banned)
     if cfg.mode == "greedy":
         return int(np.argmax(probs))  # argmax ties resolve to the lowest id
@@ -104,7 +122,7 @@ def generate_one(lm, prompt_ids, cfg, job_index: int = 0) -> list[int]:
     for _ in range(cfg.max_new_tokens):
         if window is not None:
             del context[: max(0, len(context) - window)]
-        dist = TokenDistribution(np.asarray(lm.next_distributions([context])[0]))
+        dist = CheckedRow(lm.next_distributions([context])[0])
         token = select(dist, cfg, rng, banned)
         if token == vocab.eos:
             break

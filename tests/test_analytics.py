@@ -7,92 +7,18 @@ from hypothesis import strategies as st
 
 from genomelm.errors import (
     ConstantInput,
-    EmptyInput,
     SequenceTooShort,
     SingleCluster,
 )
 from genomelm.analytics import (
-    ConfusionCounts,
     EmbeddingSet,
-    embeddings_to_tsv,
-    mcc,
     pca_project,
     pearson_r,
     profile_embeddings,
     projection_to_tsv,
     silhouette,
-    weighted_f1,
 )
-from genomelm.tokenizer import kmer_counts
-
-
-class TestMcc:
-    def test_reference_fixture(self):
-        value = mcc(ConfusionCounts(tp=3, tn=4, fp=1, fn=2))
-        assert value == pytest.approx(10 / math.sqrt(600), abs=1e-15)
-
-    def test_perfect_and_inverted(self):
-        assert mcc(ConfusionCounts(5, 5, 0, 0)) == 1.0
-        assert mcc(ConfusionCounts(0, 0, 5, 5)) == -1.0
-
-    def test_zero_denominator_factor_scores_zero(self):
-        assert mcc(ConfusionCounts(tp=0, tn=5, fp=0, fn=3)) == 0.0
-
-    def test_negative_counts_rejected(self):
-        with pytest.raises(ValueError):
-            ConfusionCounts(-1, 0, 0, 0)
-
-
-def weighted_f1_oracle(confusion_matrix):
-    """Per-class loop over precision, recall and F1."""
-    m = np.asarray(confusion_matrix, dtype=float)
-    total = m.sum()
-    score = 0.0
-    for i in range(m.shape[0]):
-        support = m[i].sum()
-        if support == 0:
-            continue
-        tp = m[i, i]
-        col = m[:, i].sum()
-        precision = tp / col if col else 0.0
-        recall = tp / support
-        f1 = 2 * precision * recall / (precision + recall) if precision + recall > 0 else 0.0
-        score += (support / total) * f1
-    return score
-
-
-class TestWeightedF1:
-    @settings(max_examples=200, deadline=None)
-    @given(st.integers(1, 6).flatmap(
-        lambda c: st.lists(st.lists(st.integers(0, 9), min_size=c, max_size=c),
-                           min_size=c, max_size=c)
-    ).filter(lambda m: sum(map(sum, m)) > 0))
-    def test_matches_the_per_class_loop(self, matrix):
-        assert weighted_f1(matrix) == pytest.approx(weighted_f1_oracle(matrix), abs=1e-12)
-
-    def test_symmetric_fixture_is_two_thirds(self):
-        # every class: support 3, tp 2, precision 2/3, recall 2/3, F1 2/3
-        matrix = [[2, 1, 0], [0, 2, 1], [1, 0, 2]]
-        assert weighted_f1(matrix) == pytest.approx(2 / 3, abs=1e-15)
-
-    def test_perfect_diagonal(self):
-        assert weighted_f1([[4, 0], [0, 6]]) == 1.0
-
-    def test_weights_by_support(self):
-        # class 0: F1 1.0 with support 3; class 1: F1 0 with support 1
-        matrix = [[3, 0], [1, 0]]
-        p0, r0 = 3 / 4, 1.0
-        f0 = 2 * p0 * r0 / (p0 + r0)
-        assert weighted_f1(matrix) == pytest.approx(0.75 * f0 + 0.25 * 0.0)
-
-    def test_absent_class_is_skipped(self):
-        assert weighted_f1([[4, 0], [0, 0]]) == 1.0
-
-    def test_validation(self):
-        with pytest.raises(ValueError):
-            weighted_f1([[1, 2, 3]])
-        with pytest.raises(EmptyInput):
-            weighted_f1([[0, 0], [0, 0]])
+from genomelm.tokenizer import kmer_count_matrix
 
 
 class TestPearson:
@@ -145,7 +71,8 @@ class TestProfileEmbedding:
            st.integers(1, 4))
     def test_rows_are_each_records_profile(self, seqs, k):
         # the single-record profile, as profile_embedding computed it
-        want = [kmer_counts(s, k) / kmer_counts(s, k).sum() for s in seqs]
+        counts = [kmer_count_matrix([s], k)[0] for s in seqs]
+        want = [c / c.sum() for c in counts]
         got = profile_embeddings(seqs, k)
         assert [row.tolist() for row in got] == [row.tolist() for row in want]
 
@@ -305,11 +232,6 @@ class TestSilhouette:
 
 
 class TestExport:
-    def test_embeddings_tsv(self):
-        emb = EmbeddingSet(vectors=np.array([[0.5, 0.25]]), labels=["a"])
-        text = embeddings_to_tsv(["s1"], emb)
-        assert text == "#id\tlabel\tv_1\tv_2\ns1\ta\t0.5\t0.25\n"
-
     def test_projection_tsv(self):
         text = projection_to_tsv(["s1"], ["a"], np.array([[1.0, -2.0]]))
         assert text == "#id\tlabel\tx\ty\ns1\ta\t1\t-2\n"

@@ -14,8 +14,9 @@ from hypothesis import strategies as st
 from genomelm import lm
 from genomelm.cli import main
 from genomelm.errors import BridgeTimeout, PeerUnavailable, ProtocolViolation
-from genomelm.lm import BridgeModel, TokenDistribution, bridge_model
+from genomelm.lm import BridgeModel, bridge_model
 from genomelm.sampling import SamplerConfig, generate
+from sequential_decode import CheckedRow
 
 ROOT = Path(__file__).resolve().parent.parent
 
@@ -264,7 +265,7 @@ def _oracle_finite(values, what):
 def _oracle_row(line, V):
     """The row of a `next` reply as BridgeModel made it before number texts
     were memoized: json.loads, a type check and np.array per list, and a
-    checked TokenDistribution."""
+    CheckedRow."""
     try:
         reply = json.loads(line)
     except json.JSONDecodeError:
@@ -296,7 +297,7 @@ def _oracle_row(line, V):
         raise ProtocolViolation("next reply has neither 'probs' nor 'top'")
     if (probs < 0).any() or abs(probs.sum() - 1.0) > 1e-6:
         raise ProtocolViolation(f"probabilities sum to {probs.sum()}")
-    return TokenDistribution(probs / probs.sum()).probs
+    return CheckedRow(probs / probs.sum()).probs
 
 
 def _outcome(decode):
@@ -416,6 +417,9 @@ def served_inputs(tmp_path_factory):
         alt = rng.choice([b for b in "ACGT" if b != ref])
         rows.append(f"chr1\t{pos}\t{ref}\t{alt}\t{'pathogenic' if i % 2 else 'benign'}")
     (d / "variants.tsv").write_text("\n".join(rows) + "\n")
+    items = [f"{contig[at - 240 : at]}\t{contig[at : at + 30]}\tg{i % 2}"
+             for i, at in enumerate(range(300, 2100, 300))]
+    (d / "items.tsv").write_text("#prompt\treference\ttaxon_group\n" + "\n".join(items) + "\n")
     model = d / "m.npz"
     assert main(["train-markov", str(d / "train.fa"), "--k", "3", "--order", "2",
                  "--model-out", str(model)]) == 0
@@ -433,7 +437,11 @@ class TestServedModelGivesTheSameBytes:
         ["generate", "--prompt", "ACGTTGCAAC", "--greedy", "--max-new", "40"],
         ["generate", "--prompt", "ACGTTG", "-n", "5", "--max-new", "30", "--temperature",
          "0.9", "--top-p", "0.95", "--seed", "3"],
-    ], ids=["vep-score", "generate-greedy", "generate-sampled"])
+        ["recover", "run", "--dataset", "{d}/items.tsv", "--predict-len", "12,30"],
+        ["recover", "run", "--dataset", "{d}/items.tsv", "--predict-len", "12,30", "--sample",
+         "--temperature", "0.9", "--top-p", "0.95", "--seed", "3"],
+    ], ids=["vep-score", "generate-greedy", "generate-sampled", "recover-greedy",
+            "recover-sampled"])
     def test_same_output_bytes(self, served_inputs, tmp_path, argv):
         d = served_inputs
         argv = [a.format(d=d) for a in argv]

@@ -552,6 +552,16 @@ class TestLengthFlags:
         (["generate", "--model", "uniform:1", "-n", "2", "--max-new"], "-3"),
         (["vep", "score", "--genome", "g.fa", "--variants", "v.tsv", "--model", "uniform:1",
           "--context-len"], "-5"),
+        (["ingest", "gener-tasks", "--genome", "g.fa", "--annotations", "a.tsv",
+          "--gene-out", "g.tsv", "--taxon-out", "t.tsv", "--window-len"], "0"),
+        (["ingest", "gener-tasks", "--genome", "g.fa", "--annotations", "a.tsv",
+          "--gene-out", "g.tsv", "--taxon-out", "t.tsv", "--window-len"], "-10"),
+        (["ingest", "extract", "--genome", "g.fa", "--annotations", "a.tsv",
+          "--min-subregion"], "0"),
+        (["ingest", "extract", "--genome", "g.fa", "--annotations", "a.tsv",
+          "--min-subregion"], "-3"),
+        (["ingest", "stats", "--genome", "g.fa", "--annotations", "a.tsv",
+          "--min-subregion"], "0"),
     ])
     def test_non_positive_length_is_usage_error(self, tmp_path, capsys, argv, value):
         assert main(argv + [value]) == USAGE_ERROR

@@ -21,7 +21,6 @@ from genomelm.design import (
     contribution_scores,
     contributions_to_tsv,
     fit_kmer_ridge,
-    kmer_counts,
     load_predictor,
     quantile_labels,
     rank_and_select,
@@ -106,7 +105,7 @@ class TestPrefixDataset:
 
 class TestKmerCounts:
     def test_fixture(self):
-        counts = kmer_counts("ACGTAC", 2)
+        counts = kmer_count_matrix(["ACGTAC"], 2)[0]
         tok = KmerTokenizer(2)
         nonzero = {
             tok.vocab.tokens[i]: int(c) for i, c in enumerate(counts) if c
@@ -115,10 +114,10 @@ class TestKmerCounts:
         assert counts.sum() == 5
 
     def test_n_windows_are_skipped(self):
-        assert kmer_counts("ACNGT", 2).sum() == 2  # AC and GT only
+        assert kmer_count_matrix(["ACNGT"], 2)[0].sum() == 2  # AC and GT only
 
     def test_short_sequence_gives_zero_vector(self):
-        assert kmer_counts("A", 2).sum() == 0
+        assert kmer_count_matrix(["A"], 2)[0].sum() == 0
 
 
 class TestRidge:
@@ -130,7 +129,7 @@ class TestRidge:
         for _ in range(m):
             n = int(rng.integers(30, 61))
             seq = "".join("ACGT"[i] for i in rng.integers(0, 4, n))
-            y = float(kmer_counts(seq, k) @ true_w + true_b)
+            y = float(kmer_count_matrix([seq], k)[0] @ true_w + true_b)
             records.append(ActivityRecord(NucleotideSequence(seq), y))
         return records, true_w, true_b
 
@@ -428,7 +427,7 @@ class TestBatchedScoring:
         )
         sequences = sequences + self.EDGE_CASES
         # the single-sequence formula `predict` used before the batch
-        want = [float(kmer_counts(s, k) @ predictor.weights + predictor.intercept)
+        want = [float(kmer_count_matrix([s], k)[0] @ predictor.weights + predictor.intercept)
                 for s in sequences]
         assert predictor.predict_many(sequences) == want
         assert [predictor.predict(s) for s in sequences] == want

@@ -20,9 +20,9 @@ from genomelm.ingest import (
     _sample_intergenic,
     build_gener_task_datasets,
     corpus_stats,
+    add_genbank,
     extract_functional_regions,
     parse_bed_like,
-    parse_genbank,
 )
 from genomelm.seqcore import NucleotideSequence, reverse_complement
 
@@ -64,7 +64,8 @@ class TestGenbank:
                 "     gene            join(31..35,41..46)",
             ],
         )
-        sequences, records = parse_genbank(path)
+        sequences = {}
+        records = add_genbank(sequences, path)
         assert sequences["CTG1"].bases == GENOME_60
         assert [(r.start, r.end, r.strand) for r in records] == [
             (4, 12, "+"),
@@ -84,7 +85,7 @@ class TestGenbank:
                 "     gene            4..12",
             ],
         )
-        _, records = parse_genbank(path)
+        records = add_genbank({}, path)
         assert len(records) == 1
 
     def test_multi_record_file(self, tmp_path):
@@ -106,7 +107,8 @@ class TestGenbank:
             "//\n"
         )
         path.write_text(one + two)
-        sequences, records = parse_genbank(path)
+        sequences = {}
+        records = add_genbank(sequences, path)
         assert set(sequences) == {"A1", "B2"}
         assert [(r.seq_id, r.strand) for r in records] == [("A1", "+"), ("B2", "-")]
 
@@ -119,14 +121,14 @@ class TestGenbank:
             "//\n"
         )
         with pytest.raises(MissingOrigin) as exc:
-            parse_genbank(path)
+            add_genbank({}, path)
         assert str(exc.value) == f"{path}: line 1: record 'NOORI' has no ORIGIN section"
 
     def test_malformed_location_raises(self, tmp_path):
         path = tmp_path / "bad.gb"
         _write_genbank(path, "CTG1", GENOME_60, ["     gene            4..twelve"])
         with pytest.raises(MalformedLocation) as exc:
-            parse_genbank(path)
+            add_genbank({}, path)
         assert str(exc.value) == (f"{path}: line 3: malformed feature location: "
                                   "'gene            4..twelve'")
 
@@ -134,7 +136,7 @@ class TestGenbank:
         path = tmp_path / "bad.gb"
         path.write_text("LOCUS\nORIGIN\n        1 acgt\n//\n")
         with pytest.raises(BadRow) as exc:
-            parse_genbank(path)
+            add_genbank({}, path)
         assert str(exc.value) == f"{path}: bad row at line 1: LOCUS line without a locus name"
 
     @pytest.mark.parametrize("at, line_no", [(0, 5), (59, 5), (60, 6), (75, 6)])
@@ -145,7 +147,7 @@ class TestGenbank:
         _write_genbank(path, "CTG1", bases[:at] + "X" + bases[at + 1:],
                        ["     gene            4..12"])
         with pytest.raises(BadRow) as exc:
-            parse_genbank(path)
+            add_genbank({}, path)
         assert (exc.value.path, exc.value.line_no) == (path, line_no)
         assert exc.value.reason == f"record 'CTG1': invalid symbol 'X' at position {at}"
         assert isinstance(exc.value.__cause__, InvalidSymbol)
@@ -154,14 +156,14 @@ class TestGenbank:
         path = tmp_path / "bad.gb"
         _write_genbank(path, "CTG1", GENOME_60, ["     gene            4..99"])
         with pytest.raises(MalformedLocation, match=f"^{path}: line 3: "):
-            parse_genbank(path)
+            add_genbank({}, path)
 
     @pytest.mark.parametrize("loc", ["0..3", "8..3", "join(5..8,0..2)"])
     def test_location_that_is_not_a_1_based_span_raises(self, tmp_path, loc):
         path = tmp_path / "bad.gb"
         _write_genbank(path, "CTG1", GENOME_60, [f"     gene            {loc}"])
         with pytest.raises(MalformedLocation, match=f"^{path}: line 3: "):
-            parse_genbank(path)
+            add_genbank({}, path)
 
 
 class TestBedLike:

@@ -9,25 +9,27 @@ from hypothesis import strategies as st
 from genomelm.errors import BadSmoothing, EmptyCorpus, UnknownTokenId, VocabularyMismatch
 from genomelm.lm import (
     MarkovLm,
-    TokenDistribution,
     sequence_logprob,
     train_markov,
 )
 from genomelm.tokenizer import kmer_vocabulary
+from sequential_decode import CheckedRow
 
 VOCAB1 = kmer_vocabulary(1)  # 4 + 32 = 36 tokens
 V = len(VOCAB1)
 
 
 class TestTokenDistribution:
+    """The checked row the test oracles wrap each distribution in."""
+
     def test_accepts_simplex(self):
-        TokenDistribution(np.array([0.5, 0.5]))
+        CheckedRow(np.array([0.5, 0.5]))
 
     def test_rejects_negative_and_unnormalized(self):
         with pytest.raises(ValueError):
-            TokenDistribution(np.array([1.5, -0.5]))
+            CheckedRow(np.array([1.5, -0.5]))
         with pytest.raises(ValueError):
-            TokenDistribution(np.array([0.6, 0.6]))
+            CheckedRow(np.array([0.6, 0.6]))
 
 
 class TestUniformLm:

@@ -9,7 +9,7 @@ from hypothesis import strategies as st
 
 from genomelm import sampling
 from genomelm.errors import UnknownPrefixToken, UnknownTokenId
-from genomelm.lm import MarkovLm, TokenDistribution, train_markov
+from genomelm.lm import MarkovLm, train_markov
 from genomelm.sampling import (
     MAX_ATTEMPTS_FACTOR,
     SamplerConfig,
@@ -21,6 +21,7 @@ from genomelm.sampling import (
 )
 from genomelm.tokenizer import KmerTokenizer, kmer_vocabulary
 from sequential_decode import (
+    CheckedRow,
     Xoshiro256,
     conditioned_attempts,
     generate_one,
@@ -38,7 +39,7 @@ def dist(*pairs):
     probs = np.zeros(V)
     for token_id, p in pairs:
         probs[token_id] = p
-    return TokenDistribution(probs)
+    return CheckedRow(probs)
 
 
 class FnLm:
@@ -268,8 +269,8 @@ class TestSelect:
         try:
             want = []
             for i, row in enumerate(rows):
-                want.append(select_one(TokenDistribution(row), cfg, Xoshiro256(seed + i), banned))
-                loop = _select_oracle(TokenDistribution(row), cfg, Xoshiro256(seed + i), banned)
+                want.append(select_one(CheckedRow(row), cfg, Xoshiro256(seed + i), banned))
+                loop = _select_oracle(CheckedRow(row), cfg, Xoshiro256(seed + i), banned)
                 assert loop == want[-1]
         except ValueError:
             with pytest.raises(ValueError, match="masked out"):
@@ -287,7 +288,7 @@ class TestSelect:
         # u equal to a kept cumulative mass, and a nucleus P whose cut lands on
         # a cumulative mass, pick a different id if one sum is off by one bit
         w = np.asarray(weights)
-        dist = TokenDistribution(w / w.sum())
+        dist = CheckedRow(w / w.sum())
         none = np.empty(0, dtype=np.int64)
         cfg = SamplerConfig(temperature=temperature)
         _, cum, _ = nucleus(normalized(dist, none), cfg)
