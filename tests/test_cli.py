@@ -572,6 +572,18 @@ class TestLengthFlags:
         assert main(argv[:-1] + ["--config", str(config)]) == USAGE_ERROR
         assert f"= '{value}' is not a valid length" in capsys.readouterr().err
 
+    @pytest.mark.parametrize("argv", [
+        ["ingest", "gener-tasks", "--genome", "g.fa", "--annotations", "a.tsv",
+         "--gene-out", "g.tsv", "--taxon-out", "t.tsv", "--window-len"],
+        ["ingest", "extract", "--genome", "g.fa", "--annotations", "a.tsv", "--min-subregion"],
+    ])
+    def test_a_length_of_one_is_valid(self, tmp_path, argv):
+        key = argv[-1][2:].replace("-", "_")
+        assert vars(_parse(argv + ["1"]))[key] == 1
+        config = tmp_path / "t.conf"
+        config.write_text(f"{key} = 1\n")
+        assert vars(_parse(argv[:-1] + ["--config", str(config)]))[key] == 1
+
     @pytest.mark.parametrize("argv, value", [
         (["design", "rank", "--predictor", "p.json", "--candidates", "c.fa", "--top"], "-1"),
         (["design", "rank", "--predictor", "p.json", "--candidates", "c.fa", "--top", "5",

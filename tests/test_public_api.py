@@ -45,7 +45,7 @@ def _unreached(trees: dict) -> list:
     """(module, name) of each public definition no program file names outside it."""
     elsewhere = {path: _names(tree) for path, tree in trees.items()}
     unreached = []
-    for path in sorted(PACKAGE.glob("*.py")):
+    for path in sorted(p for p in trees if p.parent == PACKAGE):
         tree = trees[path]
         other_files = set().union(*(names for p, names in elsewhere.items() if p != path))
         for node in tree.body:
@@ -70,3 +70,37 @@ def test_every_allowed_name_is_still_defined():
         if isinstance(node, (ast.FunctionDef, ast.ClassDef))
     }
     assert set(ALLOWED) <= defined
+
+
+def _with_planted_module(source: str) -> dict:
+    trees = _program_trees()
+    trees[PACKAGE / "planted.py"] = ast.parse(source)
+    return trees
+
+
+def test_a_definition_nothing_else_names_is_flagged():
+    # what mcc or parse_genbank were: defined, reachable only from tests;
+    # naming itself (recursion) does not count as being reached
+    trees = _with_planted_module(
+        "def only_tests_call_me(n):\n"
+        "    return only_tests_call_me(n - 1) if n else 0\n"
+        "class OnlyTestsBuildMe:\n"
+        "    pass\n"
+        "def _private_helper():\n"
+        "    pass\n"
+    )
+    assert _unreached(trees) == [
+        ("planted", "only_tests_call_me"), ("planted", "OnlyTestsBuildMe"),
+    ]
+
+
+def test_a_definition_its_own_module_or_another_file_names_is_reached():
+    trees = _with_planted_module(
+        "def helper():\n"
+        "    return 1\n"
+        "def planted_entry():\n"
+        "    return helper()\n"
+        "def read_fasta():\n"  # a name that other program files use
+        "    pass\n"
+    )
+    assert _unreached(trees) == [("planted", "planted_entry")]
