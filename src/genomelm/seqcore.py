@@ -5,6 +5,7 @@ but untranslatable; downstream corpus construction splits on N runs.
 """
 from __future__ import annotations
 
+import itertools
 import re
 from contextlib import contextmanager
 from dataclasses import dataclass, field
@@ -33,11 +34,11 @@ CODON_TABLE = {
 
 AMINO_ALPHABET = frozenset("ACDEFGHIKLMNPQRSTVWY*")
 
-# One C-level pass checks an alphabet: deleting every symbol in it leaves
-# nothing. Only text that leaves something is searched for its first
-# character outside the alphabet.
-_DROP_DNA = str.maketrans("", "", "".join(DNA_ALPHABET))
-_DROP_AMINO = str.maketrans("", "", "".join(AMINO_ALPHABET))
+# An alphabet check is two C-level passes: the text is ASCII, and deleting
+# every symbol of the alphabet from its bytes leaves nothing. Only text that
+# fails is searched for its first character outside the alphabet.
+_DNA_BYTES = "".join(sorted(DNA_ALPHABET)).encode()
+_AMINO_BYTES = "".join(sorted(AMINO_ALPHABET)).encode()
 _NOT_DNA = re.compile("[^%s]" % re.escape("".join(sorted(DNA_ALPHABET))))
 _NOT_AMINO = re.compile("[^%s]" % re.escape("".join(sorted(AMINO_ALPHABET))))
 
@@ -51,7 +52,7 @@ class NucleotideSequence:
     meta: dict = field(default_factory=dict)
 
     def __post_init__(self):
-        if self.bases.translate(_DROP_DNA):
+        if not self.bases.isascii() or self.bases.encode().translate(None, _DNA_BYTES):
             bad = _NOT_DNA.search(self.bases)
             raise InvalidSymbol(bad.start(), bad.group())
 
@@ -70,7 +71,7 @@ class ProteinSequence:
     residues: str
 
     def __post_init__(self):
-        if self.residues.translate(_DROP_AMINO):
+        if not self.residues.isascii() or self.residues.encode().translate(None, _AMINO_BYTES):
             bad = _NOT_AMINO.search(self.residues)
             raise InvalidSymbol(bad.start(), bad.group())
 
@@ -145,9 +146,20 @@ def split_on_n(seq: NucleotideSequence, min_len: int = 1) -> list[NucleotideSequ
 
 # --- FASTA i/o ---------------------------------------------------------------
 
+# The ASCII characters str.split() splits on, \x1c-\x1f among them.
+ASCII_WS = b"\t\n\x0b\x0c\r\x1c\x1d\x1e\x1f "
+_BLOCK = 1 << 20  # the bytes read_fasta reads at a time
+
+
 def read_fasta(path) -> list[NucleotideSequence]:
-    with open(path) as fh:
-        return parse_fasta(fh.read(), path)
+    """The FASTA records of `path`, read a block of bytes at a time, lines ending
+    as in text mode. Non-ASCII text, and an error to name, go to parse_fasta."""
+    with open(path, "rb", buffering=0) as fh:
+        seqs = _ascii_records(iter(lambda: fh.read(_BLOCK), b""), newlines=True)
+    if seqs is None:
+        with open(path) as fh:
+            return parse_fasta(fh.read(), path)
+    return seqs
 
 
 def read_acgt_fasta(path) -> list[NucleotideSequence]:
@@ -190,7 +202,10 @@ def read_genome(path) -> dict[str, NucleotideSequence]:
 def parse_fasta(text: str, path) -> list[NucleotideSequence]:
     """The FASTA records of `text`, read from `path`: a record starts at a
     line that starts with '>'. A symbol outside the alphabet, or text before
-    the first header, raises BadFastaRecord naming the path and the line."""
+    the first header, raises BadFastaRecord naming the path and the line.
+    A line ends at '\n' only: callers translate newlines, as open() does."""
+    if text.isascii() and (seqs := _ascii_records([text.encode()], newlines=False)) is not None:
+        return seqs
     preamble, *records = ("\n" + text).split("\n>")
     if preamble.strip():
         # line n of the text is line n of the preamble, after the "\n" put before it
@@ -199,19 +214,83 @@ def parse_fasta(text: str, path) -> list[NucleotideSequence]:
     seqs = []
     for index, record in enumerate(records):
         header, _, body = record.partition("\n")
-        # Headers of the form "id|taxon|feature" carry corpus metadata.
-        fields = header.strip().split("|")
-        meta = {}
-        if len(fields) >= 2 and fields[1]:
-            meta["taxon_group"] = fields[1]
-        if len(fields) >= 3 and fields[2]:
-            meta["feature_type"] = fields[2]
+        id, meta = _id_and_meta(header)
         try:
-            seqs.append(validate(body, id=fields[0], meta=meta))
+            seqs.append(validate(body, id=id, meta=meta))
         except InvalidSymbol as exc:
             line_no = _line_in_record(text, index, exc.position)
-            raise BadFastaRecord(path, line_no, fields[0], exc) from exc
+            raise BadFastaRecord(path, line_no, id, exc) from exc
     return seqs
+
+
+def _ascii_records(blocks: Iterable[bytes], newlines: bool) -> Optional[list[NucleotideSequence]]:
+    """The records of the FASTA bytes `blocks`, each body piece cleaned as
+    its block arrives, so only the records and the open one's bases are held;
+    None if a block is not ASCII or holds an error for the text algorithm to
+    name. With `newlines`, '\r\n' and '\r' end a line too, as in text mode."""
+    seqs = []
+    head, body = b"", None  # the open record's header and cleaned body pieces; None before a '>'
+    in_header = False  # whether the open record's header line is still open
+    last = 10  # the byte before the block, a newline: the text opens a line
+    try:
+        # a '>' line after the last block closes the last record; the one it opens is dropped
+        for block in itertools.chain(blocks, [b"\n>"]):
+            if not block.isascii():
+                return None
+            if newlines and b"\r" in block:
+                # a "\r\n" cut by a block's end reads as two line ends: whitespace
+                block = block.replace(b"\r\n", b"\n").replace(b"\r", b"\n")
+            at = block.find(b">")
+            while at >= 0 and (block[at - 1] if at else last) != 10:
+                at = block.find(b">", at + 1)
+            stop, pos = len(block) if at < 0 else at, 0  # the open record goes on to `stop`
+            if in_header:
+                end = block.find(b"\n", 0, stop)
+                end = stop if end < 0 else end
+                head += block[:end]
+                in_header, pos = end == stop, end
+            if pos < stop:
+                if body is not None:
+                    body.append(_clean(block[pos:stop]))
+                elif block[pos:stop].translate(None, ASCII_WS):
+                    return None  # text before the first header
+            if at >= 0:
+                if body is not None:
+                    id, meta = _id_and_meta(head.decode())
+                    bases, body = b"".join(body), None  # the pieces go as they are joined,
+                    bases = bases.decode()  # and the bytes as they are decoded
+                    seqs.append(NucleotideSequence(bases, id=id, meta=meta))
+                end = block.find(b">", at + 1)
+                while end >= 0:
+                    if block[end - 1] == 10:  # the record from `at` is whole in the block
+                        head, _, piece = block[at + 1 : end].partition(b"\n")
+                        id, meta = _id_and_meta(head.decode())
+                        seqs.append(NucleotideSequence(_clean(piece).decode(), id=id, meta=meta))
+                        at = end
+                    end = block.find(b">", end + 1)
+                head, newline, piece = block[at + 1 :].partition(b"\n")  # the record left open
+                in_header, body = not newline, [_clean(piece)]
+            last = block[-1] if block else last
+    except InvalidSymbol:
+        return None
+    return seqs
+
+
+def _clean(piece: bytes) -> bytes:
+    """A body piece's bases: its newlines dropped, or, if more is left, its whitespace and case."""
+    bases = piece.replace(b"\n", b"")
+    return bases.translate(None, ASCII_WS).upper() if bases.translate(None, _DNA_BYTES) else bases
+
+
+def _id_and_meta(header: str) -> tuple[str, dict]:
+    """The id and metadata of a header: `id|taxon|feature` carries corpus metadata."""
+    fields = header.strip().split("|")
+    meta = {}
+    if len(fields) >= 2 and fields[1]:
+        meta["taxon_group"] = fields[1]
+    if len(fields) >= 3 and fields[2]:
+        meta["feature_type"] = fields[2]
+    return fields[0], meta
 
 
 def _line_in_record(text: str, index: int, position: int) -> int:

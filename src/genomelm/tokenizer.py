@@ -297,17 +297,17 @@ def _most_frequent_pair(
     and among pairs with equal concatenations (("A","CG") and ("AC","G"))
     the one that occurs first in the stream.
     """
-    left, right = stream[:-1], stream[1:]
-    both = (left >= 0) & (right >= 0)
     width = len(tokens)
-    codes = left[both] * width + right[both]
-    if codes.size == 0:
-        return None
-    uniq, counts = np.unique(codes, return_counts=True)
+    # pair (a, b) is code a * width + b; a pair across a gap is the last code
+    codes = stream[:-1] * width + stream[1:]
+    gaps = np.flatnonzero(stream < 0)
+    codes[gaps[gaps < codes.size]] = width * width  # the pair a gap opens
+    codes[gaps[gaps > 0] - 1] = width * width  # and the pair it closes
+    counts = np.bincount(codes, minlength=width * width + 1)[:-1]
     top = counts.max()
     if top < 2:
         return None
-    tied = [divmod(int(c), width) for c in uniq[counts == top]]
+    tied = [divmod(int(c), width) for c in np.flatnonzero(counts == top)]
     concat = min(tokens[a] + tokens[b] for a, b in tied)
     tied = [(a, b) for a, b in tied if tokens[a] + tokens[b] == concat]
     return min(tied, key=lambda p: np.argmax(codes == p[0] * width + p[1]))
@@ -323,14 +323,15 @@ def _merge_pair(word: np.ndarray, left: int, right: int, merged: int) -> np.ndar
     cand = np.flatnonzero((word[:-1] == left) & (word[1:] == right))
     if cand.size == 0:
         return word
-    idx = np.arange(cand.size)
-    run_start = np.maximum.accumulate(
-        np.where(np.diff(cand, prepend=-2) != 1, idx, 0)
-    )
-    keep = cand[(idx - run_start) % 2 == 0]
-    out = np.delete(word, keep + 1)
-    # each merge before a kept occurrence shifted it left by one
-    out[keep - np.arange(keep.size)] = merged
+    if left == right:
+        idx = np.arange(cand.size)
+        run_start = np.maximum.accumulate(np.where(np.diff(cand, prepend=-2) != 1, idx, 0))
+        cand = cand[(idx - run_start) % 2 == 0]
+    keep = np.ones(word.size, dtype=bool)
+    keep[cand + 1] = False  # the right symbol of each merged pair goes
+    out = word[keep]
+    # each merge before an occurrence shifted it left by one
+    out[cand - np.arange(cand.size)] = merged
     return out
 
 

@@ -1,12 +1,16 @@
 import io
 import tempfile
 import textwrap
+import tracemalloc
 from pathlib import Path
+from unittest import mock
 
+import numpy as np
 import pytest
-from hypothesis import given
+from hypothesis import given, settings
 from hypothesis import strategies as st
 
+from genomelm import seqcore
 from genomelm.errors import AmbiguousBase, BadFastaRecord, BadRow, InvalidSymbol
 from genomelm.seqcore import (
     AMINO_ALPHABET,
@@ -345,6 +349,87 @@ class TestOneTextFastaParser:
         path.write_bytes(b"\r\n>a|t|f\r\nac\rgt\r\n>b\n")
         assert outcome(lambda: read_fasta(path)) == [
             ("a", "ACGT", {"taxon_group": "t", "feature_type": "f"}), ("b", "", {})]
+
+
+block_line = st.one_of(
+    st.sampled_from(["", " ", "\t\x0b", "\x1c\x1f "]),  # blank and whitespace-only lines
+    st.builds(">{}".format, st.text(alphabet="ab| é", max_size=8)),  # headers, some non-ASCII
+    st.builds(">{}".format, st.text(alphabet="ab|>", max_size=8)),  # a '>' inside a header
+    # headers longer than a block, of letters that would pass for bases
+    st.builds(">{}".format, st.text(alphabet="ACGT", min_size=60, max_size=80)),
+    st.builds(">{}|t|f".format, st.text(alphabet="acgt", min_size=60, max_size=80)),
+    st.text(alphabet="acgtnACGTN \t", max_size=90),  # lowercase, N, spaces and tabs
+    st.text(alphabet="ACGTN", max_size=90),
+    # bad symbols, a '>' mid-line among them
+    st.builds("{}{}{}".format, st.text(alphabet="ACGT", max_size=6),
+              st.sampled_from(["x", ">", "*", "é"]), st.text(alphabet="ACGT", max_size=6)),
+)
+
+
+class TestBlockReader:
+    """read_fasta reads a file a block of bytes at a time; with blocks of
+    1 to 64 bytes every record, header and line end is cut somewhere."""
+
+    @settings(max_examples=300, deadline=None)
+    @given(st.lists(st.tuples(block_line, st.sampled_from(["\n", "\r\n", "\r"])), max_size=12),
+           st.booleans(), st.integers(1, 64))
+    def test_any_block_size_reads_as_the_text(self, lines, final_newline, block):
+        text = "".join(line + eol for line, eol in lines)
+        if lines and not final_newline:
+            text = text[: -len(lines[-1][1])]
+        with tempfile.TemporaryDirectory() as d:
+            path = Path(d) / "in.fa"
+            path.write_bytes(text.encode())
+            with open(path) as fh:
+                expected = outcome(lambda: line_based_parse_fasta(fh, path))
+            # an ASCII file with no error is read without the text algorithm's validate
+            text_algorithm = mock.Mock(side_effect=AssertionError) \
+                if isinstance(expected, list) and text.isascii() else validate
+            with mock.patch.object(seqcore, "validate", text_algorithm):
+                with open(path) as fh:
+                    assert outcome(lambda: parse_fasta(fh.read(), path)) == expected
+                with mock.patch.object(seqcore, "_BLOCK", block):
+                    assert outcome(lambda: read_fasta(path)) == expected
+
+    def test_a_record_start_cut_from_its_newline(self, tmp_path):
+        path = tmp_path / "in.fa"
+        path.write_bytes(b">a\nAC\n>b\nGT\r>c\rTT")
+        for block in (2, 3, 6, 12):  # a '>' opens a block, after '\n' or '\r'
+            with mock.patch.object(seqcore, "_BLOCK", block):
+                assert [(s.id, s.bases) for s in read_fasta(path)] == [
+                    ("a", "AC"), ("b", "GT"), ("c", "TT")]
+
+    def test_a_header_over_many_blocks(self, tmp_path):
+        path = tmp_path / "in.fa"
+        path.write_bytes(b">" + b"ACGT" * 8 + b"|t\nAC\r\n>b\nGG\n")
+        for block in range(1, 40):
+            with mock.patch.object(seqcore, "_BLOCK", block):
+                assert [(s.id, s.meta, s.bases) for s in read_fasta(path)] == [
+                    ("ACGT" * 8, {"taxon_group": "t"}, "AC"), ("b", {}, "GG")]
+
+    def test_a_mid_line_gt_that_opens_a_block_is_a_symbol(self, tmp_path):
+        path = tmp_path / "in.fa"
+        path.write_bytes(b">a>b\nAC>GT\n")
+        for block in (1, 2, 3, 4, 5, 6, 7):
+            with mock.patch.object(seqcore, "_BLOCK", block), \
+                    pytest.raises(BadFastaRecord, match="line 2 .* invalid symbol '>'"):
+                read_fasta(path)
+
+    def test_memory_holds_the_records_and_about_one_more(self, tmp_path):
+        path = tmp_path / "four.fa"
+        rng = np.random.default_rng(0)
+        bases = np.frombuffer(b"ACGT", dtype=np.uint8)[rng.integers(0, 4, 4_000_000)].tobytes()
+        records = [bases[i : i + 1_000_000].decode() for i in range(0, len(bases), 1_000_000)]
+        write_fasta(path, [NucleotideSequence(r, id=f"r{i}") for i, r in enumerate(records)])
+        del bases, records
+        tracemalloc.start()
+        try:
+            seqs = read_fasta(path)
+            peak = tracemalloc.get_traced_memory()[1]
+        finally:
+            tracemalloc.stop()
+        assert [len(s) for s in seqs] == [1_000_000] * 4
+        assert peak <= 2 * 4_000_000
 
 
 class TestTsv:

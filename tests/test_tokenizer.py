@@ -24,6 +24,7 @@ from genomelm.tokenizer import (
     _SPECIAL_TOKENS,
     _decode,
     _digits,
+    _merge_pair,
     _ranks,
     bpe_decode,
     bpe_encode,
@@ -543,6 +544,104 @@ class TestBpe:
         with pytest.raises(InvalidSymbol) as exc:
             bpe_encode("AÉ", model)
         assert (exc.value.position, exc.value.symbol) == (1, "É")
+
+
+def unique_most_frequent_pair(stream, tokens):
+    """The pair counter that sorted every pair code with np.unique on each
+    merge, kept as the oracle of _most_frequent_pair."""
+    left, right = stream[:-1], stream[1:]
+    both = (left >= 0) & (right >= 0)
+    width = len(tokens)
+    codes = left[both] * width + right[both]
+    if codes.size == 0:
+        return None
+    uniq, counts = np.unique(codes, return_counts=True)
+    top = counts.max()
+    if top < 2:
+        return None
+    tied = [divmod(int(c), width) for c in uniq[counts == top]]
+    concat = min(tokens[a] + tokens[b] for a, b in tied)
+    tied = [(a, b) for a, b in tied if tokens[a] + tokens[b] == concat]
+    return min(tied, key=lambda p: np.argmax(codes == p[0] * width + p[1]))
+
+
+def delete_merge_pair(word, left, right, merged):
+    """The merge that ran the overlap logic on every pair and dropped the
+    merged positions with np.delete, kept as the oracle of _merge_pair."""
+    cand = np.flatnonzero((word[:-1] == left) & (word[1:] == right))
+    if cand.size == 0:
+        return word
+    idx = np.arange(cand.size)
+    run_start = np.maximum.accumulate(np.where(np.diff(cand, prepend=-2) != 1, idx, 0))
+    keep = cand[(idx - run_start) % 2 == 0]
+    out = np.delete(word, keep + 1)
+    out[keep - np.arange(keep.size)] = merged
+    return out
+
+
+def oracle_bpe_train(corpus, target_vocab):
+    """bpe_train's stream loop over the two oracles."""
+    words = [np.array(["ACGT".index(b) for b in s], dtype=np.int64) for s in corpus if s]
+    stream = np.concatenate([part for w in words for part in (w, [-1])][:-1])
+    tokens = list("ACGT")
+    while len(tokens) + N_SPECIAL_SLOTS < target_vocab:
+        pair = unique_most_frequent_pair(stream, tokens)
+        if pair is None:
+            break
+        tokens.append(tokens[pair[0]] + tokens[pair[1]])
+        stream = delete_merge_pair(stream, *pair, len(tokens) - 1)
+    return tokens
+
+
+def oracle_bpe_encode(bases, model):
+    word = np.array(["ACGT".index(b) for b in bases], dtype=np.int64)
+    index = model.vocab.index
+    for left, right in model.merges:
+        word = delete_merge_pair(word, index[left], index[right], index[left + right])
+    return word.tolist()
+
+
+# Streams as bpe_train sees them: runs of one symbol, -1 between words.
+# Tokens 4 ("AC") and 5 ("CG") make the pairs (AC, G) and (A, CG) spell
+# the same ACG, so ties reach the first-occurrence rule.
+PAIR_TOKENS = ["A", "C", "G", "T", "AC", "CG"]
+symbol_runs = st.lists(st.tuples(st.sampled_from([-1, 0, 1, 2, 4, 5]), st.integers(1, 5)),
+                       max_size=30)
+
+
+def run_stream(runs):
+    return np.array([symbol for symbol, n in runs for _ in range(n)], dtype=np.int64)
+
+
+class TestOneBincountAgainstTheSortingOracles:
+    @settings(max_examples=300)
+    @given(symbol_runs)
+    def test_the_pair_counter_picks_the_same_pair(self, runs):
+        stream = run_stream(runs)
+        assert _most_frequent_pair(stream, PAIR_TOKENS) == unique_most_frequent_pair(
+            stream, PAIR_TOKENS)
+
+    @settings(max_examples=300)
+    @given(symbol_runs, st.sampled_from([0, 1, 2, 4, 5]), st.sampled_from([0, 1, 2, 4, 5]))
+    def test_the_merge_drops_the_same_positions(self, runs, left, right):
+        stream = run_stream(runs)
+        got = _merge_pair(stream, left, right, 6)
+        assert got.tolist() == delete_merge_pair(stream, left, right, 6).tolist()
+        assert stream.tolist() == run_stream(runs).tolist()  # the input is not written to
+
+    @settings(max_examples=200)
+    @given(st.lists(st.lists(st.tuples(st.sampled_from("ACG"), st.integers(1, 6)), max_size=12),
+                    min_size=1, max_size=5),
+           st.integers(4 + N_SPECIAL_SLOTS, 4 + N_SPECIAL_SLOTS + 12), st.text("ACGT", max_size=40))
+    def test_training_and_encoding_match(self, words, target_vocab, probe):
+        corpus = ["".join(base * n for base, n in word) for word in words]
+        if not any(corpus):
+            return
+        model = bpe_train(corpus, target_vocab)
+        assert list(model.vocab.tokens[: model.vocab.n_base]) == oracle_bpe_train(
+            corpus, target_vocab)
+        for bases in corpus + [probe]:
+            assert bpe_encode(bases, model) == oracle_bpe_encode(bases, model)
 
 
 class TestBpeAgainstOracle:
