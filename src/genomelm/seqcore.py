@@ -146,20 +146,21 @@ def split_on_n(seq: NucleotideSequence, min_len: int = 1) -> list[NucleotideSequ
 
 # --- FASTA i/o ---------------------------------------------------------------
 
-# The ASCII characters str.split() splits on, \x1c-\x1f among them.
-ASCII_WS = b"\t\n\x0b\x0c\r\x1c\x1d\x1e\x1f "
+ASCII_WS = b"\t\n\x0b\x0c\r\x1c\x1d\x1e\x1f "  # the ASCII str.split() splits on, \x1c-\x1f too
 _BLOCK = 1 << 20  # the bytes read_fasta reads at a time
 
 
 def read_fasta(path) -> list[NucleotideSequence]:
-    """The FASTA records of `path`, read a block of bytes at a time, lines ending
-    as in text mode. Non-ASCII text, and an error to name, go to parse_fasta."""
+    """The FASTA records of `path`, read a block of bytes at a time, lines ending as in text
+    mode. Non-ASCII text, an error to name, and a pipe, which reads once, are read as one text."""
     with open(path, "rb", buffering=0) as fh:
-        seqs = _ascii_records(iter(lambda: fh.read(_BLOCK), b""), newlines=True)
-    if seqs is None:
-        with open(path) as fh:
-            return parse_fasta(fh.read(), path)
-    return seqs
+        if fh.seekable():
+            seqs = _ascii_records(iter(lambda: fh.read(_BLOCK), b""), newlines=True)
+            if seqs is not None:
+                return seqs
+            fh.seek(0)
+        with open(fh.fileno(), closefd=False) as text:  # on from where fh is
+            return _text_records(text.read(), path)
 
 
 def read_acgt_fasta(path) -> list[NucleotideSequence]:
@@ -206,6 +207,11 @@ def parse_fasta(text: str, path) -> list[NucleotideSequence]:
     A line ends at '\n' only: callers translate newlines, as open() does."""
     if text.isascii() and (seqs := _ascii_records([text.encode()], newlines=False)) is not None:
         return seqs
+    return _text_records(text, path)
+
+
+def _text_records(text: str, path) -> list[NucleotideSequence]:
+    """parse_fasta's records, found in one text, which names any error's line."""
     preamble, *records = ("\n" + text).split("\n>")
     if preamble.strip():
         # line n of the text is line n of the preamble, after the "\n" put before it
@@ -224,13 +230,12 @@ def parse_fasta(text: str, path) -> list[NucleotideSequence]:
 
 
 def _ascii_records(blocks: Iterable[bytes], newlines: bool) -> Optional[list[NucleotideSequence]]:
-    """The records of the FASTA bytes `blocks`, each body piece cleaned as
-    its block arrives, so only the records and the open one's bases are held;
-    None if a block is not ASCII or holds an error for the text algorithm to
-    name. With `newlines`, '\r\n' and '\r' end a line too, as in text mode."""
+    """The records of the FASTA bytes `blocks`, each body piece cleaned as its block arrives, so
+    only the records and the open one's bases are held; None if a block is not ASCII or holds an
+    error for the text algorithm to name. With `newlines`, '\r\n' and '\r' end a line too."""
     seqs = []
-    head, body = b"", None  # the open record's header and cleaned body pieces; None before a '>'
-    in_header = False  # whether the open record's header line is still open
+    # the open record's header, whether its line is still open, and its cleaned body pieces
+    head, in_header, body = b"", False, None  # (None before the first '>')
     last = 10  # the byte before the block, a newline: the text opens a line
     try:
         # a '>' line after the last block closes the last record; the one it opens is dropped
@@ -240,46 +245,36 @@ def _ascii_records(blocks: Iterable[bytes], newlines: bool) -> Optional[list[Nuc
             if newlines and b"\r" in block:
                 # a "\r\n" cut by a block's end reads as two line ends: whitespace
                 block = block.replace(b"\r\n", b"\n").replace(b"\r", b"\n")
-            at = block.find(b">")
-            while at >= 0 and (block[at - 1] if at else last) != 10:
-                at = block.find(b">", at + 1)
-            stop, pos = len(block) if at < 0 else at, 0  # the open record goes on to `stop`
-            if in_header:
-                end = block.find(b"\n", 0, stop)
-                end = stop if end < 0 else end
-                head += block[:end]
-                in_header, pos = end == stop, end
-            if pos < stop:
+            pos = 0  # the open record goes on from `pos` to the next record start, `at`
+            while True:
+                at = block.find(b">", pos)
+                while at >= 0 and (block[at - 1] if at else last) != 10:
+                    at = block.find(b">", at + 1)
+                stop = len(block) if at < 0 else at
+                if in_header:
+                    end = block.find(b"\n", pos, stop)
+                    end = stop if end < 0 else end
+                    head += block[pos:end]
+                    in_header, pos = end == stop, end
+                if pos < stop:
+                    if body is not None:  # newlines dropped; if more is left, whitespace and case
+                        piece = block[pos:stop].replace(b"\n", b"")
+                        if piece.translate(None, _DNA_BYTES):
+                            piece = piece.translate(None, ASCII_WS).upper()
+                        body.append(piece)
+                    elif block[pos:stop].translate(None, ASCII_WS):
+                        return None  # text before the first header
+                if at < 0:
+                    break
                 if body is not None:
-                    body.append(_clean(block[pos:stop]))
-                elif block[pos:stop].translate(None, ASCII_WS):
-                    return None  # text before the first header
-            if at >= 0:
-                if body is not None:
-                    id, meta = _id_and_meta(head.decode())
                     bases, body = b"".join(body), None  # the pieces go as they are joined,
                     bases = bases.decode()  # and the bytes as they are decoded
-                    seqs.append(NucleotideSequence(bases, id=id, meta=meta))
-                end = block.find(b">", at + 1)
-                while end >= 0:
-                    if block[end - 1] == 10:  # the record from `at` is whole in the block
-                        head, _, piece = block[at + 1 : end].partition(b"\n")
-                        id, meta = _id_and_meta(head.decode())
-                        seqs.append(NucleotideSequence(_clean(piece).decode(), id=id, meta=meta))
-                        at = end
-                    end = block.find(b">", end + 1)
-                head, newline, piece = block[at + 1 :].partition(b"\n")  # the record left open
-                in_header, body = not newline, [_clean(piece)]
+                    seqs.append(NucleotideSequence(bases, *_id_and_meta(head.decode())))
+                head, in_header, body, pos = b"", True, [], at + 1
             last = block[-1] if block else last
     except InvalidSymbol:
         return None
     return seqs
-
-
-def _clean(piece: bytes) -> bytes:
-    """A body piece's bases: its newlines dropped, or, if more is left, its whitespace and case."""
-    bases = piece.replace(b"\n", b"")
-    return bases.translate(None, ASCII_WS).upper() if bases.translate(None, _DNA_BYTES) else bases
 
 
 def _id_and_meta(header: str) -> tuple[str, dict]:

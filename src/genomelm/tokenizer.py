@@ -252,6 +252,9 @@ class BpeModel:
         return cls(merges=tuple(map(tuple, obj["merges"])), vocab=Vocabulary.from_record(obj))
 
 
+_CODES_PER_PAIR = 4  # the pair counter counts all w² codes up to this many a pair, then sorts
+
+
 def bpe_train(corpus: Sequence[NucleotideSequence | str], target_vocab: int) -> BpeModel:
     """Greedy pair-merge training.
 
@@ -298,16 +301,19 @@ def _most_frequent_pair(
     the one that occurs first in the stream.
     """
     width = len(tokens)
-    # pair (a, b) is code a * width + b; a pair across a gap is the last code
-    codes = stream[:-1] * width + stream[1:]
+    gap = width * width  # the code of a pair across a gap, which no pair has
+    codes = stream[:-1] * width + stream[1:]  # pair (a, b) is code a * width + b
     gaps = np.flatnonzero(stream < 0)
-    codes[gaps[gaps < codes.size]] = width * width  # the pair a gap opens
-    codes[gaps[gaps > 0] - 1] = width * width  # and the pair it closes
-    counts = np.bincount(codes, minlength=width * width + 1)[:-1]
-    top = counts.max()
+    codes[np.r_[gaps[gaps < codes.size], gaps[gaps > 0] - 1]] = gap  # the pairs at each gap
+    if gap <= _CODES_PER_PAIR * codes.size:  # a count for every code beats a sort
+        uniq, counts = np.arange(gap + 1), np.bincount(codes, minlength=gap + 1)
+    else:  # a wide vocabulary, whose count for every code would outgrow the stream
+        uniq, counts = np.unique(codes, return_counts=True)
+    counts[uniq == gap] = 0
+    top = counts.max(initial=0)
     if top < 2:
         return None
-    tied = [divmod(int(c), width) for c in np.flatnonzero(counts == top)]
+    tied = [divmod(int(c), width) for c in uniq[counts == top]]
     concat = min(tokens[a] + tokens[b] for a, b in tied)
     tied = [(a, b) for a, b in tied if tokens[a] + tokens[b] == concat]
     return min(tied, key=lambda p: np.argmax(codes == p[0] * width + p[1]))
@@ -330,8 +336,7 @@ def _merge_pair(word: np.ndarray, left: int, right: int, merged: int) -> np.ndar
     keep = np.ones(word.size, dtype=bool)
     keep[cand + 1] = False  # the right symbol of each merged pair goes
     out = word[keep]
-    # each merge before an occurrence shifted it left by one
-    out[cand - np.arange(cand.size)] = merged
+    out[cand - np.arange(cand.size)] = merged  # each merge before it shifted it left by one
     return out
 
 

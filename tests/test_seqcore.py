@@ -1,4 +1,5 @@
 import io
+import os
 import tempfile
 import textwrap
 import tracemalloc
@@ -414,6 +415,25 @@ class TestBlockReader:
             with mock.patch.object(seqcore, "_BLOCK", block), \
                     pytest.raises(BadFastaRecord, match="line 2 .* invalid symbol '>'"):
                 read_fasta(path)
+
+    @pytest.mark.parametrize("text, expected", [
+        (">\u00e9|t\nAC\r\nGT\n>b\nGG\n", [("\u00e9", "ACGT"), ("b", "GG")]),
+        (">a\nAC\n>b\nGG\nGX\n", "line 5 .* invalid symbol 'X'"),
+    ], ids=["non-ascii-header", "bad-symbol"])
+    def test_a_pipe_is_read_once(self, text, expected):
+        # a pipe's data can be read once; opened again through /dev/fd it reads as empty
+        read_end, write_end = os.pipe()
+        os.write(write_end, text.encode())
+        os.close(write_end)
+        path = f"/dev/fd/{read_end}"
+        try:
+            if isinstance(expected, str):
+                with pytest.raises(BadFastaRecord, match=expected):
+                    read_fasta(path)
+            else:
+                assert [(s.id, s.bases) for s in read_fasta(path)] == expected
+        finally:
+            os.close(read_end)
 
     def test_memory_holds_the_records_and_about_one_more(self, tmp_path):
         path = tmp_path / "four.fa"

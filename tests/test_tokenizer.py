@@ -1,12 +1,14 @@
 import json
 import random
 import tracemalloc
+from unittest import mock
 
 import numpy as np
 import pytest
 from hypothesis import given, settings
 from hypothesis import strategies as st
 
+from genomelm import tokenizer
 from genomelm.errors import (
     ContainsAmbiguousBase,
     EmptyCorpus,
@@ -613,13 +615,32 @@ def run_stream(runs):
     return np.array([symbol for symbol, n in runs for _ in range(n)], dtype=np.int64)
 
 
-class TestOneBincountAgainstTheSortingOracles:
+# _CODES_PER_PAIR at 0 sorts the codes of every stream; at 10**9 it counts every code
+both_counters = pytest.mark.parametrize("codes_per_pair", [0, 10**9], ids=["sort", "bincount"])
+
+
+class TestPairCountersAgainstTheSortingOracles:
+    @both_counters
     @settings(max_examples=300)
     @given(symbol_runs)
-    def test_the_pair_counter_picks_the_same_pair(self, runs):
+    def test_the_pair_counter_picks_the_same_pair(self, codes_per_pair, runs):
         stream = run_stream(runs)
-        assert _most_frequent_pair(stream, PAIR_TOKENS) == unique_most_frequent_pair(
-            stream, PAIR_TOKENS)
+        with mock.patch.object(tokenizer, "_CODES_PER_PAIR", codes_per_pair):
+            got = _most_frequent_pair(stream, PAIR_TOKENS)
+        assert got == unique_most_frequent_pair(stream, PAIR_TOKENS)
+
+    def test_a_wide_vocabulary_sorts_rather_than_counts_every_code(self):
+        tokens = [f"t{i}" for i in range(1024)]  # a count per code would take 8 MB
+        stream = np.tile(np.arange(100), 10)
+        stream[::7] = -1
+        tracemalloc.start()
+        try:
+            got = _most_frequent_pair(stream, tokens)
+            peak = tracemalloc.get_traced_memory()[1]
+        finally:
+            tracemalloc.stop()
+        assert got == unique_most_frequent_pair(stream, tokens)
+        assert peak < 1_000_000
 
     @settings(max_examples=300)
     @given(symbol_runs, st.sampled_from([0, 1, 2, 4, 5]), st.sampled_from([0, 1, 2, 4, 5]))
@@ -629,15 +650,17 @@ class TestOneBincountAgainstTheSortingOracles:
         assert got.tolist() == delete_merge_pair(stream, left, right, 6).tolist()
         assert stream.tolist() == run_stream(runs).tolist()  # the input is not written to
 
+    @both_counters
     @settings(max_examples=200)
     @given(st.lists(st.lists(st.tuples(st.sampled_from("ACG"), st.integers(1, 6)), max_size=12),
                     min_size=1, max_size=5),
            st.integers(4 + N_SPECIAL_SLOTS, 4 + N_SPECIAL_SLOTS + 12), st.text("ACGT", max_size=40))
-    def test_training_and_encoding_match(self, words, target_vocab, probe):
+    def test_training_and_encoding_match(self, codes_per_pair, words, target_vocab, probe):
         corpus = ["".join(base * n for base, n in word) for word in words]
         if not any(corpus):
             return
-        model = bpe_train(corpus, target_vocab)
+        with mock.patch.object(tokenizer, "_CODES_PER_PAIR", codes_per_pair):
+            model = bpe_train(corpus, target_vocab)
         assert list(model.vocab.tokens[: model.vocab.n_base]) == oracle_bpe_train(
             corpus, target_vocab)
         for bases in corpus + [probe]:
