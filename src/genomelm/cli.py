@@ -10,6 +10,7 @@ import argparse
 import contextlib
 import copy
 import functools
+import itertools
 import json
 import random
 import sys
@@ -19,8 +20,8 @@ from . import analytics, design, ingest, recover, vep
 from .errors import EmptyCorpus, GenomeLmError
 from .lm import MarkovLm, bridge_model, train_markov
 from .sampling import SamplerConfig, conditioned_generate
-from .seqcore import (acgt_only, fasta_text, parse_fasta, read_acgt_fasta, read_fasta,
-                      read_genome, reading_model, translate, tsv_text, validate, write_tsv)
+from .seqcore import (ASCII_WS, fasta_text, read_fasta, read_genome, reading_model, translate,
+                      tsv_text, validate, write_tsv)
 from .tokenizer import BpeModel, KmerTokenizer, bpe_encode, bpe_train, kmer_encode
 
 USAGE_ERROR = 1
@@ -134,20 +135,19 @@ def _opened_model(spec_text: str):
             model.close()
 
 
-def _read_sequences(args, acgt=False):
+def _read_sequences(args, **checks):
     """The positional sequence, the FASTA records of --in or of stdin, or
-    stdin as one sequence. With `acgt`, as a tokenizer needs, a FASTA record
-    with an N raises BadFastaRecord naming its line."""
+    stdin as one sequence; `checks` are read_fasta's for the records."""
     if getattr(args, "seq", None):
         return [validate(args.seq)]
     if getattr(args, "infile", None):
-        return read_acgt_fasta(args.infile) if acgt else read_fasta(args.infile)
-    # the newline translation that open() gives a file
-    data = sys.stdin.read().replace("\r\n", "\n").replace("\r", "\n")
-    if data.lstrip().startswith(">"):
-        seqs = parse_fasta(data, "<stdin>")
-        return acgt_only(seqs, data, "<stdin>") if acgt else seqs
-    return [validate(data)]
+        return read_fasta(args.infile, **checks)
+    stdin = iter(lambda: sys.stdin.buffer.read(1 << 20), b"")
+    # what stdin holds up to its first byte that is not blank
+    lead = next((lead for lead in itertools.accumulate(stdin) if lead.lstrip(ASCII_WS)), b"")
+    if lead.lstrip(ASCII_WS).startswith(b">"):
+        return read_fasta("<stdin>", blocks=itertools.chain([lead], stdin), **checks)
+    return [validate((lead + b"".join(stdin)).decode(errors="replace"))]
 
 
 def _kmer_offsets(args, fixed: int) -> Iterator[int]:
@@ -178,7 +178,7 @@ def cmd_tokenize(args):
 
 
 def cmd_bpe_train(args):
-    corpus = read_acgt_fasta(args.corpus)
+    corpus = read_fasta(args.corpus, acgt=True)
     model = bpe_train(corpus, args.target_vocab)
     _emit(args, model.to_json() + "\n")
     return 0
@@ -227,7 +227,7 @@ def cmd_ingest_gener_tasks(args):
 def cmd_train_markov(args):
     tokenizer = KmerTokenizer(args.k)
     corpus = []
-    for seq, offset in zip(read_acgt_fasta(args.corpus), _kmer_offsets(args, 0)):
+    for seq, offset in zip(read_fasta(args.corpus, acgt=True), _kmer_offsets(args, 0)):
         ids = tokenizer.encode(seq.bases, offset)
         if ids:
             corpus.append(ids)
@@ -340,7 +340,7 @@ def cmd_design_fit(args):
 
 def cmd_design_rank(args):
     predictor = design.load_predictor(args.predictor)
-    candidates = [s.bases for s in read_fasta(args.candidates)]
+    candidates = [s.bases for s in read_fasta(args.candidates, nonempty=True)]
     plan = design.SelectionPlan(
         top=args.top, bottom=args.bottom, random=args.random, seed=args.seed
     )
@@ -354,14 +354,14 @@ def cmd_design_rank(args):
 
 def cmd_design_contrib(args):
     predictor = design.load_predictor(args.predictor)
-    seqs = [seq.bases for seq in _read_sequences(args)]
+    seqs = [seq.bases for seq in _read_sequences(args, nonempty=True)]
     rows = design.contribution_rows(predictor, seqs)
     _emit(args, "".join(map(design.contributions_to_tsv, seqs, rows)))
     return 0
 
 
 def _profile_embeddings(args):
-    seqs = read_acgt_fasta(args.infile)
+    seqs = read_fasta(args.infile, acgt=True, nonempty=True)
     vectors = analytics.profile_embeddings([s.bases for s in seqs], args.k)
     labels = [s.meta.get("taxon_group", "unlabeled") for s in seqs]
     return seqs, analytics.EmbeddingSet(vectors=vectors, labels=labels)

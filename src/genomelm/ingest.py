@@ -21,7 +21,7 @@ from .errors import (
     UnknownSequenceId,
 )
 from .seqcore import (NucleotideSequence, line_of_position, read_tsv, reverse_complement,
-                      split_on_n, tsv_text, validate)
+                      split_on_n, text_lines, tsv_text, validate)
 
 FEATURE_TYPES = ("CDS", "pseudo", "tRNA", "rRNA", "ncRNA", "miscRNA", "gene")
 TAXON_GROUPS = (
@@ -105,13 +105,13 @@ def add_genbank(genome: dict[str, NucleotideSequence], path) -> list[AnnotationR
     """Parse the LOCUS/FEATURES/ORIGIN records of the GenBank file at `path`
     into `genome` and return their `gene` features. A LOCUS line without a
     name, or with the name of an earlier LOCUS or of a record `genome`
-    already holds, or a symbol outside the alphabet in an ORIGIN section,
-    raises BadRow naming the path and the line, and leaves `genome` as it was."""
+    already holds, a symbol outside the alphabet in an ORIGIN section, or a
+    byte that is not UTF-8, raises BadRow naming the path and the line, and
+    leaves `genome` as it was."""
     sequences: dict[str, NucleotideSequence] = {}
     locus_lines: dict[str, int] = {}
     records: list[AnnotationRecord] = []
-    with open(path) as fh:
-        lines = fh.read().splitlines()
+    lines = [line.rstrip("\n") for _, line in text_lines(path)]
 
     i = 0
     while i < len(lines):

@@ -10,7 +10,7 @@ import re
 from contextlib import contextmanager
 from dataclasses import dataclass, field
 from pathlib import Path
-from typing import Callable, Iterable, Optional, Sequence, TypeVar
+from typing import Callable, Iterable, Iterator, Optional, Sequence, TypeVar
 
 from .errors import AmbiguousBase, BadFastaRecord, BadModelFile, BadRow, InvalidSymbol
 
@@ -147,134 +147,130 @@ def split_on_n(seq: NucleotideSequence, min_len: int = 1) -> list[NucleotideSequ
 # --- FASTA i/o ---------------------------------------------------------------
 
 ASCII_WS = b"\t\n\x0b\x0c\r\x1c\x1d\x1e\x1f "  # the ASCII str.split() splits on, \x1c-\x1f too
+_LAST_CHARACTER = re.compile(rb"[\xc0-\xff][\x80-\xbf]*\Z")  # a non-ASCII one, whole or cut
 _BLOCK = 1 << 20  # the bytes read_fasta reads at a time
 
 
-def read_fasta(path) -> list[NucleotideSequence]:
-    """The FASTA records of `path`, read a block of bytes at a time, lines ending as in text
-    mode. Non-ASCII text, an error to name, and a pipe, which reads once, are read as one text."""
-    with open(path, "rb", buffering=0) as fh:
-        if fh.seekable():
-            seqs = _ascii_records(iter(lambda: fh.read(_BLOCK), b""), newlines=True)
-            if seqs is not None:
-                return seqs
-            fh.seek(0)
-        with open(fh.fileno(), closefd=False) as text:  # on from where fh is
-            return _text_records(text.read(), path)
-
-
-def read_acgt_fasta(path) -> list[NucleotideSequence]:
-    """The records of FASTA `path`, each of A, C, G and T only, as a
-    tokenizer needs. An N raises BadFastaRecord naming the path, the record
-    and the line of its first N."""
-    seqs = read_fasta(path)
-    if any(seq.has_n() for seq in seqs):
-        with open(path) as fh:  # only now find the record's lines
-            acgt_only(seqs, fh.read(), path)
-    return seqs
-
-
-def acgt_only(seqs: list[NucleotideSequence], text: str, path) -> list[NucleotideSequence]:
-    """`seqs`, the records parse_fasta read from `text`, if each is of A, C,
-    G and T only. An N raises BadFastaRecord naming `path`, the record and
-    the line of its first N."""
-    for index, seq in enumerate(seqs):
-        if seq.has_n():
-            position = seq.bases.index("N")
-            line_no = _line_in_record(text, index, position)
-            raise BadFastaRecord(path, line_no, seq.id, AmbiguousBase(position))
-    return seqs
+def read_fasta(path, acgt=False, unique_ids=False, nonempty=False,
+               blocks: Optional[Iterable[bytes]] = None) -> list[NucleotideSequence]:
+    """The FASTA records of `path`, a file or a pipe read once a block of bytes at a time, or of
+    `blocks`, the bytes of a stream that `path` names; lines end as in text mode. The first fault
+    raises BadFastaRecord naming `path`, its line and its record: a byte that is not UTF-8, text
+    before the first '>' header or a symbol outside the alphabet; with `acgt`, as a tokenizer
+    needs, an N; with `unique_ids` a repeated id; with `nonempty` a record of no bases."""
+    if blocks is not None:
+        return _records(blocks, path, acgt, unique_ids, nonempty)
+    with open(path, "rb") as fh:
+        return _records(iter(lambda: fh.read(_BLOCK), b""), path, acgt, unique_ids, nonempty)
 
 
 def read_genome(path) -> dict[str, NucleotideSequence]:
     """The FASTA records of `path` by id. A repeated id raises
     BadFastaRecord naming the path, the line of its second header and the id."""
-    genome: dict[str, NucleotideSequence] = {}
-    for seq in read_fasta(path):
-        if seq.id in genome:
-            with open(path) as fh:  # only now find the two headers' lines
-                first, second = [n for n, line in enumerate(fh, start=1) if line.startswith(">")
-                                 and line[1:].strip().split("|")[0] == seq.id][:2]
-            raise BadFastaRecord(path, second, seq.id, f"record id repeated from line {first}")
-        genome[seq.id] = seq
-    return genome
+    return {seq.id: seq for seq in read_fasta(path, unique_ids=True)}
 
 
-def parse_fasta(text: str, path) -> list[NucleotideSequence]:
-    """The FASTA records of `text`, read from `path`: a record starts at a
-    line that starts with '>'. A symbol outside the alphabet, or text before
-    the first header, raises BadFastaRecord naming the path and the line.
-    A line ends at '\n' only: callers translate newlines, as open() does."""
-    if text.isascii() and (seqs := _ascii_records([text.encode()], newlines=False)) is not None:
-        return seqs
-    return _text_records(text, path)
-
-
-def _text_records(text: str, path) -> list[NucleotideSequence]:
-    """parse_fasta's records, found in one text, which names any error's line."""
-    preamble, *records = ("\n" + text).split("\n>")
-    if preamble.strip():
-        # line n of the text is line n of the preamble, after the "\n" put before it
-        line_no = next(n for n, line in enumerate(preamble.split("\n")) if line.strip())
-        raise BadFastaRecord(path, line_no, None, "text before the first '>' header")
-    seqs = []
-    for index, record in enumerate(records):
-        header, _, body = record.partition("\n")
-        id, meta = _id_and_meta(header)
-        try:
-            seqs.append(validate(body, id=id, meta=meta))
-        except InvalidSymbol as exc:
-            line_no = _line_in_record(text, index, exc.position)
-            raise BadFastaRecord(path, line_no, id, exc) from exc
-    return seqs
-
-
-def _ascii_records(blocks: Iterable[bytes], newlines: bool) -> Optional[list[NucleotideSequence]]:
-    """The records of the FASTA bytes `blocks`, each body piece cleaned as its block arrives, so
-    only the records and the open one's bases are held; None if a block is not ASCII or holds an
-    error for the text algorithm to name. With `newlines`, '\r\n' and '\r' end a line too."""
-    seqs = []
+def _records(blocks: Iterable[bytes], path, acgt, unique_ids, nonempty) -> list:
+    """read_fasta's records of the FASTA bytes `blocks`, each body piece cleaned and checked as
+    its block arrives, so only the records and the open one's bases are held. A piece's newlines
+    are counted as they are dropped, so each record start and fault knows its line."""
+    allowed = b"ACGT" if acgt else _DNA_BYTES
+    seqs, header_lines = [], {}
     # the open record's header, whether its line is still open, and its cleaned body pieces
     head, in_header, body = b"", False, None  # (None before the first '>')
-    last = 10  # the byte before the block, a newline: the text opens a line
-    try:
-        # a '>' line after the last block closes the last record; the one it opens is dropped
-        for block in itertools.chain(blocks, [b"\n>"]):
-            if not block.isascii():
-                return None
-            if newlines and b"\r" in block:
-                # a "\r\n" cut by a block's end reads as two line ends: whitespace
-                block = block.replace(b"\r\n", b"\n").replace(b"\r", b"\n")
-            pos = 0  # the open record goes on from `pos` to the next record start, `at`
-            while True:
-                at = block.find(b">", pos)
-                while at >= 0 and (block[at - 1] if at else last) != 10:
-                    at = block.find(b">", at + 1)
-                stop = len(block) if at < 0 else at
-                if in_header:
-                    end = block.find(b"\n", pos, stop)
-                    end = stop if end < 0 else end
-                    head += block[pos:end]
-                    in_header, pos = end == stop, end
-                if pos < stop:
-                    if body is not None:  # newlines dropped; if more is left, whitespace and case
-                        piece = block[pos:stop].replace(b"\n", b"")
-                        if piece.translate(None, _DNA_BYTES):
-                            piece = piece.translate(None, ASCII_WS).upper()
-                        body.append(piece)
-                    elif block[pos:stop].translate(None, ASCII_WS):
-                        return None  # text before the first header
-                if at < 0:
-                    break
+    id, meta, header_line = None, {}, 0  # the open record's, once its header line is whole
+    last, line = 10, 1  # the byte before the block, a newline: the text opens line 1
+    # a '>' line after the last block closes the last record; the one it opens is dropped
+    for block in itertools.chain(_whole_characters(blocks), [b"\n>"]):
+        if b"\r" in block:
+            block = block.replace(b"\r\n", b"\n").replace(b"\r", b"\n")
+        pos = 0  # the open record goes on from `pos`, on line `line`, to the next record start
+        while True:
+            at = block.find(b">", pos)
+            while at >= 0 and (block[at - 1] if at else last) != 10:
+                at = block.find(b">", at + 1)
+            stop = len(block) if at < 0 else at
+            if in_header:
+                end = block.find(b"\n", pos, stop)
+                end = stop if end < 0 else end
+                head += block[pos:end]
+                in_header, pos = end == stop, end
+                if not in_header:  # the header line is whole
+                    try:
+                        id, meta = _id_and_meta(head.decode())
+                    except UnicodeDecodeError as exc:
+                        raise BadFastaRecord(path, header_line, None, f"byte 0x"
+                                             f"{head[exc.start]:02x} is not UTF-8") from None
+                    if unique_ids and header_lines.setdefault(id, header_line) != header_line:
+                        raise BadFastaRecord(path, header_line, id,
+                                             f"record id repeated from line {header_lines[id]}")
+            if pos < stop:  # newlines dropped and counted; past bases, whitespace and case too
+                piece = block[pos:stop].replace(b"\n", b"")
+                first, line = line, line + stop - pos - len(piece)
+                if body is None or piece.translate(None, allowed):
+                    piece = _cleaned(piece)
+                    # before the first header any text is a fault, after it a symbol not allowed
+                    if piece is None or piece.translate(None, b"" if body is None else allowed):
+                        _raise_fault(path, block[pos:stop], first, None if body is None else id,
+                                     sum(map(len, body or ())), allowed)
                 if body is not None:
-                    bases, body = b"".join(body), None  # the pieces go as they are joined,
-                    bases = bases.decode()  # and the bytes as they are decoded
-                    seqs.append(NucleotideSequence(bases, *_id_and_meta(head.decode())))
-                head, in_header, body, pos = b"", True, [], at + 1
-            last = block[-1] if block else last
-    except InvalidSymbol:
-        return None
+                    body.append(piece)
+            if at < 0:
+                break
+            if body is not None:
+                bases, body = b"".join(body), None  # the pieces go as they are joined,
+                if nonempty and not bases:
+                    raise BadFastaRecord(path, header_line, id, "empty sequence")
+                bases = bases.decode()  # and the bytes as they are decoded
+                seqs.append(NucleotideSequence(bases, id, meta))
+            head, in_header, body, header_line, pos = b"", True, [], line, at + 1
+        last = block[-1] if block else last
     return seqs
+
+
+def _whole_characters(blocks: Iterable[bytes]) -> Iterator[bytes]:
+    """`blocks`, each one's last character, if it is not ASCII, or else its trailing carriage
+    return, moved on to open the next, so that no UTF-8 character and no CR LF is cut."""
+    carry = b""
+    for block in blocks:
+        block = carry + block
+        last = _LAST_CHARACTER.search(block, max(len(block) - 4, 0))
+        cut = last.start() if last else len(block) - block.endswith(b"\r")
+        block, carry = block[:cut], block[cut:]
+        yield block
+    yield carry
+
+
+def _cleaned(piece: bytes) -> Optional[bytes]:
+    """Body bytes `piece` cleaned as `validate` cleans text, without whitespace and in upper
+    case; None if it is not UTF-8."""
+    if piece.isascii():
+        return piece.translate(None, ASCII_WS).upper()
+    try:
+        return "".join(piece.decode().split()).upper().encode()
+    except UnicodeDecodeError:
+        return None
+
+
+def _raise_fault(path, raw: bytes, line: int, record, seen: int, allowed: bytes):
+    """Raise the BadFastaRecord of the first fault in FASTA bytes `raw`, which open on line
+    `line`: with `record` None, before the first header, any text; else, cleaned as `validate`
+    cleans text, a symbol not `allowed`, `seen` bases into `record`; or a byte not UTF-8."""
+    try:
+        text, undecodable = raw.decode(), None
+    except UnicodeDecodeError as exc:  # the text before the byte may hold the first fault
+        text, undecodable = raw[: exc.start].decode(), exc.start
+    cleaned = "".join(text.split()).upper()
+    bad = re.search("." if record is None else f"[^{allowed.decode()}]", cleaned)
+    if bad is None:
+        raise BadFastaRecord(path, line + raw.count(b"\n", 0, undecodable), record,
+                             f"byte 0x{raw[undecodable]:02x} is not UTF-8")
+    line_no = line_of_position(bad.start(), enumerate(text.split("\n"), start=line))
+    if record is None:
+        raise BadFastaRecord(path, line_no, None, "text before the first '>' header")
+    at, symbol = seen + bad.start(), bad.group()
+    reason = AmbiguousBase(at) if symbol == "N" else InvalidSymbol(at, symbol)
+    raise BadFastaRecord(path, line_no, record, reason) from reason
 
 
 def _id_and_meta(header: str) -> tuple[str, dict]:
@@ -286,16 +282,6 @@ def _id_and_meta(header: str) -> tuple[str, dict]:
     if len(fields) >= 3 and fields[2]:
         meta["feature_type"] = fields[2]
     return fields[0], meta
-
-
-def _line_in_record(text: str, index: int, position: int) -> int:
-    """The line of FASTA `text` that holds character `position` of record
-    `index`'s sequence; only an error needs it, so only an error pays for it."""
-    preamble, *records = ("\n" + text).split("\n>")
-    # each record before this one spans its newlines plus the one before its header
-    header_line = preamble.count("\n") + sum(r.count("\n") for r in records[:index]) + index + 1
-    body = records[index].split("\n")[1:]
-    return line_of_position(position, enumerate(body, start=header_line + 1))
 
 
 def line_of_position(position: int, numbered_lines: Iterable[tuple[int, str]]) -> int:
@@ -335,6 +321,7 @@ def write_fasta(path, seqs: Iterable[NucleotideSequence], width: int = 60) -> No
 # --- TSV i/o -----------------------------------------------------------------
 
 Row = TypeVar("Row")
+_ESCAPED = re.compile("[\udc80-\udcff]")
 
 
 def read_tsv(
@@ -342,25 +329,35 @@ def read_tsv(
 ) -> list[Row]:
     """`parse_row` of each tab-split line but blank and '#' ones. A line with
     fewer than `min_cols` or more than `max_cols` fields, or one `parse_row`
-    rejects with ValueError or InvalidSymbol, raises BadRow naming the path and line."""
+    rejects with ValueError or InvalidSymbol, raises BadRow naming the path and
+    line, as a byte that is not UTF-8 does."""
     if max_cols is None:
         width = f">={min_cols}"
     else:
         width = str(min_cols) if max_cols == min_cols else f"{min_cols}..{max_cols}"
     rows = []
-    with open(path) as fh:
-        for line_no, line in enumerate(fh, start=1):
-            line = line.rstrip("\n")
-            if not line or line.startswith("#"):
-                continue
-            cols = line.split("\t")
-            if len(cols) < min_cols or (max_cols is not None and len(cols) > max_cols):
-                raise BadRow(line_no, f"expected {width} columns, got {len(cols)}", path)
-            try:
-                rows.append(parse_row(cols))
-            except (ValueError, InvalidSymbol) as exc:
-                raise BadRow(line_no, str(exc), path) from exc
+    for line_no, line in text_lines(path):
+        line = line.rstrip("\n")
+        if not line or line.startswith("#"):
+            continue
+        cols = line.split("\t")
+        if len(cols) < min_cols or (max_cols is not None and len(cols) > max_cols):
+            raise BadRow(line_no, f"expected {width} columns, got {len(cols)}", path)
+        try:
+            rows.append(parse_row(cols))
+        except (ValueError, InvalidSymbol) as exc:
+            raise BadRow(line_no, str(exc), path) from exc
     return rows
+
+
+def text_lines(path) -> Iterator[tuple[int, str]]:
+    """Each line of text file `path` with its number. A byte that is not
+    UTF-8 raises BadRow naming the path and its line."""
+    with open(path, errors="surrogateescape") as fh:  # such a byte reads as U+DC80..U+DCFF
+        for line_no, line in enumerate(fh, start=1):
+            if not line.isascii() and (bad := _ESCAPED.search(line)):
+                raise BadRow(line_no, f"byte 0x{ord(bad.group()) - 0xDC00:02x} is not UTF-8", path)
+            yield line_no, line
 
 
 def tsv_text(header: Sequence[str], rows: Iterable[Sequence]) -> str:

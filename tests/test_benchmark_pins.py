@@ -73,3 +73,31 @@ def test_the_k_mer_tokenizer_goes_through_the_traced_functions(tracing):
     got = [(s.name, s.attrs) for s in spans if s.name.startswith("tokenizer.")]
     assert got == [("tokenizer.encode", {"nt": 10}), ("tokenizer.decode", {"tokens": 3})]
     assert counts == {"tokenizer.vocab_builds": 2}
+
+
+@pytest.mark.parametrize("leaf", ["ingest-extract", "train-markov"])
+def test_every_fasta_read_is_a_traced_read_fasta(tracing, tmp_path, leaf):
+    # corpus-train reads its genome and corpus through these leaves; were they to
+    # read by any name but read_fasta, seqcore.read_fasta.* would read 0 there
+    from genomelm.cli import main
+
+    fasta = tmp_path / "g.fa"
+    fasta.write_text(">s0|fungi\n" + "ACGT" * 30 + "\n>s1|plant\n" + "GGCA" * 20 + "\n")
+    (tmp_path / "ann.tsv").write_text("s0\t10\t60\t+\tgene\tfungi\n")
+    argv = {
+        "ingest-extract": ["ingest", "extract", "--genome", str(fasta),
+                           "--annotations", str(tmp_path / "ann.tsv"),
+                           "--out", str(tmp_path / "regions.fa")],
+        "train-markov": ["train-markov", str(fasta), "--k", "2",
+                         "--model-out", str(tmp_path / "m.npz")],
+    }[leaf]
+    tracer = tracing.Tracer()
+    tracer.install()
+    try:
+        tracer.active = True
+        assert main(argv) == 0
+        tracer.active = False
+    finally:
+        tracer.uninstall()
+    spans, _ = tracer.take()
+    assert [s.attrs for s in spans if s.name == "seqcore.read_fasta"] == [{"nt": 200}]

@@ -5,6 +5,7 @@ import hashlib
 import io
 import json
 import math
+import os
 import random
 import sys
 import tempfile
@@ -18,7 +19,7 @@ from hypothesis import strategies as st
 
 from genomelm.cli import (_BOOLEANS, DATA_ERROR, USAGE_ERROR, _load_config, _parse,
                           _shared_parser, build_parser, count, length, lengths, main)
-from genomelm.seqcore import NucleotideSequence, write_fasta
+from genomelm.seqcore import NucleotideSequence, fasta_text, write_fasta
 from genomelm.tokenizer import kmer_count_matrix
 
 
@@ -53,6 +54,11 @@ def edit_header(**fields):
                 obj[key] = value
         return np.array(json.dumps(obj))
     return edit_array("header", change)
+
+
+def stdin_of(text: str):
+    """A sys.stdin that holds `text`, with the `.buffer` of bytes the CLI reads."""
+    return io.TextIOWrapper(io.BytesIO(text.encode()))
 
 
 def write_corpus(path, n=6, length=120, seed=0):
@@ -153,16 +159,14 @@ class TestTokenizeCommand:
         assert len(capsys.readouterr().out.splitlines()) == 3
 
     def test_fasta_on_stdin(self, monkeypatch, capsys):
-        import io
-
-        monkeypatch.setattr("sys.stdin", io.StringIO(">a|fungi\nACG\nTAC\n\n>b\nGGG\n"))
+        monkeypatch.setattr("sys.stdin", stdin_of(">a|fungi\nACG\nTAC\n\n>b\nGGG\n"))
         assert main(["tokenize", "--k", "3"]) == 0
         assert capsys.readouterr().out.splitlines() == ["0\t6 49\t", "0\t42\t"]
 
     @pytest.mark.parametrize("eol", ["\r\n", "\r"])
     def test_fasta_on_stdin_ends_lines_as_a_file_does(self, monkeypatch, capsys, eol):
         text = ">a|fungi\nACG\nTAC\n\n>b\nGGG\n".replace("\n", eol)
-        monkeypatch.setattr("sys.stdin", io.StringIO(text))
+        monkeypatch.setattr("sys.stdin", stdin_of(text))
         assert main(["tokenize", "--k", "3"]) == 0
         assert capsys.readouterr().out.splitlines() == ["0\t6 49\t", "0\t42\t"]
 
@@ -983,15 +987,30 @@ class TestModelWorkflows:
         assert not (tmp_path / "m.npz").exists()
 
     def test_bad_fasta_on_stdin_is_named_too(self, monkeypatch, capsys):
-        monkeypatch.setattr("sys.stdin", io.StringIO(">a\nACG\n\nTAU\n"))
+        monkeypatch.setattr("sys.stdin", stdin_of(">a\nACG\n\nTAU\n"))
         assert main(["tokenize", "--k", "3"]) == DATA_ERROR
         assert "BadFastaRecord: <stdin>: line 4 (record 'a')" in capsys.readouterr().err
 
     def test_an_n_in_fasta_on_stdin_to_tokenize_names_record_and_line(self, monkeypatch, capsys):
-        monkeypatch.setattr("sys.stdin", io.StringIO(">a\nACG\n>b|fungi\nACGT\r\n\r\nTTNA\n"))
+        monkeypatch.setattr("sys.stdin", stdin_of(">a\nACG\n>b|fungi\nACGT\r\n\r\nTTNA\n"))
         assert main(["tokenize", "--k", "3"]) == DATA_ERROR
         assert capsys.readouterr().err == ("error: BadFastaRecord: <stdin>: line 6 (record 'b'): "
                                            "ambiguous base 'N' at position 6\n")
+
+    @pytest.mark.parametrize("data, message", [
+        (b">a\nAC\xf0GT\n", "<stdin>: line 2 (record 'a'): byte 0xf0 is not UTF-8"),
+        (b">a\xf0\nACGT\n", "<stdin>: line 1: byte 0xf0 is not UTF-8"),
+        (b"\n \n>a\nACGXTT\n", "<stdin>: line 4 (record 'a'): invalid symbol 'X' at position 3"),
+    ], ids=["body", "header", "after-blank-lines"])
+    def test_fasta_on_stdin_is_read_as_bytes(self, monkeypatch, capsys, data, message):
+        monkeypatch.setattr("sys.stdin", io.TextIOWrapper(io.BytesIO(data)))
+        assert main(["tokenize", "--k", "3"]) == DATA_ERROR
+        assert capsys.readouterr().err == f"error: BadFastaRecord: {message}\n"
+
+    def test_stdin_that_opens_with_no_header_is_one_sequence(self, monkeypatch, capsys):
+        monkeypatch.setattr("sys.stdin", stdin_of("\n  \nacg\r\nTAC\n"))
+        assert main(["tokenize", "--k", "3"]) == 0
+        assert capsys.readouterr().out.splitlines() == ["0\t6 49\t"]
 
     def test_generate_with_uniform_model_and_prompt(self, tmp_path, capsys):
         assert main([
@@ -1533,6 +1552,106 @@ class TestEmbedWorkflow:
         assert main(["embed", "silhouette", "--in", str(path), "--k", "2"]) == 0
         value = float(capsys.readouterr().out)
         assert value > 0.3
+
+
+class TestEmptyRecords:
+    def _fasta(self, tmp_path):
+        path = tmp_path / "e.fa"
+        path.write_text(">a|fungi\nACGTACGT\n>b|plant\n\n>c|plant\nGGCCAT\n")
+        return path
+
+    @pytest.mark.parametrize("leaf", ["project", "silhouette"])
+    def test_embed_names_the_file_and_record(self, tmp_path, capsys, leaf):
+        path = self._fasta(tmp_path)
+        assert main(["embed", leaf, "--in", str(path), "--k", "2"]) == DATA_ERROR
+        assert capsys.readouterr().err == (
+            f"error: BadFastaRecord: {path}: line 3 (record 'b'): empty sequence\n")
+
+    @pytest.mark.parametrize("leaf", [["contrib", "--in"], ["rank", "--top", "1", "--candidates"]],
+                             ids=["contrib", "rank"])
+    def test_design_names_the_file_and_record(self, tmp_path, capsys, leaf):
+        activities = tmp_path / "activities.tsv"
+        activities.write_text("".join(f"{s}\t{i}\t0\n"
+                                      for i, s in enumerate(["ACGT", "GGCC", "ATAT", "CCGA"])))
+        predictor = tmp_path / "ridge.json"
+        assert main(["design", "fit", "--activities", str(activities), "--k", "1",
+                     "--model-out", str(predictor)]) == 0
+        capsys.readouterr()
+        path = self._fasta(tmp_path)
+        assert main(["design", *leaf, str(path), "--predictor", str(predictor)]) == DATA_ERROR
+        assert capsys.readouterr().err == (
+            f"error: BadFastaRecord: {path}: line 3 (record 'b'): empty sequence\n")
+
+
+def two_record_genome() -> bytes:
+    """A FASTA genome of two 400-nt records, 60 bases a line: s1's header is line 9."""
+    rng = random.Random(5)
+    return fasta_text(
+        NucleotideSequence("".join(rng.choice("ACGT") for _ in range(400)), id=f"s{i}",
+                           meta={"taxon_group": taxon})
+        for i, taxon in enumerate(["fungi", "plant"])
+    ).encode()
+
+
+def with_line(data: bytes, index: int, edit) -> bytes:
+    lines = data.split(b"\n")
+    lines[index] = edit(lines[index])
+    return b"\n".join(lines)
+
+
+# each a FASTA fault, made in s1, the record that no annotation or variant touches
+FASTA_FAULTS = {
+    "none": lambda data: data,
+    "bad-symbol": lambda data: with_line(data, 11, lambda line: b"X" + line[1:]),
+    "n": lambda data: with_line(data, 11, lambda line: b"N" + line[1:]),
+    "repeated-id": lambda data: with_line(data, 8, lambda line: b">s0|plant"),
+    "not-utf8": lambda data: with_line(data, 11, lambda line: line[:5] + b"\xf0" + line[6:]),
+    "text-before-the-header": lambda data: b"ACGT\n" + data,
+}
+
+# each leaf that reads FASTA, given the FASTA's path and a directory of its other inputs
+FASTA_LEAVES = {
+    "train-markov": lambda fa, d: ["train-markov", fa, "--k", "2", "--model-out",
+                                   str(d / "m.npz")],
+    "tokenize": lambda fa, d: ["tokenize", "--in", fa, "--k", "3"],
+    "embed": lambda fa, d: ["embed", "project", "--in", fa, "--k", "2"],
+    "ingest-extract": lambda fa, d: ["ingest", "extract", "--genome", fa,
+                                     "--annotations", str(d / "ann.tsv")],
+    "recover-build": lambda fa, d: ["recover", "build", "--genome", fa,
+                                    "--annotations", str(d / "ann.tsv"), "--prompt-len", "20",
+                                    "--predict-len", "12", "--per-group-n", "1"],
+    "vep-score": lambda fa, d: ["vep", "score", "--genome", fa, "--variants",
+                                str(d / "variants.tsv"), "--model", "uniform:1",
+                                "--context-len", "16"],
+}
+
+
+class TestFastaThroughAPipe:
+    """A FASTA read through a pipe's /dev/fd path, which reads once, as
+    `<(zcat g.fa.gz)` is, ends as the same file read from disk does."""
+
+    @pytest.mark.parametrize("fault", FASTA_FAULTS)
+    @pytest.mark.parametrize("leaf", FASTA_LEAVES)
+    def test_a_pipe_reads_as_the_file(self, tmp_path, capsys, leaf, fault):
+        data = FASTA_FAULTS[fault](two_record_genome())
+        (tmp_path / "ann.tsv").write_text("s0\t100\t200\t+\tgene\tfungi\n")
+        ref = data.split(b"\n", 1)[1].replace(b"\n", b"")[49:50].decode()  # s0's base 50
+        (tmp_path / "variants.tsv").write_text(f"s0\t50\t{ref}\t{'C' if ref == 'A' else 'A'}\n")
+        fasta = tmp_path / "g.fa"
+        fasta.write_bytes(data)
+        code = main(FASTA_LEAVES[leaf](str(fasta), tmp_path))
+        from_file = code, *capsys.readouterr()
+        read_end, write_end = os.pipe()
+        try:
+            with os.fdopen(write_end, "wb") as fh:  # the genome fits the pipe's buffer
+                fh.write(data)
+            path = f"/dev/fd/{read_end}"
+            code = main(FASTA_LEAVES[leaf](path, tmp_path))
+            out, err = capsys.readouterr()
+        finally:
+            os.close(read_end)
+        assert (code, out, err.replace(path, str(fasta))) == from_file
+        assert code == 0 or err.startswith(f"error: BadFastaRecord: {path}: line ")
 
 
 class TestStdoutSink:

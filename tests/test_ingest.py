@@ -152,6 +152,16 @@ class TestGenbank:
         assert exc.value.reason == f"record 'CTG1': invalid symbol 'X' at position {at}"
         assert isinstance(exc.value.__cause__, InvalidSymbol)
 
+    def test_a_byte_that_is_not_utf8_names_its_line(self, tmp_path):
+        path = tmp_path / "bad.gb"
+        _write_genbank(path, "CTG1", GENOME_60, ["     gene            4..12"])
+        lines = path.read_bytes().split(b"\n")
+        lines[2] += b" \xf0"
+        path.write_bytes(b"\n".join(lines))
+        with pytest.raises(BadRow) as exc:
+            add_genbank({}, path)
+        assert str(exc.value) == f"{path}: bad row at line 3: byte 0xf0 is not UTF-8"
+
     def test_location_beyond_contig_raises(self, tmp_path):
         path = tmp_path / "bad.gb"
         _write_genbank(path, "CTG1", GENOME_60, ["     gene            4..99"])

@@ -19,9 +19,7 @@ from genomelm.seqcore import (
     DNA_ALPHABET,
     NucleotideSequence,
     ProteinSequence,
-    acgt_only,
     line_of_position,
-    parse_fasta,
     read_fasta,
     read_genome,
     read_tsv,
@@ -269,8 +267,8 @@ class TestFasta:
 
 
 def line_based_parse_fasta(lines, path):
-    """The line-by-line FASTA parser that parse_fasta replaced, kept as its
-    oracle: records from lines of text, such as an open file."""
+    """The line-by-line FASTA parser that the block reader replaced, kept as
+    its oracle: records from lines of text, such as an open file."""
     header, chunks = None, []  # every body line, blank ones too: chunk i is line first + i
     for line_no, line in enumerate(lines, start=1):
         line = line.rstrip("\n")
@@ -301,8 +299,8 @@ def line_based_record(header, chunks, first, path):
 
 
 def line_based_first_n(seqs, lines, path):
-    """The N check that read_acgt_fasta made over the file's lines, kept as
-    the oracle of acgt_only."""
+    """The N check that was made over a file's lines once its records were
+    read, kept as the oracle of read_fasta's `acgt`."""
     for index, seq in enumerate(seqs):
         if seq.has_n():
             position = seq.bases.index("N")
@@ -313,11 +311,25 @@ def line_based_first_n(seqs, lines, path):
     return seqs
 
 
-def outcome(parse):
+def outcome(parse, path=None):
+    """The records `parse()` reads, or its error, with `path` named "in.fa"."""
     try:
         return [(s.id, s.bases, s.meta) for s in parse()]
     except BadFastaRecord as exc:
-        return type(exc), str(exc)
+        return type(exc), str(exc).replace(f"{path}: ", "in.fa: ", 1)
+
+
+def piped(data: bytes, **checks):
+    """outcome of read_fasta of `data` written to a pipe and read through its /dev/fd path,
+    which reads once, as `<(cat in.fa)` does."""
+    read_end, write_end = os.pipe()
+    try:
+        with os.fdopen(write_end, "wb") as fh:  # a hypothesis example fits the pipe's buffer
+            fh.write(data)
+        path = f"/dev/fd/{read_end}"
+        return outcome(lambda: read_fasta(path, **checks), path)
+    finally:
+        os.close(read_end)
 
 
 fasta_line = st.one_of(
@@ -338,12 +350,15 @@ class TestOneTextFastaParser:
         if lines and not final_newline:
             text = text[: -len(lines[-1][1])]
         expected = outcome(lambda: line_based_parse_fasta(io.StringIO(text), "in.fa"))
-        assert outcome(lambda: parse_fasta(text, "in.fa")) == expected
-        if isinstance(expected, list):
-            seqs = parse_fasta(text, "in.fa")
-            text_lines = io.StringIO(text).readlines()
-            assert outcome(lambda: acgt_only(seqs, text, "in.fa")) \
-                == outcome(lambda: line_based_first_n(seqs, text_lines, "in.fa"))
+        with tempfile.TemporaryDirectory() as d:
+            path = Path(d) / "in.fa"
+            path.write_bytes(text.encode())
+            assert outcome(lambda: read_fasta(path), path) == expected
+            if isinstance(expected, list):
+                seqs = list(line_based_parse_fasta(io.StringIO(text), "in.fa"))
+                text_lines = io.StringIO(text).readlines()
+                assert outcome(lambda: read_fasta(path, acgt=True), path) \
+                    == outcome(lambda: line_based_first_n(seqs, text_lines, "in.fa"))
 
     def test_a_file_reads_as_its_text(self, tmp_path):
         path = tmp_path / "in.fa"
@@ -360,11 +375,16 @@ block_line = st.one_of(
     st.builds(">{}".format, st.text(alphabet="ACGT", min_size=60, max_size=80)),
     st.builds(">{}|t|f".format, st.text(alphabet="acgt", min_size=60, max_size=80)),
     st.text(alphabet="acgtnACGTN \t", max_size=90),  # lowercase, N, spaces and tabs
-    st.text(alphabet="ACGTN", max_size=90),
+    st.text(alphabet="ACGTN\u00a0\x85\u3000", max_size=90),  # whitespace of 2 and 3 bytes
     # bad symbols, a '>' mid-line among them
     st.builds("{}{}{}".format, st.text(alphabet="ACGT", max_size=6),
               st.sampled_from(["x", ">", "*", "é"]), st.text(alphabet="ACGT", max_size=6)),
 )
+
+
+# bytes that are not UTF-8, or whole or cut characters of two or three bytes
+junk_bytes = st.sampled_from([b"\xf0", b"\xc3", b"\xa9", b"\xff", b"\xe3\x80", b"\xc2\xa0"]) \
+    | st.binary(min_size=1, max_size=3)
 
 
 class TestBlockReader:
@@ -382,15 +402,10 @@ class TestBlockReader:
             path = Path(d) / "in.fa"
             path.write_bytes(text.encode())
             with open(path) as fh:
-                expected = outcome(lambda: line_based_parse_fasta(fh, path))
-            # an ASCII file with no error is read without the text algorithm's validate
-            text_algorithm = mock.Mock(side_effect=AssertionError) \
-                if isinstance(expected, list) and text.isascii() else validate
-            with mock.patch.object(seqcore, "validate", text_algorithm):
-                with open(path) as fh:
-                    assert outcome(lambda: parse_fasta(fh.read(), path)) == expected
-                with mock.patch.object(seqcore, "_BLOCK", block):
-                    assert outcome(lambda: read_fasta(path)) == expected
+                expected = outcome(lambda: line_based_parse_fasta(fh, "in.fa"))
+            with mock.patch.object(seqcore, "_BLOCK", block):
+                assert outcome(lambda: read_fasta(path), path) == expected
+                assert piped(text.encode()) == expected
 
     def test_a_record_start_cut_from_its_newline(self, tmp_path):
         path = tmp_path / "in.fa"
@@ -434,6 +449,49 @@ class TestBlockReader:
                 assert [(s.id, s.bases) for s in read_fasta(path)] == expected
         finally:
             os.close(read_end)
+
+    @pytest.mark.parametrize("data, line, record, reason", [
+        (b">a\nACGT\nAC\xf0GT\n", 3, "a", "byte 0xf0 is not UTF-8"),
+        # after whitespace of two bytes, which is dropped, and after a symbol of two bytes
+        (b">a\r\n\r\nA\xc2\xa0\xf0\n", 3, "a", "byte 0xf0 is not UTF-8"),
+        (b">a\r\n\r\nA\xc3\xa9\xf0\n", 3, "a", "invalid symbol '\u00c9' at position 1"),
+        (b">a\xf0\nACGT\n", 1, None, "byte 0xf0 is not UTF-8"),
+        (b"\n\xf0\n>a\nACGT\n", 2, None, "byte 0xf0 is not UTF-8"),
+    ], ids=["body", "after-whitespace", "after-a-symbol", "header", "before-the-first-header"])
+    def test_a_byte_that_is_not_utf8_names_its_line(self, tmp_path, data, line, record, reason):
+        # the first fault in the file is named, wherever a block ends
+        path = tmp_path / "in.fa"
+        path.write_bytes(data)
+        for block in (1, 2, 3, 64):
+            with mock.patch.object(seqcore, "_BLOCK", block), \
+                    pytest.raises(BadFastaRecord) as exc:
+                read_fasta(path)
+            assert (exc.value.line_no, exc.value.record) == (line, record)
+            assert str(exc.value).endswith(f": {reason}")
+            assert piped(data) == (BadFastaRecord, str(exc.value).replace(str(path), "in.fa"))
+
+    @settings(max_examples=200, deadline=None)
+    @given(st.lists(st.tuples(block_line, st.sampled_from(["\n", "\r\n", "\r"])), max_size=8),
+           st.lists(st.tuples(st.integers(0, 2000), junk_bytes), max_size=3),
+           st.integers(1, 64))
+    def test_any_bytes_read_alike_at_any_block_size(self, lines, junk, block):
+        # text with bytes that are not UTF-8 put in: the one outcome is records or a
+        # BadFastaRecord, the same through a pipe at any block size as in one block
+        data = "".join(line + eol for line, eol in lines).encode()
+        for at, raw in junk:
+            data = data[: at % (len(data) + 1)] + raw + data[at % (len(data) + 1):]
+        whole, checked = piped(data), piped(data, acgt=True, unique_ids=True)
+        with mock.patch.object(seqcore, "_BLOCK", block):
+            assert piped(data) == whole
+            assert piped(data, acgt=True, unique_ids=True) == checked
+
+    def test_nonempty_names_a_record_of_no_bases(self, tmp_path):
+        path = tmp_path / "in.fa"
+        path.write_text(">a\nAC\n>b|t\n \n>c\nG\n")
+        assert [len(s) for s in read_fasta(path)] == [2, 0, 1]
+        with pytest.raises(BadFastaRecord) as exc:
+            read_fasta(path, nonempty=True)
+        assert str(exc.value) == f"{path}: line 3 (record 'b'): empty sequence"
 
     def test_memory_holds_the_records_and_about_one_more(self, tmp_path):
         path = tmp_path / "four.fa"
@@ -483,3 +541,10 @@ class TestTsv:
         assert exc.value.line_no == 4
         if "columns" not in reason:
             assert isinstance(exc.value.__cause__, (ValueError, InvalidSymbol))
+
+    def test_a_byte_that_is_not_utf8_names_its_line(self, tmp_path):
+        path = tmp_path / "t.tsv"
+        path.write_bytes("#h\n\u00e9\t1\n".encode() + b"b\xf0\t2\n")
+        with pytest.raises(BadRow) as exc:
+            read_tsv(path, lambda cols: int(cols[1]), min_cols=2)
+        assert str(exc.value) == f"{path}: bad row at line 3: byte 0xf0 is not UTF-8"
