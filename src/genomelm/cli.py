@@ -340,7 +340,7 @@ def cmd_design_fit(args):
 
 def cmd_design_rank(args):
     predictor = design.load_predictor(args.predictor)
-    candidates = [s.bases for s in read_fasta(args.candidates, nonempty=True)]
+    candidates = [s.bases for s in read_fasta(args.candidates)]
     plan = design.SelectionPlan(
         top=args.top, bottom=args.bottom, random=args.random, seed=args.seed
     )

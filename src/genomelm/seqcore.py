@@ -90,14 +90,18 @@ class TranslationReport:
     starts_with_met: bool
 
 
+def _clean(text: str) -> str:
+    """`text` without the whitespace `str.split` splits on, in upper case."""
+    return "".join(text.split()).upper()
+
+
 def validate(raw_text: str, id: Optional[str] = None, meta: Optional[dict] = None) -> NucleotideSequence:
     """Normalize raw text (case, whitespace) into a NucleotideSequence.
 
     Raises InvalidSymbol at the position of the first offending character,
-    measured in the whitespace-stripped string.
+    measured in the `_clean` string.
     """
-    cleaned = "".join(raw_text.split()).upper()
-    return NucleotideSequence(cleaned, id=id, meta=dict(meta or {}))
+    return NucleotideSequence(_clean(raw_text), id=id, meta=dict(meta or {}))
 
 
 def reverse_complement(seq: NucleotideSequence) -> NucleotideSequence:
@@ -242,26 +246,24 @@ def _whole_characters(blocks: Iterable[bytes]) -> Iterator[bytes]:
 
 
 def _cleaned(piece: bytes) -> Optional[bytes]:
-    """Body bytes `piece` cleaned as `validate` cleans text, without whitespace and in upper
-    case; None if it is not UTF-8."""
+    """Body bytes `piece` cleaned as `_clean` cleans text; None if it is not UTF-8."""
     if piece.isascii():
         return piece.translate(None, ASCII_WS).upper()
     try:
-        return "".join(piece.decode().split()).upper().encode()
+        return _clean(piece.decode()).encode()
     except UnicodeDecodeError:
         return None
 
 
 def _raise_fault(path, raw: bytes, line: int, record, seen: int, allowed: bytes):
-    """Raise the BadFastaRecord of the first fault in FASTA bytes `raw`, which open on line
-    `line`: with `record` None, before the first header, any text; else, cleaned as `validate`
-    cleans text, a symbol not `allowed`, `seen` bases into `record`; or a byte not UTF-8."""
+    """Raise the BadFastaRecord of the first fault in FASTA bytes `raw`, opening on line `line`:
+    before the first header (`record` None) any text; else a symbol not `allowed` in the `_clean`
+    text, `seen` bases into `record`; or a byte not UTF-8."""
     try:
         text, undecodable = raw.decode(), None
     except UnicodeDecodeError as exc:  # the text before the byte may hold the first fault
         text, undecodable = raw[: exc.start].decode(), exc.start
-    cleaned = "".join(text.split()).upper()
-    bad = re.search("." if record is None else f"[^{allowed.decode()}]", cleaned)
+    bad = re.search("." if record is None else f"[^{allowed.decode()}]", _clean(text))
     if bad is None:
         raise BadFastaRecord(path, line + raw.count(b"\n", 0, undecodable), record,
                              f"byte 0x{raw[undecodable]:02x} is not UTF-8")
@@ -290,7 +292,7 @@ def line_of_position(position: int, numbered_lines: Iterable[tuple[int, str]]) -
     `validate` measures an InvalidSymbol's position in."""
     seen = 0
     for line_no, text in numbered_lines:
-        seen += len("".join(text.split()))
+        seen += len(_clean(text))
         if position < seen:
             break
     return line_no

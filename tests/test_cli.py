@@ -1567,9 +1567,7 @@ class TestEmptyRecords:
         assert capsys.readouterr().err == (
             f"error: BadFastaRecord: {path}: line 3 (record 'b'): empty sequence\n")
 
-    @pytest.mark.parametrize("leaf", [["contrib", "--in"], ["rank", "--top", "1", "--candidates"]],
-                             ids=["contrib", "rank"])
-    def test_design_names_the_file_and_record(self, tmp_path, capsys, leaf):
+    def _predictor(self, tmp_path, capsys):
         activities = tmp_path / "activities.tsv"
         activities.write_text("".join(f"{s}\t{i}\t0\n"
                                       for i, s in enumerate(["ACGT", "GGCC", "ATAT", "CCGA"])))
@@ -1577,10 +1575,24 @@ class TestEmptyRecords:
         assert main(["design", "fit", "--activities", str(activities), "--k", "1",
                      "--model-out", str(predictor)]) == 0
         capsys.readouterr()
-        path = self._fasta(tmp_path)
-        assert main(["design", *leaf, str(path), "--predictor", str(predictor)]) == DATA_ERROR
+        return predictor
+
+    def test_design_contrib_names_the_file_and_record(self, tmp_path, capsys):
+        predictor, path = self._predictor(tmp_path, capsys), self._fasta(tmp_path)
+        assert main(["design", "contrib", "--in", str(path),
+                     "--predictor", str(predictor)]) == DATA_ERROR
         assert capsys.readouterr().err == (
             f"error: BadFastaRecord: {path}: line 3 (record 'b'): empty sequence\n")
+
+    def test_design_rank_still_ranks_an_empty_candidate(self, tmp_path, capsys):
+        # generate can emit an empty sequence when EOS comes first; rank scores it
+        predictor, path = self._predictor(tmp_path, capsys), self._fasta(tmp_path)
+        assert main(["design", "rank", "--top", "3", "--candidates", str(path),
+                     "--predictor", str(predictor)]) == 0
+        rows = [row.split("\t") for row in capsys.readouterr().out.splitlines()]
+        assert rows[0] == ["#group", "sequence", "predicted_activity"]
+        assert sorted((group, seq) for group, seq, _ in rows[1:]) == [
+            ("top", ""), ("top", "ACGTACGT"), ("top", "GGCCAT")]
 
 
 def two_record_genome() -> bytes:
