@@ -12,7 +12,7 @@ from typing import Sequence
 
 import numpy as np
 
-from .errors import ConstantInput, SequenceTooShort, SingleCluster
+from .errors import BadValue, ConstantInput, SequenceTooShort, SingleCluster
 from .seqcore import tsv_text
 from .tokenizer import kmer_count_matrix
 
@@ -21,7 +21,7 @@ def pearson_r(x: Sequence[float], y: Sequence[float]) -> float:
     xa = np.asarray(x, dtype=float)
     ya = np.asarray(y, dtype=float)
     if len(xa) != len(ya) or len(xa) < 2:
-        raise ValueError("need two equal-length vectors with n >= 2")
+        raise BadValue("need two equal-length vectors with n >= 2")
     xc = xa - xa.mean()
     yc = ya - ya.mean()
     denom = math.sqrt((xc @ xc) * (yc @ yc))
@@ -40,11 +40,11 @@ class EmbeddingSet:
     def __post_init__(self):
         self.vectors = np.asarray(self.vectors, dtype=float)
         if self.vectors.ndim != 2:
-            raise ValueError("vectors must be an n x d matrix")
+            raise BadValue("vectors must be an n x d matrix")
         if len(self.labels) != self.vectors.shape[0]:
-            raise ValueError("one label per row required")
+            raise BadValue("one label per row required")
         if not np.isfinite(self.vectors).all():
-            raise ValueError("embedding entries must be finite")
+            raise BadValue("embedding entries must be finite")
 
 
 def profile_embeddings(seqs: Sequence[str], k: int) -> np.ndarray:
@@ -52,7 +52,7 @@ def profile_embeddings(seqs: Sequence[str], k: int) -> np.ndarray:
     length 4^k each, from one count matrix; the first sequence at fault raises."""
     for bases in seqs:
         if "N" in bases:
-            raise ValueError("profile embeddings require N-free sequences")
+            raise BadValue("profile embeddings require N-free sequences")
         if len(bases) < k:
             raise SequenceTooShort(f"sequence of {len(bases)} nt shorter than k={k}")
     counts = kmer_count_matrix(seqs, k)
@@ -77,7 +77,7 @@ def pca_project(embeddings: EmbeddingSet, dims: int = 2) -> PcaResult:
     X = embeddings.vectors
     n, d = X.shape
     if n < dims:
-        raise ValueError(f"need at least {dims} points, got {n}")
+        raise BadValue(f"need at least {dims} points, got {n}")
     Xc = X - X.mean(axis=0)
     _, s, vt = np.linalg.svd(Xc, full_matrices=False)  # s descending
     var = s[:dims] ** 2 / max(n - 1, 1)
@@ -107,7 +107,7 @@ def silhouette(embeddings: EmbeddingSet, metric: str = "euclidean") -> float:
         dist = 1 - (X @ X.T) / np.outer(norms, norms)
         np.fill_diagonal(dist, 0)
     else:
-        raise ValueError(f"unknown metric {metric!r}")
+        raise BadValue(f"unknown metric {metric!r}")
 
     members = np.eye(len(unique))[cluster]  # n x clusters indicator
     sizes = members.sum(axis=0)

@@ -17,11 +17,12 @@ import sys
 from typing import Iterator
 
 from . import analytics, design, ingest, recover, vep
-from .errors import EmptyCorpus, GenomeLmError
+from .errors import (BadFastaRecord, BadValue, EmptyCorpus, GenomeLmError, InsufficientData,
+                     InvalidSymbol, SequenceTooShort)
 from .lm import MarkovLm, bridge_model, train_markov
 from .sampling import SamplerConfig, conditioned_generate
-from .seqcore import (ASCII_WS, fasta_text, read_fasta, read_genome, reading_model, translate,
-                      tsv_text, validate, write_tsv)
+from .seqcore import (ASCII_WS, fasta_text, line_of_position, read_fasta, read_genome,
+                      reading_model, text_lines, translate, tsv_text, validate, write_tsv)
 from .tokenizer import BpeModel, KmerTokenizer, bpe_encode, bpe_train, kmer_encode
 
 USAGE_ERROR = 1
@@ -53,17 +54,16 @@ def _default_threads() -> int:
 
 def _load_config(path) -> dict[str, str]:
     values = {}
-    with open(path) as fh:
-        for lineno, line in enumerate(fh, 1):
-            line = line.strip()
-            if not line or line.startswith("#"):
-                continue
-            if "=" not in line:
-                print(f"error: {path}: line {lineno}: {line!r} is not a key = value line",
-                      file=sys.stderr)
-                raise SystemExit(USAGE_ERROR)
-            key, _, value = line.partition("=")
-            values[key.strip().replace("-", "_")] = value.strip()
+    for lineno, line in text_lines(path):
+        line = line.strip()
+        if not line or line.startswith("#"):
+            continue
+        if "=" not in line:
+            print(f"error: {path}: line {lineno}: {line!r} is not a key = value line",
+                  file=sys.stderr)
+            raise SystemExit(USAGE_ERROR)
+        key, _, value = line.partition("=")
+        values[key.strip().replace("-", "_")] = value.strip()
     return values
 
 
@@ -76,6 +76,10 @@ def length(text: str) -> int:
 
 def lengths(text: str) -> list[int]:
     return [length(x) for x in text.split(",")]
+
+
+def weights(text: str) -> list[float] | None:
+    return [float(x) for x in text.split(",")] if text else None  # "": the default weights
 
 
 def count(text: str) -> int:
@@ -125,7 +129,7 @@ def _opened_model(spec_text: str):
         try:
             model = MarkovLm.uniform(KmerTokenizer(int(rest)).vocab)
         except ValueError:
-            raise ValueError(f"--model {spec_text}: expected uniform:<k> with k in [1,8]") from None
+            raise BadValue(f"--model {spec_text}: expected uniform:<k> with k in [1,8]") from None
     else:
         model = bridge_model(rest if kind == "bridge" else spec_text)
     try:
@@ -147,7 +151,14 @@ def _read_sequences(args, **checks):
     lead = next((lead for lead in itertools.accumulate(stdin) if lead.lstrip(ASCII_WS)), b"")
     if lead.lstrip(ASCII_WS).startswith(b">"):
         return read_fasta("<stdin>", blocks=itertools.chain([lead], stdin), **checks)
-    return [validate((lead + b"".join(stdin)).decode(errors="replace"))]
+    text = (lead + b"".join(stdin)).decode(errors="surrogateescape")  # bad bytes read as U+DCxx
+    try:
+        return [validate(text)]
+    except InvalidSymbol as exc:  # the first fault: a byte that is not UTF-8, or a symbol
+        byte = ord(exc.symbol) - 0xDC00
+        reason = f"byte 0x{byte:02x} is not UTF-8" if 0x80 <= byte <= 0xFF else exc
+        line = line_of_position(exc.position, enumerate(text.split("\n"), start=1))
+        raise BadFastaRecord("<stdin>", line, None, reason) from exc
 
 
 def _kmer_offsets(args, fixed: int) -> Iterator[int]:
@@ -233,10 +244,7 @@ def cmd_train_markov(args):
             corpus.append(ids)
     if not corpus:
         raise EmptyCorpus(f"{args.corpus}: no record of at least {args.k} bases to train on")
-    lambdas = None
-    if args.lambdas:
-        lambdas = [float(x) for x in args.lambdas.split(",")]
-    model = train_markov(corpus, tokenizer.vocab, args.order, alpha=args.alpha, lambdas=lambdas)
+    model = train_markov(corpus, tokenizer.vocab, args.order, args.alpha, args.lambdas)
     model.save(args.model_out)
     print(f"trained order-{args.order} model on {len(corpus)} sequences", file=sys.stderr)
     return 0
@@ -360,15 +368,21 @@ def cmd_design_contrib(args):
     return 0
 
 
-def _profile_embeddings(args):
+def _profile_embeddings(args, min_records=0):
     seqs = read_fasta(args.infile, acgt=True, nonempty=True)
+    for seq in seqs:
+        if len(seq) < args.k:
+            raise SequenceTooShort(f"{args.infile}: record {seq.id!r}: sequence of {len(seq)} nt"
+                                   f" shorter than k={args.k}")
+    if len(seqs) < min_records:
+        raise InsufficientData(f"--in {args.infile}", min_records, len(seqs))
     vectors = analytics.profile_embeddings([s.bases for s in seqs], args.k)
     labels = [s.meta.get("taxon_group", "unlabeled") for s in seqs]
     return seqs, analytics.EmbeddingSet(vectors=vectors, labels=labels)
 
 
 def cmd_embed_project(args):
-    seqs, emb = _profile_embeddings(args)
+    seqs, emb = _profile_embeddings(args, min_records=2)
     result = analytics.pca_project(emb, dims=2)
     if result.degenerate_dims:
         print(f"warning: {result.degenerate_dims} degenerate dimensions zero-filled",
@@ -457,7 +471,7 @@ def build_parser() -> _Parser:
     p.add_argument("--k", type=int, default=6)
     p.add_argument("--order", type=int, default=2)
     p.add_argument("--alpha", type=float, default=0.1)
-    p.add_argument("--lambdas", help="comma-separated interpolation weights")
+    p.add_argument("--lambdas", type=weights, help="comma-separated interpolation weights")
     p.add_argument("--random-offset", action="store_true",
                    help="randomize the tokenization phase per sequence")
     p.add_argument("--model-out", required=True,
@@ -627,16 +641,12 @@ def _parse(argv) -> argparse.Namespace | int:
 
 
 def main(argv=None) -> int:
-    args = _parse(argv)
-    if isinstance(args, int):
-        return args
     try:
-        return args.func(args)
-    except GenomeLmError as exc:
-        print(f"error: {type(exc).__name__}: {exc}", file=sys.stderr)
-        return DATA_ERROR
-    except (OSError, ValueError) as exc:
-        print(f"error: {exc}", file=sys.stderr)
+        args = _parse(argv)  # a config file's bad byte is a BadRow
+        return args if isinstance(args, int) else args.func(args)
+    except (GenomeLmError, OSError) as exc:  # an OSError's message names its path
+        kind = "" if isinstance(exc, OSError) else f"{type(exc).__name__}: "
+        print(f"error: {kind}{exc}", file=sys.stderr)
         return DATA_ERROR
 
 

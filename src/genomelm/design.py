@@ -12,6 +12,7 @@ from typing import Optional, Sequence
 import numpy as np
 
 from .errors import (
+    BadValue,
     PoolTooSmall,
     SingularSystem,
     TooFewSamples,
@@ -32,9 +33,9 @@ class ActivityRecord:
 
     def __post_init__(self):
         if not math.isfinite(self.activity):
-            raise ValueError("activity must be finite")
+            raise BadValue("activity must be finite")
         if self.promoter_class not in ("Dev", "Hk"):
-            raise ValueError(f"unknown promoter class {self.promoter_class!r}")
+            raise BadValue(f"unknown promoter class {self.promoter_class!r}")
 
 
 def quantile_labels(activities: Sequence[float]) -> list[str]:
@@ -107,7 +108,7 @@ def fit_kmer_ridge(
     if len(records) < 2:
         raise TooFewSamples(f"need at least 2 records, got {len(records)}")
     if not (math.isfinite(l2) and l2 >= 0):
-        raise ValueError(f"l2 strength must be finite and >= 0, got {l2}")
+        raise BadValue(f"l2 strength must be finite and >= 0, got {l2}")
     if l2 == 0 and len(records) <= 4**k:
         raise SingularSystem("normal equations are singular; use l2 > 0")
     X = kmer_count_matrix([r.sequence.bases for r in records], k)
@@ -190,7 +191,7 @@ def contribution_rows(
     """Per-position scores of each sequence: predicted activity minus the
     mean over the three single-base substitutions at that position.
     Positions holding N are emitted as None; an empty sequence or any
-    symbol outside ACGTN raises ValueError, for the first sequence at fault.
+    symbol outside ACGTN raises BadValue, for the first sequence at fault.
 
     A substitution at position i changes only the (at most k) windows
     that cover i, so the score is -mean over the 3 other bases of the sum
@@ -198,11 +199,11 @@ def contribution_rows(
     are skipped, as kmer_count_matrix skips them, so all sequences join into one pass."""
     for sequence in sequences:
         if not sequence:
-            raise ValueError("sequence must be non-empty")
+            raise BadValue("sequence must be non-empty")
         bad = set(sequence) - DNA_ALPHABET
         if bad:
             i = min(sequence.index(b) for b in bad)
-            raise ValueError(f"invalid symbol {sequence[i]!r} at position {i}")
+            raise BadValue(f"invalid symbol {sequence[i]!r} at position {i}")
     k, w = predictor.k, predictor.weights
     joined = "N".join(sequences)
     starts, ids = kmer_windows(joined, k)
@@ -228,7 +229,7 @@ def load_predictor(path) -> KmerRidgePredictor:
         check_k(obj["k"])
         weights = np.asarray(obj["weights"], dtype=float)
         if weights.shape != (4 ** obj["k"],):
-            raise ValueError(f"{weights.size} weights for k={obj['k']}, expected 4^k")
+            raise BadValue(f"{weights.size} weights for k={obj['k']}, expected 4^k")
         return KmerRidgePredictor(obj["k"], weights, obj["intercept"], obj["l2"])
 
 
@@ -237,7 +238,7 @@ def load_predictor(path) -> KmerRidgePredictor:
 def read_activity_tsv(path, head: str = "dev") -> list[ActivityRecord]:
     """TSV columns: sequence, dev_activity, hk_activity[, split]."""
     if head not in ("dev", "hk"):
-        raise ValueError(f"head must be 'dev' or 'hk', got {head!r}")
+        raise BadValue(f"head must be 'dev' or 'hk', got {head!r}")
     col = 1 if head == "dev" else 2
     promoter_class = "Dev" if head == "dev" else "Hk"
 

@@ -5,6 +5,10 @@ class GenomeLmError(Exception):
     """Base class for all toolkit errors."""
 
 
+class BadValue(GenomeLmError, ValueError):
+    pass  # a value a function or flag rejects; a ValueError too, for library callers
+
+
 # --- sequences ---------------------------------------------------------------
 
 class InvalidSymbol(GenomeLmError):
@@ -81,8 +85,8 @@ class InsufficientData(GenomeLmError):
 
 # --- language models ---------------------------------------------------------
 
-class BadSmoothing(GenomeLmError):
-    pass
+class BadSmoothing(BadValue):
+    pass  # a BadValue, so a model file that holds bad weights reads as a BadModelFile
 
 
 class UnknownTokenId(GenomeLmError):

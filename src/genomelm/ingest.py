@@ -14,6 +14,7 @@ from typing import Iterable, Optional
 
 from .errors import (
     BadRow,
+    BadValue,
     InsufficientData,
     InvalidSymbol,
     MalformedLocation,
@@ -45,11 +46,11 @@ class AnnotationRecord:
 
     def __post_init__(self):
         if self.start < 1 or self.end < self.start:
-            raise ValueError(f"bad interval {self.start}..{self.end}")
+            raise BadValue(f"bad interval {self.start}..{self.end}")
         if self.strand not in ("+", "-"):
-            raise ValueError(f"bad strand {self.strand!r}")
+            raise BadValue(f"bad strand {self.strand!r}")
         if self.feature_type not in FEATURE_TYPES:
-            raise ValueError(f"unknown feature type {self.feature_type!r}")
+            raise BadValue(f"unknown feature type {self.feature_type!r}")
 
     @property
     def length(self) -> int:
@@ -196,14 +197,11 @@ def _bed_record(cols: list[str], genome: dict[str, NucleotideSequence]) -> Annot
     try:
         start0, end0 = int(start_s), int(end_s)
     except ValueError:
-        raise ValueError("non-integer coordinates") from None
+        raise BadValue("non-integer coordinates") from None
     if taxon is not None and taxon not in TAXON_GROUPS:
-        raise ValueError(f"unknown taxon group {taxon!r}")
+        raise BadValue(f"unknown taxon group {taxon!r}")
     rec = AnnotationRecord(seq_id, start0 + 1, end0, strand, feature, taxon)
-    try:
-        _contig_of(genome, rec)
-    except UnknownSequenceId as exc:
-        raise ValueError(str(exc)) from None
+    _contig_of(genome, rec)
     return rec
 
 
@@ -211,13 +209,12 @@ def _bed_record(cols: list[str], genome: dict[str, NucleotideSequence]) -> Annot
 
 def _contig_of(genome: dict[str, NucleotideSequence], rec: AnnotationRecord
                ) -> NucleotideSequence:
-    """rec's contig: UnknownSequenceId when genome has none, ValueError when
-    rec runs past its end."""
+    """rec's contig: UnknownSequenceId when genome has none, BadValue when rec runs past it."""
     contig = genome.get(rec.seq_id)
     if contig is None:
         raise UnknownSequenceId(f"unknown sequence id {rec.seq_id!r}")
     if rec.end > len(contig):
-        raise ValueError(
+        raise BadValue(
             f"annotation {rec.seq_id}:{rec.start}..{rec.end} exceeds contig length {len(contig)}"
         )
     return contig
@@ -385,12 +382,9 @@ def build_gener_task_datasets(
     rng = random.Random(config.seed)
 
     by_type: dict[str, list[FunctionalRegion]] = {}
-    by_taxon: dict[str, list[FunctionalRegion]] = {}
     for region in regions:
         if config.gene_min_len <= len(region.sequence) <= config.gene_max_len:
             by_type.setdefault(region.source.feature_type, []).append(region)
-        if region.taxon_group:
-            by_taxon.setdefault(region.taxon_group, []).append(region)
 
     gene_items: list[tuple[str, str]] = []
     for feature in sorted(by_type):

@@ -11,7 +11,6 @@ import math
 import socket
 import subprocess
 import select
-import zipfile
 from dataclasses import dataclass
 from typing import Optional, Protocol, Sequence, runtime_checkable
 
@@ -20,6 +19,7 @@ import numpy as np
 from .errors import (
     BadModelFile,
     BadSmoothing,
+    BadValue,
     BridgeTimeout,
     EmptyCorpus,
     PeerUnavailable,
@@ -305,8 +305,8 @@ class MarkovLm:
                     for name in npz.files:
                         arrays[name] = npz[name]
                         if not isinstance(arrays[name], np.ndarray):
-                            raise ValueError("not a .npy array")
-            except (zipfile.BadZipFile, EOFError, ValueError) as exc:
+                            raise BadValue("not a .npy array")
+            except Exception as exc:  # zipfile and NumPy fail a corrupt archive in many types
                 where = path if name is None else f"{path}: {name}"
                 raise BadModelFile(f"{where}: {exc}") from exc
         model = cls._from_header(path, arrays.pop("header", None))
@@ -330,7 +330,7 @@ class MarkovLm:
         with reading_model(f"{path}: header"):
             header = json.loads(str(header))
             if header.get("format_version") != cls.FORMAT_VERSION:
-                raise ValueError(f"unsupported model format: {header.get('format_version')}")
+                raise BadValue(f"unsupported model format: {header.get('format_version')}")
             vocab = Vocabulary.from_record(header["vocab"])
             if header.get("vocab_hash") != vocab.content_hash():
                 raise VocabularyMismatch(
@@ -339,11 +339,8 @@ class MarkovLm:
                 )
             order = header["order"]
             if type(order) is not int:
-                raise ValueError(f"order {order!r} is not an integer")
-            try:
-                return cls(vocab, order, header["alpha"], header["lambdas"])
-            except BadSmoothing as exc:
-                raise ValueError(str(exc)) from None
+                raise BadValue(f"order {order!r} is not an integer")
+            return cls(vocab, order, header["alpha"], header["lambdas"])
 
 
 # the arrays of each order in a model file, and their types
@@ -447,7 +444,7 @@ def train_markov(
 def sequence_logprob(model: MarkovLm, ids: Sequence[int]) -> float:
     """Sum of log p(ids[i] | ids[:i]), by the model's `logprobs`."""
     if not len(ids):
-        raise ValueError("cannot score an empty id sequence")
+        raise BadValue("cannot score an empty id sequence")
     return float(model.logprobs(ids).sum())
 
 

@@ -11,7 +11,7 @@ import random
 from dataclasses import dataclass, field, replace
 from typing import Optional, Sequence
 
-from .errors import InsufficientData, ReferenceTooShort
+from .errors import BadValue, InsufficientData, ReferenceTooShort
 from .ingest import FunctionalRegion
 from .lm import CausalLm, check_vocabulary, context_start
 from .sampling import SamplerConfig, generate
@@ -30,7 +30,7 @@ def recovery_accuracy(reference: str, generated: str, length: int) -> float:
     """Fraction of the first `length` positions where generated matches
     the reference; positions the generation never reached count as misses."""
     if length < 1:
-        raise ValueError(f"length must be >= 1, got {length}")
+        raise BadValue(f"length must be >= 1, got {length}")
     if len(reference) < length:
         raise ReferenceTooShort(
             f"reference of {len(reference)} nt cannot score length {length}"

@@ -27,7 +27,7 @@ from typing import Callable, Optional, Sequence
 
 import numpy as np
 
-from .errors import UnknownPrefixToken
+from .errors import BadValue, UnknownPrefixToken
 from .lm import CausalLm, check_ids
 from .tokenizer import KmerTokenizer
 
@@ -94,11 +94,11 @@ class SamplerConfig:
 
     def __post_init__(self):
         if not (math.isfinite(self.temperature) and self.temperature > 0):
-            raise ValueError(f"temperature must be finite and > 0, got {self.temperature}")
+            raise BadValue(f"temperature must be finite and > 0, got {self.temperature}")
         if not 0 < self.nucleus_p <= 1:
-            raise ValueError(f"nucleus P must be in (0,1], got {self.nucleus_p}")
+            raise BadValue(f"nucleus P must be in (0,1], got {self.nucleus_p}")
         if self.mode not in ("sample", "greedy"):
-            raise ValueError(f"unknown mode {self.mode!r}")
+            raise BadValue(f"unknown mode {self.mode!r}")
 
 
 def _prepare(probs: np.ndarray, cfg: SamplerConfig, banned: np.ndarray) -> tuple:
@@ -114,7 +114,7 @@ def _prepare(probs: np.ndarray, cfg: SamplerConfig, banned: np.ndarray) -> tuple
     probs[:, banned] = 0.0
     total = probs.sum(axis=1, keepdims=True)
     if (total <= 0).any():
-        raise ValueError("all candidate tokens are masked out")
+        raise BadValue("all candidate tokens are masked out")
     probs /= total
 
     if cfg.mode == "greedy":

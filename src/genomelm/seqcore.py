@@ -12,7 +12,8 @@ from dataclasses import dataclass, field
 from pathlib import Path
 from typing import Callable, Iterable, Iterator, Optional, Sequence, TypeVar
 
-from .errors import AmbiguousBase, BadFastaRecord, BadModelFile, BadRow, InvalidSymbol
+from .errors import (AmbiguousBase, BadFastaRecord, BadModelFile, BadRow, BadValue,
+                     GenomeLmError, InvalidSymbol)
 
 DNA_ALPHABET = frozenset("ACGTN")
 _COMPLEMENT = str.maketrans("ACGTN", "TGCAN")
@@ -117,7 +118,7 @@ def translate(seq: NucleotideSequence, frame: int = 0) -> TranslationReport:
     translated codon raises AmbiguousBase with the nucleotide position.
     """
     if frame not in (0, 1, 2):
-        raise ValueError(f"frame must be 0, 1 or 2, got {frame}")
+        raise BadValue(f"frame must be 0, 1 or 2, got {frame}")
     body = seq.bases[frame:]
     n_codons = len(body) // 3
     residues = []
@@ -302,7 +303,7 @@ def fasta_text(seqs: Iterable[NucleotideSequence], width: int = 60) -> str:
     """FASTA records, `width` bases a line, with `id|taxon|feature` headers
     when a sequence carries that metadata."""
     if width < 1:
-        raise ValueError(f"line width must be positive, got {width}")
+        raise BadValue(f"line width must be positive, got {width}")
     lines = []
     for seq in seqs:
         header = seq.id or "seq"
@@ -331,7 +332,7 @@ def read_tsv(
 ) -> list[Row]:
     """`parse_row` of each tab-split line but blank and '#' ones. A line with
     fewer than `min_cols` or more than `max_cols` fields, or one `parse_row`
-    rejects with ValueError or InvalidSymbol, raises BadRow naming the path and
+    rejects with ValueError or a GenomeLmError, raises BadRow naming the path and
     line, as a byte that is not UTF-8 does."""
     if max_cols is None:
         width = f">={min_cols}"
@@ -347,7 +348,7 @@ def read_tsv(
             raise BadRow(line_no, f"expected {width} columns, got {len(cols)}", path)
         try:
             rows.append(parse_row(cols))
-        except (ValueError, InvalidSymbol) as exc:
+        except (ValueError, GenomeLmError) as exc:
             raise BadRow(line_no, str(exc), path) from exc
     return rows
 

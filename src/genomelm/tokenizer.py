@@ -19,6 +19,7 @@ from typing import Optional, Sequence
 import numpy as np
 
 from .errors import (
+    BadValue,
     ContainsAmbiguousBase,
     EmptyCorpus,
     InvalidSymbol,
@@ -71,7 +72,7 @@ _SPECIAL_TOKENS = SPECIAL_NAMES + [
 @dataclass(frozen=True)
 class Vocabulary:
     """Dense token<->id bijection: the base tokens, then the `<...>` specials.
-    Construction checks that layout; a ValueError names the field at fault."""
+    Construction checks that layout; a BadValue names the field at fault."""
 
     tokens: tuple[str, ...]
     n_base: int  # number of non-special tokens; specials are ids n_base..|V|-1
@@ -79,14 +80,14 @@ class Vocabulary:
     def __post_init__(self):
         tokens, n_base = self.tokens, self.n_base
         if not tokens or set(map(type, tokens)) != {str} or "" in tokens:
-            raise ValueError("tokens: not a non-empty list of non-empty strings")
+            raise BadValue("tokens: not a non-empty list of non-empty strings")
         if len(set(tokens)) != len(tokens):
-            raise ValueError("tokens: not unique")
+            raise BadValue("tokens: not unique")
         if type(n_base) is not int or not 0 < n_base <= len(tokens):
-            raise ValueError(f"n_base: {n_base!r} is not in 1..{len(tokens)}")
+            raise BadValue(f"n_base: {n_base!r} is not in 1..{len(tokens)}")
         if any(t.startswith("<") for t in tokens[:n_base]) or not all(
                 t.startswith("<") for t in tokens[n_base:]):
-            raise ValueError(f"n_base: {n_base} does not split base tokens from <specials>")
+            raise BadValue(f"n_base: {n_base} does not split base tokens from <specials>")
 
     @cached_property
     def _index(self) -> dict[str, int]:
@@ -130,14 +131,14 @@ class Vocabulary:
     @classmethod
     def from_record(cls, obj: dict) -> "Vocabulary":
         if not isinstance(obj["tokens"], list):
-            raise ValueError("tokens: not a list")
+            raise BadValue("tokens: not a list")
         return cls(tokens=tuple(obj["tokens"]), n_base=obj["n_base"])
 
 
 def check_k(k: int) -> None:
-    """Raise ValueError unless k is a k-mer size this package handles, 1..8."""
+    """Raise BadValue unless k is a k-mer size this package handles, 1..8."""
     if not isinstance(k, (int, np.integer)) or not 1 <= k <= 8:
-        raise ValueError(f"k must be in [1,8], got {k!r}")
+        raise BadValue(f"k must be in [1,8], got {k!r}")
 
 
 @lru_cache(maxsize=None)
@@ -158,7 +159,7 @@ def kmer_encode(seq: NucleotideSequence | str, k: int, offset: int = 0) -> tuple
     """
     check_k(k)
     if not 0 <= offset < k:
-        raise ValueError(f"offset must be in [0,{k - 1}], got {offset}")
+        raise BadValue(f"offset must be in [0,{k - 1}], got {offset}")
     bases = seq.bases if isinstance(seq, NucleotideSequence) else seq
     digits = _acgt_digits(bases)
     end = offset + max(len(bases) - offset, 0) // k * k
@@ -236,10 +237,10 @@ class BpeModel:
         made = set(BASES)
         for left, right in self.merges:
             if left not in made or right not in made:
-                raise ValueError(f"merges: {left!r}+{right!r} joins a token not made before it")
+                raise BadValue(f"merges: {left!r}+{right!r} joins a token not made before it")
             made.add(left + right)
         if self.vocab.tokens[: self.vocab.n_base] != (*BASES, *(a + b for a, b in self.merges)):
-            raise ValueError("tokens: base tokens are not ACGT, then each merge's concatenation")
+            raise BadValue("tokens: base tokens are not ACGT, then each merge's concatenation")
 
     def to_json(self) -> str:
         return json.dumps({"merges": [list(m) for m in self.merges], **self.vocab.to_record()})
@@ -248,7 +249,7 @@ class BpeModel:
     def from_json(cls, text: str) -> "BpeModel":
         obj = json.loads(text)
         if not all(type(m) is list and len(m) == 2 for m in obj["merges"]):
-            raise ValueError("merges: not a list of [left, right] pairs")
+            raise BadValue("merges: not a list of [left, right] pairs")
         return cls(merges=tuple(map(tuple, obj["merges"])), vocab=Vocabulary.from_record(obj))
 
 
@@ -264,7 +265,7 @@ def bpe_train(corpus: Sequence[NucleotideSequence | str], target_vocab: int) -> 
     corpus, so training is deterministic.
     """
     if target_vocab < 4 + N_SPECIAL_SLOTS:
-        raise ValueError(
+        raise BadValue(
             f"target_vocab must be at least {4 + N_SPECIAL_SLOTS}, got {target_vocab}"
         )
     words = [_acgt_digits(s.bases if isinstance(s, NucleotideSequence) else s) for s in corpus]

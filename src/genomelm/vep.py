@@ -14,6 +14,7 @@ import numpy as np
 
 from .errors import (
     AmbiguousContext,
+    BadValue,
     DegenerateLabels,
     PositionOutOfRange,
     RefMismatch,
@@ -40,13 +41,13 @@ class Variant:
 
     def __post_init__(self):
         if self.ref_allele not in BASE_RANK or self.alt_allele not in BASE_RANK:
-            raise ValueError(
+            raise BadValue(
                 f"alleles must be single bases in ACGT, got {self.ref_allele!r}>{self.alt_allele!r}"
             )
         if self.ref_allele == self.alt_allele:
-            raise ValueError("ref and alt alleles must differ")
+            raise BadValue("ref and alt alleles must differ")
         if self.label is not None and self.label not in ("benign", "pathogenic"):
-            raise ValueError(f"unknown label {self.label!r}")
+            raise BadValue(f"unknown label {self.label!r}")
 
 
 def marginalize_distribution(probs: np.ndarray, tokenizer: KmerTokenizer, j: int) -> np.ndarray:
@@ -59,7 +60,7 @@ def marginalize_distribution(probs: np.ndarray, tokenizer: KmerTokenizer, j: int
     """
     k = tokenizer.k
     if not 0 <= j < k:
-        raise ValueError(f"offset {j} outside [0,{k - 1}]")
+        raise BadValue(f"offset {j} outside [0,{k - 1}]")
     n_base = tokenizer.vocab.n_base
     if len(probs) != len(tokenizer.vocab):
         raise VocabularyMismatch(
@@ -211,7 +212,7 @@ def _variant(cols: list[str]) -> Variant:
     try:
         pos = int(cols[1])
     except ValueError:
-        raise ValueError(f"non-integer position {cols[1]!r}") from None
+        raise BadValue(f"non-integer position {cols[1]!r}") from None
     label = cols[4] if len(cols) > 4 and cols[4] else None
     return Variant(seq_id=cols[0], pos=pos, ref_allele=cols[2], alt_allele=cols[3], label=label)
 
@@ -219,5 +220,5 @@ def _variant(cols: list[str]) -> Variant:
 def _scored_variant(cols: list[str]) -> tuple[Variant, float]:
     score = float(cols[5])
     if not math.isfinite(score):
-        raise ValueError(f"score must be finite, got {cols[5]!r}")
+        raise BadValue(f"score must be finite, got {cols[5]!r}")
     return _variant(cols), score

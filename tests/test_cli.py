@@ -18,7 +18,8 @@ from hypothesis import given, settings
 from hypothesis import strategies as st
 
 from genomelm.cli import (_BOOLEANS, DATA_ERROR, USAGE_ERROR, _load_config, _parse,
-                          _shared_parser, build_parser, count, length, lengths, main)
+                          _shared_parser, build_parser, count, length, lengths, main,
+                          weights)
 from genomelm.seqcore import NucleotideSequence, fasta_text, write_fasta
 from genomelm.tokenizer import kmer_count_matrix
 
@@ -108,7 +109,7 @@ class TestExitCodes:
     def test_a_bad_uniform_model_spec_is_named(self, spec, capsys):
         assert main(["generate", "--model", spec, "--max-new", "4"]) == DATA_ERROR
         assert capsys.readouterr().err == (
-            f"error: --model {spec}: expected uniform:<k> with k in [1,8]\n")
+            f"error: BadValue: --model {spec}: expected uniform:<k> with k in [1,8]\n")
 
     def test_success_is_zero(self, capsys):
         assert main(["translate", "ATGTAA"]) == 0
@@ -462,7 +463,7 @@ def flag_text(action):
     if action.choices:
         return str(action.choices[-1])
     return {None: "x.txt", int: "3", float: "0.5", length: "3", count: "3",
-            lengths: "3,4"}[action.type]
+            lengths: "3,4", weights: "0.5,0.5"}[action.type]
 
 
 def oracle_cases(leaf):
