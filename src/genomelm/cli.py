@@ -263,8 +263,10 @@ def cmd_generate(args):
         dedup = None
         if args.dedup_against:
             dedup = {s.bases for s in read_fasta(args.dedup_against)}
-        # a --prefix run starts from [BOS, prefix] and then the --prompt
-        prompt = tokenizer.encode(args.prompt.upper()) if args.prompt else []
+        # a --prefix run starts from [BOS, prefix] and then the --prompt, whose whole tokens end
+        # where it ends; its first len % k characters are checked and skipped
+        text = (args.prompt or "").upper()
+        prompt = tokenizer.encode(text, len(text) % tokenizer.k)
         batch = conditioned_generate(model, tokenizer, args.prefix, cfg, n_sequences=args.n,
                                      seed_context=prompt, dedup_against=dedup)
     if batch.exhausted:

@@ -7,6 +7,7 @@ inclusive internally.
 from __future__ import annotations
 
 import bisect
+import itertools
 import random
 import re
 from dataclasses import dataclass, field
@@ -21,8 +22,8 @@ from .errors import (
     MissingOrigin,
     UnknownSequenceId,
 )
-from .seqcore import (NucleotideSequence, line_of_position, read_tsv, reverse_complement,
-                      split_on_n, text_lines, tsv_text, validate)
+from .seqcore import (_DNA_BYTES, _NOT_DNA, ASCII_WS, NucleotideSequence, read_tsv,
+                      reverse_complement, split_on_n, text_lines, tsv_text)
 
 FEATURE_TYPES = ("CDS", "pseudo", "tRNA", "rRNA", "ncRNA", "miscRNA", "gene")
 TAXON_GROUPS = (
@@ -70,6 +71,9 @@ class FunctionalRegion:
 # --- GenBank flat file -------------------------------------------------------
 
 _SPAN_RE = re.compile(r"^<?(\d+)\.\.>?(\d+)$")
+# what an ORIGIN line holds besides its bases: digits and spacing, in ASCII and in Unicode
+_SPACING = b"0123456789" + ASCII_WS
+_NOT_BASES = re.compile(r"[\d\s]")
 
 
 def _parse_location(loc: str) -> Optional[tuple[int, int, str]]:
@@ -104,79 +108,73 @@ def _parse_location(loc: str) -> Optional[tuple[int, int, str]]:
 
 def add_genbank(genome: dict[str, NucleotideSequence], path) -> list[AnnotationRecord]:
     """Parse the LOCUS/FEATURES/ORIGIN records of the GenBank file at `path`
-    into `genome` and return their `gene` features. A LOCUS line without a
-    name, or with the name of an earlier LOCUS or of a record `genome`
-    already holds, a symbol outside the alphabet in an ORIGIN section, or a
-    byte that is not UTF-8, raises BadRow naming the path and the line, and
-    leaves `genome` as it was."""
+    into `genome` and return their `gene` features, in one pass that holds
+    one record. The first fault in file order raises a GenomeLmError naming
+    the path and line, and leaves `genome` as it was: a byte that is not
+    UTF-8, a LOCUS line without a new name, a symbol outside the alphabet on
+    an ORIGIN line, a gene location that is not a 1-based span, and at the
+    record's end a missing ORIGIN section or a gene past it."""
     sequences: dict[str, NucleotideSequence] = {}
     locus_lines: dict[str, int] = {}
     records: list[AnnotationRecord] = []
-    lines = [line.rstrip("\n") for _, line in text_lines(path)]
-
-    i = 0
-    while i < len(lines):
-        if not lines[i].startswith("LOCUS"):
-            i += 1
-            continue
-        fields = lines[i].split()
-        if len(fields) < 2:
-            raise BadRow(i + 1, "LOCUS line without a locus name", path)
-        locus_id = fields[1]
-        if locus_id in locus_lines:
-            raise BadRow(i + 1, f"LOCUS name {locus_id!r} repeats line {locus_lines[locus_id]}", path)
-        if locus_id in genome:
-            raise BadRow(i + 1, f"record {locus_id!r} is also a genome FASTA record", path)
-        locus_lines[locus_id] = i + 1
-        i += 1
-        pending: list[tuple[str, str, int]] = []  # (location text, source line, its number)
-        origin: list[tuple[int, str]] = []  # (line number, bases) of each ORIGIN line
-        saw_origin = False
-        in_features = False
-        while i < len(lines) and not lines[i].startswith("LOCUS"):
-            line = lines[i]
-            if line.startswith("FEATURES"):
-                in_features = True
-            elif line.startswith("ORIGIN"):
-                saw_origin = True
-                in_features = False
-                i += 1
-                while i < len(lines) and not lines[i].startswith("//") and not lines[i].startswith("LOCUS"):
-                    origin.append((i + 1, re.sub(r"[\d\s]", "", lines[i])))
-                    i += 1
+    name = None  # the open record's, None before the first LOCUS line
+    feature = None  # the open feature: [key, location so far, key line, its number]
+    # a LOCUS line numbered 0 after the last line closes the last record
+    for line_no, line in itertools.chain(text_lines(path), [(0, "LOCUS")]):
+        if feature is not None:
+            if line.startswith(" " * 10) and not line.strip().startswith("/"):
+                feature[1] += line.strip()  # the location goes on
                 continue
-            elif in_features:
-                stripped = line.strip()
-                if line.startswith("     ") and not line.startswith("      " * 3):
-                    parts = stripped.split(None, 1)
-                    if len(parts) == 2 and not parts[0].startswith("/"):
-                        key, loc = parts
-                        # location may continue on following indented lines
-                        j = i + 1
-                        while j < len(lines) and lines[j].startswith(" " * 10) and not lines[j].strip().startswith("/"):
-                            loc += lines[j].strip()
-                            j += 1
-                        if key == "gene":
-                            pending.append((loc, line.strip(), i + 1))
-                        i = j - 1
-            i += 1
-        if not saw_origin:
-            raise MissingOrigin(f"{path}: line {locus_lines[locus_id]}: record {locus_id!r} "
-                                "has no ORIGIN section")
-        try:
-            seq = validate("".join(bases for _, bases in origin), id=locus_id)
-        except InvalidSymbol as exc:
-            line_no = line_of_position(exc.position, origin)
-            raise BadRow(line_no, f"record {locus_id!r}: {exc}", path) from exc
-        sequences[locus_id] = seq
-        for loc, src_line, line_no in pending:
-            span = _parse_location(loc)
-            if span is None or span[1] > len(seq):
-                raise MalformedLocation(src_line, f"{path}: line {line_no}")
-            start, end, strand = span
-            records.append(
-                AnnotationRecord(seq_id=locus_id, start=start, end=end, strand=strand)
-            )
+            key, loc, text, at = feature
+            feature = None
+            if key == "gene":
+                span = _parse_location(loc)
+                if span is None:
+                    raise MalformedLocation(text, f"{path}: line {at}")
+                genes.append((span, text, at))
+        if line.startswith("LOCUS"):
+            if name is not None:
+                if origin is None:
+                    raise MissingOrigin(f"{path}: line {locus_lines[name]}: record {name!r} "
+                                        "has no ORIGIN section")
+                seq = sequences[name] = NucleotideSequence(origin.decode(), id=name)
+                for (start, end, strand), text, at in genes:
+                    if end > len(seq):
+                        raise MalformedLocation(text, f"{path}: line {at}")
+                    records.append(AnnotationRecord(name, start, end, strand))
+            if not line_no:
+                break
+            fields = line.split()
+            if len(fields) < 2:
+                raise BadRow(line_no, "LOCUS line without a locus name", path)
+            name = fields[1]
+            if name in locus_lines:
+                raise BadRow(line_no, f"LOCUS name {name!r} repeats line {locus_lines[name]}", path)
+            if name in genome:
+                raise BadRow(line_no, f"record {name!r} is also a genome FASTA record", path)
+            locus_lines[name] = line_no
+            # the open record's section, gene spans and ORIGIN bases (None before ORIGIN)
+            section, genes, origin = None, [], None
+        elif name is None:
+            continue
+        elif section == "ORIGIN" and not line.startswith("//"):
+            bases = (line.encode().translate(None, _SPACING).upper() if line.isascii()
+                     else _NOT_BASES.sub("", line).upper().encode())
+            if bases.translate(None, _DNA_BYTES):
+                bad = _NOT_DNA.search(bases.decode())
+                exc = InvalidSymbol(len(origin) + bad.start(), bad.group())
+                raise BadRow(line_no, f"record {name!r}: {exc}", path) from exc
+            origin += bases
+        elif line.startswith("FEATURES"):
+            section = "FEATURES"
+        elif line.startswith("ORIGIN"):
+            section, origin = "ORIGIN", origin or bytearray()
+        elif section == "ORIGIN":  # the '//' that ends the ORIGIN lines
+            section = None
+        elif section == "FEATURES" and line.startswith(" " * 5) and not line.startswith(" " * 18):
+            parts = line.split(None, 1)
+            if len(parts) == 2 and not parts[0].startswith("/"):
+                feature = [parts[0], parts[1].strip(), line.strip(), line_no]
     genome.update(sequences)
     return records
 

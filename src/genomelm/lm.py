@@ -8,9 +8,11 @@ from __future__ import annotations
 import array
 import json
 import math
+import os
+import select
 import socket
 import subprocess
-import select
+import time
 from dataclasses import dataclass
 from typing import Optional, Protocol, Sequence, runtime_checkable
 
@@ -584,35 +586,40 @@ def _finite(values, what: str) -> np.ndarray:
 
 
 _EXIT_GRACE_S = 5.0  # how long a closed subprocess peer may take to exit
+_READ_BYTES = 1 << 16  # the most a subprocess peer's reply is read in at a time
 
 
 class _SubprocessPeer:
     def __init__(self, argv: list[str]):
         try:
-            self.proc = subprocess.Popen(
-                argv,
-                stdin=subprocess.PIPE,
-                stdout=subprocess.PIPE,
-                text=True,
-                bufsize=1,
-            )
+            self.proc = subprocess.Popen(argv, stdin=subprocess.PIPE, stdout=subprocess.PIPE)
         except OSError as exc:
             raise PeerUnavailable(str(exc))
         self._stalled = False  # a request went unanswered within its timeout
+        self._unread = b""  # what the peer sent past the last reply's newline
 
     def roundtrip(self, line: str, timeout: float) -> str:
+        """Send `line` and return the reply line, read in chunks as they come:
+        a reply not whole `timeout` seconds after the request, even one cut
+        off mid-line, raises BridgeTimeout."""
         if self.proc.poll() is not None:
             raise PeerUnavailable("bridge peer exited")
-        self.proc.stdin.write(line + "\n")
+        self.proc.stdin.write(line.encode() + b"\n")
         self.proc.stdin.flush()
-        ready, _, _ = select.select([self.proc.stdout], [], [], timeout)
-        if not ready:
-            self._stalled = True
-            raise BridgeTimeout(f"no reply within {timeout}s")
-        reply = self.proc.stdout.readline()
-        if not reply:
-            raise PeerUnavailable("bridge peer closed its stdout")
-        return reply
+        deadline = time.monotonic() + timeout
+        chunks, chunk = [], self._unread
+        while (end := chunk.find(b"\n")) < 0:
+            chunks.append(chunk)
+            wait = deadline - time.monotonic()
+            if wait <= 0 or not select.select([self.proc.stdout], [], [], wait)[0]:
+                self._stalled = True
+                raise BridgeTimeout(f"no reply within {timeout}s")
+            chunk = os.read(self.proc.stdout.fileno(), _READ_BYTES)
+            if not chunk:
+                raise PeerUnavailable("bridge peer closed its stdout")
+        chunks.append(chunk[: end + 1])
+        self._unread = chunk[end + 1 :]
+        return b"".join(chunks).decode()
 
     def close(self) -> None:
         """Close the peer's stdin so it can exit at end of input. A peer

@@ -181,5 +181,10 @@ def read_dataset_tsv(path) -> list[RecoveryItem]:
 
 
 def _recovery_item(cols: list[str]) -> RecoveryItem:
+    """A dataset row. An N, which `recover build` never writes, is a fault: no model can read one
+    in a prompt, nor match one in a reference."""
     prompt, reference = (NucleotideSequence(bases).bases for bases in cols[:2])
+    for column, bases in (("prompt", prompt), ("reference", reference)):
+        if "N" in bases:
+            raise BadValue(f"{column}: ambiguous base 'N' at position {bases.index('N')}")
     return RecoveryItem(prompt=prompt, reference=reference, taxon_group=cols[2])

@@ -317,10 +317,6 @@ def fasta_text(seqs: Iterable[NucleotideSequence], width: int = 60) -> str:
     return "".join(line + "\n" for line in lines)
 
 
-def write_fasta(path, seqs: Iterable[NucleotideSequence], width: int = 60) -> None:
-    Path(path).write_text(fasta_text(seqs, width))
-
-
 # --- TSV i/o -----------------------------------------------------------------
 
 Row = TypeVar("Row")

@@ -28,7 +28,7 @@ from genomelm.ingest import add_genbank, corpus_stats, extract_functional_region
 from genomelm.lm import MarkovLm
 from genomelm.recover import RecoveryItem, run_recovery
 from genomelm.sampling import SamplerConfig, conditioned_generate
-from genomelm.seqcore import NucleotideSequence, write_fasta
+from genomelm.seqcore import NucleotideSequence, fasta_text
 from genomelm.tokenizer import (
     KmerTokenizer,
     bpe_decode,
@@ -445,9 +445,9 @@ def test_12_embedding_separation():
 def test_13_cli_determinism(tmp_path):
     corpus = tmp_path / "corpus.fa"
     rng = random.Random(113)
-    write_fasta(corpus, [
+    corpus.write_text(fasta_text([
         NucleotideSequence(random_dna(rng, 200), id=f"s{i}") for i in range(5)
-    ])
+    ]))
     model = tmp_path / "markov.jsonl"
     assert cli_main([
         "train-markov", str(corpus), "--k", "1", "--order", "2",

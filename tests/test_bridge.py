@@ -4,6 +4,7 @@ import random
 import socket
 import sys
 import threading
+import time
 from pathlib import Path
 
 import numpy as np
@@ -88,6 +89,10 @@ for line in sys.stdin:
             print("} this is not json {")
             sys.stdout.flush()
             continue
+        if MODE == "partial":  # a reply cut off mid-line, then nothing
+            sys.stdout.write('{"probs": [0.25, 0.25')
+            sys.stdout.flush()
+            time.sleep(60)
         out = reply_next(req["context"])
     else:
         out = {"error": f"unknown op {req['op']}"}
@@ -170,6 +175,16 @@ class TestSubprocessBridge:
         try:
             with pytest.raises(BridgeTimeout):
                 model.next_distribution([0])
+        finally:
+            model.close()
+
+    def test_a_reply_cut_off_mid_line_times_out(self, peer_script):
+        model = _connect(peer_script, "partial", timeout=1.0)
+        try:
+            started = time.monotonic()
+            with pytest.raises(BridgeTimeout):
+                model.next_distribution([0])
+            assert time.monotonic() - started < 5.0
         finally:
             model.close()
 

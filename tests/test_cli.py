@@ -20,7 +20,7 @@ from hypothesis import strategies as st
 from genomelm.cli import (_BOOLEANS, DATA_ERROR, USAGE_ERROR, _load_config, _parse,
                           _shared_parser, build_parser, count, length, lengths, main,
                           weights)
-from genomelm.seqcore import NucleotideSequence, fasta_text, write_fasta
+from genomelm.seqcore import NucleotideSequence, fasta_text
 from genomelm.tokenizer import kmer_count_matrix
 
 
@@ -60,6 +60,10 @@ def edit_header(**fields):
 def stdin_of(text: str):
     """A sys.stdin that holds `text`, with the `.buffer` of bytes the CLI reads."""
     return io.TextIOWrapper(io.BytesIO(text.encode()))
+
+
+def write_fasta(path, seqs):
+    Path(path).write_text(fasta_text(seqs))
 
 
 def write_corpus(path, n=6, length=120, seed=0):
@@ -1021,6 +1025,19 @@ class TestModelWorkflows:
         line = capsys.readouterr().out.strip()
         assert len(line) == 8
 
+    def test_generate_reads_the_prompt_to_its_end(self, tmp_path, capsys):
+        # the model follows TA with GG and GT with CC: the prompt AGGTA ends in the token TA,
+        # where whole tokens from its start (AG, GT) would drop the A of its end
+        corpus = tmp_path / "corpus.fa"
+        corpus.write_text(">a\n" + "TAGG" * 20 + "\n>b\n" + "GTCC" * 20 + "\n")
+        model = tmp_path / "m.npz"
+        assert main(["train-markov", str(corpus), "--k", "2", "--order", "1",
+                     "--model-out", str(model)]) == 0
+        capsys.readouterr()
+        assert main(["generate", "--model", f"markov:{model}", "--prompt", "aggta",
+                     "--max-new", "2", "--greedy"]) == 0
+        assert capsys.readouterr().out == "GGTA\n"
+
     @pytest.mark.parametrize("prefix", [[], ["--prefix", "<high>"]])
     def test_generate_rejects_a_bad_prompt(self, capsys, prefix):
         argv = ["generate", "--model", "uniform:1", "--prompt", "ACGU", *prefix]
@@ -1156,6 +1173,19 @@ class TestModelWorkflows:
             == DATA_ERROR
         err = capsys.readouterr().err
         assert f"BadRow: {dataset}: bad row at line 2: expected 3 columns, got 2" in err
+
+    @pytest.mark.parametrize("row, reason", [
+        ("ACGTACGTACGTANGT\tACGTACGT\tplant", "prompt: ambiguous base 'N' at position 13"),
+        ("ACGTACGTACGTACGT\tACGNACGT\tplant", "reference: ambiguous base 'N' at position 3"),
+    ])
+    def test_an_n_in_a_recovery_row_names_file_and_line(self, tmp_path, capsys, row, reason):
+        # `recover build` writes no N; a k=2 order-0 model read past both and exited 0
+        dataset = tmp_path / "dataset.tsv"
+        dataset.write_text("#prompt\treference\ttaxon_group\n" + row + "\n")
+        assert main(["recover", "run", "--model", "uniform:2", "--dataset", str(dataset),
+                     "--predict-len", "4"]) == DATA_ERROR
+        assert capsys.readouterr().err == (f"error: BadRow: {dataset}: bad row at line 2: "
+                                           f"{reason}\n")
 
 
 GENOME_S0 = "ACGTACGTAC" * 6

@@ -2,12 +2,15 @@ import random
 import sys
 import tracemalloc
 
+import numpy as np
 import pytest
 from hypothesis import example, given, settings
 from hypothesis import strategies as st
 
+import genbank_oracle
 from genomelm.errors import (
     BadRow,
+    GenomeLmError,
     InsufficientData,
     InvalidSymbol,
     MalformedLocation,
@@ -25,6 +28,7 @@ from genomelm.ingest import (
     parse_bed_like,
 )
 from genomelm.seqcore import NucleotideSequence, reverse_complement
+from test_cli import GENBANK_LINE, GOOD_GENBANK, mutate_list
 
 GENOME_60 = "ACGTACGTACCCGGTTAACCGGATCCGGAATTCCGGAACCTTGGAACCTTGGACGTACGT"
 
@@ -174,6 +178,63 @@ class TestGenbank:
         _write_genbank(path, "CTG1", GENOME_60, [f"     gene            {loc}"])
         with pytest.raises(MalformedLocation, match=f"^{path}: line 3: "):
             add_genbank({}, path)
+
+    @pytest.mark.parametrize("second_fault", [b"     gene            x..y", b"        1 ac\xf0gt"])
+    def test_the_first_fault_in_file_order_is_named(self, tmp_path, second_fault):
+        # an X on line 5, then a later fault: a byte that is not UTF-8 no longer wins
+        path = tmp_path / "bad.gb"
+        _write_genbank(path, "CTG1", "X" + GENOME_60[1:], ["     gene            4..12"])
+        path.write_bytes(path.read_bytes() + b"LOCUS       CTG2\n" + second_fault + b"\n")
+        with pytest.raises(BadRow) as exc:
+            add_genbank({}, path)
+        assert str(exc.value) == (f"{path}: bad row at line 5: "
+                                  "record 'CTG1': invalid symbol 'X' at position 0")
+
+    @settings(max_examples=400, deadline=None, derandomize=True)
+    @given(rounds=st.integers(1, 3), in_genome=st.booleans(), data=st.data())
+    def test_same_records_as_the_oracle(self, tmp_path_factory, rounds, in_genome, data):
+        # the oracle's records and sequences when it accepts a mutated file;
+        # when it rejects one, a GenomeLmError that names the file
+        lines = GOOD_GENBANK
+        for _ in range(rounds):
+            lines = mutate_list(lines, data, GENBANK_LINE | st.sampled_from([
+                "     CDS             join(1..3,", "          4..9)", "                     /x",
+                "          ", "ORIGIN      ", "        1 acgt acgt", "//", "  gene 2..5"]))
+        path = tmp_path_factory.mktemp("gb") / "rec.gb"
+        path.write_text("\n".join(lines) + "\n")
+        genome = {"C2": NucleotideSequence("ACGT", id="C2")} if in_genome else {}
+        want, got = dict(genome), dict(genome)
+        try:
+            want_records = genbank_oracle.add_genbank(want, path)
+        except GenomeLmError:
+            with pytest.raises(GenomeLmError) as exc:
+                add_genbank(got, path)
+            assert str(path) in str(exc.value)
+            assert got == genome
+        else:
+            assert add_genbank(got, path) == want_records
+            assert got == want
+
+    def test_memory_holds_the_records_and_about_one_more(self, tmp_path):
+        path = tmp_path / "four.gb"
+        rng = np.random.default_rng(0)
+        bases = np.frombuffer(b"ACGT", dtype=np.uint8)[rng.integers(0, 4, 4_000_000)].tobytes()
+        with open(path, "w") as fh:
+            for i in range(4):
+                fh.write(f"LOCUS       R{i}\nFEATURES             Location/Qualifiers\n"
+                         "     gene            1..100\nORIGIN\n")
+                fh.write(_origin_lines(bases[i * 1_000_000 : (i + 1) * 1_000_000].decode()))
+                fh.write("\n//\n")
+        del bases
+        tracemalloc.start()
+        try:
+            genome = {}
+            records = add_genbank(genome, path)
+            peak = tracemalloc.get_traced_memory()[1]
+        finally:
+            tracemalloc.stop()
+        assert [len(genome[r.seq_id]) for r in records] == [1_000_000] * 4
+        assert peak <= 2.5 * 4_000_000
 
 
 class TestBedLike:

@@ -1,6 +1,9 @@
 """Every public module-level function and class of `genomelm` is reached by
-the program: named in `src/`, `scripts/` or `perfbench/` outside its own
-definition. An API that only tests call is code to delete, not to keep."""
+the program: named in its own module outside its definition, or imported
+from `genomelm` by another file of `src/`, `scripts/` or `perfbench/`, or
+read there as an attribute of a module imported from `genomelm`. A file's
+own function of the same name does not count. An API that only tests call
+is code to delete, not to keep."""
 import ast
 from pathlib import Path
 
@@ -33,6 +36,30 @@ def _names(node: ast.AST, skip: ast.AST = None) -> set:
     return found
 
 
+def _package_names(tree: ast.AST, in_package: bool) -> set:
+    """Every name `tree` imports from `genomelm` (relative imports count
+    `in_package` only), or reads as an attribute of a module it imports from
+    there."""
+    found, modules = set(), set()
+    for n in ast.walk(tree):
+        if isinstance(n, ast.ImportFrom) and (
+                n.level and in_package or not n.level and n.module.split(".")[0] == "genomelm"):
+            found.update(alias.name for alias in n.names)
+            if n.module in (None, "genomelm"):  # `from . import lm`, `from genomelm import lm`
+                modules.update(alias.asname or alias.name for alias in n.names)
+        elif isinstance(n, ast.Import):
+            modules.update(alias.asname or "genomelm" for alias in n.names
+                           if alias.name.split(".")[0] == "genomelm")
+    for n in ast.walk(tree):
+        if isinstance(n, ast.Attribute):
+            root = n.value
+            while isinstance(root, ast.Attribute):
+                root = root.value
+            if isinstance(root, ast.Name) and root.id in modules:
+                found.add(n.attr)
+    return found
+
+
 def _program_trees() -> dict:
     return {
         path: ast.parse(path.read_text(), filename=str(path))
@@ -42,8 +69,10 @@ def _program_trees() -> dict:
 
 
 def _unreached(trees: dict) -> list:
-    """(module, name) of each public definition no program file names outside it."""
-    elsewhere = {path: _names(tree) for path, tree in trees.items()}
+    """(module, name) of each public definition that neither its own module
+    outside it nor another program file reaches."""
+    elsewhere = {path: _package_names(tree, path.parent == PACKAGE)
+                 for path, tree in trees.items()}
     unreached = []
     for path in sorted(p for p in trees if p.parent == PACKAGE):
         tree = trees[path]
@@ -104,3 +133,13 @@ def test_a_definition_its_own_module_or_another_file_names_is_reached():
         "    pass\n"
     )
     assert _unreached(trees) == [("planted", "planted_entry")]
+
+
+def test_a_name_another_file_defines_for_itself_is_not_a_reach():
+    # perfbench/inputs.py defines and calls its own write_fasta, as
+    # `inputs.write_fasta`: that reaches nothing of `genomelm`
+    trees = _with_planted_module(
+        "def write_fasta(path, records):\n"
+        "    pass\n"
+    )
+    assert _unreached(trees) == [("planted", "write_fasta")]

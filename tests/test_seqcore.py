@@ -19,6 +19,7 @@ from genomelm.seqcore import (
     DNA_ALPHABET,
     NucleotideSequence,
     ProteinSequence,
+    fasta_text,
     line_of_position,
     read_fasta,
     read_genome,
@@ -27,7 +28,6 @@ from genomelm.seqcore import (
     split_on_n,
     translate,
     validate,
-    write_fasta,
     write_tsv,
 )
 
@@ -180,7 +180,7 @@ class TestFasta:
             NucleotideSequence("TTTT", id="b", meta={"feature_type": "CDS"}),
             NucleotideSequence("GGCC", id="c"),
         ]
-        write_fasta(path, seqs)
+        path.write_text(fasta_text(seqs))
         back = read_fasta(path)
         assert [s.bases for s in back] == [s.bases for s in seqs]
         assert back[0].id == "a"
@@ -188,19 +188,14 @@ class TestFasta:
         assert back[1].meta["feature_type"] == "CDS"
         assert back[2].meta == {}
 
-    def test_wraps_long_lines(self, tmp_path):
-        path = tmp_path / "seqs.fa"
-        write_fasta(path, [NucleotideSequence("A" * 130, id="long")], width=60)
-        body = path.read_text().splitlines()
+    def test_wraps_long_lines(self):
+        body = fasta_text([NucleotideSequence("A" * 130, id="long")], width=60).splitlines()
         assert body[0] == ">long"
         assert [len(l) for l in body[1:]] == [60, 60, 10]
 
     @given(dna, st.integers(1, 80))
     def test_wrapping_matches_textwrap(self, bases, width):
-        with tempfile.TemporaryDirectory() as d:
-            path = Path(d) / "seqs.fa"
-            write_fasta(path, [NucleotideSequence(bases, id="s")], width=width)
-            text = path.read_text()
+        text = fasta_text([NucleotideSequence(bases, id="s")], width=width)
         lines = textwrap.wrap(bases, width) or [""]
         assert text == ">s\n" + "".join(line + "\n" for line in lines)
 
@@ -498,7 +493,7 @@ class TestBlockReader:
         rng = np.random.default_rng(0)
         bases = np.frombuffer(b"ACGT", dtype=np.uint8)[rng.integers(0, 4, 4_000_000)].tobytes()
         records = [bases[i : i + 1_000_000].decode() for i in range(0, len(bases), 1_000_000)]
-        write_fasta(path, [NucleotideSequence(r, id=f"r{i}") for i, r in enumerate(records)])
+        path.write_text(fasta_text([NucleotideSequence(r, id=f"r{i}") for i, r in enumerate(records)]))
         del bases, records
         tracemalloc.start()
         try:
