@@ -22,8 +22,8 @@ from .errors import (
     MissingOrigin,
     UnknownSequenceId,
 )
-from .seqcore import (_DNA_BYTES, _NOT_DNA, ASCII_WS, NucleotideSequence, read_tsv,
-                      reverse_complement, split_on_n, text_lines, tsv_text)
+from .seqcore import (NucleotideSequence, first_non_dna, read_tsv, reverse_complement,
+                      split_on_n, text_lines, tsv_text)
 
 FEATURE_TYPES = ("CDS", "pseudo", "tRNA", "rRNA", "ncRNA", "miscRNA", "gene")
 TAXON_GROUPS = (
@@ -71,9 +71,7 @@ class FunctionalRegion:
 # --- GenBank flat file -------------------------------------------------------
 
 _SPAN_RE = re.compile(r"^<?(\d+)\.\.>?(\d+)$")
-# what an ORIGIN line holds besides its bases: digits and spacing, in ASCII and in Unicode
-_SPACING = b"0123456789" + ASCII_WS
-_NOT_BASES = re.compile(r"[\d\s]")
+_NOT_BASES = re.compile(r"[\d\s]")  # what an ORIGIN line holds besides its bases
 
 
 def _parse_location(loc: str) -> Optional[tuple[int, int, str]]:
@@ -158,13 +156,11 @@ def add_genbank(genome: dict[str, NucleotideSequence], path) -> list[AnnotationR
         elif name is None:
             continue
         elif section == "ORIGIN" and not line.startswith("//"):
-            bases = (line.encode().translate(None, _SPACING).upper() if line.isascii()
-                     else _NOT_BASES.sub("", line).upper().encode())
-            if bases.translate(None, _DNA_BYTES):
-                bad = _NOT_DNA.search(bases.decode())
+            bases = _NOT_BASES.sub("", line).upper()
+            if (bad := first_non_dna(bases)) is not None:
                 exc = InvalidSymbol(len(origin) + bad.start(), bad.group())
                 raise BadRow(line_no, f"record {name!r}: {exc}", path) from exc
-            origin += bases
+            origin += bases.encode()
         elif line.startswith("FEATURES"):
             section = "FEATURES"
         elif line.startswith("ORIGIN"):

@@ -585,6 +585,15 @@ def _finite(values, what: str) -> np.ndarray:
     return a
 
 
+def _reply_text(reply: bytes) -> str:
+    """A peer's reply line as text; a byte that is not UTF-8 is a ProtocolViolation."""
+    try:
+        return reply.decode()
+    except UnicodeDecodeError as exc:
+        raise ProtocolViolation(
+            f"reply byte 0x{reply[exc.start]:02x} at offset {exc.start} is not UTF-8") from None
+
+
 _EXIT_GRACE_S = 5.0  # how long a closed subprocess peer may take to exit
 _READ_BYTES = 1 << 16  # the most a subprocess peer's reply is read in at a time
 
@@ -619,7 +628,7 @@ class _SubprocessPeer:
                 raise PeerUnavailable("bridge peer closed its stdout")
         chunks.append(chunk[: end + 1])
         self._unread = chunk[end + 1 :]
-        return b"".join(chunks).decode()
+        return _reply_text(b"".join(chunks))
 
     def close(self) -> None:
         """Close the peer's stdin so it can exit at end of input. A peer
@@ -647,7 +656,7 @@ class _TcpPeer:
             self.sock = socket.create_connection((host, port), timeout=10.0)
         except OSError as exc:
             raise PeerUnavailable(str(exc))
-        self.reader = self.sock.makefile("r")
+        self.reader = self.sock.makefile("rb")
 
     def roundtrip(self, line: str, timeout: float) -> str:
         self.sock.settimeout(timeout)
@@ -660,7 +669,7 @@ class _TcpPeer:
             raise PeerUnavailable(str(exc))
         if not reply:
             raise PeerUnavailable("bridge peer closed the connection")
-        return reply
+        return _reply_text(reply)
 
     def close(self) -> None:
         self.sock.close()

@@ -44,6 +44,14 @@ _NOT_DNA = re.compile("[^%s]" % re.escape("".join(sorted(DNA_ALPHABET))))
 _NOT_AMINO = re.compile("[^%s]" % re.escape("".join(sorted(AMINO_ALPHABET))))
 
 
+def first_non_dna(bases: str) -> Optional[re.Match]:
+    """The match of the first character of `bases` outside DNA_ALPHABET, or
+    None when there is none."""
+    if bases.isascii() and not bases.encode().translate(None, _DNA_BYTES):
+        return None
+    return _NOT_DNA.search(bases)
+
+
 @dataclass(frozen=True)
 class NucleotideSequence:
     """A DNA string over {A,C,G,T,N} with optional id and metadata tags."""
@@ -53,8 +61,7 @@ class NucleotideSequence:
     meta: dict = field(default_factory=dict)
 
     def __post_init__(self):
-        if not self.bases.isascii() or self.bases.encode().translate(None, _DNA_BYTES):
-            bad = _NOT_DNA.search(self.bases)
+        if (bad := first_non_dna(self.bases)) is not None:
             raise InvalidSymbol(bad.start(), bad.group())
 
     def __len__(self) -> int:

@@ -89,6 +89,10 @@ for line in sys.stdin:
             print("} this is not json {")
             sys.stdout.flush()
             continue
+        if MODE == "not-utf8":  # byte 0xff at offset 11 of the reply line
+            sys.stdout.buffer.write(b'{"error": "\\xff"}\\n')
+            sys.stdout.flush()
+            continue
         if MODE == "partial":  # a reply cut off mid-line, then nothing
             sys.stdout.write('{"probs": [0.25, 0.25')
             sys.stdout.flush()
@@ -161,6 +165,7 @@ class TestSubprocessBridge:
         "badsum", "badlen", "error", "empty", "garbage", "nan-probs", "inf-probs", "str-probs",
         "bool-probs", "huge-probs", "nan-top", "nan-rest", "str-rest", "str-logprob",
         "float-id", "bool-id", "short-pair", "top-not-list", "repeat-id", "huge-logprob",
+        "not-utf8",
     ])
     def test_protocol_violations(self, peer_script, mode):
         model = _connect(peer_script, mode)
@@ -212,34 +217,48 @@ class TestSubprocessBridge:
             model.close()
 
 
-def _serve_tcp(server_sock):
+UNIFORM_REPLY = (json.dumps({"probs": [0.25, 0.25, 0.25, 0.25, 0.0, 0.0]}) + "\n").encode()
+
+
+def _serve_tcp(server_sock, next_reply):
     conn, _ = server_sock.accept()
     with conn, conn.makefile("r") as reader:
         for line in reader:
             req = json.loads(line)
             if req["op"] == "vocab":
-                out = {"tokens": ["A", "C", "G", "T", "<bos>", "<eos>"]}
+                conn.sendall((json.dumps({"tokens": ["A", "C", "G", "T", "<bos>", "<eos>"]})
+                              + "\n").encode())
             else:
-                out = {"probs": [0.25, 0.25, 0.25, 0.25, 0.0, 0.0]}
-            conn.sendall((json.dumps(out) + "\n").encode())
+                conn.sendall(next_reply)
+
+
+def _tcp_model(server, next_reply):
+    server.bind(("127.0.0.1", 0))
+    server.listen(1)
+    port = server.getsockname()[1]
+    threading.Thread(target=_serve_tcp, args=(server, next_reply), daemon=True).start()
+    return bridge_model(f"127.0.0.1:{port}")
 
 
 class TestTcpBridge:
     def test_round_trip_over_tcp(self):
-        server = socket.socket()
-        server.bind(("127.0.0.1", 0))
-        server.listen(1)
-        port = server.getsockname()[1]
-        thread = threading.Thread(target=_serve_tcp, args=(server,), daemon=True)
-        thread.start()
-        model = bridge_model(f"127.0.0.1:{port}")
-        try:
-            assert model.vocabulary().n_base == 4
-            probs = model.next_distribution([1]).probs
-            assert np.allclose(probs[:4], 0.25)
-        finally:
-            model.close()
-            server.close()
+        with socket.socket() as server:
+            model = _tcp_model(server, UNIFORM_REPLY)
+            try:
+                assert model.vocabulary().n_base == 4
+                probs = model.next_distribution([1]).probs
+                assert np.allclose(probs[:4], 0.25)
+            finally:
+                model.close()
+
+    def test_a_reply_byte_that_is_not_utf8_is_a_violation(self):
+        with socket.socket() as server:
+            model = _tcp_model(server, b'{"error": "\xff"}\n')
+            try:
+                with pytest.raises(ProtocolViolation, match="reply byte 0xff at offset 11 is not UTF-8"):
+                    model.next_distribution([0])
+            finally:
+                model.close()
 
     def test_unreachable_host(self):
         with pytest.raises(PeerUnavailable):
