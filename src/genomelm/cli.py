@@ -17,8 +17,9 @@ import sys
 from typing import Iterator
 
 from . import analytics, design, ingest, recover, vep
-from .errors import (BadFastaRecord, BadValue, EmptyCorpus, GenomeLmError, InsufficientData,
-                     InvalidSymbol, SequenceTooShort)
+from .errors import (AmbiguousBase, BadFastaRecord, BadValue, DegenerateLabels, EmptyCorpus,
+                     GenomeLmError, InsufficientData, InvalidSymbol, PoolTooSmall,
+                     SequenceTooShort, TooFewSamples)
 from .lm import MarkovLm, bridge_model, train_markov
 from .sampling import SamplerConfig, conditioned_generate
 from .seqcore import (ASCII_WS, fasta_text, line_of_position, read_fasta, read_genome,
@@ -115,6 +116,16 @@ def _emit(args, text: str) -> None:
             fh.write(text)
     else:
         sys.stdout.write(text)
+
+
+@contextlib.contextmanager
+def _naming(where: str, *kinds):
+    """Prefix `where`, the file (and record) at fault, to a fault of `kinds`."""
+    try:
+        yield
+    except kinds as exc:
+        exc.args = (f"{where}: {exc}",)
+        raise
 
 
 @contextlib.contextmanager
@@ -311,12 +322,9 @@ def cmd_vep_score(args):
         variants = vep.read_variants_tsv(args.variants)
         rows = []
         for v in variants:
-            try:
+            with _naming(args.variants, *vep.VARIANT_ERRORS):
                 score = vep.vep_score(model, tokenizer, genome, v, context_len=args.context_len,
                                       average_phases=args.average_phases)
-            except vep.VARIANT_ERRORS as exc:
-                exc.args = (f"{args.variants}: {exc}",)
-                raise
             rows.append((v.seq_id, v.pos, v.ref_allele, v.alt_allele, v.label or "",
                          f"{score:.6f}"))
     _emit(args, tsv_text(("seq_id", "pos", "ref", "alt", "label", "score"), rows))
@@ -325,14 +333,16 @@ def cmd_vep_score(args):
 
 def cmd_vep_eval(args):
     labelled = [(v.label, score) for v, score in vep.read_scores_tsv(args.scores) if v.label]
-    metrics = vep.evaluate_vep([s for _, s in labelled], [label for label, _ in labelled])
+    with _naming(args.scores, DegenerateLabels):
+        metrics = vep.evaluate_vep([s for _, s in labelled], [label for label, _ in labelled])
     _emit(args, json.dumps(metrics, sort_keys=True) + "\n")
     return 0
 
 
 def cmd_design_label(args):
     records = design.read_activity_tsv(args.activities, head=args.head)
-    labels = design.quantile_labels([r.activity for r in records])
+    with _naming(args.activities, TooFewSamples):
+        labels = design.quantile_labels([r.activity for r in records])
     _emit(args, tsv_text(("sequence", "activity", "label"),
                          ((r.sequence.bases, f"{r.activity:.6g}", label)
                           for r, label in zip(records, labels))))
@@ -341,7 +351,8 @@ def cmd_design_label(args):
 
 def cmd_design_fit(args):
     records = design.read_activity_tsv(args.activities, head=args.head)
-    predictor = design.fit_kmer_ridge(records, k=args.k, l2=args.l2)
+    with _naming(args.activities, TooFewSamples):
+        predictor = design.fit_kmer_ridge(records, k=args.k, l2=args.l2)
     design.save_predictor(predictor, args.model_out)
     print(f"fit k={args.k} ridge on {len(records)} records, train RMSE "
           f"{predictor.train_rmse:.4f}", file=sys.stderr)
@@ -354,7 +365,8 @@ def cmd_design_rank(args):
     plan = design.SelectionPlan(
         top=args.top, bottom=args.bottom, random=args.random, seed=args.seed
     )
-    report = design.rank_and_select(predictor, candidates, plan)
+    with _naming(args.candidates, PoolTooSmall):
+        report = design.rank_and_select(predictor, candidates, plan)
     groups = (("top", report.top), ("bottom", report.bottom), ("random", report.random))
     _emit(args, tsv_text(("group", "sequence", "predicted_activity"),
                          ((group, seq, f"{report.scores[seq]:.6g}")
@@ -402,10 +414,11 @@ def cmd_embed_silhouette(args):
 
 
 def cmd_translate(args):
-    seqs = _read_sequences(args)
     rows = []
-    for seq in seqs:
-        report = translate(seq, frame=args.frame)
+    for seq in _read_sequences(args):
+        faults = () if seq.id is None else (AmbiguousBase,)  # a FASTA record has an id
+        with _naming(f"{args.infile or '<stdin>'}: record {seq.id!r}", *faults):
+            report = translate(seq, frame=args.frame)
         rows.append((seq.id or "-", args.frame, report.protein, report.complete,
                      report.premature_stop, report.starts_with_met))
     _emit(args, tsv_text(("id", "frame", "protein", "complete", "premature_stop",

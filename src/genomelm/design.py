@@ -18,7 +18,7 @@ from .errors import (
     TooFewSamples,
     UnknownPrefixToken,
 )
-from .seqcore import DNA_ALPHABET, NucleotideSequence, read_tsv, reading_model
+from .seqcore import NucleotideSequence, first_non_dna, read_tsv, reading_model
 from .tokenizer import (KmerTokenizer, check_k, kmer_count_matrix, kmer_substitutions,
                         kmer_windows)
 
@@ -200,10 +200,8 @@ def contribution_rows(
     for sequence in sequences:
         if not sequence:
             raise BadValue("sequence must be non-empty")
-        bad = set(sequence) - DNA_ALPHABET
-        if bad:
-            i = min(sequence.index(b) for b in bad)
-            raise BadValue(f"invalid symbol {sequence[i]!r} at position {i}")
+        if (bad := first_non_dna(sequence)) is not None:
+            raise BadValue(f"invalid symbol {bad.group()!r} at position {bad.start()}")
     k, w = predictor.k, predictor.weights
     joined = "N".join(sequences)
     starts, ids = kmer_windows(joined, k)

@@ -6,6 +6,7 @@ All log probabilities are base-e.
 from __future__ import annotations
 
 import array
+import contextlib
 import json
 import math
 import os
@@ -453,7 +454,8 @@ def sequence_logprob(model: MarkovLm, ids: Sequence[int]) -> float:
 # --- bridge ------------------------------------------------------------------
 
 class BridgeModel:
-    """CausalLm over a JSON-lines peer (subprocess stdio or TCP).
+    """CausalLm over a JSON-lines peer (subprocess stdio or TCP). Each reply has
+    one deadline, and a peer that missed one is not read again (_Peer.roundtrip).
 
     Requests: {"op":"next","context":[ids]} -> {"probs":[...]} or
     {"top":[[id,logprob],...],"rest_mass":r}; {"op":"vocab"} ->
@@ -585,59 +587,66 @@ def _finite(values, what: str) -> np.ndarray:
     return a
 
 
-def _reply_text(reply: bytes) -> str:
-    """A peer's reply line as text; a byte that is not UTF-8 is a ProtocolViolation."""
-    try:
-        return reply.decode()
-    except UnicodeDecodeError as exc:
-        raise ProtocolViolation(
-            f"reply byte 0x{reply[exc.start]:02x} at offset {exc.start} is not UTF-8") from None
-
-
 _EXIT_GRACE_S = 5.0  # how long a closed subprocess peer may take to exit
-_READ_BYTES = 1 << 16  # the most a subprocess peer's reply is read in at a time
+_READ_BYTES = 1 << 16  # the most of a reply read in at a time
 
 
-class _SubprocessPeer:
+class _Peer:
+    """A JSON-lines peer: requests go to `writer`, replies come from `reader`'s descriptor."""
+
+    def __init__(self, reader, writer):
+        self.reader, self.writer = reader, writer
+        self._stalled = False  # a request went unanswered within its timeout
+        self._unread = bytearray()  # what the peer sent past the last reply's newline
+
+    def roundtrip(self, line: str, timeout: float) -> str:
+        """Send `line` and return the reply line, read in chunks as they come.
+        A reply not whole `timeout` seconds after the request, even one cut off
+        mid-line, raises BridgeTimeout, and the peer, which may still send it,
+        is not read again: every later request raises PeerUnavailable unsent."""
+        if self._stalled:
+            raise PeerUnavailable("bridge peer missed an earlier reply's deadline")
+        try:
+            self.writer.write(line.encode() + b"\n")
+            self.writer.flush()
+            deadline = time.monotonic() + timeout
+            buf = self._unread
+            while (end := buf.find(b"\n")) < 0:
+                wait = deadline - time.monotonic()
+                if wait <= 0 or not select.select([self.reader], [], [], wait)[0]:
+                    self._stalled = True
+                    raise BridgeTimeout(f"no reply within {timeout}s")
+                if not (chunk := os.read(self.reader.fileno(), _READ_BYTES)):
+                    raise PeerUnavailable("bridge peer closed the connection")
+                buf += chunk
+            reply, self._unread = buf[: end + 1], buf[end + 1 :]
+            return reply.decode()
+        except OSError as exc:
+            raise PeerUnavailable(str(exc)) from None
+        except UnicodeDecodeError as exc:
+            raise ProtocolViolation(
+                f"reply byte 0x{reply[exc.start]:02x} at offset {exc.start} is not UTF-8") from None
+
+    def close(self) -> None:
+        with contextlib.suppress(OSError):  # the peer hung up: a request it never took is dropped
+            self.writer.close()
+        self.reader.close()
+
+
+class _SubprocessPeer(_Peer):
     def __init__(self, argv: list[str]):
         try:
             self.proc = subprocess.Popen(argv, stdin=subprocess.PIPE, stdout=subprocess.PIPE)
         except OSError as exc:
             raise PeerUnavailable(str(exc))
-        self._stalled = False  # a request went unanswered within its timeout
-        self._unread = b""  # what the peer sent past the last reply's newline
-
-    def roundtrip(self, line: str, timeout: float) -> str:
-        """Send `line` and return the reply line, read in chunks as they come:
-        a reply not whole `timeout` seconds after the request, even one cut
-        off mid-line, raises BridgeTimeout."""
-        if self.proc.poll() is not None:
-            raise PeerUnavailable("bridge peer exited")
-        self.proc.stdin.write(line.encode() + b"\n")
-        self.proc.stdin.flush()
-        deadline = time.monotonic() + timeout
-        chunks, chunk = [], self._unread
-        while (end := chunk.find(b"\n")) < 0:
-            chunks.append(chunk)
-            wait = deadline - time.monotonic()
-            if wait <= 0 or not select.select([self.proc.stdout], [], [], wait)[0]:
-                self._stalled = True
-                raise BridgeTimeout(f"no reply within {timeout}s")
-            chunk = os.read(self.proc.stdout.fileno(), _READ_BYTES)
-            if not chunk:
-                raise PeerUnavailable("bridge peer closed its stdout")
-        chunks.append(chunk[: end + 1])
-        self._unread = chunk[end + 1 :]
-        return _reply_text(b"".join(chunks))
+        super().__init__(self.proc.stdout, self.proc.stdin)
 
     def close(self) -> None:
         """Close the peer's stdin so it can exit at end of input. A peer
         still running after _EXIT_GRACE_S, or one stalled on a request, is
         terminated, then killed. Closing twice is a no-op."""
-        try:
+        with contextlib.suppress(OSError):  # the peer already closed its end of the pipe
             self.proc.stdin.close()
-        except OSError:  # the peer already closed its end of the pipe
-            pass
         try:
             self.proc.wait(timeout=0 if self._stalled else _EXIT_GRACE_S)
         except subprocess.TimeoutExpired:
@@ -650,31 +659,6 @@ class _SubprocessPeer:
         self.proc.stdout.close()
 
 
-class _TcpPeer:
-    def __init__(self, host: str, port: int):
-        try:
-            self.sock = socket.create_connection((host, port), timeout=10.0)
-        except OSError as exc:
-            raise PeerUnavailable(str(exc))
-        self.reader = self.sock.makefile("rb")
-
-    def roundtrip(self, line: str, timeout: float) -> str:
-        self.sock.settimeout(timeout)
-        try:
-            self.sock.sendall((line + "\n").encode())
-            reply = self.reader.readline()
-        except socket.timeout:
-            raise BridgeTimeout(f"no reply within {timeout}s")
-        except OSError as exc:
-            raise PeerUnavailable(str(exc))
-        if not reply:
-            raise PeerUnavailable("bridge peer closed the connection")
-        return _reply_text(reply)
-
-    def close(self) -> None:
-        self.sock.close()
-
-
 def bridge_model(target: str, timeout: float = 30.0) -> BridgeModel:
     """Connect to a bridge peer.
 
@@ -682,6 +666,11 @@ def bridge_model(target: str, timeout: float = 30.0) -> BridgeModel:
     line speaking the protocol on stdio.
     """
     host, sep, port = target.rpartition(":")
-    if sep and host and port.isdigit() and "/" not in host and " " not in host:
-        return BridgeModel(_TcpPeer(host, int(port)), timeout=timeout)
-    return BridgeModel(_SubprocessPeer(target.split()), timeout=timeout)
+    if not (sep and host and port.isdigit() and "/" not in host and " " not in host):
+        return BridgeModel(_SubprocessPeer(target.split()), timeout=timeout)
+    try:
+        sock = socket.create_connection((host, int(port)), timeout=10.0)
+    except OSError as exc:
+        raise PeerUnavailable(str(exc))
+    with sock:  # the connection stays open until the peer closes both its files
+        return BridgeModel(_Peer(sock.makefile("rb"), sock.makefile("wb")), timeout=timeout)

@@ -1,3 +1,4 @@
+import contextlib
 import json
 import math
 import random
@@ -60,7 +61,7 @@ def reply_next(context):
     n = len(TOKENS)
     if MODE in BAD_REPLIES:
         return BAD_REPLIES[MODE]
-    if MODE == "probs":
+    if MODE in ("probs", "trickle"):
         probs = [0.0] * n
         probs[len(context) % 4] = 1.0
         return {"probs": probs}
@@ -74,8 +75,8 @@ def reply_next(context):
         return {"error": "boom"}
     if MODE == "empty":
         return {}
-    if MODE == "slow":
-        time.sleep(10)
+    if MODE == "slow":  # the reply comes, but a second late
+        time.sleep(1.0)
         return {"probs": [1.0 / n] * n}
     raise SystemExit(2)
 
@@ -97,7 +98,15 @@ for line in sys.stdin:
             sys.stdout.write('{"probs": [0.25, 0.25')
             sys.stdout.flush()
             time.sleep(60)
+        if MODE == "hangup":  # the peer exits on its first `next` request
+            break
         out = reply_next(req["context"])
+        if MODE == "trickle":  # a whole reply, one byte every 0.2 s
+            for char in json.dumps(out) + "\\n":
+                sys.stdout.write(char)
+                sys.stdout.flush()
+                time.sleep(0.2)
+            continue
     else:
         out = {"error": f"unknown op {req['op']}"}
     print(json.dumps(out))
@@ -175,24 +184,6 @@ class TestSubprocessBridge:
         finally:
             model.close()
 
-    def test_timeout(self, peer_script):
-        model = _connect(peer_script, "slow", timeout=0.3)
-        try:
-            with pytest.raises(BridgeTimeout):
-                model.next_distribution([0])
-        finally:
-            model.close()
-
-    def test_a_reply_cut_off_mid_line_times_out(self, peer_script):
-        model = _connect(peer_script, "partial", timeout=1.0)
-        try:
-            started = time.monotonic()
-            with pytest.raises(BridgeTimeout):
-                model.next_distribution([0])
-            assert time.monotonic() - started < 5.0
-        finally:
-            model.close()
-
     def test_dead_peer(self):
         with pytest.raises(PeerUnavailable):
             bridge_model(f"{sys.executable} -c pass")
@@ -220,24 +211,95 @@ class TestSubprocessBridge:
 UNIFORM_REPLY = (json.dumps({"probs": [0.25, 0.25, 0.25, 0.25, 0.0, 0.0]}) + "\n").encode()
 
 
-def _serve_tcp(server_sock, next_reply):
+def _serve_tcp(server_sock, mode):
+    """Serve one connection: `mode` is the bytes of every `next` reply, or
+    one of the peer script's fault modes "slow", "partial", "trickle" and "hangup"."""
     conn, _ = server_sock.accept()
-    with conn, conn.makefile("r") as reader:
+    # a client that gave up on a reply may close the connection while it is sent
+    with conn, conn.makefile("r") as reader, contextlib.suppress(OSError):
         for line in reader:
             req = json.loads(line)
             if req["op"] == "vocab":
                 conn.sendall((json.dumps({"tokens": ["A", "C", "G", "T", "<bos>", "<eos>"]})
                               + "\n").encode())
+            elif mode == "slow":
+                time.sleep(1.0)
+                conn.sendall(UNIFORM_REPLY)
+            elif mode == "partial":
+                conn.sendall(UNIFORM_REPLY[:20])
+                time.sleep(60)
+            elif mode == "hangup":
+                break
+            elif mode == "trickle":
+                for byte in UNIFORM_REPLY:
+                    conn.sendall(bytes([byte]))
+                    time.sleep(0.2)
             else:
-                conn.sendall(next_reply)
+                conn.sendall(mode)
 
 
-def _tcp_model(server, next_reply):
+def _tcp_model(server, mode, timeout=30.0):
     server.bind(("127.0.0.1", 0))
     server.listen(1)
     port = server.getsockname()[1]
-    threading.Thread(target=_serve_tcp, args=(server, next_reply), daemon=True).start()
-    return bridge_model(f"127.0.0.1:{port}")
+    threading.Thread(target=_serve_tcp, args=(server, mode), daemon=True).start()
+    return bridge_model(f"127.0.0.1:{port}", timeout=timeout)
+
+
+@pytest.fixture(params=["pipe", "tcp"])
+def fault_peer(request, peer_script):
+    """A function that opens a model on a peer in a fault mode, over a pipe or TCP."""
+    models = []
+
+    def open_model(mode, timeout):
+        if request.param == "pipe":
+            models.append(_connect(peer_script, mode, timeout))
+        else:
+            server = socket.socket()
+            request.addfinalizer(server.close)
+            models.append(_tcp_model(server, mode, timeout))
+        return models[-1]
+
+    yield open_model
+    for model in models:
+        model.close()
+
+
+class TestBothTransports:
+    """One deadline per reply, and a peer that missed one is not read again."""
+
+    def test_timeout(self, fault_peer):
+        with pytest.raises(BridgeTimeout):
+            fault_peer("slow", 0.3).next_distribution([0])
+
+    def test_a_reply_cut_off_mid_line_times_out(self, fault_peer):
+        model = fault_peer("partial", 1.0)
+        started = time.monotonic()
+        with pytest.raises(BridgeTimeout):
+            model.next_distribution([0])
+        assert time.monotonic() - started < 5.0
+
+    def test_a_reply_sent_a_byte_at_a_time_times_out(self, fault_peer):
+        model = fault_peer("trickle", 1.0)
+        started = time.monotonic()
+        with pytest.raises(BridgeTimeout):
+            model.next_distribution([0])
+        assert time.monotonic() - started < 3.0  # the whole reply takes over 8 s
+
+    def test_a_request_after_a_timeout_is_refused(self, fault_peer):
+        model = fault_peer("slow", 0.3)
+        with pytest.raises(BridgeTimeout):
+            model.next_distribution([0])
+        time.sleep(1.0)  # the late reply is sent by now; it must not answer the next request
+        with pytest.raises(PeerUnavailable, match="missed an earlier reply's deadline"):
+            model.next_distribution([0, 1])
+
+    def test_a_peer_that_hung_up_is_unavailable_and_closes_quietly(self, fault_peer):
+        model = fault_peer("hangup", 5.0)
+        for _ in range(4):  # a send to the closed stream fails once the peer's end is gone
+            with pytest.raises(PeerUnavailable):
+                model.next_distribution([0])
+        model.close()  # the request left unsent is dropped, not raised
 
 
 class TestTcpBridge:

@@ -183,8 +183,11 @@ def test_no_edit_of_an_input_escapes_the_typed_error_path(manifest_dir, work_dir
 
 ONE = b">a|plant\nACGTACGT\n"
 SHORT = ONE + b">b|plant\nA\n"
-ACTIVITIES = b"#sequence\tdev\thk\nACGT\t1.0\t2.0\nAGGT\t0.5\t1.0\n"
+ACTIVITY = b"#sequence\tdev\thk\nACGT\t1.0\t2.0\n"
+ACTIVITIES = ACTIVITY + b"AGGT\t0.5\t1.0\n"
 ORDER_1_LAMBDAS = "--k 1 --order 1 --model-out m.npz --lambdas"
+BENIGN_SCORES = b"#seq_id\tpos\tref\talt\tlabel\tscore\nchr1\t5\tA\tC\tbenign\t0.5\n"
+K1_PREDICTOR = b'{"k": 1, "weights": [0.0, 0.0, 0.0, 0.0], "intercept": 0.0, "l2": 1.0}'
 NAMED = [  # argv, the files it reads, stdin, exit code, the last stderr line
     ("tokenize ACGT --config bad.cfg", {"bad.cfg": b"k = 3\xf0\n"}, None, 2,
      "error: BadRow: bad.cfg: bad row at line 1: byte 0xf0 is not UTF-8"),
@@ -207,6 +210,20 @@ NAMED = [  # argv, the files it reads, stdin, exit code, the last stderr line
      "error: BadValue: nucleus P must be in (0,1], got 2.0"),
     ("design fit --activities a.tsv --l2 -1 --model-out p.json", {"a.tsv": ACTIVITIES}, None,
      2, "error: BadValue: l2 strength must be finite and >= 0, got -1.0"),
+    ("design label --activities a.tsv", {"a.tsv": ACTIVITIES}, None, 2,
+     "error: TooFewSamples: a.tsv: need at least 4 activities, got 2"),
+    ("design fit --activities a1.tsv --model-out p.json", {"a1.tsv": ACTIVITY}, None,
+     2, "error: TooFewSamples: a1.tsv: need at least 2 records, got 1"),
+    ("design rank --predictor p.json --candidates one.fa --top 3",
+     {"p.json": K1_PREDICTOR, "one.fa": ONE}, None, 2,
+     "error: PoolTooSmall: one.fa: plan needs 3 sequences, pool has 1"),
+    ("vep eval --scores s.tsv", {"s.tsv": BENIGN_SCORES}, None, 2,
+     "error: DegenerateLabels: s.tsv: need at least one positive and one negative label"),
+    ("translate --in n2.fa", {"n2.fa": ONE + b">b\nATGNCC\n"}, None, 2,
+     "error: AmbiguousBase: n2.fa: record 'b': ambiguous base 'N' at position 3"),
+    ("translate", {}, b">a\nATGNCC\n", 2,
+     "error: AmbiguousBase: <stdin>: record 'a': ambiguous base 'N' at position 3"),
+    ("translate ATGNCC", {}, None, 2, "error: AmbiguousBase: ambiguous base 'N' at position 3"),
     ("embed project --in one.fa", {"one.fa": ONE}, None, 2,
      "error: InsufficientData: insufficient data for --in one.fa: need 2, have 1"),
     ("embed project --in short.fa --k 2", {"short.fa": SHORT}, None, 2,
